@@ -6,11 +6,14 @@ document is byte-stable for identical inputs and code versions apart
 from the timing field.  Exit codes: 0 success, 1 usage error, 2 a
 violated hypothesis, 3 an internal oracle mismatch.
 
-The cache stores one directory per (command, field, modulus spec, code
-version) under a sha256 key: a JSON manifest holding the ray class
-tables and the computed result, plus the big matrices in the plain
-text format of the linear algebra layer.  Reads and writes take an
-advisory lock on a file beside the key directories.
+The cache stores one directory per (command, field, modulus, code
+version) under a sha256 key, the modulus given by its canonical label
+so that reordered prime specs share an entry: a JSON manifest holding
+the ray class tables and the computed result, plus the big matrices in
+the plain text format of the linear algebra layer.  A manifest that
+does not parse or lacks a result counts as a miss and is overwritten.
+Reads and writes take an advisory lock on a file beside the key
+directories.
 """
 
 from __future__ import annotations
@@ -158,9 +161,14 @@ class Cache:
         if not path.exists():
             return None
         with self._lock(exclusive=False) as fh:
-            manifest = json.loads(path.read_text())
+            try:
+                manifest = json.loads(path.read_text())
+            except ValueError:
+                manifest = None  # truncated or corrupt: a miss
             fcntl.flock(fh, fcntl.LOCK_UN)
-        if manifest.get("schema") != SCHEMA:
+        if not isinstance(manifest, dict) \
+                or manifest.get("schema") != SCHEMA \
+                or "result" not in manifest:
             return None
         return manifest
 
@@ -190,12 +198,12 @@ def cmd_field(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
 
 
 def cmd_rayclass(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
-    spec = cfg.modulus_spec or "(1)"
+    m = _parse_modulus(K, cfg.modulus_spec)
+    spec = m.label()
     hit = cache.load("rayclass", cfg.d, spec)
     if hit is not None:
         _note(cfg, "cache hit")
         return hit["result"]
-    m = _parse_modulus(K, cfg.modulus_spec)
     G = ray_class_group(K, m)
     result = {
         "modulus": m.label(),
@@ -211,12 +219,12 @@ def cmd_rayclass(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
 
 
 def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
-    spec = cfg.modulus_spec or "(1)"
+    m = _parse_modulus(K, cfg.modulus_spec)
+    spec = m.label()
     hit = cache.load("torsion", cfg.d, spec)
     if hit is not None:
         _note(cfg, "cache hit")
         return hit["result"]
-    m = _parse_modulus(K, cfg.modulus_spec)
     _note(cfg, "building presentation")
     P = build_presentation(K, m)
     _note(cfg, f"{P.n_gens} generators, {P.relations.rows} relations")

@@ -33,14 +33,13 @@ from .rayclass import (
 from .zlinalg import (
     AbGroup,
     IntMatrix,
-    LinalgError,
     OrdistError,
     _RANK_PRIMES,
+    _prime_divisors,
+    _snf_local_valuations,
+    _val,
     cokernel,
     modular_rank,
-    rational_kernel,
-    row_saturation,
-    subquotient_torsion,
 )
 
 
@@ -54,11 +53,6 @@ class OracleMismatch(OrdistError):
 
 class HypothesisFailed(OrdistError):
     pass
-
-
-# cell count of the transform above which the kernel is taken from the
-# certified saturation identity instead of a direct integer echelon
-_DIRECT_KERNEL_CELLS = 50_000
 
 
 class DeltaPresentation:
@@ -206,35 +200,23 @@ def _annihilation_product(F: IntMatrix, rel: IntMatrix) -> bool:
     return not prod.any()
 
 
-def _certified_kernel(P: DeltaPresentation, F: IntMatrix):
-    """Kernel lattice of the transform without a large exact echelon.
-
-    Three exact facts pin the kernel down: the transform annihilates
-    every relation row; the relation rank equals columns minus the
-    row count of the transform (from the cokernel rank identity checked
-    by the caller); and a modular rank certificate shows the transform
-    has full row rank, so its kernel dimension equals that relation
-    rank.  Together these force ker(F) = saturation(relations), which
-    is computed by exact Smith elimination on the sparse relation
-    matrix.  If the modular certificate fails at every prime, fall back
-    to the direct echelon.
-    """
-    if not _annihilation_product(F, P.relations):
-        raise OracleMismatch("transform fails to annihilate a relation row")
-    if all(modular_rank(F, p) < F.rows for p in _RANK_PRIMES):
-        return rational_kernel(F)
-    return row_saturation(P.relations)
-
-
 def level_torsion(P: DeltaPresentation) -> AbGroup:
     """Torsion of the level quotient, computed two independent ways.
 
     Oracle (a) reads the invariant factors of the relation matrix off
-    its cokernel.  Oracle (b) computes the kernel lattice of the
-    transform and the subquotient by the relation lattice.  Any
-    disagreement, rank defect, or annihilation failure raises
-    OracleMismatch: the two paths share no linear algebra beyond the
-    elimination core, so agreement is a real cross-check.
+    its cokernel, whose free rank must equal #G_m.  The transform
+    annihilates every relation row and, by a modular certificate, has
+    full row rank #G_m; with the rank identity this makes its kernel
+    the saturation of the relation lattice, so the torsion is that
+    kernel modulo the relations.  Oracle (b) recomputes the torsion
+    p-locally, by Smith elimination over Z/p^k on the raw relation
+    matrix, at every prime p dividing S = w * product_bound * |T| with
+    T the torsion from (a).  Each pass must find one pivot per unit of
+    relation rank, with (a)'s p-valuations and zeros elsewhere.  Any
+    rank defect, annihilation failure or disagreement raises
+    OracleMismatch.  The check is complete on levels whose norm is
+    prime to w: there the torsion exponent divides the product bound,
+    so every prime that can carry torsion divides S.
     """
     if P._torsion is not None:
         return P._torsion
@@ -244,28 +226,30 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
         raise OracleMismatch(
             f"presentation rank {quot.rank} != #G_m = {n_top}")
     F = iwasawa_matrix(P)
-    if F.rows * F.cols <= _DIRECT_KERNEL_CELLS:
-        if not _annihilation_product(F, P.relations):
+    if not _annihilation_product(F, P.relations):
+        raise OracleMismatch("transform fails to annihilate a relation row")
+    if all(modular_rank(F, p) < F.rows for p in _RANK_PRIMES):
+        raise OracleMismatch(
+            f"no prime certifies full row rank {F.rows} of the transform")
+    tor = AbGroup(quot.torsion)
+    units = P.n_gens - n_top - len(tor.torsion)
+    S = P.field.w_K * _product_bound(P) * tor.order
+    for p in sorted(_prime_divisors(S)):
+        got = _snf_local_valuations(P.relations, p, _val(S, p))
+        want = [0] * units + sorted(_val(d, p) for d in tor.torsion)
+        if got != want:
             raise OracleMismatch(
-                "transform fails to annihilate a relation row")
-        kern = rational_kernel(F)
-    else:
-        kern = _certified_kernel(P, F)
-    if len(kern) != P.n_gens - n_top:
-        raise OracleMismatch(
-            f"kernel rank {len(kern)} != {P.n_gens - n_top}")
-    rel_rows = [list(r) for r in P.relations.entries if any(r)]
-    try:
-        sub = subquotient_torsion(kern, rel_rows)
-    except LinalgError as exc:
-        raise OracleMismatch(
-            f"relation lattice escapes the transform kernel: {exc}")
-    if sub.rank != 0 or sub.torsion != quot.torsion:
-        raise OracleMismatch(
-            f"oracle (a) torsion {quot.torsion} != oracle (b) "
-            f"{sub.invariant_factors}")
-    P._torsion = AbGroup(quot.torsion)
-    return P._torsion
+                f"oracles disagree at p = {p}: (a) gives {len(want)} "
+                f"pivots with valuations {[v for v in want if v]}, (b) "
+                f"{len(got)} with {[v for v in got if v]}")
+    P._torsion = tor
+    return tor
+
+
+def _product_bound(P: DeltaPresentation) -> int:
+    """Product over all divisors u | m of the exponent z_u of the
+    torsion of Z[G_u]/S(u)."""
+    return math.prod(trace_ideal_quotient(P.ray(u))[1] for u in P.levels)
 
 
 def torsion_bound(P: DeltaPresentation) -> tuple[int, int]:
@@ -276,24 +260,27 @@ def torsion_bound(P: DeltaPresentation) -> tuple[int, int]:
     level torsion divides it.  The order bound is w^(a h) with
     a = 2^(k-1) - k for k the number of distinct primes of m (a = 0
     when k <= 1, covering torsion-free levels); the order of the level
-    torsion divides it.  Both divisibilities are asserted against the
-    computed torsion.  The modulus norm must be coprime to w.
+    torsion divides it.  Both divisibilities are checked against the
+    computed torsion; a failure raises OracleMismatch.  The modulus
+    norm must be coprime to w.
     """
     m = P.modulus
     K = P.field
     if math.gcd(m.norm(), K.w_K) != 1:
         raise NotCoprimeToW(
             f"modulus norm {m.norm()} shares a factor with w = {K.w_K}")
-    product_bound = 1
-    for u in P.levels:
-        _, z = trace_ideal_quotient(P.ray(u))
-        product_bound *= z
+    product_bound = _product_bound(P)
     k = m.n_primes
     a = (1 << (k - 1)) - k if k else 0
     borne = K.w_K ** (a * K.h)
     tor = level_torsion(P)
-    assert product_bound % tor.exponent == 0
-    assert borne % tor.order == 0
+    if product_bound % tor.exponent:
+        raise OracleMismatch(
+            f"torsion exponent {tor.exponent} does not divide the "
+            f"product bound {product_bound}")
+    if borne % tor.order:
+        raise OracleMismatch(
+            f"torsion order {tor.order} does not divide borne {borne}")
     return product_bound, borne
 
 
@@ -391,8 +378,10 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
         raise HypothesisFailed(
             f"inertia 2-parts have orders {fr.g}, expected (2, 2, 2)")
     gens = list(fr.taus[:-1]) + [fr.j]
-    assert all(amb.element_order(t) == 2 for t in gens)
-    assert fr.j == amb.add(fr.taus[0], fr.taus[1])
+    if any(amb.element_order(t) != 2 for t in gens):
+        raise OracleMismatch("an inertia generator does not have order 2")
+    if fr.j != amb.add(fr.taus[0], fr.taus[1]):
+        raise OracleMismatch("j is not the product t_1 t_2")
     odd = Subgroup.whole(amb).prime_to(2)
     vec = [0] * P.n_gens
     for s in odd.elements:
@@ -423,7 +412,8 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
     r = A @ np.array(vec, dtype=A.dtype)
     in_kernel = not r.any()
     nu_R = nu(P, vec)
-    assert nu_R == odd.order
+    if nu_R != odd.order:
+        raise OracleMismatch(f"nu(R) = {nu_R} != #G' = {odd.order}")
     rows_even = all(nu(P, row) % 2 == 0 for row in P.relations.entries)
     norms = [q.norm() for q, _ in m.primes]
     # symbolic half of the parity lemma, instantiated with the concrete

@@ -855,7 +855,7 @@ def modular_rank(A, p: int = _RANK_PRIMES[0]) -> int:
 
     Always a lower bound for the rank over Q; when the result reaches
     min(rows, cols) the rational rank is certified equal, which is how
-    the large kernel computations use it.
+    the transform's full-rank certificate uses it.
     """
     mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
     if mat.rows == 0 or mat.cols == 0:
@@ -884,34 +884,6 @@ def modular_rank(A, p: int = _RANK_PRIMES[0]) -> int:
                             - np.outer(M[idx, col], M[rank, col:])) % p
         rank += 1
     return rank
-
-
-def row_saturation(A) -> list[tuple[int, ...]]:
-    """Canonical basis of the saturation of the row lattice of A.
-
-    The saturation is span_Q(rows) intersected with the integer ambient.
-    With L A R = diag(d) the row space of A equals that of diag(d) R^-1,
-    so the saturation is spanned by the first rank rows of R^-1; these
-    are collected by accumulating the inverses of the column operations
-    of a Smith elimination, then put in canonical echelon form.
-    """
-    mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
-    n, c = mat.rows, mat.cols
-    if n == 0 or c == 0:
-        return []
-    M = _obj_matrix(mat)
-    rinv = _obj_matrix(IntMatrix.identity(c))
-
-    def on_col(kind, i, j, q):
-        # M <- M C accumulates R; the inverse op acts on R^-1 rows
-        if kind == "sub":
-            rinv[j, :] += q * rinv[i, :]
-        else:
-            rinv[[i, j], :] = rinv[[j, i], :]
-
-    diag = _snf_core(M, n, c, None, on_col)
-    rank = sum(1 for d in diag if d)
-    return hnf_basis([tuple(int(x) for x in rinv[k]) for k in range(rank)])
 
 
 # ---------------------------------------------------------------------------

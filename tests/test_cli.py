@@ -59,7 +59,7 @@ def test_cache_hit_is_bytes_stable_and_skips_compute(
             "--cache-dir", str(tmp_path)]
     code, first = run(capsys, *argv)
     assert code == 0
-    key = cli._cache_key("torsion", 7, "p:7,p:11")
+    key = cli._cache_key("torsion", 7, first["result"]["modulus"])
     assert (tmp_path / key / "manifest.json").exists()
     assert (tmp_path / key / "relations.mat").exists()
     assert (tmp_path / key / "transform.mat").exists()
@@ -72,6 +72,45 @@ def test_cache_hit_is_bytes_stable_and_skips_compute(
     assert code == 0
     first.pop("timing_ms"), second.pop("timing_ms")
     assert first == second
+
+
+def test_truncated_manifest_is_a_miss(capsys, tmp_path):
+    argv = ["torsion", "-d", "7", "-m", "p:7,p:11",
+            "--cache-dir", str(tmp_path)]
+    code, cold = run(capsys, *argv)
+    assert code == 0
+    cold.pop("timing_ms")
+    manifest = tmp_path / cli._cache_key(
+        "torsion", 7, cold["result"]["modulus"]) / "manifest.json"
+    text = manifest.read_text()
+    for bad in (text[:len(text) // 2], "[1, 2]", '{"schema": "ordist/1"}'):
+        manifest.write_text(bad)
+        code, again = run(capsys, *argv)
+        assert code == 0
+        again.pop("timing_ms")
+        assert again == cold
+        # the recomputation overwrote the bad entry
+        assert json.loads(manifest.read_text())["result"] == cold["result"]
+
+
+def test_reordered_spec_hits_the_same_entry(capsys, tmp_path, monkeypatch):
+    base = ["-d", "7", "--cache-dir", str(tmp_path)]
+    code, first = run(capsys, "torsion", "-m", "p:23:0,p:29:0", *base)
+    assert code == 0
+    code, ray = run(capsys, "rayclass", "-m", "p:11,p:23", *base)
+    assert code == 0
+
+    def boom(*a, **k):
+        raise AssertionError("cache hit must not recompute")
+
+    monkeypatch.setattr(cli, "build_presentation", boom)
+    monkeypatch.setattr(cli, "ray_class_group", boom)
+    code, second = run(capsys, "torsion", "-m", "p:29:0,p:23:0", *base)
+    assert code == 0
+    assert second["result"] == first["result"]
+    code, ray2 = run(capsys, "rayclass", "-m", "p:23:0,p:11:0", *base)
+    assert code == 0
+    assert ray2["result"] == ray["result"]
 
 
 def test_cache_env_var_and_no_cache(capsys, tmp_path, monkeypatch):
@@ -92,7 +131,7 @@ def test_cached_matrices_are_readable(capsys, tmp_path):
             str(tmp_path)]
     code, doc = run(capsys, *argv)
     assert code == 0
-    key = cli._cache_key("torsion", 7, "p:11")
+    key = cli._cache_key("torsion", 7, doc["result"]["modulus"])
     rel = IntMatrix.from_text((tmp_path / key / "relations.mat").read_text())
     assert rel.rows == doc["result"]["relations"]
     assert rel.cols == doc["result"]["generators"]

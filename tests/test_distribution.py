@@ -1,5 +1,9 @@
 import functools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +12,10 @@ from hypothesis import strategies as st
 import ordist.distribution as dist
 from ordist.groupring import NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, make_field
+from ordist.zlinalg import AbGroup, rational_kernel, subquotient_torsion
 from ordist.distribution import (
     HypothesisFailed,
+    OracleMismatch,
     WrongShape,
     build_presentation,
     iwasawa_matrix,
@@ -165,17 +171,81 @@ def test_divisor_block_ranks(field7):
 # dual oracle plumbing
 
 
-def test_fast_kernel_path_agrees_with_literal(field7, monkeypatch):
-    m = modulus_of(field7, 7, 11)
-    literal = level_torsion(build_presentation(field7, m))
-    monkeypatch.setattr(dist, "_DIRECT_KERNEL_CELLS", 0)
-    certified = level_torsion(build_presentation(field7, m))
-    assert literal.invariant_factors == certified.invariant_factors
+def _literal_oracle_b(P):
+    """Reference oracle (b): the integer kernel of the transform by a
+    direct echelon, modulo the relation lattice."""
+    kern = rational_kernel(iwasawa_matrix(P))
+    rel_rows = [list(r) for r in P.relations.entries if any(r)]
+    return subquotient_torsion(kern, rel_rows)
 
 
-def test_kernel_certificate_used_on_triple(triple7):
-    F = iwasawa_matrix(triple7)
-    assert F.rows * F.cols > dist._DIRECT_KERNEL_CELLS
+# the small levels of acceptance criterion 6
+_CRITERION_6_LEVELS = [(7, ()), (7, (7,)), (7, (11,)), (7, (23,)),
+                       (7, (7, 11)), (7, (7, 23)), (7, (11, 23)),
+                       (15, (19,)), (15, (19, 31)), (23, (3,))]
+
+
+def test_fast_kernel_path_agrees_with_literal():
+    for d, qs in _CRITERION_6_LEVELS:
+        K = make_field(d)
+        P = build_presentation(K, modulus_of(K, *qs))
+        literal = _literal_oracle_b(P)
+        assert literal.rank == 0
+        assert literal.invariant_factors == \
+            level_torsion(P).invariant_factors, (d, qs)
+
+
+def test_stalled_direct_kernel_level_reports_z2():
+    # a 120 x 193 transform on which the direct kernel echelon stalled
+    K = make_field(19)
+    P = build_presentation(K, modulus_of(K, 5, 7, 11))
+    assert level_torsion(P).invariant_factors == (2,)
+    assert torsion_bound(P) == (2, 2)
+
+
+@pytest.mark.parametrize("d, qs, wrong", [
+    (19, (5, 7, 11), ()),   # hides the Z/2: caught at p = 2 | w
+    (7, (7, 11), (3,)),     # invents a Z/3: caught at p = 3 | |T|
+    (7, (7, 11), (2,)),     # invents a Z/2: caught at p = 2
+])
+def test_wrong_cokernel_torsion_is_caught_p_locally(
+        monkeypatch, d, qs, wrong):
+    K = make_field(d)
+    P = build_presentation(K, modulus_of(K, *qs))
+    n_top = P.ray(P.modulus).group.order
+
+    def fake_cokernel(A, ambient_rank):
+        return AbGroup(wrong + (0,) * n_top)
+
+    monkeypatch.setattr(dist, "cokernel", fake_cokernel)
+    with pytest.raises(OracleMismatch, match="oracles disagree at p"):
+        level_torsion(P)
+
+
+def test_bound_checks_survive_optimize():
+    # a torsion the product bound does not divide must raise even when
+    # python -O strips assert statements
+    code = textwrap.dedent("""
+        import ordist.distribution as dist
+        from ordist.quadfield import Modulus, make_field
+        from ordist.zlinalg import AbGroup
+        K = make_field(7)
+        p11 = K.splitting_type(11)[1][0]
+        P = dist.build_presentation(K, Modulus(K, ((p11, 1),)))
+        P._torsion = AbGroup((3,))
+        try:
+            dist.torsion_bound(P)
+        except dist.OracleMismatch as exc:
+            print("mismatch:", exc)
+        """)
+    src = os.path.dirname(os.path.dirname(dist.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("mismatch: torsion exponent 3"), r.stdout
 
 
 # bounds

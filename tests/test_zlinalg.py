@@ -455,35 +455,3 @@ def test_modular_rank_lower_bounds_rational_rank(rows):
     assert modular_rank(mat) <= exact
     # the default prime is far larger than any entry product here
     assert modular_rank(mat) == exact
-
-
-def test_row_saturation_simple():
-    from ordist.zlinalg import row_saturation
-
-    # index-2 sublattice of a rank-1 saturated lattice
-    assert row_saturation([[2, 4]]) == [(1, 2)]
-    # already saturated
-    assert row_saturation([[1, 0], [0, 1]]) == [(1, 0), (0, 1)]
-    assert row_saturation(IntMatrix.zeros(2, 3)) == []
-
-
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-                min_size=1, max_size=4))
-@settings(max_examples=40, deadline=None)
-def test_row_saturation_against_double_kernel(rows):
-    from ordist.zlinalg import row_saturation
-
-    mat = IntMatrix.from_rows(rows, 4)
-    sat = row_saturation(mat)
-    # independent oracle: the saturation is the integer kernel of the
-    # kernel of the rows (orthogonal complement taken twice)
-    orth = rational_kernel(mat)
-    want = rational_kernel(orth) if orth else \
-        [tuple(r) for r in IntMatrix.identity(4).entries]
-    assert sat == want
-    # contains the original rows with the invariant-factor quotient
-    nonzero = [list(r) for r in mat.entries if any(r)]
-    if nonzero:
-        q = subquotient_torsion(sat, nonzero) if sat else AbGroup(())
-        inv = tuple(d for d in snf_invariants(mat, verify=False) if d > 1)
-        assert q.torsion == inv
