@@ -252,18 +252,18 @@ def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
 
 
 def cmd_certify(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
-    spec = ",".join(cfg.prime_specs)
-    hit = cache.load("certify", cfg.d, spec)
-    if hit is not None:
-        _note(cfg, "cache hit")
-        return hit["result"]
     primes = [_parse_prime(K, s, allow_exponent=False)[0]
               for s in cfg.prime_specs]
+    spec = _certify_label(K, primes)
+    hit = cache.load("certify", cfg.d, spec) if spec else None
+    if hit is not None:
+        _note(cfg, "cache hit")
+        # the key ignores the order of -p; the echo follows it
+        return {**hit["result"], "primes": [p.norm() for p in primes]}
     _note(cfg, "building certificate")
     cert = torsex_certificate(K, *primes)
-    m = Modulus(K, tuple((p, 1) for p in primes))
     result = {
-        "modulus": m.label(),
+        "modulus": spec,
         "primes": [p.norm() for p in primes],
         "in_kernel": cert.in_kernel,
         "nu_R": cert.nu_R,
@@ -279,6 +279,15 @@ def cmd_certify(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
         "field": _field_block(K), "result": result},
         {"R": IntMatrix.from_rows([list(cert.R)], len(cert.R))})
     return result
+
+
+def _certify_label(K: QuadField, primes) -> str | None:
+    """Canonical label of the product of the primes, or None when they
+    repeat (no certificate exists, so there is nothing to look up)."""
+    try:
+        return Modulus(K, tuple((p, 1) for p in primes)).label()
+    except OrdistError:
+        return None
 
 
 def cmd_search(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -145,33 +144,46 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
     column independent of the chosen lift.  Entries are stored times
     P.transform_scale, the least common denominator of the whole matrix;
     kernels, ranks and annihilation checks do not see the scaling.
+
+    Each column is a permutation of the coefficients of one a(n, m), so
+    the matrix is a gather: the support of a(n, m) is translated by
+    every lift at once on mixed-radix indices of G_m, and the integer
+    numerators are scattered into an int64 array (object dtype when a
+    numerator does not fit).
     """
     if P._transform is not None:
         return P._transform
     G = P.ray(P.modulus)
     amb = G.group
-    order = amb.order
-    cols: list[list[Fraction]] = []
+    k = len(amb.invariant_factors)
+    coords = amb.coordinates()
+    gathers, coeffs = [], []
     for u in P.levels:
         au = alpha(u, P.modulus, G)
         down = G.transition(u)
-        lift = {}
-        for g in amb.elements():
-            lift.setdefault(down.apply(g), g)
-        for sigma in P.ray(u).group.elements():
-            s = lift[sigma]
-            col = [Fraction(0)] * order
-            for el, cf in au.coeffs:
-                col[amb.index_of(amb.add(el, s))] = cf
-            cols.append(col)
-    scale = 1
-    for col in cols:
-        for x in col:
-            scale = math.lcm(scale, x.denominator)
-    rows = [[int(cols[j][i] * scale) for j in range(P.n_gens)]
-            for i in range(order)]
+        low = down.codomain
+        hom = np.array(down.matrix, dtype=np.int64) \
+            .reshape(k, len(low.invariant_factors))
+        # lift(sigma): the first element of G_m over each sigma in G_u
+        image = low.indices(coords @ hom)
+        _, lift = np.unique(image, return_index=True)
+        support = np.array(au.support, dtype=np.int64) \
+            .reshape(len(au.coeffs), k)
+        rows = amb.indices(coords[lift][:, None, :], support[None, :, :])
+        cols = P.offset(u) + np.arange(low.order)[:, None]
+        gathers.append((rows, cols))
+        coeffs.append([c for _, c in au.coeffs])
+    scale = math.lcm(*(c.denominator for cfs in coeffs for c in cfs))
+    nums = [[c.numerator * (scale // c.denominator) for c in cfs]
+            for cfs in coeffs]
+    fits = all(abs(x) < 1 << 63 for ns in nums for x in ns)
+    dtype = np.int64 if fits else object
+    out = np.zeros((amb.order, P.n_gens), dtype=dtype)
+    for (rows, cols), ns in zip(gathers, nums):
+        out[rows, cols] = np.array(ns, dtype=dtype)
     P.transform_scale = scale
-    P._transform = IntMatrix.from_rows(rows, P.n_gens)
+    P._transform = IntMatrix(amb.order, P.n_gens,
+                             tuple(tuple(r.tolist()) for r in out))
     return P._transform
 
 

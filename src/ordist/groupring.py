@@ -36,6 +36,13 @@ def _canon(coeffs) -> tuple:
     return tuple(sorted((el, c) for el, c in coeffs.items() if c))
 
 
+def _same_group(a: AbGroup, b: AbGroup) -> None:
+    if a != b:
+        raise OrdistError(
+            f"group ring elements over {a.invariant_factors} and "
+            f"{b.invariant_factors} do not mix")
+
+
 @dataclass(frozen=True)
 class GroupRingElt:
     """Element of Q[G] with finite support and exact coefficients."""
@@ -80,7 +87,7 @@ class GroupRingElt:
         return sum((c for _, c in self.coeffs), Fraction(0))
 
     def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        assert self.group == other.group
+        _same_group(self.group, other.group)
         out = dict(self.coeffs)
         for el, c in other.coeffs:
             out[el] = out.get(el, Fraction(0)) + c
@@ -103,7 +110,7 @@ class GroupRingElt:
     def __mul__(self, other):
         if not isinstance(other, GroupRingElt):
             return self.scale(other)
-        assert self.group == other.group
+        _same_group(self.group, other.group)
         g = self.group
         out = {}
         for e1, c1 in self.coeffs:
@@ -177,7 +184,7 @@ def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
 def transfer(x: GroupRingElt, hom: AbHom) -> GroupRingElt:
     """Sum-over-preimages lift of x along a surjection hom; the linear
     map sending each group element to the sum of its hom-fibre."""
-    assert x.group == hom.codomain
+    _same_group(x.group, hom.codomain)
     big = hom.domain
     out = {}
     lookup = dict(x.coeffs)

@@ -18,7 +18,7 @@ modulo small prime powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -55,12 +55,11 @@ def _obj_rows(rows: Sequence[Sequence[int]], cols: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix; equality ignores the storage tag."""
+    """Immutable integer matrix."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
-    storage: str = field(default="dense", compare=False)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -77,14 +76,6 @@ class IntMatrix:
         if cols is None:
             cols = len(rows[0]) if rows else 0
         return IntMatrix(len(rows), cols, tuple(rows))
-
-    @staticmethod
-    def from_sparse(rows: int, cols: int, entries: dict) -> "IntMatrix":
-        """Build from {(i, j): value}; unset positions are zero."""
-        data = [[0] * cols for _ in range(rows)]
-        for (i, j), v in entries.items():
-            data[i][j] = int(v)
-        return IntMatrix(rows, cols, tuple(tuple(r) for r in data), storage="sparse")
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -658,6 +649,37 @@ class AbGroup:
             idx = idx * d + (x % d)
         return idx
 
+    # the same enumeration on int64 arrays, for vectorized index maps
+    def coordinates(self) -> np.ndarray:
+        """(order, k) int64 array of the elements, in elements() order."""
+        if not self.is_finite:
+            raise LinalgError("cannot enumerate an infinite group")
+        k = len(self.invariant_factors)
+        return np.indices(self.invariant_factors, dtype=np.int64) \
+            .reshape(k, self.order).T
+
+    def radix(self) -> np.ndarray:
+        """Mixed-radix place values: index_of(a) == reduce(a) . radix()."""
+        if not self.is_finite:
+            raise LinalgError("an infinite group has no mixed-radix index")
+        d = self.invariant_factors
+        return np.array([math.prod(d[i + 1:]) for i in range(len(d))],
+                        dtype=np.int64)
+
+    def indices(self, *coords) -> np.ndarray:
+        """index_of of the sum of int64 coordinate arrays (last axis the
+        coordinate), broadcast together; one pass per invariant factor
+        keeps the temporaries at the size of the result."""
+        shape = np.broadcast_shapes(*(np.shape(c)[:-1] for c in coords))
+        out = np.zeros(shape, dtype=np.int64)
+        for i, (d, r) in enumerate(zip(self.invariant_factors,
+                                       self.radix().tolist())):
+            term = sum(np.asarray(c, dtype=np.int64)[..., i] for c in coords)
+            term %= d
+            term *= r
+            out += term
+        return out
+
 
 @dataclass(frozen=True)
 class AbHom:
@@ -816,7 +838,8 @@ def rational_kernel(A) -> list[tuple[int, ...]]:
     pivots, rest = _echelon(aug, 0, nr, gcd_rows=True)
     kern = [r for r in rest]
     kpiv, kz = _echelon(kern, nr, nr + cols)
-    assert not any(any(x != 0 for x in r.tolist()) for r in kz)
+    if any(any(x != 0 for x in r.tolist()) for r in kz):
+        raise LinalgError("kernel echelon left a nonzero row unpivoted")
     _reduce_above(kpiv)
     return [tuple(int(x) for x in r[nr:]) for _, r in kpiv]
 

@@ -113,6 +113,27 @@ def test_reordered_spec_hits_the_same_entry(capsys, tmp_path, monkeypatch):
     assert ray2["result"] == ray["result"]
 
 
+def test_reordered_certify_primes_hit_the_same_entry(
+        capsys, tmp_path, monkeypatch):
+    base = ["-d", "7", "--cache-dir", str(tmp_path), "-v"]
+    code, first = run(capsys, "certify", "-p", "7", "-p", "11", "-p", "23",
+                      *base)
+    assert code == 0
+
+    def boom(*a, **k):
+        raise AssertionError("cache hit must not recompute")
+
+    monkeypatch.setattr(cli, "torsex_certificate", boom)
+    code = cli.main(["certify", "-p", "23", "-p", "11", "-p", "7", *base])
+    out = capsys.readouterr()
+    assert code == 0
+    assert "cache hit" in out.err
+    second = json.loads(out.out)["result"]
+    assert second["primes"] == [23, 11, 7]
+    assert {**second, "primes": [7, 11, 23]} == first["result"]
+    assert len([e for e in tmp_path.iterdir() if e.is_dir()]) == 1
+
+
 def test_cache_env_var_and_no_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ORDIST_CACHE", str(tmp_path / "envcache"))
     code, _ = run(capsys, "rayclass", "-d", "7", "-m", "p:11")

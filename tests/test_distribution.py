@@ -1,9 +1,11 @@
 import functools
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,12 @@ from hypothesis import strategies as st
 import ordist.distribution as dist
 from ordist.groupring import NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, make_field
-from ordist.zlinalg import AbGroup, rational_kernel, subquotient_torsion
+from ordist.zlinalg import (
+    AbGroup,
+    IntMatrix,
+    rational_kernel,
+    subquotient_torsion,
+)
 from ordist.distribution import (
     HypothesisFailed,
     OracleMismatch,
@@ -129,6 +136,80 @@ def test_transform_columns_independent_of_lift(field7):
                 col[amb.index_of(amb.add(el, s))] = cf * P.transform_scale
             j = P.column_of(u, sigma)
             assert [F.entries[i][j] for i in range(F.rows)] == col
+
+
+def _fraction_transform(P):
+    """Reference transform: the per-cell Fraction builder that the
+    index gather replaced, one AbGroup.add and index_of per entry.
+    Returns the matrix and its least common denominator."""
+    G = P.ray(P.modulus)
+    amb = G.group
+    cols = []
+    for u in P.levels:
+        au = alpha(u, P.modulus, G)
+        down = G.transition(u)
+        lift = {}
+        for g in amb.elements():
+            lift.setdefault(down.apply(g), g)
+        for sigma in P.ray(u).group.elements():
+            s = lift[sigma]
+            col = [Fraction(0)] * amb.order
+            for el, cf in au.coeffs:
+                col[amb.index_of(amb.add(el, s))] = cf
+            cols.append(col)
+    scale = 1
+    for col in cols:
+        for x in col:
+            scale = math.lcm(scale, x.denominator)
+    rows = [[int(cols[j][i] * scale) for j in range(P.n_gens)]
+            for i in range(amb.order)]
+    return IntMatrix.from_rows(rows, P.n_gens), scale
+
+
+# every level whose transform the suite builds; a prime is q or (q, e)
+_TRANSFORM_LEVELS = [
+    (7, (7, 11, 23)),                   # the headline triple
+    (1, (5, 13, 17)), (3, (7, 13, 19)),  # w = 4 and w = 6 triples
+    (19, (5, 7, 11)),
+    (7, ()), (7, (7,)), (7, (11,)), (7, (23,)), (7, ((11, 2),)),
+    (7, (7, 11)), (7, (7, 23)), (7, (11, 23)),
+    (15, (19,)), (15, (19, 31)), (23, (3,)), (23, (3, 13)),  # h > 1
+    (1, (5,)), (3, (7,)), (11, (3,)),   # trivial G_m
+]
+
+
+@pytest.mark.parametrize("d, qs", _TRANSFORM_LEVELS)
+def test_gather_transform_matches_fraction_reference(request, d, qs):
+    if (d, qs) == (7, (7, 11, 23)):
+        P = request.getfixturevalue("triple7")
+    else:
+        K = make_field(d)
+        P = build_presentation(K, Modulus(K, tuple(
+            (prime_above(K, q), 1) if isinstance(q, int)
+            else (prime_above(K, q[0]), q[1]) for q in qs)))
+    F = iwasawa_matrix(P)
+    ref, scale = _fraction_transform(P)
+    assert F.to_text() == ref.to_text()
+    assert P.transform_scale == scale
+
+
+def test_gather_transform_falls_back_to_object_entries(
+        field7, monkeypatch):
+    # numerators past int64 are kept exactly in an object array; the
+    # factor is prime to every denominator, so the scale stays put
+    big = ((1 << 61) - 1) ** 2
+    m = modulus_of(field7, 7, 11)
+    Q = build_presentation(field7, m)
+    small = iwasawa_matrix(Q)
+    monkeypatch.setattr(dist, "alpha",
+                        lambda u, n2, G: alpha(u, n2, G).scale(big))
+    P = build_presentation(field7, m)
+    F = iwasawa_matrix(P)
+    assert P.transform_scale == Q.transform_scale
+    assert F.entries == tuple(tuple(x * big for x in r)
+                              for r in small.entries)
+    assert all(type(x) is int for r in F.entries for x in r)
+    assert not level_torsion(P).invariant_factors
 
 
 def test_relation_rows_are_preimage_cosets(field7):

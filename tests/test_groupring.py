@@ -6,10 +6,15 @@ primes of n missing from u, an oracle independent of the lattice
 reduction that produces the quotient.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from ordist import groupring
 from ordist.groupring import (
     GroupRingElt,
     NotCoprimeToW,
@@ -94,6 +99,33 @@ def test_translate_and_rows():
     assert half.denominator() == 2
     with pytest.raises(Exception):
         half.integer_row()
+
+
+def test_mixing_groups_raises_under_optimize():
+    # the group checks of +, * and transfer must hold even when python -O
+    # strips assert statements
+    code = textwrap.dedent("""
+        from ordist.groupring import GroupRingElt, transfer
+        from ordist.zlinalg import AbGroup, AbHom, OrdistError
+        a = GroupRingElt.one(AbGroup((2,)))
+        b = GroupRingElt.one(AbGroup((3,)))
+        hom = AbHom(AbGroup((6,)), AbGroup((3,)), ((1,),))
+        for name, op in (("add", lambda: a + b), ("mul", lambda: a * b),
+                         ("transfer", lambda: transfer(a, hom))):
+            try:
+                op()
+            except OrdistError:
+                print(name, "raised")
+        """)
+    src = os.path.dirname(os.path.dirname(groupring.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:3] == \
+        ["add raised", "mul raised", "transfer raised"]
 
 
 # -- averaged Frobenius -------------------------------------------------------

@@ -216,12 +216,6 @@ def test_text_rejects_bad_body():
         IntMatrix.from_text("2 2\n1 2\n3")
 
 
-def test_sparse_dense_agree():
-    s = IntMatrix.from_sparse(2, 3, {(0, 1): 4, (1, 2): -5})
-    d = IntMatrix.from_rows([[0, 4, 0], [0, 0, -5]])
-    assert s == d
-
-
 # -- AbGroup / AbHom ---------------------------------------------------------
 
 def test_abgroup_validation():
@@ -250,6 +244,29 @@ def test_abgroup_elements():
     assert g.add(a, g.neg(a)) == g.zero()
     assert g.element_order((1, 2)) == 2
     assert g.element_order((0, 1)) == 4
+
+
+@pytest.mark.parametrize("inv", [(), (5,), (2, 4), (2, 6, 12)])
+def test_abgroup_index_arrays_match_tuples(inv):
+    g = AbGroup(inv)
+    coords = g.coordinates()
+    assert coords.shape == (g.order, len(inv))
+    assert [tuple(r) for r in coords.tolist()] == g.elements()
+    assert g.indices(coords).tolist() == list(range(g.order))
+    # translation on indices agrees with add and index_of
+    rng = random.Random(len(inv))
+    for _ in range(5):
+        s = tuple(rng.randrange(d) for d in inv)
+        moved = g.indices(coords + np.array(s, dtype=np.int64))
+        assert moved.tolist() == [g.index_of(g.add(e, s))
+                                  for e in g.elements()]
+
+
+def test_abgroup_index_arrays_reject_infinite():
+    with pytest.raises(LinalgError):
+        AbGroup((2, 0)).coordinates()
+    with pytest.raises(LinalgError):
+        AbGroup((0,)).radix()
 
 
 def test_abhom_well_defined():
@@ -384,8 +401,8 @@ def test_large_dim_triggers_verification(monkeypatch):
 
     monkeypatch.setattr(zl, "_snf_local_valuations", spy)
     monkeypatch.setattr(zl, "_VERIFY_DIM", 10)
-    entries = {(i, i): 6 for i in range(12)}
-    big = IntMatrix.from_sparse(12, 12, entries)
+    big = IntMatrix.from_rows(
+        [[6 if i == j else 0 for j in range(12)] for i in range(12)])
     assert snf_invariants(big) == [6] * 12
     assert sorted(calls) == [2, 3]
 
