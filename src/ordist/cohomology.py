@@ -26,10 +26,12 @@ from .zlinalg import (
     IntMatrix,
     LinalgError,
     OrdistError,
+    _is_prime,
     cokernel,
     hnf,
     rational_kernel,
     snf,
+    solve_left,
     subquotient_torsion,
 )
 
@@ -121,11 +123,15 @@ def tate_cyclic(mod: CyclicModule, parity: str) -> AbGroup:
     image_rows = [[int(x) for x in r] for r in image_of.tolist()]
     sub = [r for r in image_rows + rel if any(r)]
     if not kernel_rows:
-        assert not sub
+        if sub:
+            raise OrdistError("image is nonzero inside a zero kernel")
         return AbGroup(())
     result = subquotient_torsion(kernel_rows, sub)
-    assert result.is_finite
-    assert result.is_trivial or mod.order % result.exponent == 0
+    if not result.is_finite:
+        raise OrdistError("Tate group is infinite")
+    if not result.is_trivial and mod.order % result.exponent:
+        raise OrdistError(f"Tate group exponent {result.exponent} does not "
+                          f"divide the acting order {mod.order}")
     return result
 
 
@@ -143,8 +149,8 @@ def _module_from_presentation(ambient: int, rel_rows, act_rows,
     ident, U = hnf(R)
     if ident != IntMatrix.identity(ambient):
         raise LinalgError("coordinate change is not unimodular")
-    Rm = np.array([list(r) for r in R.entries], dtype=object)
-    R_inv = U.entries
+    Rm = R.array.astype(object)
+    R_inv = U.array.astype(object)
     act = np.array([list(r) for r in act_rows], dtype=object)
     rank = len(diag)
     kept = [i for i in range(rank) if diag[i] > 1]
@@ -160,7 +166,7 @@ def _module_from_presentation(ambient: int, rel_rows, act_rows,
 
     hom_rows = []
     for pos in positions:
-        lift = np.array(list(R_inv[pos]), dtype=object)
+        lift = R_inv[pos]
         hom_rows.append(coords(lift @ act))
     return CyclicModule(module, AbHom(module, module, tuple(hom_rows)), order)
 
@@ -193,9 +199,9 @@ def dimension_shift(mod: CyclicModule) -> CyclicModule:
     basis = IntMatrix.from_rows(kernel_rows, ambient)
 
     def in_kernel_coords(vec):
-        from .zlinalg import solve_left
         sol = solve_left(basis, vec)
-        assert sol is not None
+        if sol is None:
+            raise OrdistError("vector lies outside the evaluation kernel")
         return tuple(sol)
 
     sub_rel = []
@@ -217,17 +223,6 @@ def dimension_shift(mod: CyclicModule) -> CyclicModule:
 
 # ---------------------------------------------------------------------------
 # synthetic inertia frames
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +260,7 @@ class SylowFrameSynthetic:
 
     def __post_init__(self):
         object.__setattr__(self, "g", tuple(int(x) for x in self.g))
-        if not _is_prime_small(self.ell):
+        if not _is_prime(self.ell):
             raise ValueError("ell must be prime")
         if not self.g:
             raise ValueError("at least one generator is required")

@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .groupring import NotCoprimeToW, alpha, trace_ideal_quotient
-from .quadfield import Modulus, OIdeal, QuadField, _is_prime
+from .quadfield import Modulus, OIdeal, QuadField
 from .rayclass import (
     FrameUnavailable,
     RayClassGroup,
@@ -34,7 +35,10 @@ from .zlinalg import (
     IntMatrix,
     OrdistError,
     _RANK_PRIMES,
+    _abs_max,
+    _is_prime,
     _prime_divisors,
+    _promote,
     _snf_local_valuations,
     _val,
     cokernel,
@@ -94,6 +98,13 @@ class DeltaPresentation:
     def m(self) -> Modulus:
         return self.modulus
 
+    @cached_property
+    def product_bound(self) -> int:
+        """Product over all divisors u | m of the exponent z_u of the
+        torsion of Z[G_u]/S(u)."""
+        return math.prod(trace_ideal_quotient(self.ray(u))[1]
+                         for u in self.levels)
+
     def ray(self, u: Modulus) -> RayClassGroup:
         return self.rays[u.primes]
 
@@ -148,8 +159,8 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
     Each column is a permutation of the coefficients of one a(n, m), so
     the matrix is a gather: the support of a(n, m) is translated by
     every lift at once on mixed-radix indices of G_m, and the integer
-    numerators are scattered into an int64 array (object dtype when a
-    numerator does not fit).
+    numerators are scattered into one array, int64 unless a numerator
+    does not fit.
     """
     if P._transform is not None:
         return P._transform
@@ -174,42 +185,23 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
         gathers.append((rows, cols))
         coeffs.append([c for _, c in au.coeffs])
     scale = math.lcm(*(c.denominator for cfs in coeffs for c in cfs))
-    nums = [[c.numerator * (scale // c.denominator) for c in cfs]
-            for cfs in coeffs]
-    fits = all(abs(x) < 1 << 63 for ns in nums for x in ns)
-    dtype = np.int64 if fits else object
-    out = np.zeros((amb.order, P.n_gens), dtype=dtype)
+    nums = [np.array([c.numerator * (scale // c.denominator) for c in cfs],
+                     dtype=object) for cfs in coeffs]
+    out = np.zeros((amb.order, P.n_gens),
+                   dtype=_promote(np.concatenate(nums)).dtype)
     for (rows, cols), ns in zip(gathers, nums):
-        out[rows, cols] = np.array(ns, dtype=dtype)
+        out[rows, cols] = ns
     P.transform_scale = scale
-    P._transform = IntMatrix(amb.order, P.n_gens,
-                             tuple(tuple(r.tolist()) for r in out))
+    P._transform = IntMatrix(out)
     return P._transform
 
 
-def _int64_or_object(mat: IntMatrix) -> np.ndarray:
-    arr = np.empty((mat.rows, mat.cols), dtype=object)
-    for i, r in enumerate(mat.entries):
-        arr[i, :] = r
-    try:
-        small = arr.astype(np.int64)
-    except OverflowError:
-        return arr
-    return small
-
-
 def _annihilation_product(F: IntMatrix, rel: IntMatrix) -> bool:
-    """Exact check F . r = 0 for every relation row r."""
-    A = _int64_or_object(F)
-    R = _int64_or_object(rel)
-    if A.dtype == np.int64 and R.dtype == np.int64:
-        bound = int(np.abs(A).max(initial=0)) * \
-            int(np.abs(R).sum(axis=1).max(initial=0))
-        if bound >= 1 << 62:
-            A = A.astype(object)
-            R = R.astype(object)
-    prod = A @ R.T
-    return not prod.any()
+    """Exact check F . r = 0 for every row r of rel."""
+    a, r = _abs_max(F.array), _abs_max(rel.array)
+    # bounds every entry and every partial sum of the product
+    bound = max(a, r, a * r * F.cols)
+    return not (_promote(F.array, bound) @ _promote(rel.array, bound).T).any()
 
 
 def level_torsion(P: DeltaPresentation) -> AbGroup:
@@ -245,7 +237,7 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
             f"no prime certifies full row rank {F.rows} of the transform")
     tor = AbGroup(quot.torsion)
     units = P.n_gens - n_top - len(tor.torsion)
-    S = P.field.w_K * _product_bound(P) * tor.order
+    S = P.field.w_K * P.product_bound * tor.order
     for p in sorted(_prime_divisors(S)):
         got = _snf_local_valuations(P.relations, p, _val(S, p))
         want = [0] * units + sorted(_val(d, p) for d in tor.torsion)
@@ -256,12 +248,6 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
                 f"{len(got)} with {[v for v in got if v]}")
     P._torsion = tor
     return tor
-
-
-def _product_bound(P: DeltaPresentation) -> int:
-    """Product over all divisors u | m of the exponent z_u of the
-    torsion of Z[G_u]/S(u)."""
-    return math.prod(trace_ideal_quotient(P.ray(u))[1] for u in P.levels)
 
 
 def torsion_bound(P: DeltaPresentation) -> tuple[int, int]:
@@ -281,7 +267,7 @@ def torsion_bound(P: DeltaPresentation) -> tuple[int, int]:
     if math.gcd(m.norm(), K.w_K) != 1:
         raise NotCoprimeToW(
             f"modulus norm {m.norm()} shares a factor with w = {K.w_K}")
-    product_bound = _product_bound(P)
+    product_bound = P.product_bound
     k = m.n_primes
     a = (1 << (k - 1)) - k if k else 0
     borne = K.w_K ** (a * K.h)
@@ -419,14 +405,13 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
             shift = Gu.group.add(shift, push.apply(extra))
         for el in phi:
             vec[P.column_of(u, Gu.group.add(el, shift))] += sign
-    F = iwasawa_matrix(P)
-    A = _int64_or_object(F)
-    r = A @ np.array(vec, dtype=A.dtype)
-    in_kernel = not r.any()
+    in_kernel = _annihilation_product(iwasawa_matrix(P),
+                                      IntMatrix.from_rows([vec], P.n_gens))
     nu_R = nu(P, vec)
     if nu_R != odd.order:
         raise OracleMismatch(f"nu(R) = {nu_R} != #G' = {odd.order}")
-    rows_even = all(nu(P, row) % 2 == 0 for row in P.relations.entries)
+    rows_even = all(nu(P, row) % 2 == 0
+                    for row in P.relations.array.tolist())
     norms = [q.norm() for q, _ in m.primes]
     # symbolic half of the parity lemma, instantiated with the concrete
     # numbers: at a full-support level a relation subtracts N(q)^e

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .zlinalg import OrdistError, ab_discover, hnf_basis
+from .zlinalg import OrdistError, _is_prime, ab_discover, hnf_basis
 
 RESIDUE_NORM_BOUND = 10 ** 6
 
@@ -49,21 +49,6 @@ def _is_squarefree(n: int) -> bool:
         if n % (k * k) == 0:
             return False
         k += 1
-    return True
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
     return True
 
 
@@ -207,7 +192,9 @@ class QuadField:
             raise OrdistError("zero element generates the zero ideal")
         w = self.elt_mul(u, (0, 1))
         I = _ideal_from_lattice(self, [u, w])
-        assert I.norm() == abs(self.elt_norm(u))
+        if I.norm() != abs(self.elt_norm(u)):
+            raise OrdistError("principal ideal norm differs from the "
+                              "element norm")
         return I
 
     # -- prime splitting --
@@ -221,7 +208,8 @@ class QuadField:
         if D % p == 0:
             roots = [b for b in range(2 * p)
                      if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0]
-            assert len(roots) == 1
+            if len(roots) != 1:
+                raise OrdistError(f"ramified {p} has {len(roots)} roots")
             res = ("ramified", (OIdeal(self, 1, p, roots[0]),))
         else:
             if p == 2:
@@ -232,7 +220,8 @@ class QuadField:
             if sym == 1:
                 roots = sorted(b for b in range(2 * p)
                                if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0)
-                assert len(roots) == 2
+                if len(roots) != 2:
+                    raise OrdistError(f"split {p} has {len(roots)} roots")
                 res = ("split", tuple(OIdeal(self, 1, p, b) for b in roots))
             else:
                 res = ("inert", (OIdeal(self, p, 1, D & 1),))
@@ -303,7 +292,8 @@ class OIdeal:
             for v in other.lattice_rows():
                 rows.append(K.elt_mul(u, v))
         out = _ideal_from_lattice(K, rows)
-        assert out.norm() == self.norm() * other.norm()
+        if out.norm() != self.norm() * other.norm():
+            raise OrdistError("ideal norm is not multiplicative")
         return out
 
     def gcd(self, other: "OIdeal") -> "OIdeal":
@@ -350,7 +340,8 @@ class OIdeal:
         g = (self.content * u[0], self.content * u[1])
         if abs(K.elt_norm(g)) != self.norm():
             return None
-        assert K.principal_ideal(g) == self
+        if K.principal_ideal(g) != self:
+            raise OrdistError("reduced generator spans another ideal")
         return K.to_half_coords(g)
 
     def rational_prime(self) -> int:
@@ -389,7 +380,8 @@ def _ideal_from_lattice(K: QuadField, gens: Iterable[tuple[int, int]]) -> OIdeal
         raise OrdistError("generators do not span a full ideal lattice")
     c, t = basis[0]
     ca = basis[1][1]
-    assert basis[1][0] == 0
+    if basis[1][0] != 0:
+        raise OrdistError("ideal lattice basis is not triangular")
     if t % c or ca % c:
         raise OrdistError("lattice is not an O_K module")
     a = ca // c
@@ -559,7 +551,8 @@ def residue_units(K: QuadField, n: Modulus):
             if is_unit((x, y)):
                 units.append((x, y))
     order = n.phi()
-    assert len(units) == order
+    if len(units) != order:
+        raise OrdistError(f"found {len(units)} residue units, phi(n) = {order}")
 
     def mul(u, v):
         return _residue_reduce(nid, K.elt_mul(u, v))

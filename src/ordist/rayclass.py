@@ -29,7 +29,6 @@ from .quadfield import (
     Modulus,
     OIdeal,
     QuadField,
-    _is_prime,
     _residue_reduce,
     residue_units,
 )
@@ -38,6 +37,7 @@ from .zlinalg import (
     AbHom,
     IntMatrix,
     OrdistError,
+    _is_prime,
     ab_discover,
     hnf,
     rational_kernel,
@@ -196,17 +196,18 @@ class RayClassGroup:
         t = len(self.unit_group.invariant_factors)
         s = len(self.class_primes)
         self._t, self._s = t, s
-        rows, ext = self._relation_rows()
-        self.ext_data = ext
+        self._class_orders, self._class_stack = self._class_setup()
+        rows = self._relation_rows()
         diag, _, R = snf(IntMatrix.from_rows(rows, t + s)
                          if rows else IntMatrix.zeros(0, t + s))
         if len(diag) != t + s:
             raise OrdistError("ray class presentation is not finite")
         self._diag = diag
-        self._R = R.entries
+        self._R = R.array.tolist()
         Hinv, U = hnf(R)
-        assert Hinv == IntMatrix.identity(t + s)
-        self._R_inv = U.entries
+        if Hinv != IntMatrix.identity(t + s):
+            raise OrdistError("ray class coordinate change is not unimodular")
+        self._R_inv = U.array.tolist()
         kept = [i for i, d in enumerate(diag) if d > 1]
         self._kept = kept
         self.group = AbGroup(tuple(diag[i] for i in kept))
@@ -219,7 +220,6 @@ class RayClassGroup:
         self._artin_cache: dict = {}
         self._transition_cache: dict = {}
         self._inertia_cache: dict = {}
-        self.artin_table: dict = {}
 
     # -- presentation plumbing --
 
@@ -250,6 +250,20 @@ class RayClassGroup:
                     break
         return tuple(chosen)
 
+    def _class_setup(self):
+        """(orders, stack): the orders of the class-prime classes, and
+        the matrix of those classes stacked over the order rows of the
+        class group, so that x . stack = c writes a class c through the
+        class primes."""
+        K = self.field
+        inv = K.class_group.invariant_factors
+        C = [K.ideal_class(q) for q in self.class_primes]
+        orders = [K.class_group.element_order(c) for c in C]
+        stack = [list(c) for c in C] + \
+            [[m if j == i else 0 for j in range(len(inv))]
+             for i, m in enumerate(inv)]
+        return orders, IntMatrix.from_rows(stack, len(inv))
+
     def _principal_word(self, exps):
         """dlog of the residue of a generator of prod q_j^exps (exps >= 0,
         the product must be principal)."""
@@ -258,7 +272,8 @@ class RayClassGroup:
         for q, e in zip(self.class_primes, exps):
             I = I.multiply(q.pow(e))
         g = I.is_principal_generator()
-        assert g is not None
+        if g is None:
+            raise OrdistError("a class-prime kernel product is not principal")
         return self._residue_word(g)
 
     def _residue_word(self, half_coords):
@@ -266,7 +281,8 @@ class RayClassGroup:
         K = self.field
         x, y = half_coords
         v = K.disc & 1
-        assert (x - v * y) % 2 == 0
+        if (x - v * y) % 2:
+            raise OrdistError("generator is not in half-integral form")
         u = ((x - v * y) // 2, y)
         return self._unit_dlog_of(u)
 
@@ -285,21 +301,12 @@ class RayClassGroup:
             z = self.mu_images[1]
             if any(z):
                 rows.append(list(z) + [0] * s)
-        ext = {}
         if s:
-            cl = self.field.class_group
-            inv = cl.invariant_factors
-            C = [self.field.ideal_class(q) for q in self.class_primes]
-            orders = [cl.element_order(c) for c in C]
+            orders = self._class_orders
             # kernel of Z^s -> Cl: basis rows shifted into the nonnegative
             # fundamental box, plus the per-generator order rows; together
             # these generate the full kernel lattice
-            stacked = [list(c) for c in C] + \
-                [[m if j == i else 0 for j in range(len(inv))]
-                 for i, m in enumerate(inv)]
-            ker = rational_kernel(IntMatrix.from_rows(
-                [[row[i] for row in stacked] for i in range(len(inv))],
-                len(stacked)))
+            ker = rational_kernel(self._class_stack.transpose())
             vrows = {tuple(x % o for x, o in zip(v[:s], orders)) for v in ker}
             vrows.discard(tuple([0] * s))
             for v in sorted(vrows):
@@ -308,9 +315,8 @@ class RayClassGroup:
             for i, o in enumerate(orders):
                 use = [o if j == i else 0 for j in range(s)]
                 w = self._principal_word(use)
-                ext[i] = w
                 rows.append([-x for x in w] + use)
-        return rows, ext
+        return rows
 
     def _unit_basis_reps(self):
         t = self._t
@@ -352,20 +358,14 @@ class RayClassGroup:
         s = self._s
         if s == 0:
             g = a.is_principal_generator()
-            assert g is not None
+            if g is None:
+                raise OrdistError(f"{a} is not principal in class number 1")
             word = list(self._residue_word(g))
         else:
-            cl = K.class_group
-            C = [K.ideal_class(q) for q in self.class_primes]
-            orders = [cl.element_order(c) for c in C]
-            target = K.ideal_class(a)
-            inv = cl.invariant_factors
-            stacked = [list(c) for c in C] + \
-                [[m if j == i else 0 for j in range(len(inv))]
-                 for i, m in enumerate(inv)]
-            sol = solve_left(IntMatrix.from_rows(stacked, len(inv)),
-                             list(target))
-            assert sol is not None
+            orders = self._class_orders
+            sol = solve_left(self._class_stack, list(K.ideal_class(a)))
+            if sol is None:
+                raise OrdistError("the class primes do not generate Cl")
             x = [sol[i] % orders[i] for i in range(s)]
             z = [(-xi) % o for xi, o in zip(x, orders)]
             # a*B and J*B are principal for J = prod q^x, B = prod q^z
@@ -373,19 +373,19 @@ class RayClassGroup:
             for q, e in zip(self.class_primes, z):
                 B = B.multiply(q.pow(e))
             g1 = a.multiply(B).is_principal_generator()
-            assert g1 is not None
+            if g1 is None:
+                raise OrdistError("a * B is not principal")
             w1 = self._residue_word(g1)
             JB = K.unit_ideal()
             for q, e1, e2 in zip(self.class_primes, x, z):
                 JB = JB.multiply(q.pow(e1 + e2))
             g2 = JB.is_principal_generator()
-            assert g2 is not None
+            if g2 is None:
+                raise OrdistError("J * B is not principal")
             w2 = self._residue_word(g2)
             word = [u - v for u, v in zip(w1, w2)] + x
         out = self.word_to_coords(word)
         self._artin_cache[key] = out
-        if a.is_prime() and a.norm() < 100:
-            self.artin_table[key] = out
         return out
 
     # -- transitions, inertia, Frobenius --
@@ -417,7 +417,8 @@ class RayClassGroup:
             rows.append(target.group.reduce(tuple(acc)))
         hom = AbHom(self.group, target.group, tuple(rows))
         img = Subgroup.generated(target.group, rows)
-        assert img.order == target.group.order, "transition must be onto"
+        if img.order != target.group.order:
+            raise OrdistError("transition must be onto")
         self._transition_cache[key] = hom
         return hom
 
@@ -430,7 +431,8 @@ class RayClassGroup:
         zero = hom.codomain.zero()
         els = [x for x in self.group.elements() if hom.apply(x) == zero]
         sub = Subgroup(self.group, tuple(sorted(els)))
-        assert sub.order * hom.codomain.order == self.group.order
+        if sub.order * hom.codomain.order != self.group.order:
+            raise OrdistError("level kernel order does not match the index")
         self._inertia_cache[key] = sub
         return sub
 
@@ -454,9 +456,11 @@ class RayClassGroup:
              for i, m in enumerate(target.group.invariant_factors)]
         sol = solve_left(IntMatrix.from_rows(
             rows, len(target.group.invariant_factors)), list(lam))
-        assert sol is not None
+        if sol is None:
+            raise OrdistError("the Frobenius has no preimage under transition")
         lift = self.group.reduce(tuple(sol[:len(self.group.invariant_factors)]))
-        assert hom.apply(lift) == lam
+        if hom.apply(lift) != lam:
+            raise OrdistError("the Frobenius lift maps to the wrong class")
         return lift, False
 
     def gamma(self) -> Subgroup:
@@ -558,9 +562,11 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
         if m >= 2:
             # with at least two primes the ramification-compensating
             # element recovers the full inertia l-Sylow at the last prime
-            assert amb.element_order(j) == g_last
-            assert Subgroup.generated(amb, [j])._element_set() == \
-                syls[p_last]._element_set()
+            if amb.element_order(j) != g_last or \
+                    Subgroup.generated(amb, [j])._element_set() != \
+                    syls[p_last]._element_set():
+                raise OrdistError("j does not generate the last inertia "
+                                  "l-Sylow")
     else:
         j = amb.zero()
     return GaloisOverH(

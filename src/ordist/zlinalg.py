@@ -1,18 +1,21 @@
 """Exact linear algebra over the integers.
 
-Everything in this module is arbitrary-precision integer arithmetic on
-numpy object arrays; no floating point is used anywhere.  Lattices are
-row spaces of integer matrices.  Finitely generated abelian groups are
-cokernels Z^n / rowspace(R), described by invariant factors
-d_1 | d_2 | ... (0 encodes an infinite cyclic factor, factors equal to 1
-are dropped).
+No floating point enters any result.  A matrix is one read-only numpy
+array: int64 while every entry fits, an object array of Python ints
+otherwise.  One helper, _promote, makes that choice from a bound on the
+entries, both when a matrix is built and before every int64 computation
+whose results could outgrow it.  Lattices are row spaces of integer
+matrices.  Finitely generated abelian groups are cokernels
+Z^n / rowspace(R), described by invariant factors d_1 | d_2 | ... (0
+encodes an infinite cyclic factor, factors equal to 1 are dropped).
 
 The workhorse is a row echelon pass with minimal-absolute-value pivoting
-and repeated Euclidean reduction, used for Hermite forms, kernels,
-membership tests and left solves.  Smith forms use alternating row and
-column elimination with a divisibility fix-up; for large inputs an
-independent verification pass recomputes the local invariant valuations
-modulo small prime powers.
+and repeated Euclidean reduction on object rows, used for Hermite forms,
+kernels and left solves.  Smith forms use alternating row and column
+elimination with a divisibility fix-up.  A separate layered elimination
+over Z/p^K gives ranks over F_p and the p-adic valuations of the
+invariant factors; for large inputs it independently re-verifies the
+Smith form.
 """
 
 from __future__ import annotations
@@ -44,68 +47,110 @@ class GeneratorsInsufficient(LinalgError):
 # ---------------------------------------------------------------------------
 # matrices
 
-def _obj_rows(rows: Sequence[Sequence[int]], cols: int) -> list[np.ndarray]:
-    out = []
-    for r in rows:
-        a = np.empty(cols, dtype=object)
-        a[:] = [int(x) for x in r]
-        out.append(a)
-    return out
+# int64 holds exactly the integers of absolute value below 2^63
+_INT64_BOUND = 1 << 63
 
 
-@dataclass(frozen=True)
+def _abs_max(a: np.ndarray) -> int:
+    """Largest absolute entry as a Python int, 0 when a is empty."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _promote(a: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """The one int64/object choice of the package.
+
+    bound caps the absolute value of every entry the caller holds in the
+    array, now and after the arithmetic it is about to do; it defaults
+    to the largest entry.  Below 2^63 the array comes back as int64,
+    otherwise as an object array of Python ints (a itself when it
+    already has that dtype).
+    """
+    if bound is None:
+        bound = _abs_max(a)
+    return a.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class IntMatrix:
-    """Immutable integer matrix."""
+    """Immutable integer matrix on one read-only numpy array.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    The array is int64 when every entry fits and object otherwise.  The
+    constructor takes ownership of the array it is given and freezes it.
+    """
+
+    array: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise LinalgError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
-            raise LinalgError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise LinalgError("column count mismatch")
+        a = np.asarray(self.array)
+        if a.ndim != 2:
+            raise LinalgError("a matrix needs a 2-D array")
+        a = _promote(a)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints."""
+        return tuple(tuple(r.tolist()) for r in self.array)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = list(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return IntMatrix(len(rows), cols, tuple(rows))
+        if not rows:
+            return IntMatrix.zeros(0, cols)
+        try:  # the fast parse; the constructor settles the dtype
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            a = np.array([[int(x) for x in r] for r in rows], dtype=object)
+        except ValueError:
+            raise LinalgError("column count mismatch")
+        if a.shape != (len(rows), cols):
+            raise LinalgError("column count mismatch")
+        return IntMatrix(a)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(np.identity(n, dtype=np.int64))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise LinalgError("negative matrix dimensions")
+        return IntMatrix(np.zeros((rows, cols), dtype=np.int64))
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> int:
         i, j = ij
-        return self.entries[i][j]
+        return int(self.array[i, j])
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
+        return tuple(self.array[i].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.array.shape, tuple(self.array.ravel().tolist())))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
-
-    def to_obj(self) -> list[np.ndarray]:
-        return _obj_rows(self.entries, self.cols)
+        return IntMatrix(self.array.T)
 
     # plain text serialization: header "rows cols", then one row per line,
     # base-10, space separated.  Round-trips bit exactly.
     def to_text(self) -> str:
         lines = [f"{self.rows} {self.cols}"]
-        for r in self.entries:
-            lines.append(" ".join(str(x) for x in r))
+        lines += [" ".join(map(str, r.tolist())) for r in self.array]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -124,26 +169,19 @@ class IntMatrix:
             parts = ln.split()
             if len(parts) != cols:
                 raise LinalgError("bad matrix row length")
-            data.append(tuple(int(x) for x in parts))
-        return IntMatrix(rows, cols, tuple(data))
+            data.append([int(x) for x in parts])
+        return IntMatrix.from_rows(data, cols)
 
 
-def _obj_matrix(mat: IntMatrix) -> np.ndarray:
-    M = np.empty((mat.rows, mat.cols), dtype=object)
-    for i, r in enumerate(mat.entries):
-        M[i, :] = list(r)
-    return M
+def _as_matrix(A, cols: int | None = None) -> IntMatrix:
+    """A itself, or the matrix of a sequence of int rows."""
+    return A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A, cols)
 
 
-def _rows_of(mat) -> tuple[list[np.ndarray], int]:
-    """Accept IntMatrix or a sequence of int rows; return obj rows and width."""
-    if isinstance(mat, IntMatrix):
-        return mat.to_obj(), mat.cols
-    rows = list(mat)
-    if not rows:
-        return [], 0
-    cols = len(rows[0])
-    return _obj_rows(rows, cols), cols
+def _rows_of(A) -> tuple[list[np.ndarray], int]:
+    """Writable object rows of a matrix or row sequence, and its width."""
+    mat = _as_matrix(A)
+    return list(mat.array.astype(object)), mat.cols
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +273,25 @@ def _reduce_above(pivots: list[tuple[int, np.ndarray]]) -> None:
                 r[col:] -= q * prow[col:]
 
 
+def _augmented(mat: IntMatrix) -> list[np.ndarray]:
+    """Object rows of [A | I], the identity block recording row operations."""
+    return list(np.hstack([mat.array.astype(object),
+                           np.identity(mat.rows, dtype=object)]))
+
+
 def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form H = U A with U unimodular.
 
     H has positive pivots, entries above each pivot reduced into
     [0, pivot), and zero rows at the bottom.
     """
-    mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
+    mat = _as_matrix(A)
     n, c = mat.rows, mat.cols
-    aug = [list(row) + [1 if k == i else 0 for k in range(n)]
-           for i, row in enumerate(mat.entries)]
-    rows = _obj_rows(aug, c + n)
-    pivots, rest = _echelon(rows, 0, c)
+    pivots, rest = _echelon(_augmented(mat), 0, c)
     _reduce_above(pivots)
-    ordered = [p for _, p in pivots] + rest
-    H = IntMatrix.from_rows([tuple(int(x) for x in r[:c]) for r in ordered], c)
-    U = IntMatrix.from_rows([tuple(int(x) for x in r[c:]) for r in ordered], n)
-    return H, U
+    ordered = np.array([p for _, p in pivots] + rest, dtype=object) \
+        .reshape(n, c + n)
+    return IntMatrix(ordered[:, :c]), IntMatrix(ordered[:, c:])
 
 
 def hnf_basis(rows_or_mat) -> list[tuple[int, ...]]:
@@ -260,7 +300,7 @@ def hnf_basis(rows_or_mat) -> list[tuple[int, ...]]:
     rows, cols = _rows_of(rows_or_mat)
     pivots, _ = _echelon(rows, 0, cols)
     _reduce_above(pivots)
-    return [tuple(int(x) for x in p) for _, p in pivots]
+    return [tuple(p.tolist()) for _, p in pivots]
 
 
 def _back_substitute(pivots: list[tuple[int, np.ndarray]], target: np.ndarray):
@@ -289,17 +329,10 @@ def solve_left(A, b: Sequence[int]):
 
     A may be an IntMatrix or a row sequence.
     """
-    rows, cols = _rows_of(A)
-    n = len(rows)
-    aug = []
-    for i, r in enumerate(rows):
-        a = np.empty(cols + n, dtype=object)
-        a[:cols] = r
-        a[cols:] = [1 if k == i else 0 for k in range(n)]
-        aug.append(a)
-    pivots, _ = _echelon(aug, 0, cols)
-    t = np.empty(cols, dtype=object)
-    t[:] = [int(x) for x in b]
+    mat = _as_matrix(A)
+    n, cols = mat.rows, mat.cols
+    pivots, _ = _echelon(_augmented(mat), 0, cols)
+    t = np.array([int(x) for x in b], dtype=object)
     coeffs = _back_substitute([(c, p[:cols]) for c, p in pivots], t)
     if coeffs is None:
         return None
@@ -309,18 +342,6 @@ def solve_left(A, b: Sequence[int]):
             for k in range(n):
                 x[k] += q * int(prow[cols + k])
     return x
-
-
-def lattice_rank(rows_or_mat) -> int:
-    rows, cols = _rows_of(rows_or_mat)
-    pivots, _ = _echelon(rows, 0, cols, gcd_rows=True)
-    return len(pivots)
-
-
-def in_lattice(basis_pivots, vec) -> bool:
-    t = np.empty(len(vec), dtype=object)
-    t[:] = [int(x) for x in vec]
-    return _back_substitute(basis_pivots, t) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +456,11 @@ def _snf_core(M: np.ndarray, nrows: int, ncols: int,
 def snf(A) -> tuple[list[int], IntMatrix, IntMatrix]:
     """Smith normal form: returns (d, L, R) with L A R = diag(d),
     L and R unimodular, and d_1 | d_2 | ... nonnegative."""
-    mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
+    mat = _as_matrix(A)
     n, c = mat.rows, mat.cols
-    M = _obj_matrix(mat)
-    L = _obj_matrix(IntMatrix.identity(n))
-    R = _obj_matrix(IntMatrix.identity(c))
+    M = mat.array.astype(object)
+    L = np.identity(n, dtype=object)
+    R = np.identity(c, dtype=object)
 
     def on_row(kind, i, j, q):
         if kind == "sub":
@@ -457,21 +478,18 @@ def snf(A) -> tuple[list[int], IntMatrix, IntMatrix]:
             R[:, [i, j]] = R[:, [j, i]]
 
     diag = _snf_core(M, n, c, on_row, on_col)
-    Lm = IntMatrix.from_rows([tuple(int(x) for x in r) for r in L], n)
-    Rm = IntMatrix.from_rows([tuple(int(x) for x in r) for r in R], c)
-    return diag, Lm, Rm
+    return diag, IntMatrix(L), IntMatrix(R)
 
 
 def snf_invariants(A, verify: bool | None = None) -> list[int]:
     """Nonzero part of the Smith diagonal (no transforms kept).
 
     For large matrices an independent pass recomputes the invariant
-    valuations at every prime dividing the result, by Smith elimination
-    over Z/p^k, and raises LinalgError on disagreement.
+    valuations at every prime dividing the result, by the layered
+    elimination over Z/p^k, and raises LinalgError on disagreement.
     """
-    mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
-    M = _obj_matrix(mat)
-    diag = _snf_core(M, mat.rows, mat.cols, None, None)
+    mat = _as_matrix(A)
+    diag = _snf_core(mat.array.astype(object), mat.rows, mat.cols, None, None)
     if verify is None:
         verify = max(mat.rows, mat.cols) > _VERIFY_DIM
     if verify and diag:
@@ -482,6 +500,21 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
                 raise LinalgError(
                     f"smith verification failed at p={p}: {got} != {want}")
     return diag
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    k = 3
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 2
+    return True
 
 
 def _prime_divisors(n: int) -> set[int]:
@@ -506,48 +539,62 @@ def _val(n: int, p: int) -> int:
     return v
 
 
-def _snf_local_valuations(mat: IntMatrix, p: int, vmax: int) -> list[int]:
-    """p-adic valuations of the invariant factors, by layered elimination
-    over Z/p^K with K > vmax.  Independent of the integer elimination
-    path: at each valuation layer, unit pivots are cleared by a Schur
-    complement update, then the remaining block (all divisible by p) is
-    divided by p and the layer advances."""
-    K = vmax + 2
+def _layered_elimination(mat: IntMatrix, p: int, K: int) -> list[int]:
+    """p-adic valuations below K of the invariant factors of mat, by
+    elimination over Z/p^K, in ascending order.
+
+    Layer v sweeps the columns once.  A column with an entry prime to p
+    at or below the leading block takes that entry as pivot: its row is
+    swapped into the leading block, scaled to pivot 1, and subtracted
+    from the rows below that are nonzero in the column.  Each pivot is
+    one invariant factor of valuation exactly v.  What remains outside
+    the pivot rows and columns is then divisible by p; divided by p it
+    is the next layer.  The rank over F_p is the pivot count at K = 1.
+    """
     mod = p ** K
-    if mat.rows == 0 or mat.cols == 0:
-        return []
-    if mod < (1 << 31):
-        M = np.array(mat.entries, dtype=np.int64) % mod
-    else:
-        M = np.empty((mat.rows, mat.cols), dtype=object)
-        for i, r in enumerate(mat.entries):
-            M[i, :] = [x % mod for x in r]
+    # int64 needs the entries and the modulus to fit, and then products
+    # of residues
+    A = _promote(mat.array, max(_abs_max(mat.array), mod))
+    M = _promote(A % mod, mod * mod)
     vals = []
-    layer = 0
-    mcur = mod
-    while M.size and mcur > 1 and np.any(M != 0):
-        # clear every pivot coprime to p at this layer
-        while True:
-            units = np.nonzero(M % p)
-            if units[0].size == 0:
-                break
-            i, j = int(units[0][0]), int(units[1][0])
-            inv = pow(int(M[i, j]), -1, mcur)
-            row = (M[i, :] * inv) % mcur
-            col = M[:, j].copy()
-            M = (M - np.outer(col, row)) % mcur
-            keep_r = np.arange(M.shape[0]) != i
-            keep_c = np.arange(M.shape[1]) != j
-            M = M[keep_r][:, keep_c]
-            vals.append(layer)
-            if M.size == 0:
-                break
-        if M.size == 0:
+    for layer in range(K):
+        if not M.any():
             break
-        M = M // p  # exact: no unit entries remain
-        mcur //= p
-        layer += 1
+        mcur = p ** (K - layer)
+        # in the last layer the columns already swept are 0 below the
+        # leading block, so row updates can start at the pivot column
+        last = mcur == p
+        rows, cols = M.shape
+        rank = 0
+        pivoted = np.zeros(cols, dtype=bool)
+        for col in range(cols):
+            if rank == rows:
+                break
+            units = np.nonzero(M[rank:, col] % p)[0]
+            if units.size == 0:
+                continue
+            i = rank + int(units[0])
+            if i != rank:
+                M[[rank, i]] = M[[i, rank]]
+            start = col if last else 0
+            inv = pow(int(M[rank, col]), -1, mcur)
+            M[rank, start:] = M[rank, start:] * inv % mcur
+            below = rank + 1 + np.nonzero(M[rank + 1:, col])[0]
+            if below.size:
+                M[below, start:] = (M[below, start:] - np.outer(
+                    M[below, col], M[rank, start:])) % mcur
+            pivoted[col] = True
+            rank += 1
+        vals += [layer] * rank
+        M = M[rank:][:, ~pivoted] // p
     return vals
+
+
+def _snf_local_valuations(mat: IntMatrix, p: int, vmax: int) -> list[int]:
+    """p-adic valuations of the invariant factors, by the layered
+    elimination over Z/p^K with K = vmax + 2.  Independent of the
+    integer Smith elimination."""
+    return _layered_elimination(mat, p, vmax + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +781,7 @@ def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
     are unit-rich, so this collapses most of the matrix before the cubic
     elimination runs.  Returns (unit pivot count, remaining matrix).
     """
-    try:
-        A = np.array([list(r) for r in mat.entries], dtype=np.int64)
-        if A.size and int(np.abs(A).max()) >= 1 << 62:
-            raise OverflowError
-    except OverflowError:
-        A = np.array([list(r) for r in mat.entries], dtype=object)
+    A = mat.array.copy()
     if A.size == 0:
         return 0, mat
     ones = 0
@@ -759,13 +801,10 @@ def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
             if v != 1 and v != -1:
                 continue  # stale candidate, changed by an earlier pivot
             if A.dtype == np.int64:
-                colsel = A[:, j]
-                nzr = np.nonzero(colsel)[0]
-                grow = int(np.abs(A[nzr, :]).max(initial=0)) + (
-                    int(np.abs(colsel[nzr]).max(initial=0))
-                    * int(np.abs(A[i, :]).max(initial=0)))
-                if grow >= 1 << 62:
-                    A = A.astype(object)
+                # the updated rows stay below this bound, the rest fit
+                nzr = np.nonzero(A[:, j])[0]
+                A = _promote(A, _abs_max(A[nzr, :]) + _abs_max(A[nzr, j])
+                             * _abs_max(A[i, :]))
             row = A[i, :] * int(v)
             col = A[:, j].copy()
             nzr = np.nonzero(col)[0]
@@ -776,13 +815,12 @@ def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
             break
     keep_r = np.nonzero((A != 0).any(axis=1))[0]
     keep_c = np.nonzero((A != 0).any(axis=0))[0]
-    rows = [[int(A[i, j]) for j in keep_c] for i in keep_r]
-    return ones, IntMatrix.from_rows(rows, len(keep_c))
+    return ones, IntMatrix(A[np.ix_(keep_r, keep_c)])
 
 
 def cokernel(A, ambient_rank: int) -> AbGroup:
     """Structure of Z^ambient_rank / rowspace(A)."""
-    mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A, ambient_rank)
+    mat = _as_matrix(A, ambient_rank)
     if mat.cols != ambient_rank:
         raise LinalgError("ambient rank does not match matrix width")
     if mat.rows * mat.cols >= _FAST_COKERNEL_CELLS:
@@ -819,29 +857,21 @@ def rational_kernel(A) -> list[tuple[int, ...]]:
     rational kernel space, in canonical echelon form.
     """
     if isinstance(A, IntMatrix):
-        rows = [list(r) for r in A.entries]
-        cols = A.cols
+        rows, cols = A.array.tolist(), A.cols
     else:
         rows, cols = _clear_denominators(A)
-    rows = [r for r in rows if any(r)]
-    nr = len(rows)
     if cols == 0:
         return []
     # augmented transpose trick: echelon [A^T | I]; rows whose A^T block
     # dies give exactly the kernel lattice in the right block.
-    aug = []
-    for j in range(cols):
-        a = np.empty(nr + cols, dtype=object)
-        a[:nr] = [rows[i][j] for i in range(nr)]
-        a[nr:] = [1 if k == j else 0 for k in range(cols)]
-        aug.append(a)
-    pivots, rest = _echelon(aug, 0, nr, gcd_rows=True)
-    kern = [r for r in rest]
-    kpiv, kz = _echelon(kern, nr, nr + cols)
+    mat = IntMatrix.from_rows([r for r in rows if any(r)], cols)
+    nr = mat.rows
+    _, rest = _echelon(_augmented(mat.transpose()), 0, nr, gcd_rows=True)
+    kpiv, kz = _echelon(rest, nr, nr + cols)
     if any(any(x != 0 for x in r.tolist()) for r in kz):
         raise LinalgError("kernel echelon left a nonzero row unpivoted")
     _reduce_above(kpiv)
-    return [tuple(int(x) for x in r[nr:]) for _, r in kpiv]
+    return [tuple(r[nr:].tolist()) for _, r in kpiv]
 
 
 def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
@@ -880,33 +910,9 @@ def modular_rank(A, p: int = _RANK_PRIMES[0]) -> int:
     min(rows, cols) the rational rank is certified equal, which is how
     the transform's full-rank certificate uses it.
     """
-    mat = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    if p >= 1 << 31 or p < 2:
-        raise LinalgError("modulus out of the safe int64 range")
-    M = np.array([[x % p for x in row] for row in mat.entries],
-                 dtype=np.int64)
-    rows, cols = M.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(M[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        i = rank + int(nz[0])
-        if i != rank:
-            M[[rank, i]] = M[[i, rank]]
-        inv = pow(int(M[rank, col]), p - 2, p)
-        M[rank, col:] = (M[rank, col:] * inv) % p
-        below = np.nonzero(M[rank + 1:, col])[0]
-        if below.size:
-            idx = rank + 1 + below
-            M[idx, col:] = (M[idx, col:]
-                            - np.outer(M[idx, col], M[rank, col:])) % p
-        rank += 1
-    return rank
+    if p < 2:
+        raise LinalgError(f"{p} is not a prime")
+    return len(_layered_elimination(_as_matrix(A), p, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +977,7 @@ def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
     group = AbGroup(tuple(diag[i] for i in kept))
     if (group.order or 1) != order:
         raise LinalgError("relation lattice volume does not match order")
-    Rm = R.entries
+    Rm = R.array.tolist()
     dlog = {}
     for e, w in words.items():
         full = [sum(w[i] * Rm[i][j] for i in range(k)) for j in range(k)]

@@ -5,10 +5,16 @@ constructor also enforces internally; the tests below recompute that
 value from scratch so a silent change in either factor is caught.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordist.rayclass as rc
 from ordist.quadfield import Modulus, make_field
 from ordist.rayclass import (
     FrameUnavailable,
@@ -333,3 +339,29 @@ def test_frame_unavailable_single_prime(K7):
     G = ray_class_group(K7, _modulus(K7, [(11, 0, 1)]))
     with pytest.raises(FrameUnavailable):
         galois_over_h(G, 2)
+
+
+def test_frobenius_check_survives_optimize():
+    # a Frobenius with no preimage must raise even when python -O strips
+    # assert statements
+    code = textwrap.dedent("""
+        import ordist.rayclass as rc
+        from ordist.quadfield import Modulus, make_field
+        from ordist.zlinalg import OrdistError
+        K = make_field(7)
+        p = K.splitting_type(11)[1][0]
+        G = rc.ray_class_group(K, Modulus(K, ((p, 1),)))
+        rc.solve_left = lambda *args: None
+        try:
+            G.frobenius(p)
+        except OrdistError as exc:
+            print("raised:", exc)
+        """)
+    src = os.path.dirname(os.path.dirname(rc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("raised: the Frobenius has no preimage")

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordist.zlinalg import (
@@ -472,3 +472,82 @@ def test_modular_rank_lower_bounds_rational_rank(rows):
     assert modular_rank(mat) <= exact
     # the default prime is far larger than any entry product here
     assert modular_rank(mat) == exact
+
+
+# -- differential tests against sympy ---------------------------------------
+
+def _entries():
+    # small values, and multiples of 2^63: those leave int64, so the
+    # matrices run the object path of every routine
+    small = st.integers(-6, 6)
+    return st.one_of(small, small.map(lambda k: k << 63))
+
+
+@st.composite
+def _int_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_entries(), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # a dependent row, so that rank defects are common
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+    return rows
+
+
+def _sympy_factors(rows):
+    """Nonzero invariant factors of the row matrix, by sympy."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    return [abs(int(d)) for d in invariant_factors(Matrix(rows)) if d != 0]
+
+
+@given(_int_matrices(), st.booleans())
+@example([[1, 1 << 62], [1 << 62, 1]], True)  # int64 entries, pivot overflows
+@settings(max_examples=80, deadline=None)
+def test_cokernel_matches_sympy(rows, prereduce):
+    import ordist.zlinalg as zl
+
+    cols = len(rows[0])
+    factors = _sympy_factors(rows)
+    old = zl._FAST_COKERNEL_CELLS
+    zl._FAST_COKERNEL_CELLS = 0 if prereduce else old
+    try:
+        got = cokernel(IntMatrix.from_rows(rows, cols), cols)
+    finally:
+        zl._FAST_COKERNEL_CELLS = old
+    assert got.torsion == tuple(d for d in factors if d > 1)
+    assert got.rank == cols - len(factors)
+
+
+@given(_int_matrices(), st.sampled_from([2, 3, 5]))
+@example([[2, 1], [4, 3]], 2)  # a column left without pivot, then updated
+@settings(max_examples=80, deadline=None)
+def test_local_valuations_match_sympy(rows, p):
+    from ordist.zlinalg import _snf_local_valuations, _val
+
+    want = sorted(_val(d, p) for d in _sympy_factors(rows))
+    mat = IntMatrix.from_rows(rows, len(rows[0]))
+    assert _snf_local_valuations(mat, p, max(want, default=0)) == want
+
+
+@given(_int_matrices(), st.sampled_from([2, 3, 5, 2147483647, (1 << 61) - 1]))
+@example([[1, -1], [-1, 1]], (1 << 61) - 1)  # products beyond int64
+@settings(max_examples=80, deadline=None)
+def test_modular_rank_matches_sympy(rows, p):
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    from ordist.zlinalg import modular_rank
+
+    want = DomainMatrix.from_list(rows, ZZ).convert_to(GF(p)).rank()
+    assert modular_rank(IntMatrix.from_rows(rows, len(rows[0])), p) == want
+
+
+def test_sympy_strategy_reaches_the_object_path():
+    big = IntMatrix.from_rows([[1 << 63, 3], [2, -(1 << 63)]])
+    assert big.array.dtype == object
+    assert IntMatrix.from_rows([[(1 << 63) - 1, -(1 << 63) + 1]]) \
+        .array.dtype == np.int64
+    assert IntMatrix.from_rows([[-(1 << 63)]]).array.dtype == object
