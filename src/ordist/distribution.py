@@ -14,6 +14,7 @@ triples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .zlinalg import (
     AbGroup,
     IntMatrix,
     OrdistError,
-    _RANK_PRIMES,
+    _INT64_BOUND,
     _abs_max,
     _is_prime,
     _prime_divisors,
@@ -42,7 +43,6 @@ from .zlinalg import (
     _snf_local_valuations,
     _val,
     cokernel,
-    modular_rank,
 )
 
 
@@ -146,6 +146,23 @@ def build_presentation(K: QuadField, m: Modulus) -> DeltaPresentation:
     return DeltaPresentation(K, m)
 
 
+def _lifts(G: RayClassGroup, u: Modulus) -> tuple[np.ndarray, np.ndarray]:
+    """The transition G_m -> G_u on indices, and the section lift.
+
+    image[g] is the index in G_u of the image of the element of index g
+    of G_m; lift[sigma] is the first g over sigma, -1 when none is.
+    """
+    down = G.transition(u)
+    amb, low = G.group, down.codomain
+    hom = np.array(down.matrix, dtype=np.int64).reshape(
+        len(amb.invariant_factors), len(low.invariant_factors))
+    image = low.indices(amb.coordinates() @ hom)
+    lift = np.full(low.order, -1, dtype=np.int64)
+    hit, first = np.unique(image, return_index=True)
+    lift[hit] = first
+    return image, lift
+
+
 def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
     """Integral transform of the presentation, one column per generator.
 
@@ -160,7 +177,10 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
     the matrix is a gather: the support of a(n, m) is translated by
     every lift at once on mixed-radix indices of G_m, and the integer
     numerators are scattered into one array, int64 unless a numerator
-    does not fit.
+    does not fit.  The columns of block n therefore span the ideal of
+    Q[G_m] generated by a(n, m), which is what lets _character_rank
+    count the rank on characters; it re-reads that structure off the
+    stored matrix before it counts.
     """
     if P._transform is not None:
         return P._transform
@@ -171,17 +191,11 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
     gathers, coeffs = [], []
     for u in P.levels:
         au = alpha(u, P.modulus, G)
-        down = G.transition(u)
-        low = down.codomain
-        hom = np.array(down.matrix, dtype=np.int64) \
-            .reshape(k, len(low.invariant_factors))
-        # lift(sigma): the first element of G_m over each sigma in G_u
-        image = low.indices(coords @ hom)
-        _, lift = np.unique(image, return_index=True)
+        _, lift = _lifts(G, u)
         support = np.array(au.support, dtype=np.int64) \
             .reshape(len(au.coeffs), k)
         rows = amb.indices(coords[lift][:, None, :], support[None, :, :])
-        cols = P.offset(u) + np.arange(low.order)[:, None]
+        cols = P.offset(u) + np.arange(len(lift))[:, None]
         gathers.append((rows, cols))
         coeffs.append([c for _, c in au.coeffs])
     scale = math.lcm(*(c.denominator for cfs in coeffs for c in cfs))
@@ -197,11 +211,123 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
 
 
 def _annihilation_product(F: IntMatrix, rel: IntMatrix) -> bool:
-    """Exact check F . r = 0 for every row r of rel."""
+    """Exact check F . r = 0 for every row r of rel.
+
+    Only the nonzeros of rel are multiplied: the columns of F they pick,
+    times their values, summed per relation row.  Rows of F go in
+    chunks, so no temporary is larger than F.
+    """
     a, r = _abs_max(F.array), _abs_max(rel.array)
     # bounds every entry and every partial sum of the product
     bound = max(a, r, a * r * F.cols)
-    return not (_promote(F.array, bound) @ _promote(rel.array, bound).T).any()
+    i, j = np.nonzero(rel.array)
+    if not i.size:
+        return True
+    A = _promote(F.array, bound)
+    vals = _promote(rel.array[i, j], bound)
+    # np.nonzero goes row by row, so each relation row is one run of i
+    starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+    step = max(1, F.array.size // i.size)
+    return not any(
+        np.add.reduceat(A[k:k + step, j] * vals, starts, axis=1).any()
+        for k in range(0, F.rows, step))
+
+
+@functools.lru_cache(maxsize=None)
+def _character_primes(e: int) -> tuple[int, ...]:
+    """The three largest primes p = 1 mod e with e (p - 1)^2 < 2^63.
+
+    F_p then holds the e-th roots of unity, and a DFT axis, whose
+    length divides e, sums its products of residues inside int64.
+    """
+    out = []
+    k = math.isqrt((_INT64_BOUND - 1) // e) // e
+    while len(out) < 3 and k > 0:
+        if _is_prime(k * e + 1):
+            out.append(k * e + 1)
+        k -= 1
+    return tuple(out)
+
+
+def _root_of_unity(d: int, p: int) -> int:
+    """A primitive d-th root of unity mod the prime p, for p = 1 mod d."""
+    qs = _prime_divisors(d)
+    for g in range(2, p):
+        root = pow(g, (p - 1) // d, p)
+        if all(pow(root, d // q, p) != 1 for q in qs):
+            return root
+    raise OrdistError(f"no primitive {d}-th root of unity mod {p}")
+
+
+def _character_count(heads: np.ndarray, factors: tuple[int, ...],
+                     p: int) -> int:
+    """Number of characters of the group with these invariant factors
+    at which some row of heads, in mixed-radix order, is nonzero mod p.
+
+    Needs p = 1 mod the exponent e and e (p - 1)^2 < 2^63.  The DFT
+    runs one invariant-factor axis at a time, as a product with the
+    d x d table of powers of a primitive d-th root of unity mod p.
+    """
+    X = (heads % p).astype(np.int64).reshape(len(heads), *factors)
+    for axis, d in enumerate(factors, start=1):
+        root = _root_of_unity(d, p)
+        powers = np.array([pow(root, t, p) for t in range(d)], dtype=np.int64)
+        table = powers[np.multiply.outer(np.arange(d), np.arange(d)) % d]
+        X = np.moveaxis(np.moveaxis(X, axis, -1) @ table % p, -1, axis)
+    return int(X.reshape(len(heads), -1).any(axis=0).sum())
+
+
+def _character_rank(P: DeltaPresentation, F: IntMatrix) -> int:
+    """Lower bound for the rank of the transform F over Q, counted on
+    the characters of G_m; it certifies full row rank when it reaches
+    #G_m.
+
+    The structure is read off F itself first: for every divisor u the
+    head column a_u = F[:, offset(u)] must be constant on the fibres of
+    G_m -> G_u, the lifts must cover G_u, and every column (u, sigma)
+    must equal a_u translated by lift(sigma), compared exactly.  Any
+    failure raises OracleMismatch.  Then block u spans the ideal
+    generated by a_u in the group ring over any field.  Over F_p with
+    p = 1 mod the exponent of G_m (so p does not divide #G_m), F_p[G_m]
+    splits into the characters of G_m, and the ideal of a_u is the sum
+    of the characters chi with chi(a_u) != 0.  So the rank of F mod p is
+    the number of characters at which some head is nonzero (Kubert 1979,
+    Sinnott 1980), and rank over Q is at least rank mod p.  The count
+    runs at up to three primes and the best is returned.
+    """
+    G = P.ray(P.modulus)
+    amb = G.group
+    if F.array.shape != (amb.order, P.n_gens):
+        raise OracleMismatch(
+            f"transform shape {F.array.shape} != "
+            f"(#G_m, generators) = {(amb.order, P.n_gens)}")
+    coords = amb.coordinates()
+    heads = []
+    for u in P.levels:
+        image, lift = _lifts(G, u)
+        if (lift < 0).any():
+            raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
+        off = P.offset(u)
+        head = F.array[:, off]
+        if (head != head[lift[image]]).any():
+            raise OracleMismatch(
+                f"head column at {u.label()} is not constant on the "
+                f"fibres of G_m -> G_u")
+        # block[sigma, g] = F[g + lift(sigma), (u, sigma)]
+        block = F.array[amb.indices(coords[lift][:, None, :], coords),
+                        off + np.arange(len(lift))[:, None]]
+        if (block != head).any():
+            raise OracleMismatch(
+                f"a column at {u.label()} is not its head translated by "
+                f"the lift")
+        heads.append(head)
+    heads = np.stack(heads)
+    best = 0
+    for p in _character_primes(amb.exponent):
+        best = max(best, _character_count(heads, amb.invariant_factors, p))
+        if best == amb.order:
+            break
+    return best
 
 
 def level_torsion(P: DeltaPresentation) -> AbGroup:
@@ -209,15 +335,18 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
 
     Oracle (a) reads the invariant factors of the relation matrix off
     its cokernel, whose free rank must equal #G_m.  The transform
-    annihilates every relation row and, by a modular certificate, has
-    full row rank #G_m; with the rank identity this makes its kernel
-    the saturation of the relation lattice, so the torsion is that
-    kernel modulo the relations.  Oracle (b) recomputes the torsion
-    p-locally, by Smith elimination over Z/p^k on the raw relation
-    matrix, at every prime p dividing S = w * product_bound * |T| with
-    T the torsion from (a).  Each pass must find one pivot per unit of
-    relation rank, with (a)'s p-valuations and zeros elsewhere.  Any
-    rank defect, annihilation failure or disagreement raises
+    annihilates every relation row and has full row rank #G_m, which
+    _character_rank certifies by counting, mod a prime that splits
+    F_p[G_m], the characters at which some level element a(u, m) is
+    nonzero, after checking that the stored columns are the translates
+    of those elements.  With the rank identity this makes the kernel of
+    the transform the saturation of the relation lattice, so the
+    torsion is that kernel modulo the relations.  Oracle (b) recomputes
+    the torsion p-locally, by Smith elimination over Z/p^k on the raw
+    relation matrix, at every prime p dividing S = w * product_bound *
+    |T| with T the torsion from (a).  Each pass must find one pivot per
+    unit of relation rank, with (a)'s p-valuations and zeros elsewhere.
+    Any rank defect, annihilation failure or disagreement raises
     OracleMismatch.  The check is complete on levels whose norm is
     prime to w: there the torsion exponent divides the product bound,
     so every prime that can carry torsion divides S.
@@ -232,7 +361,7 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
     F = iwasawa_matrix(P)
     if not _annihilation_product(F, P.relations):
         raise OracleMismatch("transform fails to annihilate a relation row")
-    if all(modular_rank(F, p) < F.rows for p in _RANK_PRIMES):
+    if _character_rank(P, F) < F.rows:
         raise OracleMismatch(
             f"no prime certifies full row rank {F.rows} of the transform")
     tor = AbGroup(quot.torsion)

@@ -502,18 +502,35 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
     return diag
 
 
+# the least strong pseudoprime to all of the first twelve prime bases
+# (Sorenson and Webster, 2015): below it, Miller-Rabin to those bases
+# decides primality
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below _MR_BOUND, trial division above."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        return all(n % k for k in range(41, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 2
     return True
 
 
@@ -899,16 +916,11 @@ def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
     return cokernel(IntMatrix.from_rows(coords, rank_k), rank_k)
 
 
-# primes below 2^31, so F_p products stay inside int64
-_RANK_PRIMES = (2147483647, 2147483629, 2147483587)
-
-
-def modular_rank(A, p: int = _RANK_PRIMES[0]) -> int:
-    """Rank of A over the prime field F_p.
+def modular_rank(A, p: int = 2147483647) -> int:
+    """Rank of A over the prime field F_p, by default p = 2^31 - 1.
 
     Always a lower bound for the rank over Q; when the result reaches
-    min(rows, cols) the rational rank is certified equal, which is how
-    the transform's full-rank certificate uses it.
+    min(rows, cols) the rational rank is certified equal.
     """
     if p < 2:
         raise LinalgError(f"{p} is not a prime")

@@ -7,16 +7,19 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordist.distribution as dist
-from ordist.groupring import NotCoprimeToW, alpha
+import ordist.zlinalg as zlinalg
+from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, make_field
 from ordist.zlinalg import (
     AbGroup,
     IntMatrix,
+    modular_rank,
     rational_kernel,
     subquotient_torsion,
 )
@@ -178,19 +181,24 @@ _TRANSFORM_LEVELS = [
 ]
 
 
+def _transform_level(request, d, qs):
+    if (d, qs) == (7, (7, 11, 23)):
+        return request.getfixturevalue("triple7")
+    K = make_field(d)
+    return build_presentation(K, Modulus(K, tuple(
+        (prime_above(K, q), 1) if isinstance(q, int)
+        else (prime_above(K, q[0]), q[1]) for q in qs)))
+
+
 @pytest.mark.parametrize("d, qs", _TRANSFORM_LEVELS)
 def test_gather_transform_matches_fraction_reference(request, d, qs):
-    if (d, qs) == (7, (7, 11, 23)):
-        P = request.getfixturevalue("triple7")
-    else:
-        K = make_field(d)
-        P = build_presentation(K, Modulus(K, tuple(
-            (prime_above(K, q), 1) if isinstance(q, int)
-            else (prime_above(K, q[0]), q[1]) for q in qs)))
+    P = _transform_level(request, d, qs)
     F = iwasawa_matrix(P)
     ref, scale = _fraction_transform(P)
     assert F.to_text() == ref.to_text()
     assert P.transform_scale == scale
+    # the rank certificate counts exactly the rank over F_p
+    assert dist._character_rank(P, F) == modular_rank(F) == F.rows
 
 
 def test_gather_transform_falls_back_to_object_entries(
@@ -209,7 +217,141 @@ def test_gather_transform_falls_back_to_object_entries(
     assert F.entries == tuple(tuple(x * big for x in r)
                               for r in small.entries)
     assert all(type(x) is int for r in F.entries for x in r)
+    assert dist._character_rank(P, F) == modular_rank(F) == F.rows
     assert not level_torsion(P).invariant_factors
+
+
+# the rank certificate
+
+
+def _times_one_minus_g(G, g):
+    """alpha times (1 - g) for a fixed g in G_m: the transform still
+    kills every relation but loses the characters with chi(g) = 1."""
+    one_minus_g = GroupRingElt.one(G.group) - GroupRingElt.basis(G.group, g)
+
+    def mutant(u, n2, H):
+        return alpha(u, n2, H) * one_minus_g
+
+    return mutant
+
+
+def test_rank_defect_is_caught(field7, monkeypatch):
+    K = field7
+    m = modulus_of(K, 7, 11)
+    G = build_presentation(K, m).ray(m)
+    g = G.group.elements()[1]
+    monkeypatch.setattr(dist, "alpha", _times_one_minus_g(G, g))
+    P = build_presentation(K, m)
+    F = iwasawa_matrix(P)
+    assert dist._annihilation_product(F, P.relations)
+    # the count is the rank over F_p exactly, below full rank
+    amb = G.group
+    p = dist._character_primes(amb.exponent)[0]
+    heads = np.stack([F.array[:, P.offset(u)] for u in P.levels])
+    count = dist._character_count(heads, amb.invariant_factors, p)
+    assert count == modular_rank(F, p) == modular_rank(F) < F.rows
+    with pytest.raises(OracleMismatch, match="no prime certifies"):
+        level_torsion(P)
+
+
+def test_certificate_refuses_a_permuted_column(field7):
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    F = iwasawa_matrix(P)
+    heads = {P.offset(u) for u in P.levels}
+    j = next(j for j in range(F.cols)
+             if j not in heads and len(set(F.array[:, j].tolist())) > 1)
+    col = F.array[:, j]
+    a = int(np.flatnonzero(col != col[0])[0])
+    bad = F.array.copy()
+    bad[[0, a], j] = bad[[a, 0], j]
+    with pytest.raises(OracleMismatch, match="not its head translated"):
+        dist._character_rank(P, IntMatrix(bad))
+
+
+def test_certificate_refuses_a_head_off_the_fibres(field7):
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    F = iwasawa_matrix(P)
+    # the trivial level: its head is the trace of G_m, constant on G_m
+    bad = F.array.copy()
+    bad[0, P.offset(P.levels[0])] += 1
+    with pytest.raises(OracleMismatch, match="constant on the fibres"):
+        dist._character_rank(P, IntMatrix(bad))
+
+
+def test_certificate_refuses_lifts_that_miss_a_level(field7, monkeypatch):
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    F = iwasawa_matrix(P)
+    lifts = dist._lifts
+
+    def short(G, u):
+        image, lift = lifts(G, u)
+        lift = lift.copy()
+        lift[-1] = -1
+        return image, lift
+
+    monkeypatch.setattr(dist, "_lifts", short)
+    with pytest.raises(OracleMismatch, match="do not cover"):
+        dist._character_rank(P, F)
+
+
+def test_level_torsion_never_eliminates_the_transform(field7, monkeypatch):
+    # the rank certificate counts characters: only the p-local passes
+    # of oracle (b) on the relation matrix reach the modular elimination
+    shapes = []
+    orig = zlinalg._layered_elimination
+
+    def recording(mat, p, K):
+        shapes.append(mat.array.shape)
+        return orig(mat, p, K)
+
+    monkeypatch.setattr(zlinalg, "_layered_elimination", recording)
+    P = build_presentation(field7, modulus_of(field7, 7, 11, 23))
+    assert level_torsion(P).invariant_factors == (2,)
+    F = iwasawa_matrix(P)
+    assert shapes
+    assert F.array.shape not in shapes
+    assert set(shapes) == {P.relations.array.shape}
+
+
+@st.composite
+def _annihilation_case(draw):
+    """(F, rel) with rel = [R | I] against F = [A | -A R^T], so every
+    row of rel is killed, then possibly one entry of rel perturbed, or
+    one column in two rows by opposite amounts; all-zero rows of rel
+    are mixed in.  Entries may pass 2^63."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    big = draw(st.sampled_from([1, ((1 << 61) - 1) ** 2]))
+    A = [[draw(st.sampled_from([0, 0, 1, -1, 7])) * big
+          for _ in range(cols)] for _ in range(rows)]
+    R = [[draw(st.sampled_from([0, 0, 1, -1, 3, big])) for _ in range(cols)]
+         for _ in range(n)]
+    F = [a + [-sum(x * y for x, y in zip(a, r)) for r in R] for a in A]
+    rel = [r + [int(i == k) for k in range(n)] for i, r in enumerate(R)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, cols + n - 1))
+        t = draw(st.sampled_from([1, -2, big]))
+        rel[i][j] += t
+        if n > 1 and draw(st.booleans()):
+            # the opposite change in a second row cancels in the sum
+            rel[(i + 1) % n][j] -= t
+    for _ in range(draw(st.integers(0, 2))):
+        rel.insert(draw(st.integers(0, len(rel))), [0] * (cols + n))
+    return (IntMatrix.from_rows(F, cols + n),
+            IntMatrix.from_rows(rel, cols + n))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_annihilation_case())
+def test_nonzero_annihilation_matches_dense_product(case):
+    F, rel = case
+    dense = F.array.astype(object) @ rel.array.astype(object).T
+    assert dist._annihilation_product(F, rel) == (not dense.any())
+    for r in range(rel.rows):  # one-row rel, as in the certificate
+        one = IntMatrix(rel.array[r:r + 1])
+        assert dist._annihilation_product(F, one) == (not dense[:, r].any())
 
 
 def test_relation_rows_are_preimage_cosets(field7):
@@ -237,8 +379,6 @@ def test_divisor_block_ranks(field7):
     # rank exactly #G_n: every character of G_n is nonzero on the
     # column built at its conductor level, and all such columns live
     # in the embedded copy of Q[G_n]
-    from ordist.zlinalg import IntMatrix, modular_rank
-
     P = build_presentation(field7, modulus_of(field7, 7, 11))
     F = iwasawa_matrix(P)
     for n in P.levels:

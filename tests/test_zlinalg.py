@@ -551,3 +551,31 @@ def test_sympy_strategy_reaches_the_object_path():
     assert IntMatrix.from_rows([[(1 << 63) - 1, -(1 << 63) + 1]]) \
         .array.dtype == np.int64
     assert IntMatrix.from_rows([[-(1 << 63)]]).array.dtype == object
+
+
+# the least strong pseudoprimes to the prime bases up to 7 and up to
+# 31: only bases beyond those reject them
+_STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051)
+
+
+@given(st.integers(-5, 10**6) | st.integers(2**31 - 10**4, 2**31)
+       | st.integers(10**17, 10**17 + 10**4)
+       | st.sampled_from(_STRONG_PSEUDOPRIMES))
+@example(41 * 41)
+@example(2147483647)
+@settings(max_examples=300, deadline=None)
+def test_is_prime_matches_sympy(n):
+    from sympy import isprime
+
+    from ordist.zlinalg import _is_prime
+
+    assert _is_prime(n) == isprime(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    from ordist.zlinalg import _is_prime
+
+    assert not any(map(_is_prime, _STRONG_PSEUDOPRIMES))
+    assert [q for q in range(100) if _is_prime(q)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+        67, 71, 73, 79, 83, 89, 97]
