@@ -153,11 +153,8 @@ def _lifts(G: RayClassGroup, u: Modulus) -> tuple[np.ndarray, np.ndarray]:
     of G_m; lift[sigma] is the first g over sigma, -1 when none is.
     """
     down = G.transition(u)
-    amb, low = G.group, down.codomain
-    hom = np.array(down.matrix, dtype=np.int64).reshape(
-        len(amb.invariant_factors), len(low.invariant_factors))
-    image = low.indices(amb.coordinates() @ hom)
-    lift = np.full(low.order, -1, dtype=np.int64)
+    image = down.index_image()
+    lift = np.full(down.codomain.order, -1, dtype=np.int64)
     hit, first = np.unique(image, return_index=True)
     lift[hit] = first
     return image, lift
@@ -173,38 +170,31 @@ def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
     P.transform_scale, the least common denominator of the whole matrix;
     kernels, ranks and annihilation checks do not see the scaling.
 
-    Each column is a permutation of the coefficients of one a(n, m), so
-    the matrix is a gather: the support of a(n, m) is translated by
-    every lift at once on mixed-radix indices of G_m, and the integer
-    numerators are scattered into one array, int64 unless a numerator
-    does not fit.  The columns of block n therefore span the ideal of
-    Q[G_m] generated by a(n, m), which is what lets _character_rank
-    count the rank on characters; it re-reads that structure off the
-    stored matrix before it counts.
+    Each a(n, m) comes as one numerator vector over the mixed-radix
+    indices of G_m with one denominator.  Column (n, sigma) is that
+    vector, brought to the common denominator and translated by
+    lift(sigma), so block n is one gather on indices, int64 unless a
+    numerator does not fit.  The columns of block n therefore span the
+    ideal of Q[G_m] generated by a(n, m), which is what lets
+    _character_rank count the rank on characters; it re-reads that
+    structure off the stored matrix before it counts.
     """
     if P._transform is not None:
         return P._transform
     G = P.ray(P.modulus)
     amb = G.group
-    k = len(amb.invariant_factors)
     coords = amb.coordinates()
-    gathers, coeffs = [], []
-    for u in P.levels:
-        au = alpha(u, P.modulus, G)
-        _, lift = _lifts(G, u)
-        support = np.array(au.support, dtype=np.int64) \
-            .reshape(len(au.coeffs), k)
-        rows = amb.indices(coords[lift][:, None, :], support[None, :, :])
-        cols = P.offset(u) + np.arange(len(lift))[:, None]
-        gathers.append((rows, cols))
-        coeffs.append([c for _, c in au.coeffs])
-    scale = math.lcm(*(c.denominator for cfs in coeffs for c in cfs))
-    nums = [np.array([c.numerator * (scale // c.denominator) for c in cfs],
-                     dtype=object) for cfs in coeffs]
+    alphas = [alpha(u, P.modulus, G) for u in P.levels]
+    scale = math.lcm(*(au.den for au in alphas))
+    nums = [_promote(au.num, (_abs_max(au.num) + 1) * (scale // au.den))
+            * (scale // au.den) for au in alphas]
     out = np.zeros((amb.order, P.n_gens),
                    dtype=_promote(np.concatenate(nums)).dtype)
-    for (rows, cols), ns in zip(gathers, nums):
-        out[rows, cols] = ns
+    for u, num in zip(P.levels, nums):
+        _, lift = _lifts(G, u)
+        # F[g, (u, sigma)] = a_u[g - lift(sigma)]
+        out[:, P.offset(u) + np.arange(len(lift))] = \
+            num[amb.indices(coords[:, None, :], -coords[lift][None, :, :])]
     P.transform_scale = scale
     P._transform = IntMatrix(out)
     return P._transform

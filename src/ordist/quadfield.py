@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .zlinalg import OrdistError, _is_prime, ab_discover, hnf_basis
+from .zlinalg import (
+    OrdistError,
+    _greedy_generators,
+    _is_prime,
+    ab_discover,
+    hnf_basis,
+)
 
 RESIDUE_NORM_BOUND = 10 ** 6
 
@@ -558,26 +564,7 @@ def residue_units(K: QuadField, n: Modulus):
         return _residue_reduce(nid, K.elt_mul(u, v))
 
     ident = _residue_reduce(nid, (1, 0))
-    # greedy generator harvest: grow the closure until it is everything
-    gens: list[tuple[int, int]] = []
-    closure = {ident}
-    for r in units:
-        if r in closure:
-            continue
-        gens.append(r)
-        closure = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    f = mul(e, g)
-                    if f not in closure:
-                        closure.add(f)
-                        nxt.append(f)
-            frontier = nxt
-        if len(closure) == order:
-            break
+    gens = _greedy_generators(units, mul, ident, order)
     group, dlog = ab_discover(order, mul, gens, identity=ident)
     z = _residue_reduce(nid, K.zeta())
     mu = []

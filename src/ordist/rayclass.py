@@ -37,6 +37,8 @@ from .zlinalg import (
     AbHom,
     IntMatrix,
     OrdistError,
+    _closure,
+    _greedy_generators,
     _is_prime,
     ab_discover,
     hnf,
@@ -72,19 +74,8 @@ class Subgroup:
 
     @staticmethod
     def generated(ambient: AbGroup, gens) -> "Subgroup":
-        zero = ambient.zero()
-        closure = {zero}
-        frontier = [zero]
-        gens = [ambient.reduce(g) for g in gens]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    f = ambient.add(e, g)
-                    if f not in closure:
-                        closure.add(f)
-                        nxt.append(f)
-            frontier = nxt
+        closure = _closure(ambient.add, [ambient.zero()],
+                           [ambient.reduce(g) for g in gens])
         return Subgroup(ambient, tuple(sorted(closure)))
 
     @staticmethod
@@ -149,25 +140,7 @@ def _subgroup_structure(sub: Subgroup):
     amb = sub.ambient
     zero = amb.zero()
     # greedy generator harvest before ab_discover, to keep BFS cheap
-    gens = []
-    closure = {zero}
-    for x in sub.elements:
-        if x in closure:
-            continue
-        gens.append(x)
-        closure = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gens:
-                    f = amb.add(e, g)
-                    if f not in closure:
-                        closure.add(f)
-                        nxt.append(f)
-            frontier = nxt
-        if len(closure) == sub.order:
-            break
+    gens = _greedy_generators(sub.elements, amb.add, zero, sub.order)
     group, dlog = ab_discover(sub.order, amb.add, gens, identity=zero)
     reps = []
     k = len(group.invariant_factors)
@@ -428,9 +401,9 @@ class RayClassGroup:
         if key in self._inertia_cache:
             return self._inertia_cache[key]
         hom = self.transition(u)
-        zero = hom.codomain.zero()
-        els = [x for x in self.group.elements() if hom.apply(x) == zero]
-        sub = Subgroup(self.group, tuple(sorted(els)))
+        # index order is the sorted order of the element tuples
+        ker = self.group.coordinates()[hom.index_image() == 0]
+        sub = Subgroup(self.group, tuple(map(tuple, ker.tolist())))
         if sub.order * hom.codomain.order != self.group.order:
             raise OrdistError("level kernel order does not match the index")
         self._inertia_cache[key] = sub

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -785,8 +784,13 @@ class AbHom:
         rows = [self.apply(row) for row in other.matrix]
         return AbHom(other.domain, self.codomain, tuple(tuple(r) for r in rows))
 
-
-_FAST_COKERNEL_CELLS = 50_000
+    def index_image(self) -> np.ndarray:
+        """The map on mixed-radix indices: entry g is the codomain index
+        of the image of the domain element of index g."""
+        hom = np.array(self.matrix, dtype=np.int64).reshape(
+            len(self.domain.invariant_factors),
+            len(self.codomain.invariant_factors))
+        return self.codomain.indices(self.domain.coordinates() @ hom)
 
 
 def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
@@ -836,15 +840,13 @@ def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 def cokernel(A, ambient_rank: int) -> AbGroup:
-    """Structure of Z^ambient_rank / rowspace(A)."""
+    """Structure of Z^ambient_rank / rowspace(A): _unit_prereduce
+    splits off the unit pivots, the Smith elimination takes the rest."""
     mat = _as_matrix(A, ambient_rank)
     if mat.cols != ambient_rank:
         raise LinalgError("ambient rank does not match matrix width")
-    if mat.rows * mat.cols >= _FAST_COKERNEL_CELLS:
-        ones, rest = _unit_prereduce(mat)
-        inv = [1] * ones + snf_invariants(rest)
-    else:
-        inv = snf_invariants(mat)
+    ones, rest = _unit_prereduce(mat)
+    inv = [1] * ones + snf_invariants(rest)
     finite = tuple(d for d in inv if d > 1)
     rank = ambient_rank - len(inv)
     return AbGroup(finite + (0,) * rank)
@@ -853,38 +855,19 @@ def cokernel(A, ambient_rank: int) -> AbGroup:
 # ---------------------------------------------------------------------------
 # kernels and subquotients
 
-def _clear_denominators(rows) -> tuple[list[list[int]], int]:
-    out = []
-    width = None
-    for r in rows:
-        width = len(r) if width is None else width
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) if isinstance(x, Fraction) else int(x) * den for x in r])
-    return out, (width or 0)
-
-
 def rational_kernel(A) -> list[tuple[int, ...]]:
-    """Saturated basis of {v integer : A v = 0}.
-
-    A may have Fraction entries (rows are cleared first; the kernel does
-    not change).  The result is the full integer kernel lattice of the
-    rational kernel space, in canonical echelon form.
-    """
-    if isinstance(A, IntMatrix):
-        rows, cols = A.array.tolist(), A.cols
-    else:
-        rows, cols = _clear_denominators(A)
-    if cols == 0:
+    """Saturated basis of {v integer : A v = 0}: the full integer
+    kernel lattice of the rational kernel space, in canonical echelon
+    form."""
+    mat = _as_matrix(A)
+    if mat.cols == 0:
         return []
     # augmented transpose trick: echelon [A^T | I]; rows whose A^T block
     # dies give exactly the kernel lattice in the right block.
-    mat = IntMatrix.from_rows([r for r in rows if any(r)], cols)
+    mat = IntMatrix(mat.array[mat.array.any(axis=1)])
     nr = mat.rows
     _, rest = _echelon(_augmented(mat.transpose()), 0, nr, gcd_rows=True)
-    kpiv, kz = _echelon(rest, nr, nr + cols)
+    kpiv, kz = _echelon(rest, nr, nr + mat.cols)
     if any(any(x != 0 for x in r.tolist()) for r in kz):
         raise LinalgError("kernel echelon left a nonzero row unpivoted")
     _reduce_above(kpiv)
@@ -929,6 +912,40 @@ def modular_rank(A, p: int = 2147483647) -> int:
 
 # ---------------------------------------------------------------------------
 # black-box abelian structure
+
+def _closure(mul: Callable, start: Iterable, gens: Sequence) -> set:
+    """Everything reached from start by products with gens, breadth
+    first: the subgroup that start and gens generate when start is the
+    identity or a subgroup."""
+    out = set(start)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                f = mul(e, g)
+                if f not in out:
+                    out.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return out
+
+
+def _greedy_generators(elements: Iterable, mul: Callable, identity,
+                       order: int) -> list:
+    """Generators harvested in order: an element joins when it is
+    outside the subgroup the earlier ones generate, until that subgroup
+    has order elements."""
+    gens = []
+    span = {identity}
+    for x in elements:
+        if len(span) == order:
+            break
+        if x not in span:
+            gens.append(x)
+            span = _closure(mul, span, [x])
+    return gens
+
 
 def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
     """Structure and discrete logarithm of a finite abelian black box.

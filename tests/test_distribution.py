@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ordist.distribution as dist
 import ordist.zlinalg as zlinalg
+import fraction_groupring as ref
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, make_field
 from ordist.zlinalg import (
@@ -127,7 +128,7 @@ def test_transform_columns_independent_of_lift(field7):
     amb = G.group
     rng = random.Random(11)
     for u in P.levels:
-        au = alpha(u, P.modulus, G)
+        au = ref.alpha(u, P.modulus, G)
         down = G.transition(u)
         fibers = {}
         for g in amb.elements():
@@ -143,13 +144,14 @@ def test_transform_columns_independent_of_lift(field7):
 
 def _fraction_transform(P):
     """Reference transform: the per-cell Fraction builder that the
-    index gather replaced, one AbGroup.add and index_of per entry.
-    Returns the matrix and its least common denominator."""
+    index gather replaced, one AbGroup.add and index_of per entry, on
+    the reference alpha of fraction_groupring.  Returns the matrix and
+    its least common denominator."""
     G = P.ray(P.modulus)
     amb = G.group
     cols = []
     for u in P.levels:
-        au = alpha(u, P.modulus, G)
+        au = ref.alpha(u, P.modulus, G)
         down = G.transition(u)
         lift = {}
         for g in amb.elements():
@@ -209,8 +211,12 @@ def test_gather_transform_falls_back_to_object_entries(
     m = modulus_of(field7, 7, 11)
     Q = build_presentation(field7, m)
     small = iwasawa_matrix(Q)
-    monkeypatch.setattr(dist, "alpha",
-                        lambda u, n2, G: alpha(u, n2, G).scale(big))
+
+    def scaled(u, n2, G):
+        au = alpha(u, n2, G)
+        return GroupRingElt(au.group, au.num.astype(object) * big, au.den)
+
+    monkeypatch.setattr(dist, "alpha", scaled)
     P = build_presentation(field7, m)
     F = iwasawa_matrix(P)
     assert P.transform_scale == Q.transform_scale

@@ -12,12 +12,15 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import fraction_groupring as ref
 from ordist import groupring
 from ordist.groupring import (
     GroupRingElt,
     NotCoprimeToW,
+    _coset_rows,
     alpha,
     gal_h_quotient,
     gal_h_quotient_torsion,
@@ -30,6 +33,7 @@ from ordist.groupring import (
 from ordist.quadfield import Modulus, make_field
 from ordist.rayclass import Subgroup, ray_class_group
 from ordist.zlinalg import AbGroup
+from test_distribution import _TRANSFORM_LEVELS, _transform_level
 
 
 def _modulus(K, spec):
@@ -62,43 +66,66 @@ def test_trace_of_identity_is_one():
     G = AbGroup((4,))
     x = trace([(0,)], G)
     assert x == GroupRingElt.one(G)
-    assert x.augmentation() == 1
+    assert x.num.sum() == x.den == 1
 
 
 def test_trace_augmentation_counts():
     G = AbGroup((4,))
     x = trace(G.elements(), G)
-    assert x.augmentation() == 4
-    assert all(c == 1 for _, c in x.coeffs)
+    assert x.num.tolist() == [1, 1, 1, 1]
+    assert x.den == 1
 
 
 def test_subgroup_trace_idempotent_up_to_order():
     G = AbGroup((2, 4))
     H = Subgroup.generated(G, [(1, 2)])
     s = trace(H)
-    assert s * s == s.scale(H.order)
+    assert s * s == GroupRingElt(G, s.num * H.order)
 
 
 def test_ring_is_commutative_and_distributive():
     G = AbGroup((6,))
-    a = GroupRingElt.make(G, {(1,): Fraction(2), (3,): Fraction(-1, 2)})
-    b = GroupRingElt.make(G, {(2,): Fraction(1), (5,): Fraction(3)})
+    a = GroupRingElt(G, [0, 4, 0, -1, 0, 0], 2)  # 2 [1] - 1/2 [3]
+    b = GroupRingElt(G, [0, 0, 1, 0, 0, 3])
     c = GroupRingElt.one(G) - b
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert (a - a) == GroupRingElt.zero(G)
+    assert (a - a) == GroupRingElt(G, [0] * 6)
+    assert (a - a).den == 1
 
 
 def test_translate_and_rows():
     G = AbGroup((3,))
-    x = GroupRingElt.make(G, {(0,): 1, (1,): 2})
+    x = GroupRingElt(G, [1, 2, 0])
     y = x.translate((1,))
-    assert y.to_row() == [0, 1, 2]
-    assert x.integer_row() == [1, 2, 0]
-    half = x.scale(Fraction(1, 2))
-    assert half.denominator() == 2
-    with pytest.raises(Exception):
-        half.integer_row()
+    assert y.num.tolist() == [0, 1, 2]
+    assert x.translate((-1,)).num.tolist() == [2, 0, 1]
+    # the pair is kept in lowest terms
+    half = GroupRingElt(G, [2, 4, 0], 4)
+    assert half.num.tolist() == [1, 2, 0]
+    assert half.den == 2
+    assert half == GroupRingElt(G, x.num, 2)
+    for num, den in (([1, 2], 1), ([1, 2, 0], 0), ([0.5, 0, 0], 1)):
+        with pytest.raises(groupring.OrdistError):
+            GroupRingElt(G, np.array(num), den)
+
+
+def test_product_past_int64_is_exact():
+    G = AbGroup((6,))
+    big = 1 << 62
+    a = GroupRingElt(G, [big, big, 0, 0, 0, 3], 5)
+    b = GroupRingElt(G, [0, 7 * big, 0, -1, 0, 0], 3)
+    prod = a * b
+    assert prod.num.dtype == object
+    assert all(type(x) is int for x in prod.num)
+    want = ref.GroupRingElt.make(G, {(i,): Fraction(int(x), 5)
+                                     for i, x in enumerate(a.num)}) * \
+        ref.GroupRingElt.make(G, {(i,): Fraction(int(x), 3)
+                                  for i, x in enumerate(b.num)})
+    assert (prod.num.tolist(), prod.den) == ref.to_num_den(want)
+    assert max(abs(x) for x in prod.num) > 1 << 63
+    # numerators that fit again come back as int64
+    assert (prod - prod + a).num.dtype == np.int64
 
 
 def test_mixing_groups_raises_under_optimize():
@@ -146,18 +173,18 @@ def test_p_star_coprime_is_inverse_frobenius(K7):
 def test_p_star_full_inertia_averages(K7):
     G = ray_class_group(K7, _modulus(K7, [(11, 0, 1)]))
     star = p_star(G, _prime(K7, 11, 0))
-    assert star == trace(Subgroup.whole(G.group)).scale(Fraction(1, 5))
+    assert star == GroupRingElt(G.group, trace(Subgroup.whole(G.group)).num, 5)
 
 
 def test_p_star_ramified_in_triple(triple, K7):
     p7 = _prime(K7, 7)
     star = p_star(triple, p7)
     T = triple.inertia(p7)
-    assert len(star.coeffs) == 6
-    assert all(c == Fraction(1, 6) for _, c in star.coeffs)
-    assert star.augmentation() == 1
+    assert sorted(star.num.tolist()) == [0] * 654 + [1] * 6
+    assert star.den == 6
     # the trace absorbs any inertia translation of the Frobenius lift
-    assert star * trace(T) == star.scale(T.order)
+    assert star * trace(T) == GroupRingElt(triple.group, star.num * T.order,
+                                           star.den)
 
 
 # -- alpha and the distribution compatibility ---------------------------------
@@ -175,7 +202,7 @@ def test_alpha_from_bottom_is_full_trace(triple, K7):
 
 def test_alpha_augmentation_vanishes(triple, K7):
     n = _modulus(K7, [(7, None, 1)])
-    assert alpha(n, triple.modulus, triple).augmentation() == 0
+    assert alpha(n, triple.modulus, triple).num.sum() == 0
 
 
 def test_alpha_transfer_compatibility(triple, K7):
@@ -236,9 +263,9 @@ def test_quotient_rank_formula(triple, K7):
 
 def test_trace_ideal_rows_are_cosets(triple, K7):
     ideal = trace_ideal(triple)
-    sizes = sorted({sum(r) for r in ideal.rows})
+    sizes = sorted(set(ideal.rows.array.sum(axis=1).tolist()))
     assert sizes == [6, 10, 22]
-    assert len(ideal.rows) == 660 // 6 + 660 // 10 + 660 // 22
+    assert ideal.rows.rows == 660 // 6 + 660 // 10 + 660 // 22
 
 
 def test_direct_product_criterion(triple, K7):
@@ -293,3 +320,35 @@ def test_gal_torsion_rejects_bad_coprimality():
     G = ray_class_group(K, n)
     with pytest.raises(NotCoprimeToW):
         gal_h_quotient_torsion(G, n)
+
+
+# -- the integer layout against the Fraction reference ------------------------
+
+def _num_den(x):
+    return x.num.tolist(), x.den
+
+
+@pytest.mark.parametrize("d, qs", _TRANSFORM_LEVELS)
+def test_ring_matches_fraction_reference(request, d, qs):
+    """On every level whose transform the suite builds: alpha for every
+    pair of divisors u | n2 of m, its transfer to m (which must be
+    alpha(u, m)), and the trace-ideal rows of every divisor, against
+    the Fraction group ring the integer layout replaced."""
+    P = _transform_level(request, d, qs)
+    m = P.modulus
+    G = P.ray(m)
+    for n2 in P.levels:
+        H = P.ray(n2)
+        up = G.transition(n2)
+        for u in n2.divisors():
+            new, old = alpha(u, n2, H), ref.alpha(u, n2, H)
+            assert _num_den(new) == ref.to_num_den(old)
+            lifted = transfer(new, up)
+            assert _num_den(lifted) == ref.to_num_den(ref.transfer(old, up))
+            assert lifted == alpha(u, m, G)
+        subs = [H.inertia(p).elements for p, _ in n2.primes]
+        rows = _coset_rows(H.group, subs)
+        assert rows.array.dtype == np.int64
+        # the same rows in the same order, which cokernel's unit
+        # pre-reduction depends on
+        assert rows.entries == ref.coset_rows(H.group, subs)

@@ -250,6 +250,71 @@ def test_inertia_matches_local_units():
     assert t19.invariant_factors() == (18,)
 
 
+# -- the shared closure -------------------------------------------------------
+
+def _old_bfs(mul, identity, gens):
+    """The breadth-first closure that the subgroup code repeated before
+    it moved onto zlinalg._closure."""
+    closure = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                f = mul(e, g)
+                if f not in closure:
+                    closure.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return closure
+
+
+def _old_harvest(elements, mul, identity, order):
+    """Copy of the greedy harvest loop of rayclass._subgroup_structure
+    and quadfield.residue_units before zlinalg._greedy_generators: the
+    closure is rebuilt from the identity after each new generator."""
+    gens = []
+    closure = {identity}
+    for x in elements:
+        if x in closure:
+            continue
+        gens.append(x)
+        closure = _old_bfs(mul, identity, gens)
+        if len(closure) == order:
+            break
+    return gens
+
+
+def test_generator_harvests_match_old_loop(triple, monkeypatch):
+    # the harvested lists fix every dlog, so they must not move
+    import ordist.quadfield as qf
+    import ordist.zlinalg as zl
+
+    calls = []
+
+    def recording(*args):
+        gens = zl._greedy_generators(*args)
+        calls.append((args, gens))
+        return gens
+
+    monkeypatch.setattr(rc, "_greedy_generators", recording)
+    monkeypatch.setattr(qf, "_greedy_generators", recording)
+    subs = [Subgroup.whole(triple.group), triple.gamma()] + \
+        [triple.inertia(p) for p, _ in triple.modulus.primes]
+    for sub in subs:
+        rc._subgroup_structure.__wrapped__(sub)
+    qf.residue_units(triple.field, triple.modulus)
+    assert len(calls) == len(subs) + 1
+    for args, gens in calls:
+        assert gens and gens == _old_harvest(*args)
+    amb = triple.group
+    whole = calls[0][1]
+    for gens in ([], [(1,) * len(amb.invariant_factors)], whole,
+                 [amb.neg(g) for g in whole[1:]]):
+        want = _old_bfs(amb.add, amb.zero(), gens)
+        assert Subgroup.generated(amb, gens).elements == tuple(sorted(want))
+
+
 # -- Frobenius ----------------------------------------------------------------
 
 def test_frobenius_exact_when_coprime(K7):
