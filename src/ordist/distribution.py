@@ -78,17 +78,11 @@ class DeltaPresentation:
         self.levels: tuple[Modulus, ...] = tuple(m.divisors())
         self.rays = {u.primes: ray_class_group(K, u) for u in self.levels}
         self._offset = {}
-        self._pos = {}
         total = 0
         for u in self.levels:
-            els = self.rays[u.primes].group.elements()
             self._offset[u.primes] = total
-            self._pos[u.primes] = {e: i for i, e in enumerate(els)}
-            total += len(els)
+            total += self.rays[u.primes].group.order
         self.n_gens = total
-        self.gen_index = tuple(
-            (u, e) for u in self.levels
-            for e in self.rays[u.primes].group.elements())
         self.relations = self._relation_matrix()
         self._torsion = None
         self._transform = None
@@ -97,6 +91,12 @@ class DeltaPresentation:
     @property
     def m(self) -> Modulus:
         return self.modulus
+
+    @cached_property
+    def gen_index(self) -> tuple:
+        """(u, sigma) of every generator, in column order."""
+        return tuple((u, e) for u in self.levels
+                     for e in self.rays[u.primes].group.elements())
 
     @cached_property
     def product_bound(self) -> int:
@@ -113,33 +113,46 @@ class DeltaPresentation:
         return self._offset[u.primes]
 
     def column_of(self, u: Modulus, sigma) -> int:
-        return self._offset[u.primes] + self._pos[u.primes][tuple(sigma)]
+        return self._offset[u.primes] + self.ray(u).group.index_of(sigma)
 
     def _relation_matrix(self) -> IntMatrix:
-        rows = []
+        """One scatter of the +-1 entries.  The block of rows for the
+        step u -> t = u p^e runs over sigma in G_u in index order; the
+        preimages of sigma are the fibre of Gt.transition(u) over it,
+        and the Frobenius twist sigma - artin(p) is one translation of
+        the indices of G_u."""
+        rows, cols, vals = [], [], []
+        n_rows = 0
         for u in self.levels:
             Gu = self.ray(u)
-            u_els = Gu.group.elements()
+            n_u = Gu.group.order
+            sigma = np.arange(n_u)
             for p, e_top in self.modulus.primes:
                 vu = u.v_p(p)
                 for e in range(1, e_top - vu + 1):
                     t = u.with_exponent(p, vu + e)
-                    Gt = self.ray(t)
-                    down = Gt.transition(u)
-                    pre = {}
-                    for tau in Gt.group.elements():
-                        pre.setdefault(down.apply(tau), []).append(tau)
-                    lam = Gu.artin(p) if vu == 0 else None
-                    for sigma in u_els:
-                        row = [0] * self.n_gens
-                        row[self.column_of(u, sigma)] += 1
-                        if lam is not None:
-                            tw = Gu.group.add(sigma, Gu.group.neg(lam))
-                            row[self.column_of(u, tw)] -= 1
-                        for tau in pre[sigma]:
-                            row[self.column_of(t, tau)] -= 1
-                        rows.append(row)
-        return IntMatrix.from_rows(rows, self.n_gens)
+                    image = self.ray(t).transition(u).index_image()
+                    rows += [n_rows + sigma, n_rows + image]
+                    cols += [self.offset(u) + sigma,
+                             self.offset(t) + np.arange(len(image))]
+                    vals += [np.ones(n_u, dtype=np.int64),
+                             np.full(len(image), -1, dtype=np.int64)]
+                    if vu == 0:
+                        # -1 at sigma - artin(p), which meets the +1
+                        # at sigma when artin(p) is trivial in G_u:
+                        # hence the entries are added, not assigned
+                        twist = Gu.group.indices(Gu.group.coordinates(),
+                                                 -np.array(Gu.artin(p),
+                                                           dtype=np.int64))
+                        rows.append(n_rows + sigma)
+                        cols.append(self.offset(u) + twist)
+                        vals.append(np.full(n_u, -1, dtype=np.int64))
+                    n_rows += n_u
+        out = np.zeros((n_rows, self.n_gens), dtype=np.int64)
+        if rows:
+            np.add.at(out, (np.concatenate(rows), np.concatenate(cols)),
+                      np.concatenate(vals))
+        return IntMatrix(out)
 
 
 def build_presentation(K: QuadField, m: Modulus) -> DeltaPresentation:

@@ -6,7 +6,9 @@ denominator.  Every operation is an index map on that vector: a trace
 counts indices, a translation is a permutation of them, a transfer
 reads the numerators through the index image of a homomorphism, and a
 product adds translated copies of one factor, one per nonzero of the
-other.  The main constructions:
+other.  A kernel of a transition G_n -> G_u is read off the index image
+of the transition: its trace marks the indices sent to 0, and its
+cosets are the fibres.  The main constructions:
 
   * trace(X) = sum of the elements of X with coefficient one;
   * p_star(G, p) = averaged inverse Frobenius at p: the inverse of any
@@ -17,7 +19,7 @@ other.  The main constructions:
     tower satisfy the distribution compatibility checked in the tests;
   * trace_ideal_quotient(G) = structure of Z[G_n]/S(n) where S(n) is
     the ideal generated by all inertia traces, with the exponent z_n of
-    its torsion subgroup;
+    its torsion subgroup, computed once per group and kept with it;
   * gal_h_quotient_torsion(G_m, n) = the torsion of the analogous
     quotient taken over Gamma_n = ker(G_n -> G_(1)) only.
 """
@@ -158,21 +160,27 @@ def trace(X, group: AbGroup | None = None) -> GroupRingElt:
                                            minlength=group.order))
 
 
+def _kernel_trace(G: RayClassGroup, u: Modulus) -> GroupRingElt:
+    """s(ker(G_n -> G_u)): the indices that the transition sends to 0."""
+    return GroupRingElt(G.group, (G.transition(u).index_image() == 0)
+                        .astype(np.int64))
+
+
 def p_star(G: RayClassGroup, p: OIdeal) -> GroupRingElt:
     """Averaged inverse Frobenius at p inside Q[G_n]."""
     lam, exact = G.frobenius(p)
     if exact:
         return GroupRingElt.basis(G.group, G.group.neg(lam))
-    T = G.inertia(p)
-    return GroupRingElt(G.group, trace(T).translate(G.group.neg(lam)).num,
-                        T.order)
+    T = _kernel_trace(G, G.modulus.without(p))  # the inertia group at p
+    return GroupRingElt(G.group, T.translate(G.group.neg(lam)).num,
+                        int(T.num.sum()))
 
 
 def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
     """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), inside Q[G_{n2}]."""
     if G.modulus != n2:
         raise OrdistError("group does not present the target modulus")
-    out = trace(G.level_kernel(n))
+    out = _kernel_trace(G, n)
     one = GroupRingElt.one(G.group)
     for p, _ in n.primes:
         out = out * (one - p_star(G, p))
@@ -198,50 +206,69 @@ class TraceIdeal:
     rows: IntMatrix
 
 
-def _coset_rows(group: AbGroup, subgroup_elements) -> IntMatrix:
-    """Indicator rows of all cosets of each listed subgroup; these are
-    exactly the distinct translates of the subgroup traces.
+def _coset_rows(order: int, labels) -> IntMatrix:
+    """Indicator rows of all cosets of each listed subgroup of a group
+    of this order; these are exactly the distinct translates of the
+    subgroup traces.
+
+    Each subgroup comes as one coset-label array over the indices of
+    the group: two indices carry the same label exactly when they lie
+    in one coset, so the subgroup is the coset of index 0.  Equal
+    subgroups give their cosets once.
 
     The rows come sorted as tuples.  The unit pre-reduction of cokernel
     picks its pivots in row order: on Gamma for d = 3, m = 7.13.19.31
     this order clears every pivot, while the order of the coset labels
     leaves a 75 x 4451 residual for the Smith elimination.
     """
-    n = group.order
-    coords = group.coordinates()
-    cosets, seen = [], set()
-    for els in subgroup_elements:
-        idx = np.unique(_indices(group, tuple(els)))
-        key = tuple(idx.tolist())
+    blocks, seen = [], set()
+    for lab in labels:
+        sub = np.flatnonzero(lab == lab[0])
+        key = sub.tobytes()
         if key in seen:
             continue  # an equal subgroup has the same cosets
         seen.add(key)
-        # label each element by the least index in its coset
-        label = np.full(n, n, dtype=np.int64)
-        for h in coords[idx]:
-            np.minimum(label, group.indices(coords, h), out=label)
-        cosets += np.argsort(label, kind="stable").reshape(-1, len(idx)) \
-            .tolist()
+        # one coset per row, its members ascending
+        blocks.append(np.argsort(lab, kind="stable").reshape(-1, len(sub)))
+    if not blocks:
+        return IntMatrix.zeros(0, order)
+    width = max(b.shape[1] for b in blocks)
     # of two rows, the smaller tuple has the larger member where their
-    # ascending member lists first differ, or is a prefix of the other
-    cosets.sort(key=lambda c: [-g for g in c])
-    rows = np.zeros((len(cosets), n), dtype=np.int64)
-    for i, c in enumerate(cosets):
-        rows[i, c] = 1
+    # ascending member lists first differ, or is a prefix of the other:
+    # sort on the negated members, padded with -order past the end
+    keys = np.full((sum(len(b) for b in blocks), width), -order,
+                   dtype=np.int64)
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    for b, r in zip(blocks, starts):
+        keys[r:r + len(b), :b.shape[1]] = -b
+    where = np.empty(len(keys), dtype=np.int64)
+    where[np.lexsort(keys.T[::-1])] = np.arange(len(keys))
+    rows = np.zeros((len(keys), order), dtype=np.int64)
+    for b, r in zip(blocks, starts):
+        rows[where[r:r + len(b), None], b] = 1
     return IntMatrix(rows)
 
 
+def _fibres(G: RayClassGroup, p: OIdeal) -> np.ndarray:
+    """Coset labels of the inertia group at p: its cosets are the
+    fibres of the transition G_n -> G_{n/p^v}."""
+    return G.transition(G.modulus.without(p)).index_image()
+
+
 def trace_ideal(G: RayClassGroup) -> TraceIdeal:
-    inertias = [G.inertia(p) for p, _ in G.modulus.primes]
-    gens = tuple(trace(T) for T in inertias)
-    return TraceIdeal(G.group, gens,
-                      _coset_rows(G.group, [T.elements for T in inertias]))
+    labels = [_fibres(G, p) for p, _ in G.modulus.primes]
+    gens = tuple(GroupRingElt(G.group, (lab == 0).astype(np.int64))
+                 for lab in labels)
+    return TraceIdeal(G.group, gens, _coset_rows(G.group.order, labels))
 
 
 def trace_ideal_quotient(G: RayClassGroup) -> tuple[AbGroup, int]:
-    """(structure of Z[G_n]/S(n), exponent z_n of its torsion part)."""
-    quot = cokernel(trace_ideal(G).rows, G.group.order)
-    return quot, quot.exponent
+    """(structure of Z[G_n]/S(n), exponent z_n of its torsion part),
+    computed once per group and kept with it."""
+    if G._trace_quotient is None:
+        quot = cokernel(trace_ideal(G).rows, G.group.order)
+        G._trace_quotient = (quot, quot.exponent)
+    return G._trace_quotient
 
 
 def _check_coprime_to_w(n: Modulus) -> None:
@@ -258,8 +285,15 @@ def gal_h_quotient(G_m: RayClassGroup, n: Modulus) -> AbGroup:
         raise OrdistError("level does not divide the ambient modulus")
     G = ray_class_group(G_m.field, n)
     gab, dlog, _ = G.gamma().as_group()
-    subs = [[dlog[e] for e in G.inertia(p).elements] for p, _ in n.primes]
-    return cokernel(_coset_rows(gab, subs), gab.order)
+    # an element of Gamma_n: its index in G_n, and in gab
+    inside = _indices(G.group, list(dlog))
+    own = _indices(gab, list(dlog.values()))
+    labels = []
+    for p, _ in n.primes:
+        lab = np.empty(gab.order, dtype=np.int64)
+        lab[own] = _fibres(G, p)[inside]
+        labels.append(lab)
+    return cokernel(_coset_rows(gab.order, labels), gab.order)
 
 
 def gal_h_quotient_torsion(G_m: RayClassGroup, n: Modulus) -> AbGroup:

@@ -11,8 +11,12 @@ single code path whether or not ideals are primitive.
 
 The class group is built by enumerating reduced binary quadratic forms
 and closing them under composition-through-ideal-multiplication with
-ab_discover; unit groups of residue rings are built by enumerating
-coprime residues and discovering their abelian structure the same way.
+ab_discover, which labels the classes once.  Unit groups of residue
+rings are found on indices instead: the residues are the entries of
+int64 arrays, multiplication by a unit is one vectorised product that
+permutes the unit labels, and the generator harvest and the abelian
+structure run on those permutations.  Both end in the same structure
+core, zlinalg._discover.
 """
 
 from __future__ import annotations
@@ -22,9 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .zlinalg import (
+    AbGroup,
     OrdistError,
-    _greedy_generators,
+    _discover,
+    _harvest,
     _is_prime,
     ab_discover,
     hnf_basis,
@@ -520,56 +528,69 @@ def _residue_reduce(n_ideal: OIdeal, u):
 def residue_units(K: QuadField, n: Modulus):
     """Structure of (O_K/n)^x: (AbGroup, dlog, mu_images).
 
-    dlog maps every coprime canonical residue to invariant coordinates;
-    mu_images lists the images of zeta^0 ... zeta^{w_K - 1}.
+    dlog maps every coprime canonical residue (x, y) to invariant
+    coordinates, in the breadth-first order in which the generators
+    reach it; mu_images lists the images of zeta^0 ... zeta^{w_K - 1}.
+
+    The residues x + y*omega, 0 <= x < c a and 0 <= y < c for
+    n = c (a Z + beta Z), are the indices y c a + x of int64 arrays,
+    and the units are labelled in that order.  Multiplication by a unit
+    g is x g + y (omega g): one vectorised product and reduction of all
+    units at once, which gives a permutation of the unit labels.  The
+    greedy harvest and the structure then run on those permutations
+    (zlinalg._harvest and zlinalg._discover).
     """
     if n.norm() > RESIDUE_NORM_BOUND:
         raise ModulusTooLarge(f"norm {n.norm()} exceeds {RESIDUE_NORM_BOUND}")
     if n.is_one():
-        group, dlog = ab_discover(1, lambda a, b: a, [], identity=(0, 0))
-        return group, {(0, 0): ()}, [()] * K.w_K
+        return AbGroup(()), {(0, 0): ()}, [()] * K.w_K
     nid = n.ideal()
-    c, a = nid.content, nid.a
+    c, ca = nid.content, nid.content * nid.a
+    bx = nid.beta()[0]
+    y, x = np.divmod(np.arange(c * ca, dtype=np.int64), ca)
     # non-unit residues at a prime P over p: x - y*beta_P = 0 mod p for
     # split/ramified P, p | x and p | y for inert P
-    tests = []
+    unit = np.ones(c * ca, dtype=bool)
     for p, _ in n.primes:
         q = p.rational_prime()
         if p.content == 1:
-            bx, _ = p.beta()
-            tests.append(("s", q, bx))
+            unit &= (x - y * p.beta()[0]) % q != 0
         else:
-            tests.append(("i", q, 0))
-
-    def is_unit(u):
-        x, y = u
-        for kind, q, bx in tests:
-            if kind == "s":
-                if (x - y * bx) % q == 0:
-                    return False
-            elif x % q == 0 and y % q == 0:
-                return False
-        return True
-
-    units = []
-    for y in range(c):
-        for x in range(c * a):
-            if is_unit((x, y)):
-                units.append((x, y))
+            unit &= (x % q != 0) | (y % q != 0)
+    units = np.flatnonzero(unit)
     order = n.phi()
     if len(units) != order:
         raise OrdistError(f"found {len(units)} residue units, phi(n) = {order}")
+    label = np.full(c * ca, -1, dtype=np.int64)
+    label[units] = np.arange(order)
+    ux, uy = x[units], y[units]
 
-    def mul(u, v):
-        return _residue_reduce(nid, K.elt_mul(u, v))
+    def label_of(u) -> int:
+        rx, ry = _residue_reduce(nid, u)
+        return int(label[ry * ca + rx])
 
-    ident = _residue_reduce(nid, (1, 0))
-    gens = _greedy_generators(units, mul, ident, order)
-    group, dlog = ab_discover(order, mul, gens, identity=ident)
-    z = _residue_reduce(nid, K.zeta())
-    mu = []
-    cur = ident
+    def perm_of(g: int) -> np.ndarray:
+        """Multiplication by the unit of label g, on unit labels."""
+        u = (int(ux[g]), int(uy[g]))
+        # x u + y (omega u), reduced; entries stay below 2 (c a)^2
+        (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
+                              for v in (u, K.elt_mul((0, 1), u)))
+        X, Y = ux * gx + uy * hx, ux * gy + uy * hy
+        k = Y // c
+        X = (X - k * c * bx) % ca
+        out = label[(Y - k * c) * ca + X]
+        if (out < 0).any():
+            raise OrdistError("a product of residue units is not a unit")
+        return out
+
+    ident = label_of((1, 0))
+    gens = _harvest(order, perm_of, ident)
+    group, bfs, coords = _discover(order, [perm_of(g) for g in gens], ident)
+    dlog = dict(zip(zip(ux[bfs].tolist(), uy[bfs].tolist()),
+                    map(tuple, coords[bfs].tolist())))
+    z = perm_of(label_of(K.zeta()))
+    mu, cur = [], ident
     for _ in range(K.w_K):
-        mu.append(dlog[cur])
-        cur = mul(cur, z)
+        mu.append(tuple(coords[cur].tolist()))
+        cur = int(z[cur])
     return group, dlog, mu

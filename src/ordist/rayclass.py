@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .quadfield import (
     Modulus,
     OIdeal,
@@ -38,9 +40,9 @@ from .zlinalg import (
     IntMatrix,
     OrdistError,
     _closure,
-    _greedy_generators,
+    _discover,
+    _harvest,
     _is_prime,
-    ab_discover,
     hnf,
     rational_kernel,
     snf,
@@ -137,18 +139,27 @@ def _subgroup_set(sub: Subgroup):
 
 @lru_cache(maxsize=None)
 def _subgroup_structure(sub: Subgroup):
+    """Labels are positions in sub.elements; adding an element is one
+    gather on the ambient indices, and zlinalg._harvest and _discover
+    run on those permutations."""
     amb = sub.ambient
-    zero = amb.zero()
-    # greedy generator harvest before ab_discover, to keep BFS cheap
-    gens = _greedy_generators(sub.elements, amb.add, zero, sub.order)
-    group, dlog = ab_discover(sub.order, amb.add, gens, identity=zero)
-    reps = []
-    k = len(group.invariant_factors)
-    want = {tuple(1 if i == j else 0 for j in range(k)): None for i in range(k)}
-    for el, co in dlog.items():
-        if co in want and want[co] is None:
-            want[co] = el
-    reps = [want[tuple(1 if i == j else 0 for j in range(k))] for i in range(k)]
+    els = np.array(sub.elements, dtype=np.int64).reshape(
+        sub.order, len(amb.invariant_factors))
+    label = np.full(amb.order, -1, dtype=np.int64)
+    label[amb.indices(els)] = np.arange(sub.order)
+
+    def perm_of(x: int) -> np.ndarray:
+        return label[amb.indices(els, els[x])]
+
+    zero = int(label[0])  # the ambient index of zero is 0
+    gens = _harvest(sub.order, perm_of, zero)
+    group, bfs, coords = _discover(sub.order, [perm_of(g) for g in gens],
+                                   zero)
+    dlog = dict(zip(map(tuple, els[bfs].tolist()),
+                    map(tuple, coords[bfs].tolist())))
+    # dlog is one to one: each basis coordinate vector has one element
+    reps = [tuple(els[int(np.argmax((coords == e).all(axis=1)))].tolist())
+            for e in np.eye(len(group.invariant_factors), dtype=np.int64)]
     return group, dlog, reps
 
 
@@ -193,6 +204,10 @@ class RayClassGroup:
         self._artin_cache: dict = {}
         self._transition_cache: dict = {}
         self._inertia_cache: dict = {}
+        self._frobenius_cache: dict = {}
+        # (Z[G_n]/S(n), its exponent), kept by
+        # groupring.trace_ideal_quotient
+        self._trace_quotient = None
 
     # -- presentation plumbing --
 
@@ -389,8 +404,8 @@ class RayClassGroup:
                         acc[jj] += word[i] * val
             rows.append(target.group.reduce(tuple(acc)))
         hom = AbHom(self.group, target.group, tuple(rows))
-        img = Subgroup.generated(target.group, rows)
-        if img.order != target.group.order:
+        if not np.bincount(hom.index_image(),
+                           minlength=target.group.order).all():
             raise OrdistError("transition must be onto")
         self._transition_cache[key] = hom
         return hom
@@ -419,6 +434,9 @@ class RayClassGroup:
         else a lift of the Frobenius of G_{n/p^v}, well defined mod T_p."""
         if self.modulus.v_p(p) == 0:
             return self.artin(p), True
+        key = (p.content, p.a, p.b)
+        if key in self._frobenius_cache:
+            return self._frobenius_cache[key], False
         n2 = self.modulus.without(p)
         target = ray_class_group(self.field, n2)
         hom = self.transition(n2)
@@ -434,6 +452,7 @@ class RayClassGroup:
         lift = self.group.reduce(tuple(sol[:len(self.group.invariant_factors)]))
         if hom.apply(lift) != lam:
             raise OrdistError("the Frobenius lift maps to the wrong class")
+        self._frobenius_cache[key] = lift
         return lift, False
 
     def gamma(self) -> Subgroup:

@@ -107,12 +107,17 @@ class IntMatrix:
             cols = len(rows[0]) if rows else 0
         if not rows:
             return IntMatrix.zeros(0, cols)
-        try:  # the fast parse; the constructor settles the dtype
-            a = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            a = np.array([[int(x) for x in r] for r in rows], dtype=object)
+        try:  # integer rows parse to an integer dtype
+            a = np.array(rows)
         except ValueError:
             raise LinalgError("column count mismatch")
+        if a.dtype.kind not in "biu":
+            # past int64 numpy falls back to float64 or object, so
+            # look at the entries themselves
+            if not all(isinstance(x, (int, np.integer))
+                       for r in rows for x in r):
+                raise LinalgError("matrix entries must be integers")
+            a = np.array([[int(x) for x in r] for r in rows], dtype=object)
         if a.shape != (len(rows), cols):
             raise LinalgError("column count mismatch")
         return IntMatrix(a)
@@ -786,11 +791,16 @@ class AbHom:
 
     def index_image(self) -> np.ndarray:
         """The map on mixed-radix indices: entry g is the codomain index
-        of the image of the domain element of index g."""
-        hom = np.array(self.matrix, dtype=np.int64).reshape(
-            len(self.domain.invariant_factors),
-            len(self.codomain.invariant_factors))
-        return self.codomain.indices(self.domain.coordinates() @ hom)
+        of the image of the domain element of index g.  Computed once
+        per homomorphism and read-only."""
+        if "_index_image" not in self.__dict__:
+            hom = np.array(self.matrix, dtype=np.int64).reshape(
+                len(self.domain.invariant_factors),
+                len(self.codomain.invariant_factors))
+            image = self.codomain.indices(self.domain.coordinates() @ hom)
+            image.flags.writeable = False
+            object.__setattr__(self, "_index_image", image)
+        return self.__dict__["_index_image"]
 
 
 def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
@@ -931,20 +941,91 @@ def _closure(mul: Callable, start: Iterable, gens: Sequence) -> set:
     return out
 
 
-def _greedy_generators(elements: Iterable, mul: Callable, identity,
-                       order: int) -> list:
-    """Generators harvested in order: an element joins when it is
-    outside the subgroup the earlier ones generate, until that subgroup
-    has order elements."""
+def _harvest(order: int, perm_of: Callable[[int], np.ndarray],
+             identity: int) -> list[int]:
+    """Greedy generators of a group on the labels 0 .. order - 1.
+
+    perm_of(x) is multiplication by the element of label x, as an array
+    of labels.  A label joins, in increasing order, when it is outside
+    the subgroup the earlier ones generate, until that subgroup is the
+    whole group.  The subgroup is a mask that grows by whole cosets:
+    with x joining H, the cosets H, xH, x^2 H, ... are added until one
+    is already in.
+    """
+    span = np.zeros(order, dtype=bool)
+    span[identity] = True
     gens = []
-    span = {identity}
-    for x in elements:
-        if len(span) == order:
-            break
-        if x not in span:
-            gens.append(x)
-            span = _closure(mul, span, [x])
+    while not span.all():
+        x = int(np.argmin(span))  # the least label outside the span
+        gens.append(x)
+        perm = perm_of(x)
+        coset = perm[np.flatnonzero(span)]
+        while not span[coset[0]]:
+            span[coset] = True
+            coset = perm[coset]
     return gens
+
+
+def _discover(order: int, perms: Sequence[np.ndarray], identity: int):
+    """Structure and discrete logarithm of a group on integer labels.
+
+    perms[i] is multiplication by the i-th generator, as an array of
+    labels.  A breadth-first search from identity records each label's
+    first word in the generators, generator by generator in the order
+    given; the differences of words along every generator edge are the
+    relations, and their Smith form gives the invariant factors and the
+    coordinates.  Returns (AbGroup, bfs, coords): bfs lists the labels
+    in the order the search found them, coords[label] their invariant
+    coordinates.
+    """
+    k = len(perms)
+    size = len(perms[0]) if k else identity + 1
+    P = np.array(perms, dtype=np.int64).reshape(k, size)
+    # a FIFO queue visits the elements level by level, each level in
+    # the order its parents were found and, per parent, generator by
+    # generator; an element keeps the word of its first visit
+    word = [None] * size
+    word[identity] = (0,) * k
+    bfs = [identity]
+    steps = P.tolist()
+    for e in bfs:  # grows while it is walked
+        w = word[e]
+        for i, step in enumerate(steps):
+            f = step[e]
+            if word[f] is None:
+                word[f] = w[:i] + (w[i] + 1,) + w[i + 1:]
+                bfs.append(f)
+    bfs = np.array(bfs, dtype=np.int64)
+    if len(bfs) < order:
+        raise GeneratorsInsufficient(
+            f"generators span {len(bfs)} of {order} elements")
+    if len(bfs) > order:
+        raise LinalgError("closure exceeds declared order")
+    if k == 0:
+        return AbGroup(()), bfs, np.zeros((size, 0), dtype=np.int64)
+    words = np.zeros((size, k), dtype=np.int64)
+    words[bfs] = [word[e] for e in bfs.tolist()]
+    # row (e, i): word(e) + e_i - word(e g_i)
+    rel = (words[bfs][None, :, :] + np.eye(k, dtype=np.int64)[:, None, :]
+           - words[P[:, bfs]]).reshape(-1, k)
+    # the distinct nonzero rows, sorted as tuples
+    rel = rel[rel.any(axis=1)]
+    rel = rel[np.lexsort(rel.T[::-1])]
+    first = np.ones(len(rel), dtype=bool)
+    first[1:] = (rel[1:] != rel[:-1]).any(axis=1)
+    rel = rel[first]
+    diag, _, R = snf(IntMatrix(rel))
+    if len(diag) != k or any(d == 0 for d in diag):
+        raise LinalgError("black-box group is not finite as presented")
+    kept = [i for i, d in enumerate(diag) if d > 1]
+    group = AbGroup(tuple(diag[i] for i in kept))
+    if (group.order or 1) != order:
+        raise LinalgError("relation lattice volume does not match order")
+    Rk = R.array[:, kept]
+    bound = _abs_max(words) * _abs_max(Rk) * k
+    full = _promote(words, bound) @ _promote(Rk, bound)
+    mods = np.array(group.invariant_factors, dtype=np.int64)
+    return group, bfs, (full % mods).astype(np.int64)
 
 
 def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
@@ -953,9 +1034,14 @@ def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
     order is the known group order, mul the product map, gens a
     generating list of hashable elements.  Returns (AbGroup, dlog) where
     dlog maps every element to its tuple of coordinates in the invariant
-    factor decomposition.  Raises GeneratorsInsufficient when the
-    closure of gens has fewer than order elements.  The identity is
-    located by cycling the first generator when not supplied.
+    factor decomposition, in breadth-first order from the identity.
+    Raises GeneratorsInsufficient when the closure of gens has fewer
+    than order elements.  The identity is located by cycling the first
+    generator when not supplied.
+
+    The elements are labelled once, in breadth-first order, calling mul
+    once per element and generator; _discover does the rest on the
+    labels.
     """
     if identity is None:
         if not gens:
@@ -970,45 +1056,18 @@ def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
             seen.add(cur)
             prev, cur = cur, mul(cur, g)
         identity = prev
-    k = len(gens)
-    words = {identity: (0,) * k}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            w = words[e]
-            for i, g in enumerate(gens):
-                f = mul(e, g)
-                if f not in words:
-                    words[f] = tuple(w[j] + (1 if j == i else 0) for j in range(k))
-                    nxt.append(f)
-        frontier = nxt
-    if len(words) < order:
-        raise GeneratorsInsufficient(
-            f"generators span {len(words)} of {order} elements")
-    if len(words) > order:
-        raise LinalgError("closure exceeds declared order")
-    if k == 0:
-        return AbGroup(()), {identity: ()}
-    rel = set()
-    for e, w in words.items():
-        for i, g in enumerate(gens):
+    label = {identity: 0}
+    elements = [identity]
+    perms = [[] for _ in gens]
+    for e in elements:  # grows while it is walked: a breadth-first queue
+        for perm, g in zip(perms, gens):
             f = mul(e, g)
-            wf = words[f]
-            row = tuple(w[j] + (1 if j == i else 0) - wf[j] for j in range(k))
-            if any(row):
-                rel.add(row)
-    rel = sorted(rel)
-    diag, _, R = snf(IntMatrix.from_rows(rel, k) if rel else IntMatrix.zeros(0, k))
-    if len(diag) != k or any(d == 0 for d in diag):
-        raise LinalgError("black-box group is not finite as presented")
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    group = AbGroup(tuple(diag[i] for i in kept))
-    if (group.order or 1) != order:
-        raise LinalgError("relation lattice volume does not match order")
-    Rm = R.array.tolist()
-    dlog = {}
-    for e, w in words.items():
-        full = [sum(w[i] * Rm[i][j] for i in range(k)) for j in range(k)]
-        dlog[e] = tuple(full[i] % diag[i] for i in kept)
-    return group, dlog
+            if f not in label:
+                if len(elements) == order:
+                    raise LinalgError("closure exceeds declared order")
+                label[f] = len(elements)
+                elements.append(f)
+            perm.append(label[f])
+    group, bfs, coords = _discover(order, perms, 0)
+    return group, dict(zip([elements[i] for i in bfs.tolist()],
+                           map(tuple, coords[bfs].tolist())))

@@ -20,7 +20,6 @@ from ordist import groupring
 from ordist.groupring import (
     GroupRingElt,
     NotCoprimeToW,
-    _coset_rows,
     alpha,
     gal_h_quotient,
     gal_h_quotient_torsion,
@@ -347,7 +346,7 @@ def test_ring_matches_fraction_reference(request, d, qs):
             assert _num_den(lifted) == ref.to_num_den(ref.transfer(old, up))
             assert lifted == alpha(u, m, G)
         subs = [H.inertia(p).elements for p, _ in n2.primes]
-        rows = _coset_rows(H.group, subs)
+        rows = trace_ideal(H).rows
         assert rows.array.dtype == np.int64
         # the same rows in the same order, which cokernel's unit
         # pre-reduction depends on

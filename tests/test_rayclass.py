@@ -271,8 +271,9 @@ def _old_bfs(mul, identity, gens):
 
 def _old_harvest(elements, mul, identity, order):
     """Copy of the greedy harvest loop of rayclass._subgroup_structure
-    and quadfield.residue_units before zlinalg._greedy_generators: the
-    closure is rebuilt from the identity after each new generator."""
+    and quadfield.residue_units before it moved onto index
+    permutations (zlinalg._harvest): the closure is rebuilt from the
+    identity after each new generator."""
     gens = []
     closure = {identity}
     for x in elements:
@@ -289,26 +290,35 @@ def test_generator_harvests_match_old_loop(triple, monkeypatch):
     # the harvested lists fix every dlog, so they must not move
     import ordist.quadfield as qf
     import ordist.zlinalg as zl
+    import tuple_presentation as tp
 
     calls = []
 
     def recording(*args):
-        gens = zl._greedy_generators(*args)
-        calls.append((args, gens))
+        gens = zl._harvest(*args)
+        calls.append(gens)
         return gens
 
-    monkeypatch.setattr(rc, "_greedy_generators", recording)
-    monkeypatch.setattr(qf, "_greedy_generators", recording)
+    # built first: inertia groups build the ray class groups below m,
+    # whose unit harvests must not be recorded
     subs = [Subgroup.whole(triple.group), triple.gamma()] + \
         [triple.inertia(p) for p, _ in triple.modulus.primes]
+    monkeypatch.setattr(rc, "_harvest", recording)
+    monkeypatch.setattr(qf, "_harvest", recording)
     for sub in subs:
         rc._subgroup_structure.__wrapped__(sub)
     qf.residue_units(triple.field, triple.modulus)
     assert len(calls) == len(subs) + 1
-    for args, gens in calls:
-        assert gens and gens == _old_harvest(*args)
+    # labels are positions among the subgroup's sorted elements, and
+    # among the units in the old enumeration order
+    units, mul, ident, order, _ = tp.residue_gens(triple.field,
+                                                  triple.modulus)
+    harvests = [(sub.elements, triple.group.add, triple.group.zero(),
+                 sub.order) for sub in subs] + [(units, mul, ident, order)]
+    for args, gens in zip(harvests, calls):
+        assert gens and [args[0][g] for g in gens] == _old_harvest(*args)
     amb = triple.group
-    whole = calls[0][1]
+    whole = [subs[0].elements[g] for g in calls[0]]
     for gens in ([], [(1,) * len(amb.invariant_factors)], whole,
                  [amb.neg(g) for g in whole[1:]]):
         want = _old_bfs(amb.add, amb.zero(), gens)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -145,6 +146,26 @@ def test_rational_kernel_fractions():
     assert rational_kernel([[3, 2]]) == [(2, -3)]
 
 
+def test_from_rows_rejects_floats():
+    # a parse to int64 would truncate this to [[0, 2]]
+    with pytest.raises(LinalgError, match="integers"):
+        IntMatrix.from_rows([[0.5, 2.7]])
+
+
+def test_rational_kernel_rejects_fractions():
+    # a parse to int64 would see a zero row, whose kernel is everything
+    with pytest.raises(LinalgError, match="integers"):
+        rational_kernel([[Fraction(1, 2), Fraction(1, 3)]])
+
+
+def test_from_rows_past_int64_stays_exact():
+    # numpy parses this row as float64
+    big = IntMatrix.from_rows([[2 ** 63, -1]])
+    assert big.array.dtype == object
+    assert big.entries == ((2 ** 63, -1),)
+    assert all(type(x) is int for x in big.array.ravel())
+
+
 def test_subquotient_trivial():
     K = [(1, 0), (0, 1)]
     assert subquotient_torsion(K, K).is_trivial
@@ -191,6 +212,11 @@ def test_ab_discover_klein():
 def test_ab_discover_insufficient():
     with pytest.raises(GeneratorsInsufficient):
         ab_discover(6, lambda a, b: (a + b) % 6, [2])
+
+
+def test_ab_discover_closure_exceeds_order():
+    with pytest.raises(LinalgError, match="closure exceeds declared order"):
+        ab_discover(3, lambda a, b: (a + b) % 6, [1], identity=0)
 
 
 def test_solve_left():
