@@ -40,6 +40,7 @@ class Mutant:
 
 _RELATION_LEVELS = "tests/test_index_presentation.py::" \
     "test_relation_matrix_and_trace_rows_match_tuple_loops"
+_DIST = "tests/test_distribution.py::"
 
 MUTANTS = (
     Mutant(
@@ -86,6 +87,82 @@ MUTANTS = (
         "            continue  # an equal subgroup has the same cosets\n",
         "            pass  # an equal subgroup has the same cosets\n",
         (f"{_RELATION_LEVELS}[d3-2^2*7]",),
+    ),
+    # the rank certificate and the annihilation check
+    Mutant(
+        "certificate-skips-column-check",
+        "distribution.py",
+        "        if (block != head).any():\n",
+        "        if False:\n",
+        (f"{_DIST}test_certificate_refuses_a_permuted_column",),
+    ),
+    Mutant(
+        "certificate-skips-fibre-check",
+        "distribution.py",
+        "        if (head != head[lift[image]]).any():\n",
+        "        if False:\n",
+        (f"{_DIST}test_certificate_refuses_a_head_off_the_fibres",),
+    ),
+    Mutant(
+        "certificate-skips-cover-check",
+        "distribution.py",
+        "        if (lift < 0).any():\n",
+        "        if False:\n",
+        (f"{_DIST}test_certificate_refuses_lifts_that_miss_a_level",),
+    ),
+    Mutant(
+        "annihilation-sums-all-rows",
+        "distribution.py",
+        "np.add.reduceat(A[k:k + step, j] * vals, starts, axis=1)",
+        "np.add.reduceat(A[k:k + step, j] * vals, [0], axis=1)",
+        (f"{_DIST}test_nonzero_annihilation_matches_dense_product",),
+    ),
+    Mutant(
+        "annihilation-skips-first-chunk",
+        "distribution.py",
+        "        for k in range(0, F.rows, step))\n",
+        "        for k in range(step, F.rows, step))\n",
+        (f"{_DIST}test_nonzero_annihilation_matches_dense_product",),
+    ),
+    Mutant(
+        "character-count-is-order",
+        "distribution.py",
+        "    return int(X.reshape(len(heads), -1).any(axis=0).sum())\n",
+        "    return int(X.reshape(len(heads), -1).shape[1])\n",
+        (f"{_DIST}test_rank_defect_is_caught",),
+    ),
+    Mutant(
+        "level-torsion-eliminates-transform",
+        "distribution.py",
+        "    tor = AbGroup(quot.torsion)\n",
+        "    from .zlinalg import modular_rank\n"
+        "    modular_rank(F)\n"
+        "    tor = AbGroup(quot.torsion)\n",
+        (f"{_DIST}test_level_torsion_never_eliminates_the_transform",),
+    ),
+    # subgroup masks and the synthetic frame
+    Mutant(
+        "grow-stops-after-one-coset",
+        "zlinalg.py",
+        "    while not span[coset[0]]:\n",
+        "    if not span[coset[0]]:\n",
+        ("tests/test_rayclass.py::test_generator_harvests_match_old_loop",
+         "tests/test_rayclass.py::"
+         "test_subgroup_masks_match_tuple_sets[d15_level]",
+         "tests/test_index_presentation.py::"
+         "test_subgroup_structure_matches_tuple_bfs"),
+    ),
+    Mutant(
+        "frame-rows-ignore-composite-last",
+        "cohomology.py",
+        "        gen = frame.j if (composite_last and i == frame.m) "
+        "else frame.tau(i)\n",
+        "        gen = frame.tau(i)\n",
+        ("tests/test_cohomology.py::test_frame_rows_match_tuple_loops",
+         "tests/test_cohomology.py::"
+         "test_twisted_rows_match_plain_when_last_index_absent",
+         "tests/test_cohomology.py::"
+         "test_full_twisted_torsion_odd_and_even_counts"),
     ),
 )
 

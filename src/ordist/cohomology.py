@@ -6,9 +6,12 @@ in invariant coordinates: kernels are preimage lattices, images are row
 spaces, and the quotients come out of exact Smith reductions.  The second
 models the multiplicative frame extracted from ramified primes: a product of
 cyclic generators whose last member is only determined up to roots of unity,
-together with the composite element that restores the full order.  Trace
-ideals of the frame, their twisted variants, and the torsion law they
-satisfy are checked against the cohomology layer.
+together with the composite element that restores the full order.  Its
+elements are numbered by mixed-radix indices: a translation is a
+permutation of the indices, and the coset rows of the trace ideals come
+from groupring._coset_rows on labels of the indices, as for ray class
+groups.  Trace ideals of the frame, their twisted variants, and the
+torsion law they satisfy are checked against the cohomology layer.
 """
 
 from __future__ import annotations
@@ -16,16 +19,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .groupring import _coset_rows
 from .zlinalg import (
     AbGroup,
     AbHom,
     IntMatrix,
     LinalgError,
     OrdistError,
+    _as_matrix,
     _is_prime,
     cokernel,
     hnf,
@@ -143,15 +147,13 @@ def _module_from_presentation(ambient: int, rel_rows, act_rows,
     if ambient == 0:
         triv = AbGroup(())
         return CyclicModule(triv, AbHom(triv, triv, ()), order)
-    mat = (IntMatrix.from_rows(rel_rows, ambient) if rel_rows
-           else IntMatrix.zeros(0, ambient))
-    diag, _, R = snf(mat)
+    diag, _, R = snf(_as_matrix(rel_rows, ambient))
     ident, U = hnf(R)
     if ident != IntMatrix.identity(ambient):
         raise LinalgError("coordinate change is not unimodular")
     Rm = R.array.astype(object)
     R_inv = U.array.astype(object)
-    act = np.array([list(r) for r in act_rows], dtype=object)
+    act = _as_matrix(act_rows, ambient).array.astype(object)
     rank = len(diag)
     kept = [i for i in range(rank) if diag[i] > 1]
     positions = kept + list(range(rank, ambient))
@@ -225,21 +227,6 @@ def dimension_shift(mod: CyclicModule) -> CyclicModule:
 # synthetic inertia frames
 
 
-@lru_cache(maxsize=None)
-def _carrier(moduli):
-    elements = tuple(itertools.product(*(range(d) for d in moduli)))
-    index = {e: i for i, e in enumerate(elements)}
-    return elements, index
-
-
-def _padd(moduli, a, b):
-    return tuple((x + y) % d for x, y, d in zip(a, b, moduli))
-
-
-def _pscale(moduli, a, k):
-    return tuple((k * x) % d for x, d in zip(a, moduli))
-
-
 def _porder(moduli, a) -> int:
     return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, moduli))) if a else 1
 
@@ -252,6 +239,9 @@ class SylowFrameSynthetic:
     generator only survives with order g[-1] / ell**r on its own, and the
     composite element j, the product of all generators raised to g_i / g_m,
     recovers the full order g[-1] whenever at least two generators exist.
+
+    The elements are the tuples of residues modulo moduli, numbered by
+    their mixed-radix index, the last residue running fastest.
     """
 
     ell: int
@@ -285,11 +275,9 @@ class SylowFrameSynthetic:
     def moduli(self) -> tuple[int, ...]:
         return self.g[:-1] + (self.g[-1] // self.ell ** self.r,)
 
-    def elements(self):
-        return _carrier(self.moduli)[0]
-
-    def index_of(self, e) -> int:
-        return _carrier(self.moduli)[1][e]
+    @property
+    def size(self) -> int:
+        return math.prod(self.moduli)
 
     def tau(self, i: int) -> tuple[int, ...]:
         """Generator number i, 1-based."""
@@ -310,37 +298,43 @@ def _validate_subset(frame: SylowFrameSynthetic, subset) -> tuple[int, ...]:
     return out
 
 
-def _trace_rows(frame: SylowFrameSynthetic, subset, composite_last: bool):
-    """Indicator rows of the cosets of each selected cyclic subgroup.
+def _translation(frame: SylowFrameSynthetic, elt) -> np.ndarray:
+    """Translation by elt as a permutation of the frame's indices:
+    entry a is the index of (element a) + elt."""
+    moduli = np.array(frame.moduli, dtype=np.int64)
+    radix = np.array([math.prod(frame.moduli[k + 1:])
+                      for k in range(frame.m)], dtype=np.int64)
+    coords = np.indices(frame.moduli, dtype=np.int64) \
+        .reshape(frame.m, frame.size).T
+    return (coords + np.array(elt, dtype=np.int64)) % moduli @ radix
+
+
+def _trace_rows(frame: SylowFrameSynthetic, subset,
+                composite_last: bool) -> IntMatrix:
+    """Indicator rows of the cosets of each selected cyclic subgroup,
+    in groupring._coset_rows order.
 
     With composite_last the subgroup at the final index is generated by j
-    instead of the bare last generator."""
-    moduli = frame.moduli
-    elements, index = _carrier(moduli)
-    rows = set()
+    instead of the bare last generator.  Each element is labelled by the
+    least index of its coset, the least index on its orbit under the
+    translation by the generator."""
+    labels = []
     for i in _validate_subset(frame, subset):
         gen = frame.j if (composite_last and i == frame.m) else frame.tau(i)
-        sub = [_pscale(moduli, gen, k) for k in range(_porder(moduli, gen))]
-        seen = set()
-        for sigma in elements:
-            if sigma in seen:
-                continue
-            coset = [_padd(moduli, sigma, t) for t in sub]
-            seen.update(coset)
-            row = [0] * len(elements)
-            for e in coset:
-                row[index[e]] = 1
-            rows.add(tuple(row))
-    return sorted(rows)
+        perm = _translation(frame, gen)
+        lab = cur = np.arange(frame.size)
+        for _ in range(_porder(frame.moduli, gen) - 1):
+            cur = perm[cur]
+            lab = np.minimum(lab, cur)
+        labels.append(lab)
+    return _coset_rows(frame.size, labels)
 
 
-def _translation_rows(frame: SylowFrameSynthetic, elt):
-    elements, index = _carrier(frame.moduli)
-    size = len(elements)
-    rows = [[0] * size for _ in range(size)]
-    for a, sigma in enumerate(elements):
-        rows[a][index[_padd(frame.moduli, sigma, elt)]] = 1
-    return rows
+def _translation_rows(frame: SylowFrameSynthetic, elt) -> IntMatrix:
+    """The permutation matrix of the translation by elt."""
+    rows = np.zeros((frame.size, frame.size), dtype=np.int64)
+    rows[np.arange(frame.size), _translation(frame, elt)] = 1
+    return IntMatrix(rows)
 
 
 def twisted_trace_torsion(frame: SylowFrameSynthetic, subset=None) -> AbGroup:
@@ -348,9 +342,7 @@ def twisted_trace_torsion(frame: SylowFrameSynthetic, subset=None) -> AbGroup:
     (composite generator at the last index) of the selected subset."""
     if subset is None:
         subset = range(1, frame.m + 1)
-    rows = _trace_rows(frame, subset, True)
-    size = len(frame.elements())
-    quot = cokernel(IntMatrix.from_rows(rows, size), size)
+    quot = cokernel(_trace_rows(frame, subset, True), frame.size)
     return AbGroup(quot.torsion)
 
 
@@ -358,7 +350,7 @@ def build_lambda_quotients(frame: SylowFrameSynthetic, subset):
     """Quotients of the frame group ring by the plain and twisted trace
     rows of subset, both carrying the action of the composite element j."""
     subset = _validate_subset(frame, subset)
-    size = len(frame.elements())
+    size = frame.size
     act = _translation_rows(frame, frame.j)
     order = _porder(frame.moduli, frame.j)
     plain = _module_from_presentation(
@@ -393,7 +385,7 @@ def hpq_spot_check(frame: SylowFrameSynthetic, inner, outer) -> bool:
     k = leftover.pop()
     actor = frame.tau(k)
     mod = _module_from_presentation(
-        len(frame.elements()),
+        frame.size,
         _trace_rows(frame, p_set, False),
         _translation_rows(frame, actor),
         _porder(frame.moduli, actor))

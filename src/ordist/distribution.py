@@ -513,9 +513,8 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
     if fr.j != amb.add(fr.taus[0], fr.taus[1]):
         raise OracleMismatch("j is not the product t_1 t_2")
     odd = Subgroup.whole(amb).prime_to(2)
-    vec = [0] * P.n_gens
-    for s in odd.elements:
-        vec[P.column_of(m, s)] += 1
+    vec = np.zeros(P.n_gens, dtype=np.int64)
+    vec[P.offset(m) + np.flatnonzero(odd.mask)] = 1
     # one halved bracket term per prime: (prime, generator, sign, twist)
     terms = ((fr.primes[0], gens[0], 1, None),
              (fr.primes[1], gens[1], 1, None),
@@ -524,19 +523,22 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
         u = m.without(q)
         Gu = P.ray(u)
         push = G.transition(u)
-        phi = {push.apply(x) for x in odd.elements}
+        phi = np.zeros(Gu.group.order, dtype=bool)  # the image of G'
+        phi[push.index_image()[odd.mask]] = True
+        n_phi = int(np.count_nonzero(phi))
         lam = Gu.artin(q)
-        if tuple(lam) in phi:
+        if phi[Gu.group.index_of(lam)]:
             continue  # s(Phi)(1 - lam^-1) = 0, the whole term vanishes
-        if Gu.group.order != 2 * len(phi):
+        if Gu.group.order != 2 * n_phi:
             raise HypothesisFailed(
-                f"odd-part image has index {Gu.group.order // len(phi)} "
+                f"odd-part image has index {Gu.group.order // n_phi} "
                 f"at level {u.label()}, halving needs index 2")
         shift = Gu.group.neg(lam)
         if extra is not None:
             shift = Gu.group.add(shift, push.apply(extra))
-        for el in phi:
-            vec[P.column_of(u, Gu.group.add(el, shift))] += sign
+        vec[P.offset(u) + Gu.group.indices(
+            Gu.group.coordinates()[phi], np.array(shift))] += sign
+    vec = vec.tolist()
     in_kernel = _annihilation_product(iwasawa_matrix(P),
                                       IntMatrix.from_rows([vec], P.n_gens))
     nu_R = nu(P, vec)

@@ -6,9 +6,11 @@ denominator.  Every operation is an index map on that vector: a trace
 counts indices, a translation is a permutation of them, a transfer
 reads the numerators through the index image of a homomorphism, and a
 product adds translated copies of one factor, one per nonzero of the
-other.  A kernel of a transition G_n -> G_u is read off the index image
-of the transition: its trace marks the indices sent to 0, and its
-cosets are the fibres.  The main constructions:
+other.  A subgroup is a boolean mask over the indices (rayclass.Subgroup),
+so its trace is that mask as a numerator vector.  A kernel of a
+transition G_n -> G_u is the set of indices the transition sends to 0,
+and its cosets are the fibres of the transition.  The main
+constructions:
 
   * trace(X) = sum of the elements of X with coefficient one;
   * p_star(G, p) = averaged inverse Frobenius at p: the inverse of any
@@ -55,13 +57,6 @@ def _same_group(a: AbGroup, b: AbGroup) -> None:
             f"{b.invariant_factors} do not mix")
 
 
-def _indices(group: AbGroup, elements) -> np.ndarray:
-    """Mixed-radix indices of a sequence of element tuples."""
-    k = len(group.invariant_factors)
-    return group.indices(
-        np.array(elements, dtype=np.int64).reshape(len(elements), k))
-
-
 @dataclass(frozen=True, eq=False)
 class GroupRingElt:
     """The element num / den of Q[G], G finite.
@@ -87,7 +82,8 @@ class GroupRingElt:
         den = int(self.den)
         if den < 1:
             raise OrdistError(f"denominator {den} is not positive")
-        g = math.gcd(den, int(np.gcd.reduce(num)))
+        # over den = 1 there is nothing to reduce
+        g = math.gcd(den, int(np.gcd.reduce(num))) if den > 1 else 1
         if g > 1 and num.any():  # a zero num has g = den and stays
             num = num // g
         num = _promote(num)
@@ -151,19 +147,17 @@ class GroupRingElt:
 
 
 def trace(X, group: AbGroup | None = None) -> GroupRingElt:
-    """s(X): the sum of the elements of X with coefficient one."""
+    """s(X): the sum of the elements of X with coefficient one.  X is a
+    Subgroup, whose mask is the numerator, or a sequence of element
+    tuples of group."""
     if isinstance(X, Subgroup):
-        group, X = X.ambient, X.elements
-    elif group is None:
+        return GroupRingElt(X.ambient, X.mask.astype(np.int64))
+    if group is None:
         raise OrdistError("trace of a raw element list needs the group")
-    return GroupRingElt(group, np.bincount(_indices(group, tuple(X)),
-                                           minlength=group.order))
-
-
-def _kernel_trace(G: RayClassGroup, u: Modulus) -> GroupRingElt:
-    """s(ker(G_n -> G_u)): the indices that the transition sends to 0."""
-    return GroupRingElt(G.group, (G.transition(u).index_image() == 0)
-                        .astype(np.int64))
+    X = list(X)
+    k = len(group.invariant_factors)
+    idx = group.indices(np.array(X, dtype=np.int64).reshape(len(X), k))
+    return GroupRingElt(group, np.bincount(idx, minlength=group.order))
 
 
 def p_star(G: RayClassGroup, p: OIdeal) -> GroupRingElt:
@@ -171,7 +165,7 @@ def p_star(G: RayClassGroup, p: OIdeal) -> GroupRingElt:
     lam, exact = G.frobenius(p)
     if exact:
         return GroupRingElt.basis(G.group, G.group.neg(lam))
-    T = _kernel_trace(G, G.modulus.without(p))  # the inertia group at p
+    T = trace(G.inertia(p))
     return GroupRingElt(G.group, T.translate(G.group.neg(lam)).num,
                         int(T.num.sum()))
 
@@ -180,7 +174,7 @@ def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
     """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), inside Q[G_{n2}]."""
     if G.modulus != n2:
         raise OrdistError("group does not present the target modulus")
-    out = _kernel_trace(G, n)
+    out = trace(G.level_kernel(n))
     one = GroupRingElt.one(G.group)
     for p, _ in n.primes:
         out = out * (one - p_star(G, p))
@@ -256,10 +250,10 @@ def _fibres(G: RayClassGroup, p: OIdeal) -> np.ndarray:
 
 
 def trace_ideal(G: RayClassGroup) -> TraceIdeal:
-    labels = [_fibres(G, p) for p, _ in G.modulus.primes]
-    gens = tuple(GroupRingElt(G.group, (lab == 0).astype(np.int64))
-                 for lab in labels)
-    return TraceIdeal(G.group, gens, _coset_rows(G.group.order, labels))
+    primes = [p for p, _ in G.modulus.primes]
+    gens = tuple(trace(G.inertia(p)) for p in primes)
+    return TraceIdeal(G.group, gens, _coset_rows(
+        G.group.order, [_fibres(G, p) for p in primes]))
 
 
 def trace_ideal_quotient(G: RayClassGroup) -> tuple[AbGroup, int]:
@@ -284,10 +278,8 @@ def gal_h_quotient(G_m: RayClassGroup, n: Modulus) -> AbGroup:
     if not n.divides(G_m.modulus):
         raise OrdistError("level does not divide the ambient modulus")
     G = ray_class_group(G_m.field, n)
-    gab, dlog, _ = G.gamma().as_group()
-    # an element of Gamma_n: its index in G_n, and in gab
-    inside = _indices(G.group, list(dlog))
-    own = _indices(gab, list(dlog.values()))
+    gab, inside, coords, _ = G.gamma().as_group()
+    own = gab.indices(coords)  # the indices in gab of the members
     labels = []
     for p, _ in n.primes:
         lab = np.empty(gab.order, dtype=np.int64)

@@ -446,10 +446,13 @@ class Modulus:
         return not self.primes
 
     def ideal(self) -> OIdeal:
-        out = self.field.unit_ideal()
-        for p, e in self.primes:
-            out = out.multiply(p.pow(e))
-        return out
+        """The product of the prime powers, multiplied out once."""
+        if "_ideal" not in self.__dict__:
+            out = self.field.unit_ideal()
+            for p, e in self.primes:
+                out = out.multiply(p.pow(e))
+            object.__setattr__(self, "_ideal", out)
+        return self.__dict__["_ideal"]
 
     def v_p(self, p: OIdeal) -> int:
         for q, e in self.primes:

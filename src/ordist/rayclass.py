@@ -23,8 +23,6 @@ frame element whose order drops by the l-part of w_K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .quadfield import (
@@ -39,8 +37,8 @@ from .zlinalg import (
     AbHom,
     IntMatrix,
     OrdistError,
-    _closure,
     _discover,
+    _grow,
     _harvest,
     _is_prime,
     hnf,
@@ -67,37 +65,64 @@ class FrameUnavailable(OrdistError):
 
 
 # ---------------------------------------------------------------------------
-# subgroups of a finite abelian group, carried as explicit element sets
+# subgroups of a finite abelian group, carried as masks over its indices
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
+    """A subgroup as one read-only boolean mask over the mixed-radix
+    indices of the ambient group, True on the members.  The constructor
+    checks the length and that the identity, index 0, is in."""
+
     ambient: AbGroup
-    elements: tuple[tuple[int, ...], ...]
+    mask: np.ndarray
+
+    def __post_init__(self):
+        mask = np.array(self.mask, dtype=bool)
+        if mask.shape != (self.ambient.order,) or not mask[0]:
+            raise OrdistError(
+                f"a subgroup mask needs {self.ambient.order} entries, "
+                f"with the identity at index 0")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     @staticmethod
     def generated(ambient: AbGroup, gens) -> "Subgroup":
-        closure = _closure(ambient.add, [ambient.zero()],
-                           [ambient.reduce(g) for g in gens])
-        return Subgroup(ambient, tuple(sorted(closure)))
+        span = np.zeros(ambient.order, dtype=bool)
+        span[0] = True
+        coords = ambient.coordinates()
+        for g in gens:
+            _grow(span, ambient.indices(coords, np.array(g, dtype=np.int64)))
+        return Subgroup(ambient, span)
 
     @staticmethod
     def whole(ambient: AbGroup) -> "Subgroup":
-        return Subgroup(ambient, tuple(sorted(ambient.elements())))
+        return Subgroup(ambient, np.ones(ambient.order, dtype=bool))
+
+    def __eq__(self, other):
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.ambient == other.ambient and \
+            np.array_equal(self.mask, other.mask)
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """The members as element tuples, in index (= sorted) order."""
+        return tuple(map(tuple,
+                         self.ambient.coordinates()[self.mask].tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return int(np.count_nonzero(self.mask))
 
     def contains(self, x) -> bool:
-        return self.ambient.reduce(x) in self._element_set()
-
-    def _element_set(self):
-        return _subgroup_set(self)
+        return bool(self.mask[self.ambient.index_of(x)])
 
     def scaled(self, k: int) -> "Subgroup":
-        return Subgroup(self.ambient,
-                        tuple(sorted({self.ambient.scale(x, k)
-                                      for x in self.elements})))
+        """The image of multiplication by k."""
+        amb = self.ambient
+        mask = np.zeros(amb.order, dtype=bool)
+        mask[amb.indices(amb.coordinates()[self.mask] * k)] = True
+        return Subgroup(amb, mask)
 
     def sylow(self, ell: int) -> "Subgroup":
         n = self.order
@@ -114,53 +139,52 @@ class Subgroup:
         return self.scaled(la)
 
     def product(self, other: "Subgroup") -> "Subgroup":
-        els = {self.ambient.add(x, y)
-               for x in self.elements for y in other.elements}
-        return Subgroup(self.ambient, tuple(sorted(els)))
+        """Grown from self by cosets: each time by the least member of
+        other that is not in yet."""
+        amb = self.ambient
+        span = self.mask.copy()
+        coords = amb.coordinates()
+        while True:
+            outside = other.mask & ~span
+            if not outside.any():
+                return Subgroup(amb, span)
+            x = int(np.argmax(outside))
+            _grow(span, amb.indices(coords, coords[x]))
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        els = self._element_set() & other._element_set()
-        return Subgroup(self.ambient, tuple(sorted(els)))
+        return Subgroup(self.ambient, self.mask & other.mask)
 
     def as_group(self):
-        """(AbGroup, to_sub, reps): abstract structure, a dict mapping
-        every element to its coordinates, and representatives of the
-        abstract invariant basis."""
-        return _subgroup_structure(self)
+        """(AbGroup, members, coords, reps), computed once: the abstract
+        structure; the ambient indices of the members in the order the
+        structure search found them, and their coordinates; element
+        tuples representing the abstract invariant basis.  The labels
+        are positions among the members; adding an element is one
+        gather, and zlinalg._harvest and _discover run on those."""
+        if "_structure" not in self.__dict__:
+            amb = self.ambient
+            members = np.flatnonzero(self.mask)
+            els = amb.coordinates()[members]
+            label = np.full(amb.order, -1, dtype=np.int64)
+            label[members] = np.arange(len(members))
+
+            def perm_of(x: int) -> np.ndarray:
+                return label[amb.indices(els, els[x])]
+
+            gens = _harvest(len(members), perm_of, 0)  # label 0 is zero
+            group, bfs, coords = _discover(
+                len(members), [perm_of(g) for g in gens], 0)
+            # each basis coordinate vector has one member
+            reps = [tuple(els[int(np.argmax((coords == e).all(axis=1)))]
+                          .tolist())
+                    for e in np.eye(len(group.invariant_factors),
+                                    dtype=np.int64)]
+            object.__setattr__(self, "_structure",
+                               (group, members[bfs], coords[bfs], reps))
+        return self.__dict__["_structure"]
 
     def invariant_factors(self) -> tuple[int, ...]:
         return self.as_group()[0].invariant_factors
-
-
-@lru_cache(maxsize=None)
-def _subgroup_set(sub: Subgroup):
-    return frozenset(sub.elements)
-
-
-@lru_cache(maxsize=None)
-def _subgroup_structure(sub: Subgroup):
-    """Labels are positions in sub.elements; adding an element is one
-    gather on the ambient indices, and zlinalg._harvest and _discover
-    run on those permutations."""
-    amb = sub.ambient
-    els = np.array(sub.elements, dtype=np.int64).reshape(
-        sub.order, len(amb.invariant_factors))
-    label = np.full(amb.order, -1, dtype=np.int64)
-    label[amb.indices(els)] = np.arange(sub.order)
-
-    def perm_of(x: int) -> np.ndarray:
-        return label[amb.indices(els, els[x])]
-
-    zero = int(label[0])  # the ambient index of zero is 0
-    gens = _harvest(sub.order, perm_of, zero)
-    group, bfs, coords = _discover(sub.order, [perm_of(g) for g in gens],
-                                   zero)
-    dlog = dict(zip(map(tuple, els[bfs].tolist()),
-                    map(tuple, coords[bfs].tolist())))
-    # dlog is one to one: each basis coordinate vector has one element
-    reps = [tuple(els[int(np.argmax((coords == e).all(axis=1)))].tolist())
-            for e in np.eye(len(group.invariant_factors), dtype=np.int64)]
-    return group, dlog, reps
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +440,7 @@ class RayClassGroup:
         if key in self._inertia_cache:
             return self._inertia_cache[key]
         hom = self.transition(u)
-        # index order is the sorted order of the element tuples
-        ker = self.group.coordinates()[hom.index_image() == 0]
-        sub = Subgroup(self.group, tuple(map(tuple, ker.tolist())))
+        sub = Subgroup(self.group, hom.index_image() == 0)
         if sub.order * hom.codomain.order != self.group.order:
             raise OrdistError("level kernel order does not match the index")
         self._inertia_cache[key] = sub
@@ -518,7 +540,7 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
     amb = G_m.group
     span = Subgroup.generated(amb, [])
     for p in order[:-1] if m else []:
-        grp, _, reps = syls[p].as_group()
+        grp, _, _, reps = syls[p].as_group()
         if len(grp.invariant_factors) > 1:
             raise FrameUnavailable(f"inertia l-Sylow at {p} is not cyclic")
         tau = reps[0] if reps else amb.zero()
@@ -555,8 +577,7 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
             # with at least two primes the ramification-compensating
             # element recovers the full inertia l-Sylow at the last prime
             if amb.element_order(j) != g_last or \
-                    Subgroup.generated(amb, [j])._element_set() != \
-                    syls[p_last]._element_set():
+                    Subgroup.generated(amb, [j]) != syls[p_last]:
                 raise OrdistError("j does not generate the last inertia "
                                   "l-Sylow")
     else:

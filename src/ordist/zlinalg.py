@@ -923,22 +923,15 @@ def modular_rank(A, p: int = 2147483647) -> int:
 # ---------------------------------------------------------------------------
 # black-box abelian structure
 
-def _closure(mul: Callable, start: Iterable, gens: Sequence) -> set:
-    """Everything reached from start by products with gens, breadth
-    first: the subgroup that start and gens generate when start is the
-    identity or a subgroup."""
-    out = set(start)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = mul(e, g)
-                if f not in out:
-                    out.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return out
+def _grow(span: np.ndarray, perm: np.ndarray) -> None:
+    """Grow the boolean mask span of a subgroup H, in place, to the
+    subgroup that H and x generate, where perm is multiplication by x
+    on the labels: the cosets H, xH, x^2 H, ... are added until one is
+    already in."""
+    coset = perm[np.flatnonzero(span)]
+    while not span[coset[0]]:
+        span[coset] = True
+        coset = perm[coset]
 
 
 def _harvest(order: int, perm_of: Callable[[int], np.ndarray],
@@ -948,9 +941,8 @@ def _harvest(order: int, perm_of: Callable[[int], np.ndarray],
     perm_of(x) is multiplication by the element of label x, as an array
     of labels.  A label joins, in increasing order, when it is outside
     the subgroup the earlier ones generate, until that subgroup is the
-    whole group.  The subgroup is a mask that grows by whole cosets:
-    with x joining H, the cosets H, xH, x^2 H, ... are added until one
-    is already in.
+    whole group.  The subgroup is a mask that _grow extends by whole
+    cosets.
     """
     span = np.zeros(order, dtype=bool)
     span[identity] = True
@@ -958,11 +950,7 @@ def _harvest(order: int, perm_of: Callable[[int], np.ndarray],
     while not span.all():
         x = int(np.argmin(span))  # the least label outside the span
         gens.append(x)
-        perm = perm_of(x)
-        coset = perm[np.flatnonzero(span)]
-        while not span[coset[0]]:
-            span[coset] = True
-            coset = perm[coset]
+        _grow(span, perm_of(x))
     return gens
 
 

@@ -130,7 +130,7 @@ def test_criterion_4_rank_identities(field7, triple7):
         prs = [p for p, _ in n.primes]
         for k in range(len(prs) + 1):
             for S in itertools.combinations(prs, k):
-                span = Subgroup(G.group, (G.group.zero(),))
+                span = Subgroup.generated(G.group, [])
                 for p in S:
                     span = span.product(G.inertia(p))
                 want += (-1) ** k * (G.group.order // span.order)

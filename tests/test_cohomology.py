@@ -1,5 +1,7 @@
 """Tate groups of cyclic actions and the synthetic frame torsion law."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from ordist.cohomology import (
     verify_tor_h2,
 )
 from ordist.zlinalg import AbGroup, AbHom
+
+import tuple_presentation as tp
 
 
 def _cyclic_action(invariants, rows, order):
@@ -236,7 +240,7 @@ def test_quotients_are_free_over_untouched_generators():
               SylowFrameSynthetic(3, (3, 3), 1)]
     from itertools import combinations
     for frame in frames:
-        size = len(frame.elements())
+        size = frame.size
         indices = range(1, frame.m + 1)
         for n_sub in range(frame.m):
             for subset in combinations(indices, n_sub):
@@ -269,3 +273,38 @@ def test_sweep_with_trivial_drop_has_no_torsion():
     records = sweep_torsion_law(2, 3, r=0)
     assert all(rec["law_holds"] for rec in records)
     assert all(rec["torsion"] == [] for rec in records)
+
+
+def _sweep_frames(max_size):
+    """The frames of the sweep space (ell 2 or 3, r 0 or 1, up to four
+    generators of order ell or ell^2) with at most max_size elements."""
+    for ell in (2, 3):
+        for r in (0, 1):
+            for m in range(1, 5):
+                for shape in sorted({tuple(sorted(c, reverse=True)) for c in
+                                     itertools.product((ell, ell * ell),
+                                                       repeat=m)}):
+                    frame = SylowFrameSynthetic(ell, shape, r)
+                    if frame.size <= max_size:
+                        yield frame
+
+
+def test_frame_rows_match_tuple_loops():
+    # the index code against the element-tuple loops it replaced, on
+    # every subset, plain and twisted, and every generator and j
+    cases = 0
+    for frame in _sweep_frames(243):
+        m = frame.m
+        for elt in [frame.tau(i) for i in range(1, m + 1)] + [frame.j]:
+            assert _translation_rows(frame, elt).array.tolist() == \
+                tp.frame_translation_rows(frame, elt), (frame, elt)
+        for k in range(m + 1):
+            for subset in itertools.combinations(range(1, m + 1), k):
+                for twisted in (False, True):
+                    got = _trace_rows(frame, subset, twisted)
+                    want = tp.frame_trace_rows(frame, subset, twisted)
+                    assert got.cols == frame.size
+                    assert got.array.tolist() == [list(r) for r in want], \
+                        (frame, subset, twisted)
+                    cases += 1
+    assert cases == 816  # of the 1024 in the sweep space

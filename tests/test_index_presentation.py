@@ -122,7 +122,9 @@ def test_subgroup_structure_matches_tuple_bfs(triple7):
     subs = [whole, G.gamma(), whole.sylow(2), whole.prime_to(2)] + \
         [G.inertia(p) for p, _ in G.modulus.primes]
     for sub in subs:
-        group, dlog, reps = rc._subgroup_structure.__wrapped__(sub)
+        group, members, coords, reps = sub.as_group()
+        dlog = dict(zip(map(tuple, amb.coordinates()[members].tolist()),
+                        map(tuple, coords.tolist())))
         gens = tp.greedy_generators(sub.elements, amb.add, amb.zero(),
                                     sub.order)
         want_group, want_dlog = tp.ab_discover(sub.order, amb.add, gens,

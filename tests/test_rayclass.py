@@ -10,12 +10,13 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordist.rayclass as rc
-from ordist.quadfield import Modulus, make_field
+from ordist.quadfield import Modulus, OIdeal, make_field
 from ordist.rayclass import (
     FrameUnavailable,
     NotCoprime,
@@ -25,6 +26,7 @@ from ordist.rayclass import (
     galois_over_h,
     ray_class_group,
 )
+from ordist.zlinalg import OrdistError
 
 
 def _modulus(K, spec):
@@ -305,8 +307,8 @@ def test_generator_harvests_match_old_loop(triple, monkeypatch):
         [triple.inertia(p) for p, _ in triple.modulus.primes]
     monkeypatch.setattr(rc, "_harvest", recording)
     monkeypatch.setattr(qf, "_harvest", recording)
-    for sub in subs:
-        rc._subgroup_structure.__wrapped__(sub)
+    for sub in subs:  # a fresh copy: the structure is kept per instance
+        Subgroup(sub.ambient, sub.mask).as_group()
     qf.residue_units(triple.field, triple.modulus)
     assert len(calls) == len(subs) + 1
     # labels are positions among the subgroup's sorted elements, and
@@ -323,6 +325,97 @@ def test_generator_harvests_match_old_loop(triple, monkeypatch):
                  [amb.neg(g) for g in whole[1:]]):
         want = _old_bfs(amb.add, amb.zero(), gens)
         assert Subgroup.generated(amb, gens).elements == tuple(sorted(want))
+
+
+@pytest.fixture(scope="module")
+def d15_level():
+    K = make_field(15)
+    return ray_class_group(K, _modulus(K, [(17, 0, 1), (19, 0, 1)]))
+
+
+@pytest.mark.parametrize("level", ["triple", "d15_level"])
+def test_subgroup_masks_match_tuple_sets(request, level):
+    # every mask operation against the element-tuple sets it replaced
+    G = request.getfixturevalue(level)
+    amb = G.group
+    zero = amb.zero()
+    every = amb.elements()
+    divisors = G.modulus.divisors()
+    kernels = {}
+    for u in divisors:
+        hom = G.transition(u)
+        want = {x for x in every if hom.apply(x) == hom.codomain.zero()}
+        kernels[u] = G.level_kernel(u)
+        assert kernels[u].elements == tuple(sorted(want)), u.label()
+    subs = [Subgroup.whole(amb)] + list(kernels.values())
+    for sub in subs:
+        els = set(sub.elements)
+        assert sub.order == len(els)
+        for x in every:
+            assert sub.contains(x) == (x in els)
+            # an unreduced representative of the same element
+            assert sub.contains(tuple(c + d for c, d in
+                                      zip(x, amb.invariant_factors))) \
+                == (x in els)
+        for k in (0, 1, 2, 3, 5, 6, 11, sub.order):
+            want = {amb.scale(x, k) for x in els}
+            assert set(sub.scaled(k).elements) == want
+        for ell in (2, 3, 5, 11):
+            n, la = sub.order, 1
+            while n % ell == 0:
+                n //= ell
+                la *= ell
+            assert set(sub.sylow(ell).elements) == \
+                {amb.scale(x, n) for x in els}
+            assert set(sub.prime_to(ell).elements) == \
+                {amb.scale(x, la) for x in els}
+        gens = list(sub.as_group()[3])
+        assert Subgroup.generated(amb, gens) == sub
+        assert set(sub.elements) == _old_bfs(amb.add, zero, gens)
+    small = [s for s in subs if s.order <= 40] + \
+        [s.sylow(2) for s in subs] + [s.sylow(3) for s in subs]
+    for a in small:
+        for b in small:
+            sa, sb = set(a.elements), set(b.elements)
+            assert set(a.product(b).elements) == \
+                {amb.add(x, y) for x in sa for y in sb}
+            assert set(a.intersection(b).elements) == sa & sb
+
+
+def test_subgroup_rejects_bad_masks(triple):
+    amb = triple.group
+    with pytest.raises(OrdistError, match="mask"):
+        Subgroup(amb, np.ones(amb.order - 1, dtype=bool))
+    with pytest.raises(OrdistError, match="mask"):
+        Subgroup(amb, np.zeros(amb.order, dtype=bool))
+    mask = np.ones(amb.order, dtype=bool)
+    mask[0] = False
+    with pytest.raises(OrdistError, match="mask"):
+        Subgroup(amb, mask)
+    # the mask is the subgroup's own, read-only copy
+    mask[0] = True
+    sub = Subgroup(amb, mask)
+    mask[1] = False
+    assert sub.mask.all() and not sub.mask.flags.writeable
+
+
+def test_modulus_ideal_is_built_once_per_group(K7, monkeypatch):
+    # residue_units and RayClassGroup share one product of prime powers
+    calls = []
+    multiply = OIdeal.multiply
+
+    def counting(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    spec = [(7, None, 1), (11, 0, 2)]
+    n1, n2 = _modulus(K7, spec), _modulus(K7, spec)
+    monkeypatch.setattr(OIdeal, "multiply", counting)
+    n1.ideal()
+    once = len(calls)
+    calls.clear()
+    rc.RayClassGroup(K7, n2)
+    assert once and len(calls) == once
 
 
 # -- Frobenius ----------------------------------------------------------------
@@ -379,7 +472,7 @@ def test_frame_ell_two(triple):
 
 def test_frame_ell_two_sylow_is_klein(triple):
     fr = galois_over_h(triple, 2)
-    grp, _, _ = fr.g_ell.as_group()
+    grp, _, _, _ = fr.g_ell.as_group()
     assert grp.invariant_factors == (2, 2)
 
 

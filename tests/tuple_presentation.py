@@ -9,7 +9,10 @@ onto mixed-radix indices:
     search of the old ab_discover;
   * relation_matrix: one dense Python row per relation;
   * coset_rows: the trace-ideal rows, each inertia group's cosets
-    labelled element by element from its element tuples.
+    labelled element by element from its element tuples;
+  * frame_trace_rows and frame_translation_rows: the coset rows and
+    translation matrices of a synthetic Sylow frame
+    (cohomology.SylowFrameSynthetic), on the frame's element tuples.
 
 The tests compare the index code against them exactly, including the
 order of the dlog dictionary and of the rows.
@@ -17,8 +20,11 @@ order of the dlog dictionary and of the rows.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from ordist.cohomology import _porder, _validate_subset
 from ordist.quadfield import _residue_reduce
 from ordist.zlinalg import (
     AbGroup,
@@ -223,3 +229,48 @@ def trace_ideal_rows(G) -> np.ndarray:
     """The old trace_ideal rows of a ray class group."""
     return coset_rows(G.group, [G.inertia(p).elements
                                 for p, _ in G.modulus.primes])
+
+
+def _carrier(moduli):
+    elements = tuple(itertools.product(*(range(d) for d in moduli)))
+    index = {e: i for i, e in enumerate(elements)}
+    return elements, index
+
+
+def _padd(moduli, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, moduli))
+
+
+def _pscale(moduli, a, k):
+    return tuple((k * x) % d for x, d in zip(a, moduli))
+
+
+def frame_trace_rows(frame, subset, composite_last: bool) -> list:
+    """The old cohomology._trace_rows: sorted distinct coset rows."""
+    moduli = frame.moduli
+    elements, index = _carrier(moduli)
+    rows = set()
+    for i in _validate_subset(frame, subset):
+        gen = frame.j if (composite_last and i == frame.m) else frame.tau(i)
+        sub = [_pscale(moduli, gen, k) for k in range(_porder(moduli, gen))]
+        seen = set()
+        for sigma in elements:
+            if sigma in seen:
+                continue
+            coset = [_padd(moduli, sigma, t) for t in sub]
+            seen.update(coset)
+            row = [0] * len(elements)
+            for e in coset:
+                row[index[e]] = 1
+            rows.add(tuple(row))
+    return sorted(rows)
+
+
+def frame_translation_rows(frame, elt) -> list:
+    """The old cohomology._translation_rows."""
+    elements, index = _carrier(frame.moduli)
+    size = len(elements)
+    rows = [[0] * size for _ in range(size)]
+    for a, sigma in enumerate(elements):
+        rows[a][index[_padd(frame.moduli, sigma, elt)]] = 1
+    return rows
