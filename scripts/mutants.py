@@ -41,16 +41,26 @@ class Mutant:
 _RELATION_LEVELS = "tests/test_index_presentation.py::" \
     "test_relation_matrix_and_trace_rows_match_tuple_loops"
 _DIST = "tests/test_distribution.py::"
+_PREREDUCE = "tests/test_unit_prereduce.py::"
 
 MUTANTS = (
     Mutant(
         "oracle-a-skips-row-update",
         "zlinalg.py",
-        "            A[nzr, :] -= np.outer(col[nzr], row)\n",
-        "            A[i, :] = 0\n",
+        "                    y = get(c, 0) - f * x\n",
+        "                    y = get(c, 0) if c != j else 0\n",
         ("tests/test_golden.py::test_headline_report_matches_golden",
          "tests/test_acceptance.py::test_criterion_6_dual_oracle_agreement",
-         "tests/test_zlinalg.py::test_cokernel_fast_path_on_coset_style_matrix"),
+         "tests/test_zlinalg.py::test_cokernel_fast_path_on_coset_style_matrix",
+         f"{_PREREDUCE}test_sparse_pass_matches_dense_reference_on_trace_ideals"),
+    ),
+    Mutant(
+        "oracle-a-pivots-on-non-unit",
+        "zlinalg.py",
+        "                     for j, v in row.items() if v == 1 or v == -1]\n",
+        "                     for j, v in row.items() if v]\n",
+        (f"{_PREREDUCE}test_sparse_pass_matches_dense_reference",
+         "tests/test_zlinalg.py::test_cokernel_matches_sympy"),
     ),
     Mutant(
         "oracle-b-skips-p2",
@@ -139,6 +149,21 @@ MUTANTS = (
         "    modular_rank(F)\n"
         "    tor = AbGroup(quot.torsion)\n",
         (f"{_DIST}test_level_torsion_never_eliminates_the_transform",),
+    ),
+    # the layered elimination over Z/p^K
+    Mutant(
+        "layers-skip-column-update",
+        "zlinalg.py",
+        "            start = col if last else 0\n",
+        "            start = col\n",
+        ("tests/test_zlinalg.py::test_local_valuations_match_sympy",),
+    ),
+    Mutant(
+        "layers-skip-object-promotion",
+        "zlinalg.py",
+        "    M = _promote(A % mod, mod * mod)\n",
+        "    M = _promote(A % mod)\n",
+        ("tests/test_zlinalg.py::test_modular_rank_matches_sympy",),
     ),
     # subgroup masks and the synthetic frame
     Mutant(

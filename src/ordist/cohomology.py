@@ -26,6 +26,7 @@ from .groupring import _coset_rows
 from .zlinalg import (
     AbGroup,
     AbHom,
+    CSRMatrix,
     IntMatrix,
     LinalgError,
     OrdistError,
@@ -310,9 +311,9 @@ def _translation(frame: SylowFrameSynthetic, elt) -> np.ndarray:
 
 
 def _trace_rows(frame: SylowFrameSynthetic, subset,
-                composite_last: bool) -> IntMatrix:
+                composite_last: bool) -> CSRMatrix:
     """Indicator rows of the cosets of each selected cyclic subgroup,
-    in groupring._coset_rows order.
+    a CSRMatrix in groupring._coset_rows order.
 
     With composite_last the subgroup at the final index is generated by j
     instead of the bare last generator.  Each element is labelled by the

@@ -38,7 +38,7 @@ from .rayclass import RayClassGroup, Subgroup, ray_class_group
 from .zlinalg import (
     AbGroup,
     AbHom,
-    IntMatrix,
+    CSRMatrix,
     OrdistError,
     _abs_max,
     _promote,
@@ -197,10 +197,10 @@ class TraceIdeal:
 
     group: AbGroup
     generators: tuple[GroupRingElt, ...]
-    rows: IntMatrix
+    rows: CSRMatrix
 
 
-def _coset_rows(order: int, labels) -> IntMatrix:
+def _coset_rows(order: int, labels) -> CSRMatrix:
     """Indicator rows of all cosets of each listed subgroup of a group
     of this order; these are exactly the distinct translates of the
     subgroup traces.
@@ -208,12 +208,9 @@ def _coset_rows(order: int, labels) -> IntMatrix:
     Each subgroup comes as one coset-label array over the indices of
     the group: two indices carry the same label exactly when they lie
     in one coset, so the subgroup is the coset of index 0.  Equal
-    subgroups give their cosets once.
-
-    The rows come sorted as tuples.  The unit pre-reduction of cokernel
-    picks its pivots in row order: on Gamma for d = 3, m = 7.13.19.31
-    this order clears every pivot, while the order of the coset labels
-    leaves a 75 x 4451 residual for the Smith elimination.
+    subgroups give their cosets once.  The rows come as a CSRMatrix,
+    sorted as tuples, an order that does not depend on the label
+    values.
     """
     blocks, seen = [], set()
     for lab in labels:
@@ -225,7 +222,7 @@ def _coset_rows(order: int, labels) -> IntMatrix:
         # one coset per row, its members ascending
         blocks.append(np.argsort(lab, kind="stable").reshape(-1, len(sub)))
     if not blocks:
-        return IntMatrix.zeros(0, order)
+        return CSRMatrix.from_dense(np.zeros((0, order), dtype=np.int64))
     width = max(b.shape[1] for b in blocks)
     # of two rows, the smaller tuple has the larger member where their
     # ascending member lists first differ, or is a prefix of the other:
@@ -235,12 +232,11 @@ def _coset_rows(order: int, labels) -> IntMatrix:
     starts = np.cumsum([0] + [len(b) for b in blocks])
     for b, r in zip(blocks, starts):
         keys[r:r + len(b), :b.shape[1]] = -b
-    where = np.empty(len(keys), dtype=np.int64)
-    where[np.lexsort(keys.T[::-1])] = np.arange(len(keys))
-    rows = np.zeros((len(keys), order), dtype=np.int64)
-    for b, r in zip(blocks, starts):
-        rows[where[r:r + len(b), None], b] = 1
-    return IntMatrix(rows)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    member = keys != -order
+    return CSRMatrix(np.concatenate([[0], np.cumsum(member.sum(axis=1))]),
+                     -keys[member], np.ones(member.sum(), dtype=np.int64),
+                     order)
 
 
 def _fibres(G: RayClassGroup, p: OIdeal) -> np.ndarray:
@@ -271,21 +267,28 @@ def _check_coprime_to_w(n: Modulus) -> None:
             f"modulus norm {n.norm()} shares a factor with w = {n.field.w_K}")
 
 
+def _gamma_labels(G: RayClassGroup) -> tuple[int, list[np.ndarray]]:
+    """The order of Gamma_n = ker(G_n -> G_(1)) and, per prime of n,
+    the coset labels of its inertia group inside Gamma_n, over the
+    indices of Gamma_n's own group."""
+    gab, inside, coords, _ = G.gamma().as_group()
+    own = gab.indices(coords)  # the indices in gab of the members
+    labels = []
+    for p, _ in G.modulus.primes:
+        lab = np.empty(gab.order, dtype=np.int64)
+        lab[own] = _fibres(G, p)[inside]
+        labels.append(lab)
+    return gab.order, labels
+
+
 def gal_h_quotient(G_m: RayClassGroup, n: Modulus) -> AbGroup:
     """Full structure of Z[Gamma_n]/S~(n), Gamma_n = ker(G_n -> G_(1))
     and S~(n) the ideal of inertia traces taken inside Z[Gamma_n]."""
     _check_coprime_to_w(n)
     if not n.divides(G_m.modulus):
         raise OrdistError("level does not divide the ambient modulus")
-    G = ray_class_group(G_m.field, n)
-    gab, inside, coords, _ = G.gamma().as_group()
-    own = gab.indices(coords)  # the indices in gab of the members
-    labels = []
-    for p, _ in n.primes:
-        lab = np.empty(gab.order, dtype=np.int64)
-        lab[own] = _fibres(G, p)[inside]
-        labels.append(lab)
-    return cokernel(_coset_rows(gab.order, labels), gab.order)
+    order, labels = _gamma_labels(ray_class_group(G_m.field, n))
+    return cokernel(_coset_rows(order, labels), order)
 
 
 def gal_h_quotient_torsion(G_m: RayClassGroup, n: Modulus) -> AbGroup:

@@ -9,6 +9,10 @@ matrices.  Finitely generated abelian groups are cokernels
 Z^n / rowspace(R), described by invariant factors d_1 | d_2 | ... (0
 encodes an infinite cyclic factor, factors equal to 1 are dropped).
 
+Sparse rows come as a CSRMatrix.  A cokernel first splits off its unit
+pivots by one sparse Schur pass on Python ints, then takes the Smith form
+of the dense residual.
+
 The workhorse is a row echelon pass with minimal-absolute-value pivoting
 and repeated Euclidean reduction on object rows, used for Hermite forms,
 kernels and left solves.  Smith forms use alternating row and column
@@ -177,9 +181,87 @@ class IntMatrix:
         return IntMatrix.from_rows(data, cols)
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """Immutable integer matrix in compressed sparse row form.
+
+    Row i has the entries data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]], ascending; no stored entry is 0,
+    so equal matrices have equal arrays.  indptr and indices are int64,
+    data int64 or object as for IntMatrix.  The constructor takes
+    ownership of the arrays it is given and freezes them.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    cols: int
+
+    def __post_init__(self):
+        ptr = np.asarray(self.indptr, dtype=np.int64)
+        idx = np.asarray(self.indices, dtype=np.int64)
+        val = _promote(np.asarray(self.data))
+        if ptr.ndim != 1 or len(ptr) == 0 or ptr[0] != 0 \
+                or (np.diff(ptr) < 0).any() or ptr[-1] != len(idx) \
+                or val.shape != idx.shape:
+            raise LinalgError("inconsistent sparse row pointers")
+        # within a row the columns ascend; a row start may step back
+        starts = np.zeros(len(idx), dtype=bool)
+        starts[ptr[:-1][ptr[:-1] < len(idx)]] = True
+        if ((idx < 0) | (idx >= self.cols)).any() \
+                or ((np.diff(idx) <= 0) & ~starts[1:]).any() \
+                or not val.all():
+            raise LinalgError("bad sparse row entries")
+        for a, name in ((ptr, "indptr"), (idx, "indices"), (val, "data")):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @staticmethod
+    def from_dense(a: np.ndarray) -> "CSRMatrix":
+        """The nonzeros of a 2-D integer array."""
+        r, c = np.nonzero(a)
+        return CSRMatrix(np.searchsorted(r, np.arange(a.shape[0] + 1)),
+                         c, a[r, c], a.shape[1])
+
+    @property
+    def rows(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def array(self) -> np.ndarray:
+        """The dense array, built on each read."""
+        out = np.zeros((self.rows, self.cols), dtype=self.data.dtype)
+        out[np.repeat(np.arange(self.rows), np.diff(self.indptr)),
+            self.indices] = self.data
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows as tuples of Python ints."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, CSRMatrix):
+            return NotImplemented
+        return self.cols == other.cols \
+            and np.array_equal(self.indptr, other.indptr) \
+            and np.array_equal(self.indices, other.indices) \
+            and np.array_equal(self.data, other.data)
+
+
 def _as_matrix(A, cols: int | None = None) -> IntMatrix:
-    """A itself, or the matrix of a sequence of int rows."""
+    """A itself, the dense form of a CSRMatrix, or the matrix of a
+    sequence of int rows."""
+    if isinstance(A, CSRMatrix):
+        return IntMatrix(A.array)
     return A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A, cols)
+
+
+def _as_sparse(A, cols: int | None = None) -> CSRMatrix:
+    """A itself, or the nonzeros of a dense matrix or row sequence."""
+    if isinstance(A, CSRMatrix):
+        return A
+    return CSRMatrix.from_dense(_as_matrix(A, cols).array)
 
 
 def _rows_of(A) -> tuple[list[np.ndarray], int]:
@@ -803,56 +885,91 @@ class AbHom:
         return self.__dict__["_index_image"]
 
 
-def _unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
+def _unit_prereduce(mat) -> tuple[int, IntMatrix]:
     """Split off Smith pivots of absolute value 1 by exact Schur steps.
 
-    Clearing the row and column of a +-1 entry with integer operations
-    removes one invariant factor equal to 1 and leaves the Smith form of
-    the complement unchanged.  Coset-indicator and presentation matrices
+    Clearing the column of a +-1 entry from the other rows with integer
+    row operations, then dropping its row and column, removes one
+    invariant factor equal to 1 and leaves the Smith form of the
+    complement unchanged.  Coset-indicator and presentation matrices
     are unit-rich, so this collapses most of the matrix before the cubic
-    elimination runs.  Returns (unit pivot count, remaining matrix).
+    elimination runs.
+
+    The pass reads only the nonzeros of mat (an IntMatrix, a CSRMatrix
+    or int rows): each row is a dict from column to Python int, and
+    each column keeps the set of rows nonzero in it.  It works in
+    rounds.  A round lists the +-1 entries by Markowitz score (row
+    nonzeros - 1) * (column nonzeros - 1) and takes them in that order,
+    skipping an entry whose row an earlier pivot of the round updated or
+    whose column lies in the support of an earlier pivot row, since
+    those are the rows and columns the earlier pivots changed.  Returns
+    (unit pivot count, the remaining nonzero rows and columns as a dense
+    matrix).
     """
-    A = mat.array.copy()
-    if A.size == 0:
-        return 0, mat
+    sp = _as_sparse(mat)
+    ptr, idx, val = sp.indptr.tolist(), sp.indices.tolist(), sp.data.tolist()
+    rows = {}
+    at = [set() for _ in range(sp.cols)]  # the rows nonzero in each column
+    for i, (s, e) in enumerate(zip(ptr, ptr[1:])):
+        if s < e:
+            rows[i] = dict(zip(idx[s:e], val[s:e]))
+            for c in idx[s:e]:
+                at[c].add(i)
+    n, w = sp.rows, sp.cols
     ones = 0
     while True:
-        unit = np.abs(A) == 1
-        if not unit.any():
+        # one int per candidate sorts faster than tuples: score, row, column
+        cand = []
+        for i, row in rows.items():
+            rn = len(row) - 1
+            cand += [(rn * (len(at[j]) - 1) * n + i) * w + j
+                     for j, v in row.items() if v == 1 or v == -1]
+        if not cand:
             break
-        nz = A != 0
-        rn = nz.sum(axis=1)
-        cn = nz.sum(axis=0)
-        pos = np.argwhere(unit)
-        score = (rn[pos[:, 0]] - 1) * (cn[pos[:, 1]] - 1)
-        progressed = False
-        for k in np.argsort(score, kind="stable"):
-            i, j = int(pos[k, 0]), int(pos[k, 1])
-            v = A[i, j]
-            if v != 1 and v != -1:
-                continue  # stale candidate, changed by an earlier pivot
-            if A.dtype == np.int64:
-                # the updated rows stay below this bound, the rest fit
-                nzr = np.nonzero(A[:, j])[0]
-                A = _promote(A, _abs_max(A[nzr, :]) + _abs_max(A[nzr, j])
-                             * _abs_max(A[i, :]))
-            row = A[i, :] * int(v)
-            col = A[:, j].copy()
-            nzr = np.nonzero(col)[0]
-            A[nzr, :] -= np.outer(col[nzr], row)
+        cand.sort()
+        hit_rows, hit_cols = set(), set()
+        for key in cand:
+            key, j = divmod(key, w)
+            i = key % n
+            if i in hit_rows or j in hit_cols:
+                continue
+            prow = rows.pop(i)
+            v = prow[j]
+            for c in prow:
+                at[c].discard(i)
+            hit_rows.add(i)
+            hit_cols.update(prow)
+            for r in list(at[j]):
+                row = rows[r]
+                get = row.get
+                f = row[j] * v  # v is its own inverse
+                for c, x in prow.items():
+                    y = get(c, 0) - f * x
+                    if y:
+                        if c not in row:
+                            at[c].add(r)
+                        row[c] = y
+                    else:
+                        del row[c]
+                        at[c].discard(r)
+                if not row:
+                    del rows[r]
+                hit_rows.add(r)
             ones += 1
-            progressed = True
-        if not progressed:
-            break
-    keep_r = np.nonzero((A != 0).any(axis=1))[0]
-    keep_c = np.nonzero((A != 0).any(axis=0))[0]
-    return ones, IntMatrix(A[np.ix_(keep_r, keep_c)])
+    keep = sorted(rows)
+    kept = [c for c in range(sp.cols) if at[c]]
+    pos = {c: k for k, c in enumerate(kept)}
+    rest = np.zeros((len(keep), len(kept)), dtype=object)
+    for k, i in enumerate(keep):
+        for c, x in rows[i].items():
+            rest[k, pos[c]] = x
+    return ones, IntMatrix(rest)
 
 
 def cokernel(A, ambient_rank: int) -> AbGroup:
     """Structure of Z^ambient_rank / rowspace(A): _unit_prereduce
     splits off the unit pivots, the Smith elimination takes the rest."""
-    mat = _as_matrix(A, ambient_rank)
+    mat = _as_sparse(A, ambient_rank)
     if mat.cols != ambient_rank:
         raise LinalgError("ambient rank does not match matrix width")
     ones, rest = _unit_prereduce(mat)

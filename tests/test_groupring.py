@@ -348,6 +348,5 @@ def test_ring_matches_fraction_reference(request, d, qs):
         subs = [H.inertia(p).elements for p, _ in n2.primes]
         rows = trace_ideal(H).rows
         assert rows.array.dtype == np.int64
-        # the same rows in the same order, which cokernel's unit
-        # pre-reduction depends on
+        # the same rows in the same order
         assert rows.entries == ref.coset_rows(H.group, subs)

@@ -94,8 +94,7 @@ def test_relation_matrix_and_trace_rows_match_tuple_loops(request, d, qs):
         G = P.ray(u)
         rows = trace_ideal(G).rows.array
         assert rows.dtype == np.int64
-        # the same rows in the same order, which cokernel's unit
-        # pre-reduction depends on
+        # the same rows in the same order
         assert np.array_equal(rows, tp.trace_ideal_rows(G))
 
 

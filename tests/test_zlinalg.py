@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ordist.zlinalg import (
     AbGroup,
     AbHom,
+    CSRMatrix,
     GeneratorsInsufficient,
     IntMatrix,
     LinalgError,
@@ -454,6 +455,29 @@ def test_unit_prereduce_matches_plain_snf():
         fast = sorted([1] * ones + snf_invariants(rest, verify=False))
         plain = sorted(snf_invariants(mat, verify=False))
         assert fast == plain, (trial, fast, plain)
+
+
+def test_csr_matrix_round_trips_and_rejects_bad_rows():
+    for a in (np.array([[0, 2, 0], [0, 0, 0], [-1, 0, 5]]),
+              np.array([[1 << 63, 0], [0, -3]], dtype=object),
+              np.zeros((0, 4), dtype=np.int64)):
+        sp = CSRMatrix.from_dense(a)
+        assert (sp.rows, sp.cols) == a.shape
+        assert sp.array.dtype == IntMatrix(a).array.dtype
+        assert np.array_equal(sp.array, a)
+        assert sp.entries == IntMatrix(a).entries
+        assert sp == CSRMatrix.from_dense(a.copy())
+        assert cokernel(sp, a.shape[1]) == cokernel(IntMatrix(a), a.shape[1])
+    assert CSRMatrix([0, 1], [0], [1], 2) != CSRMatrix([0, 1], [1], [1], 2)
+    for ptr, idx, val in (([0, 2], [1, 0], [1, 1]),  # columns not ascending
+                          ([0, 1], [0], [0]),  # a stored zero
+                          ([0, 1], [2], [1]),  # column out of range
+                          ([0, 2], [0], [1]),  # pointers past the entries
+                          ([1, 1], [0], [1])):  # not starting at 0
+        with pytest.raises(LinalgError):
+            CSRMatrix(ptr, idx, val, 2)
+    # a row may start at a smaller column than the last row ended
+    assert CSRMatrix([0, 1, 2], [1, 0], [1, 1], 2).entries == ((0, 1), (1, 0))
 
 
 def test_cokernel_fast_path_on_coset_style_matrix():
