@@ -85,8 +85,8 @@ MUTANTS = (
     Mutant(
         "scatter-drops-frobenius-twist",
         "distribution.py",
-        "                        vals.append(np.full(n_u, -1, dtype=np.int64))\n",
-        "                        vals.append(np.zeros(n_u, dtype=np.int64))\n",
+        "                vals.append(np.full(n_u, -1, dtype=np.int64))\n",
+        "                vals.append(np.zeros(n_u, dtype=np.int64))\n",
         (f"{_RELATION_LEVELS}[d7-7*11*23]",
          f"{_RELATION_LEVELS}[d7-11]",
          "tests/test_golden.py::test_headline_report_matches_golden"),
@@ -98,14 +98,7 @@ MUTANTS = (
         "            pass  # an equal subgroup has the same cosets\n",
         (f"{_RELATION_LEVELS}[d3-2^2*7]",),
     ),
-    # the rank certificate and the annihilation check
-    Mutant(
-        "certificate-skips-column-check",
-        "distribution.py",
-        "        if (block != head).any():\n",
-        "        if False:\n",
-        (f"{_DIST}test_certificate_refuses_a_permuted_column",),
-    ),
+    # the rank certificate and the annihilation check on the heads
     Mutant(
         "certificate-skips-fibre-check",
         "distribution.py",
@@ -121,20 +114,6 @@ MUTANTS = (
         (f"{_DIST}test_certificate_refuses_lifts_that_miss_a_level",),
     ),
     Mutant(
-        "annihilation-sums-all-rows",
-        "distribution.py",
-        "np.add.reduceat(A[k:k + step, j] * vals, starts, axis=1)",
-        "np.add.reduceat(A[k:k + step, j] * vals, [0], axis=1)",
-        (f"{_DIST}test_nonzero_annihilation_matches_dense_product",),
-    ),
-    Mutant(
-        "annihilation-skips-first-chunk",
-        "distribution.py",
-        "        for k in range(0, F.rows, step))\n",
-        "        for k in range(step, F.rows, step))\n",
-        (f"{_DIST}test_nonzero_annihilation_matches_dense_product",),
-    ),
-    Mutant(
         "character-count-is-order",
         "distribution.py",
         "    return int(X.reshape(len(heads), -1).any(axis=0).sum())\n",
@@ -146,9 +125,34 @@ MUTANTS = (
         "distribution.py",
         "    tor = AbGroup(quot.torsion)\n",
         "    from .zlinalg import modular_rank\n"
-        "    modular_rank(F)\n"
+        "    modular_rank(heads)\n"
         "    tor = AbGroup(quot.torsion)\n",
         (f"{_DIST}test_level_torsion_never_eliminates_the_transform",),
+    ),
+    Mutant(
+        "template-check-ignores-moved-row",
+        "distribution.py",
+        "        if moved.any():\n",
+        "        if moved[0]:\n",
+        (f"{_DIST}test_certificate_refuses_a_permuted_column",),
+    ),
+    Mutant(
+        "template-identity-drops-twist",
+        "distribution.py",
+        "        np.add.at(identity, shifted.ravel(),\n"
+        "                  (hu[:, None] * v0[in_u]).ravel())\n",
+        "        np.add.at(identity, shifted[:, :1].ravel(),\n"
+        "                  (hu[:, None] * v0[in_u][:1]).ravel())\n",
+        (f"{_DIST}test_gather_transform_matches_fraction_reference[7-qs9]",
+         "tests/test_golden.py::test_headline_report_matches_golden"),
+    ),
+    Mutant(
+        "alpha-coset-sum-plus-lambda",
+        "groupring.py",
+        "                                               np.array(lam))]]\n",
+        "                                               -np.array(lam))]]\n",
+        ("tests/test_groupring.py::test_ring_matches_fraction_reference[7-qs0]",
+         f"{_DIST}test_gather_transform_matches_fraction_reference[7-qs0]"),
     ),
     # the layered elimination over Z/p^K
     Mutant(

@@ -94,7 +94,6 @@ from .distribution import (  # noqa: F401
     TorsionCertificate,
     WrongShape,
     build_presentation,
-    iwasawa_matrix,
     level_torsion,
     nu,
     search_torsex,

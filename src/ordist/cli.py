@@ -10,10 +10,11 @@ The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
 so that reordered prime specs share an entry: a JSON manifest holding
 the ray class tables and the computed result, plus the big matrices in
-the plain text format of the linear algebra layer.  A manifest that
-does not parse or lacks a result counts as a miss and is overwritten.
-Reads and writes take an advisory lock on a file beside the key
-directories.
+the plain text format of the linear algebra layer (for `torsion`, the
+relation matrix and the heads, the level elements that define the
+transform).  A manifest that does not parse or lacks a result counts
+as a miss and is overwritten.  Reads and writes take an advisory lock
+on a file beside the key directories.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .distribution import (
     HypothesisFailed,
     OracleMismatch,
     build_presentation,
-    iwasawa_matrix,
     level_torsion,
     search_torsex,
     torsex_certificate,
@@ -43,7 +43,7 @@ from .distribution import (
 from .groupring import NotCoprimeToW
 from .quadfield import Modulus, QuadField, make_field
 from .rayclass import ray_class_group
-from .zlinalg import IntMatrix, OrdistError
+from .zlinalg import CSRMatrix, IntMatrix, OrdistError
 
 SCHEMA = "ordist/1"
 
@@ -173,7 +173,7 @@ class Cache:
         return manifest
 
     def store(self, command: str, d: int, spec: str, manifest: dict,
-              matrices: dict[str, IntMatrix] = ()) -> None:
+              matrices: dict[str, IntMatrix | CSRMatrix] = ()) -> None:
         if self.root is None:
             return
         key = _cache_key(command, d, spec)
@@ -228,7 +228,6 @@ def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
     _note(cfg, "building presentation")
     P = build_presentation(K, m)
     _note(cfg, f"{P.n_gens} generators, {P.relations.rows} relations")
-    F = iwasawa_matrix(P)
     tor = level_torsion(P)
     product_bound, borne = torsion_bound(P)
     result = {
@@ -247,7 +246,7 @@ def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
                    for u in P.levels],
         "transform_scale": P.transform_scale,
         "result": result,
-    }, {"relations": P.relations, "transform": F})
+    }, {"relations": P.relations, "heads": P.heads})
     return result
 
 

@@ -30,8 +30,10 @@ from .zlinalg import (
     IntMatrix,
     LinalgError,
     OrdistError,
+    _abs_max,
     _as_matrix,
     _is_prime,
+    _promote,
     cokernel,
     hnf,
     rational_kernel,
@@ -77,15 +79,34 @@ class CyclicModule:
         n = len(inv)
         if n == 0:
             return
-        A = np.array([list(r) for r in self.t_action.matrix], dtype=object)
-        P = np.identity(n, dtype=object)
-        for _ in range(self.order):
-            P = P @ A
-        for i in range(n):
-            row = _reduce_mixed(inv, [int(x) for x in P[i]])
-            unit = _reduce_mixed(inv, [1 if k == i else 0 for k in range(n)])
-            if row != unit:
-                raise ValueError("declared power of the action is not the identity")
+        # t ** order by repeated squaring; no invariant factor is 1, so
+        # the identity is its own reduction
+        base = _reduced_product(np.identity(n, dtype=np.int64),
+                                np.array(self.t_action.matrix, dtype=object),
+                                inv)
+        power = np.identity(n, dtype=np.int64)
+        e = self.order
+        while e:
+            if e & 1:
+                power = _reduced_product(power, base, inv)
+            e >>= 1
+            if e:
+                base = _reduced_product(base, base, inv)
+        if not np.array_equal(power, np.identity(n, dtype=np.int64)):
+            raise ValueError("declared power of the action is not the identity")
+
+
+def _reduced_product(X: np.ndarray, Y: np.ndarray, inv) -> np.ndarray:
+    """X @ Y with column k reduced mod the invariant factor inv[k] and
+    kept exact where inv[k] = 0.  For matrices of endomorphisms of the
+    group with these invariant factors, reducing the factors first does
+    not change the reduced product."""
+    bound = X.shape[1] * (_abs_max(X) + 1) * (_abs_max(Y) + 1)
+    Z = _promote(X, bound) @ _promote(Y, bound)
+    for k, d in enumerate(inv):
+        if d:
+            Z[:, k] %= d
+    return _promote(Z)
 
 
 def _lattice_preimage(map_rows, rel_rows, ambient: int):

@@ -4,8 +4,9 @@ A level modulus m over an imaginary quadratic field determines a finite
 presentation: one generator for each pair (n, sigma) with n | m and
 sigma in the ray class group G_n, and one relation for every
 symbol-elimination step between a divisor level and a higher one.  This
-module builds that presentation, the integral transform that kills all
-relations, the torsion of the level quotient (computed two independent
+module builds that presentation, the level elements that define the
+integral transform killing all relations (the transform itself is never
+built), the torsion of the level quotient (computed two independent
 ways), the annihilation and order bounds for that torsion, the parity
 functional on three-prime levels, and the explicit certificate element
 whose odd parity value exhibits nonzero 2-torsion for suitable prime
@@ -33,6 +34,7 @@ from .rayclass import (
 )
 from .zlinalg import (
     AbGroup,
+    CSRMatrix,
     IntMatrix,
     OrdistError,
     _INT64_BOUND,
@@ -67,7 +69,13 @@ class DeltaPresentation:
     relation row: +1 at (u, sigma), a -1 Frobenius twist at
     (u, sigma - artin(p)) when p does not divide u, and -1 at every
     preimage of sigma at the upper level.  Summing all preimages makes
-    the rows independent of any lift choice.
+    the rows independent of any lift choice.  The relations are one
+    sparse CSRMatrix; no dense array of them is built.
+
+    The transform F that kills the relations is never stored either: its
+    column (u, sigma) is the level element a(u, m) translated by a lift
+    of sigma to G_m, so the rows of heads, the a(u, m) over one common
+    denominator transform_scale, determine it.
     """
 
     def __init__(self, K: QuadField, m: Modulus):
@@ -85,8 +93,6 @@ class DeltaPresentation:
         self.n_gens = total
         self.relations = self._relation_matrix()
         self._torsion = None
-        self._transform = None
-        self.transform_scale = None
 
     @property
     def m(self) -> Modulus:
@@ -105,6 +111,26 @@ class DeltaPresentation:
         return math.prod(trace_ideal_quotient(self.ray(u))[1]
                          for u in self.levels)
 
+    @cached_property
+    def _scaled_heads(self) -> tuple[int, IntMatrix]:
+        G = self.ray(self.modulus)
+        alphas = [alpha(u, self.modulus, G) for u in self.levels]
+        scale = math.lcm(*(au.den for au in alphas))
+        nums = [_promote(au.num, (_abs_max(au.num) + 1) * (scale // au.den))
+                * (scale // au.den) for au in alphas]
+        return scale, IntMatrix(np.stack(nums))
+
+    @property
+    def heads(self) -> IntMatrix:
+        """One row per divisor u in level order: a(u, m) times
+        transform_scale, over the mixed-radix indices of G_m."""
+        return self._scaled_heads[1]
+
+    @property
+    def transform_scale(self) -> int:
+        """The least common denominator of the a(u, m)."""
+        return self._scaled_heads[0]
+
     def ray(self, u: Modulus) -> RayClassGroup:
         return self.rays[u.primes]
 
@@ -115,7 +141,18 @@ class DeltaPresentation:
     def column_of(self, u: Modulus, sigma) -> int:
         return self._offset[u.primes] + self.ray(u).group.index_of(sigma)
 
-    def _relation_matrix(self) -> IntMatrix:
+    def _steps(self):
+        """(u, p, t, first row) of every divisor step u -> t = u p^e, in
+        the row order of the relation matrix; a step has #G_u rows."""
+        first = 0
+        for u in self.levels:
+            for p, e_top in self.modulus.primes:
+                vu = u.v_p(p)
+                for e in range(1, e_top - vu + 1):
+                    yield u, p, u.with_exponent(p, vu + e), first
+                    first += self.ray(u).group.order
+
+    def _relation_matrix(self) -> CSRMatrix:
         """One scatter of the +-1 entries.  The block of rows for the
         step u -> t = u p^e runs over sigma in G_u in index order; the
         preimages of sigma are the fibre of Gt.transition(u) over it,
@@ -123,36 +160,31 @@ class DeltaPresentation:
         the indices of G_u."""
         rows, cols, vals = [], [], []
         n_rows = 0
-        for u in self.levels:
+        for u, p, t, first in self._steps():
             Gu = self.ray(u)
             n_u = Gu.group.order
             sigma = np.arange(n_u)
-            for p, e_top in self.modulus.primes:
-                vu = u.v_p(p)
-                for e in range(1, e_top - vu + 1):
-                    t = u.with_exponent(p, vu + e)
-                    image = self.ray(t).transition(u).index_image()
-                    rows += [n_rows + sigma, n_rows + image]
-                    cols += [self.offset(u) + sigma,
-                             self.offset(t) + np.arange(len(image))]
-                    vals += [np.ones(n_u, dtype=np.int64),
-                             np.full(len(image), -1, dtype=np.int64)]
-                    if vu == 0:
-                        # -1 at sigma - artin(p), which meets the +1
-                        # at sigma when artin(p) is trivial in G_u:
-                        # hence the entries are added, not assigned
-                        twist = Gu.group.indices(Gu.group.coordinates(),
-                                                 -np.array(Gu.artin(p),
-                                                           dtype=np.int64))
-                        rows.append(n_rows + sigma)
-                        cols.append(self.offset(u) + twist)
-                        vals.append(np.full(n_u, -1, dtype=np.int64))
-                    n_rows += n_u
-        out = np.zeros((n_rows, self.n_gens), dtype=np.int64)
-        if rows:
-            np.add.at(out, (np.concatenate(rows), np.concatenate(cols)),
-                      np.concatenate(vals))
-        return IntMatrix(out)
+            image = self.ray(t).transition(u).index_image()
+            rows += [first + sigma, first + image]
+            cols += [self.offset(u) + sigma,
+                     self.offset(t) + np.arange(len(image))]
+            vals += [np.ones(n_u, dtype=np.int64),
+                     np.full(len(image), -1, dtype=np.int64)]
+            if u.v_p(p) == 0:
+                # -1 at sigma - artin(p), which meets the +1 at sigma
+                # when artin(p) is trivial in G_u: hence the entries
+                # are added, not assigned
+                twist = Gu.group.indices(Gu.group.coordinates(),
+                                         -np.array(Gu.artin(p),
+                                                   dtype=np.int64))
+                rows.append(first + sigma)
+                cols.append(self.offset(u) + twist)
+                vals.append(np.full(n_u, -1, dtype=np.int64))
+            n_rows = first + n_u
+        empty = [np.zeros(0, dtype=np.int64)]
+        return CSRMatrix.from_triplets(
+            n_rows, self.n_gens, *(np.concatenate(x or empty)
+                                   for x in (rows, cols, vals)))
 
 
 def build_presentation(K: QuadField, m: Modulus) -> DeltaPresentation:
@@ -173,67 +205,110 @@ def _lifts(G: RayClassGroup, u: Modulus) -> tuple[np.ndarray, np.ndarray]:
     return image, lift
 
 
-def iwasawa_matrix(P: DeltaPresentation) -> IntMatrix:
-    """Integral transform of the presentation, one column per generator.
-
-    The column for (n, sigma) holds the coefficients of lift(sigma)
-    times the level element a(n, m) inside Q[G_m]; rows follow the
-    enumeration of G_m.  The sum-over-kernel factor of a(n, m) makes the
-    column independent of the chosen lift.  Entries are stored times
-    P.transform_scale, the least common denominator of the whole matrix;
-    kernels, ranks and annihilation checks do not see the scaling.
-
-    Each a(n, m) comes as one numerator vector over the mixed-radix
-    indices of G_m with one denominator.  Column (n, sigma) is that
-    vector, brought to the common denominator and translated by
-    lift(sigma), so block n is one gather on indices, int64 unless a
-    numerator does not fit.  The columns of block n therefore span the
-    ideal of Q[G_m] generated by a(n, m), which is what lets
-    _character_rank count the rank on characters; it re-reads that
-    structure off the stored matrix before it counts.
-    """
-    if P._transform is not None:
-        return P._transform
+def _transform_times(P: DeltaPresentation, heads: IntMatrix, cols,
+                     vals) -> np.ndarray:
+    """F v in Z[G_m], exactly, for the vector v with entries vals at the
+    generator indices cols; column (u, sigma) of the transform F is
+    head u translated by lift(sigma), so F v sums translated heads."""
     G = P.ray(P.modulus)
     amb = G.group
     coords = amb.coordinates()
-    alphas = [alpha(u, P.modulus, G) for u in P.levels]
-    scale = math.lcm(*(au.den for au in alphas))
-    nums = [_promote(au.num, (_abs_max(au.num) + 1) * (scale // au.den))
-            * (scale // au.den) for au in alphas]
-    out = np.zeros((amb.order, P.n_gens),
-                   dtype=_promote(np.concatenate(nums)).dtype)
-    for u, num in zip(P.levels, nums):
-        _, lift = _lifts(G, u)
-        # F[g, (u, sigma)] = a_u[g - lift(sigma)]
-        out[:, P.offset(u) + np.arange(len(lift))] = \
-            num[amb.indices(coords[:, None, :], -coords[lift][None, :, :])]
-    P.transform_scale = scale
-    P._transform = IntMatrix(out)
-    return P._transform
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals)
+    H = _promote(heads.array,
+                 (_abs_max(heads.array) + 1) * (_abs_max(vals) + 1)
+                 * (len(vals) + 1))
+    out = np.zeros(amb.order, dtype=H.dtype)
+    for head, u in zip(H, P.levels):
+        off = P.offset(u)
+        here = (off <= cols) & (cols < off + P.ray(u).group.order)
+        if here.any():
+            _, lift = _lifts(G, u)
+            # F[g, (u, sigma)] = h_u[g - lift(sigma)]
+            at = amb.indices(coords, -coords[lift[cols[here] - off]][:, None])
+            out += (vals[here][:, None] * head[at]).sum(axis=0)
+    return out
 
 
-def _annihilation_product(F: IntMatrix, rel: IntMatrix) -> bool:
-    """Exact check F . r = 0 for every row r of rel.
+def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
+                        rel: CSRMatrix) -> None:
+    """Raise OracleMismatch unless the transform kills every row of
+    rel, the relation matrix of P; the transform is not built.  The
+    heads must have passed the checks of _character_rank, so h_u is a
+    function on G_u.
 
-    Only the nonzeros of rel are multiplied: the columns of F they pick,
-    times their values, summed per relation row.  Rows of F go in
-    chunks, so no temporary is larger than F.
+    Per divisor step u -> t = u p^e: the transitions G_m -> G_t -> G_u
+    must compose to G_m -> G_u, and the row at sigma must carry the
+    entries of the row at 0 in block u shifted by sigma, -1 on the
+    fibre of G_t -> G_u over sigma in block t, and nothing else.  Then
+    F times the row at sigma is F times the row at 0 translated by
+    lift(sigma), and F times the row at 0 is, at g, I at the image of g
+    in G_u, where
+        I(s) = sum_j v_j h_u(s - c_j) - (sum of h_t over the fibre over s)
+    for the entries v_j at (u, c_j) of the row at 0: +1 at 0, and the
+    -1 of the Frobenius twist at -artin(p) when p does not divide u.
+    I must vanish; it is two np.add.at, exact on int64 or object
+    arrays, in O(#G_t).
     """
-    a, r = _abs_max(F.array), _abs_max(rel.array)
-    # bounds every entry and every partial sum of the product
-    bound = max(a, r, a * r * F.cols)
-    i, j = np.nonzero(rel.array)
-    if not i.size:
-        return True
-    A = _promote(F.array, bound)
-    vals = _promote(rel.array[i, j], bound)
-    # np.nonzero goes row by row, so each relation row is one run of i
-    starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
-    step = max(1, F.array.size // i.size)
-    return not any(
-        np.add.reduceat(A[k:k + step, j] * vals, starts, axis=1).any()
-        for k in range(0, F.rows, step))
+    G = P.ray(P.modulus)
+    steps = list(P._steps())
+    n_rows = sum(P.ray(u).group.order for u, _, _, _ in steps)
+    if (rel.rows, rel.cols) != (n_rows, P.n_gens):
+        raise OracleMismatch(
+            f"relation matrix shape {(rel.rows, rel.cols)} != "
+            f"{(n_rows, P.n_gens)}")
+    # caps a row of the relations against the heads, and a fibre sum
+    bound = (_abs_max(heads.array) + 1) * (
+        _abs_max(rel.data) * int(np.diff(rel.indptr).max(initial=0))
+        + G.group.order)
+    level = {}  # per divisor: G_m -> G_u on indices, h_u on G_u
+    for u, head in zip(P.levels, _promote(heads.array, bound)):
+        image, lift = _lifts(G, u)
+        level[u.primes] = image, head[lift]
+    for u, _, t, first in steps:
+        Gu = P.ray(u).group
+        ou, ot = P.offset(u), P.offset(t)
+        image_u, hu = level[u.primes]
+        image_t, ht = level[t.primes]
+        down = P.ray(t).transition(u).index_image()  # G_t -> G_u
+        if not np.array_equal(down[image_t], image_u):
+            raise OracleMismatch(
+                f"the transitions to {t.label()} and on to {u.label()} "
+                f"do not compose to the transition to {u.label()}")
+        ptr = rel.indptr[first:first + Gu.order + 1]
+        width = int(ptr[1] - ptr[0])
+        if (np.diff(ptr) != width).any():
+            raise OracleMismatch(
+                f"relation rows of step {u.label()} -> {t.label()} differ "
+                f"in their entry counts")
+        cols = rel.indices[ptr[0]:ptr[-1]].reshape(Gu.order, width)
+        vals = rel.data[ptr[0]:ptr[-1]].reshape(Gu.order, width)
+        c0, v0 = cols[0], vals[0]
+        in_u = (ou <= c0) & (c0 < ou + Gu.order)
+        cu = Gu.coordinates()
+        shifted = Gu.indices(cu[c0[in_u] - ou], cu[:, None])  # c_j + sigma
+        fibres = np.argsort(down, kind="stable").reshape(Gu.order, -1)
+        want = np.concatenate([ou + shifted, ot + fibres], axis=1)
+        if want.shape == cols.shape:
+            order = np.argsort(want, axis=1)
+            moved = ((np.take_along_axis(want, order, 1) != cols)
+                     | (np.r_[v0[in_u], [-1] * fibres.shape[1]][order]
+                        != vals)).any(axis=1)
+        else:  # every row has the wrong number of entries
+            moved = np.ones(Gu.order, dtype=bool)
+        if moved.any():
+            raise OracleMismatch(
+                f"relation row {first + int(moved.argmax())} of step "
+                f"{u.label()} -> {t.label()} is off its template")
+        identity = np.zeros(Gu.order, dtype=hu.dtype)
+        np.add.at(identity, down, -ht)
+        # h_u(s - c_j) at s = sigma + c_j
+        np.add.at(identity, shifted.ravel(),
+                  (hu[:, None] * v0[in_u]).ravel())
+        if identity.any():
+            raise OracleMismatch(
+                f"transform fails to annihilate the relations of step "
+                f"{u.label()} -> {t.label()}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,54 +355,41 @@ def _character_count(heads: np.ndarray, factors: tuple[int, ...],
     return int(X.reshape(len(heads), -1).any(axis=0).sum())
 
 
-def _character_rank(P: DeltaPresentation, F: IntMatrix) -> int:
-    """Lower bound for the rank of the transform F over Q, counted on
-    the characters of G_m; it certifies full row rank when it reaches
-    #G_m.
+def _character_rank(P: DeltaPresentation, heads: IntMatrix) -> int:
+    """Lower bound for the rank over Q of the transform F whose column
+    (u, sigma) is head u translated by lift(sigma); it certifies full
+    row rank when it reaches #G_m.
 
-    The structure is read off F itself first: for every divisor u the
-    head column a_u = F[:, offset(u)] must be constant on the fibres of
-    G_m -> G_u, the lifts must cover G_u, and every column (u, sigma)
-    must equal a_u translated by lift(sigma), compared exactly.  Any
-    failure raises OracleMismatch.  Then block u spans the ideal
-    generated by a_u in the group ring over any field.  Over F_p with
-    p = 1 mod the exponent of G_m (so p does not divide #G_m), F_p[G_m]
-    splits into the characters of G_m, and the ideal of a_u is the sum
-    of the characters chi with chi(a_u) != 0.  So the rank of F mod p is
-    the number of characters at which some head is nonzero (Kubert 1979,
-    Sinnott 1980), and rank over Q is at least rank mod p.  The count
-    runs at up to three primes and the best is returned.
+    The structure of the heads is checked first: for every divisor u
+    the head h_u must be constant on the fibres of G_m -> G_u, and the
+    lifts must cover G_u.  Any failure raises OracleMismatch.  Then
+    block u of F spans the ideal generated by h_u in the group ring
+    over any field.  Over F_p with p = 1 mod the exponent of G_m (so p
+    does not divide #G_m), F_p[G_m] splits into the characters of G_m,
+    and the ideal of h_u is the sum of the characters chi with
+    chi(h_u) != 0.  So the rank of F mod p is the number of characters
+    at which some head is nonzero (Kubert 1979, Sinnott 1980), and rank
+    over Q is at least rank mod p.  The count runs at up to three
+    primes and the best is returned.
     """
     G = P.ray(P.modulus)
     amb = G.group
-    if F.array.shape != (amb.order, P.n_gens):
+    if heads.array.shape != (len(P.levels), amb.order):
         raise OracleMismatch(
-            f"transform shape {F.array.shape} != "
-            f"(#G_m, generators) = {(amb.order, P.n_gens)}")
-    coords = amb.coordinates()
-    heads = []
-    for u in P.levels:
+            f"heads shape {heads.array.shape} != "
+            f"(divisors, #G_m) = {(len(P.levels), amb.order)}")
+    for u, head in zip(P.levels, heads.array):
         image, lift = _lifts(G, u)
         if (lift < 0).any():
             raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
-        off = P.offset(u)
-        head = F.array[:, off]
         if (head != head[lift[image]]).any():
             raise OracleMismatch(
-                f"head column at {u.label()} is not constant on the "
-                f"fibres of G_m -> G_u")
-        # block[sigma, g] = F[g + lift(sigma), (u, sigma)]
-        block = F.array[amb.indices(coords[lift][:, None, :], coords),
-                        off + np.arange(len(lift))[:, None]]
-        if (block != head).any():
-            raise OracleMismatch(
-                f"a column at {u.label()} is not its head translated by "
-                f"the lift")
-        heads.append(head)
-    heads = np.stack(heads)
+                f"head at {u.label()} is not constant on the fibres of "
+                f"G_m -> G_u")
     best = 0
     for p in _character_primes(amb.exponent):
-        best = max(best, _character_count(heads, amb.invariant_factors, p))
+        best = max(best, _character_count(heads.array,
+                                          amb.invariant_factors, p))
         if best == amb.order:
             break
     return best
@@ -337,22 +399,27 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
     """Torsion of the level quotient, computed two independent ways.
 
     Oracle (a) reads the invariant factors of the relation matrix off
-    its cokernel, whose free rank must equal #G_m.  The transform
-    annihilates every relation row and has full row rank #G_m, which
-    _character_rank certifies by counting, mod a prime that splits
-    F_p[G_m], the characters at which some level element a(u, m) is
-    nonzero, after checking that the stored columns are the translates
-    of those elements.  With the rank identity this makes the kernel of
-    the transform the saturation of the relation lattice, so the
-    torsion is that kernel modulo the relations.  Oracle (b) recomputes
-    the torsion p-locally, by Smith elimination over Z/p^k on the raw
-    relation matrix, at every prime p dividing S = w * product_bound *
-    |T| with T the torsion from (a).  Each pass must find one pivot per
-    unit of relation rank, with (a)'s p-valuations and zeros elsewhere.
-    Any rank defect, annihilation failure or disagreement raises
-    OracleMismatch.  The check is complete on levels whose norm is
-    prime to w: there the torsion exponent divides the product bound,
-    so every prime that can carry torsion divides S.
+    its cokernel, whose free rank must equal #G_m.  The transform F,
+    whose column (u, sigma) is the level element a(u, m) translated by
+    lift(sigma), annihilates every relation row and has full row rank
+    #G_m; both are certified on the heads a(u, m) alone, and F is never
+    built.  _character_rank counts, mod a prime that splits F_p[G_m],
+    the characters at which some a(u, m) is nonzero, after checking
+    that each a(u, m) is constant on the fibres of G_m -> G_u.
+    _check_annihilation checks that the relation rows of each divisor
+    step are translates of its row at 0, and that F kills that row: one
+    coset-sum identity per step, with no transform and no product.  With the rank identity
+    this makes the kernel of F the saturation of the relation lattice,
+    so the torsion is that kernel modulo the relations.  Oracle (b)
+    recomputes the torsion p-locally, by Smith elimination over Z/p^k
+    on the dense relation matrix, at every prime p dividing
+    S = w * product_bound * |T| with T the torsion from (a).  Each pass
+    must find one pivot per unit of relation rank, with (a)'s
+    p-valuations and zeros elsewhere.  Any rank defect, annihilation
+    failure or disagreement raises OracleMismatch.  The check is
+    complete on levels whose norm is prime to w: there the torsion
+    exponent divides the product bound, so every prime that can carry
+    torsion divides S.
     """
     if P._torsion is not None:
         return P._torsion
@@ -361,17 +428,17 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
     if quot.rank != n_top:
         raise OracleMismatch(
             f"presentation rank {quot.rank} != #G_m = {n_top}")
-    F = iwasawa_matrix(P)
-    if not _annihilation_product(F, P.relations):
-        raise OracleMismatch("transform fails to annihilate a relation row")
-    if _character_rank(P, F) < F.rows:
+    heads = P.heads
+    if _character_rank(P, heads) < n_top:
         raise OracleMismatch(
-            f"no prime certifies full row rank {F.rows} of the transform")
+            f"no prime certifies full row rank {n_top} of the transform")
+    _check_annihilation(P, heads, P.relations)
     tor = AbGroup(quot.torsion)
     units = P.n_gens - n_top - len(tor.torsion)
     S = P.field.w_K * P.product_bound * tor.order
+    dense = IntMatrix(P.relations.array)  # oracle (b) eliminates densely
     for p in sorted(_prime_divisors(S)):
-        got = _snf_local_valuations(P.relations, p, _val(S, p))
+        got = _snf_local_valuations(dense, p, _val(S, p))
         want = [0] * units + sorted(_val(d, p) for d in tor.torsion)
         if got != want:
             raise OracleMismatch(
@@ -429,12 +496,17 @@ def nu(P: DeltaPresentation, v) -> int:
     if len(v) != P.n_gens:
         raise WrongShape(
             f"vector has {len(v)} coordinates, presentation has {P.n_gens}")
-    total = 0
+    return sum(x for x, f in zip(v, _full_support(P).tolist()) if f)
+
+
+def _full_support(P: DeltaPresentation) -> np.ndarray:
+    """0/1 per generator: 1 on the blocks of the levels that every
+    prime of m divides."""
+    out = np.zeros(P.n_gens, dtype=np.int64)
     for u in P.levels:
-        if all(u.v_p(p) >= 1 for p, _ in m.primes):
-            off = P.offset(u)
-            total += sum(v[off:off + P.ray(u).group.order])
-    return total
+        if all(u.v_p(p) >= 1 for p, _ in P.modulus.primes):
+            out[P.offset(u):P.offset(u) + P.ray(u).group.order] = 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -442,7 +514,8 @@ class TorsionCertificate:
     """Evidence that the level torsion is nonzero.
 
     R is the certificate element in generator coordinates; in_kernel
-    records that the transform annihilates it exactly; nu_R is the
+    records that the transform annihilates it exactly, as a sum of
+    translated level elements in Z[G_m]; nu_R is the
     parity functional value (odd when the construction goes through);
     nu_parity_of_U is the verdict that the functional is even on every
     relation template, combining the numeric check on all presentation
@@ -479,6 +552,10 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
     R = s(G') + x_1 + x_2 + x_3 is annihilated by the transform, while
     nu(R) = #G' is odd.  An index above 2 (even class number) stops the
     halving step and raises HypothesisFailed.
+
+    in_kernel sums the nonzero coefficients of R times the translated
+    level elements a(u, m), in Z[G_m]; the parity of nu on the relation
+    rows is one sparse product with the full-support indicator.
     """
     primes = (p1, p2, p3)
     if K.w_K != 2:
@@ -538,14 +615,15 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
             shift = Gu.group.add(shift, push.apply(extra))
         vec[P.offset(u) + Gu.group.indices(
             Gu.group.coordinates()[phi], np.array(shift))] += sign
+    support = np.flatnonzero(vec)
+    in_kernel = not _transform_times(P, P.heads, support,
+                                     vec[support]).any()
     vec = vec.tolist()
-    in_kernel = _annihilation_product(iwasawa_matrix(P),
-                                      IntMatrix.from_rows([vec], P.n_gens))
     nu_R = nu(P, vec)
     if nu_R != odd.order:
         raise OracleMismatch(f"nu(R) = {nu_R} != #G' = {odd.order}")
-    rows_even = all(nu(P, row) % 2 == 0
-                    for row in P.relations.array.tolist())
+    # nu of every relation row at once
+    rows_even = not (P.relations.dot(_full_support(P)) % 2).any()
     norms = [q.norm() for q, _ in m.primes]
     # symbolic half of the parity lemma, instantiated with the concrete
     # numbers: at a full-support level a relation subtracts N(q)^e

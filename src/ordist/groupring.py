@@ -17,8 +17,9 @@ constructions:
     Frobenius lift times the normalized inertia trace (independent of
     the lift since the trace absorbs inertia translations);
   * alpha(n, n2, G) = trace of ker(G_{n2} -> G_n) times the product of
-    (1 - p_star) over primes dividing n; its transfers up the modulus
-    tower satisfy the distribution compatibility checked in the tests;
+    (1 - p_star) over primes dividing n, each factor one coset sum over
+    the inertia group; its transfers up the modulus tower satisfy the
+    distribution compatibility checked in the tests;
   * trace_ideal_quotient(G) = structure of Z[G_n]/S(n) where S(n) is
     the ideal generated by all inertia traces, with the exponent z_n of
     its torsion subgroup, computed once per group and kept with it;
@@ -171,14 +172,29 @@ def p_star(G: RayClassGroup, p: OIdeal) -> GroupRingElt:
 
 
 def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
-    """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), inside Q[G_{n2}]."""
+    """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), inside Q[G_{n2}].
+
+    Each factor is one coset sum, with no ring product: for x in Q[G],
+    x (1 - p_star) = x - s(T_p) x lam^-1 / #T_p, where lam is the
+    Frobenius lift at p and s(T_p) x takes, at g, the sum of x over the
+    coset g + T_p, one fibre of _fibres(G, p).
+    """
     if G.modulus != n2:
         raise OrdistError("group does not present the target modulus")
-    out = trace(G.level_kernel(n))
-    one = GroupRingElt.one(G.group)
+    amb = G.group
+    num, den = trace(G.level_kernel(n)).num, 1
     for p, _ in n.primes:
-        out = out * (one - p_star(G, p))
-    return out
+        lam, _ = G.frobenius(p)
+        fibre = _fibres(G, p)
+        t = G.inertia(p).order
+        num = _promote(num, 2 * t * (_abs_max(num) + 1))
+        sums = np.zeros(amb.order // t, dtype=num.dtype)
+        np.add.at(sums, fibre, num)
+        # (s(T_p) x lam^-1)[g] = (s(T_p) x)[g + lam]
+        num = num * t - sums[fibre[amb.indices(amb.coordinates(),
+                                               np.array(lam))]]
+        den *= t
+    return GroupRingElt(amb, num, den)
 
 
 def transfer(x: GroupRingElt, hom: AbHom) -> GroupRingElt:

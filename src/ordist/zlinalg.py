@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -223,9 +224,37 @@ class CSRMatrix:
         return CSRMatrix(np.searchsorted(r, np.arange(a.shape[0] + 1)),
                          c, a[r, c], a.shape[1])
 
+    @staticmethod
+    def from_triplets(rows: int, cols: int, r, c, v) -> "CSRMatrix":
+        """The rows x cols matrix with v[k] added at (r[k], c[k]):
+        repeated positions are summed, and sums of 0 are not stored."""
+        key = np.asarray(r, dtype=np.int64) * cols \
+            + np.asarray(c, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], np.asarray(v)[order]
+        if key.size:
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, val = key[first], np.add.reduceat(val, first)
+        keep = val != 0
+        r, c = np.divmod(key[keep], max(cols, 1))
+        return CSRMatrix(np.searchsorted(r, np.arange(rows + 1)), c,
+                         val[keep], cols)
+
     @property
     def rows(self) -> int:
         return len(self.indptr) - 1
+
+    def dot(self, v) -> np.ndarray:
+        """The exact product with an integer vector, one entry per row."""
+        v = np.asarray(v)
+        if v.shape != (self.cols,):
+            raise LinalgError("vector length does not match matrix width")
+        bound = (_abs_max(self.data) + 1) * (_abs_max(v) + 1) * self.cols
+        terms = _promote(self.data, bound) * _promote(v, bound)[self.indices]
+        out = np.zeros(self.rows, dtype=terms.dtype)
+        np.add.at(out, np.repeat(np.arange(self.rows), np.diff(self.indptr)),
+                  terms)
+        return out
 
     @property
     def array(self) -> np.ndarray:
@@ -239,6 +268,18 @@ class CSRMatrix:
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows as tuples of Python ints."""
         return tuple(map(tuple, self.array.tolist()))
+
+    def to_text(self) -> str:
+        """IntMatrix.to_text of the dense matrix, one dense row at a
+        time."""
+        lines = [f"{self.rows} {self.cols}"]
+        row = np.zeros(self.cols, dtype=self.data.dtype)
+        for i in range(self.rows):
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            row[self.indices[lo:hi]] = self.data[lo:hi]
+            lines.append(" ".join(map(str, row.tolist())))
+            row[self.indices[lo:hi]] = 0
+        return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, CSRMatrix):
@@ -754,7 +795,7 @@ class AbGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    @property
+    @cached_property
     def order(self):
         """Group order, or None when infinite."""
         if not self.is_finite:
@@ -801,12 +842,17 @@ class AbGroup:
 
     # the same enumeration on int64 arrays, for vectorized index maps
     def coordinates(self) -> np.ndarray:
-        """(order, k) int64 array of the elements, in elements() order."""
-        if not self.is_finite:
-            raise LinalgError("cannot enumerate an infinite group")
-        k = len(self.invariant_factors)
-        return np.indices(self.invariant_factors, dtype=np.int64) \
-            .reshape(k, self.order).T
+        """(order, k) int64 array of the elements, in elements() order.
+        Computed once per group and read-only."""
+        if "_coordinates" not in self.__dict__:
+            if not self.is_finite:
+                raise LinalgError("cannot enumerate an infinite group")
+            k = len(self.invariant_factors)
+            coords = np.indices(self.invariant_factors, dtype=np.int64) \
+                .reshape(k, self.order).T
+            coords.flags.writeable = False
+            object.__setattr__(self, "_coordinates", coords)
+        return self.__dict__["_coordinates"]
 
     def radix(self) -> np.ndarray:
         """Mixed-radix place values: index_of(a) == reduce(a) . radix()."""

@@ -1,0 +1,111 @@
+"""Reference transform: the dense matrix that level_torsion used to build.
+
+Before its rank and annihilation checks moved onto the level elements
+alone, ordist built the integral transform F of a presentation as one
+#G_m x generators matrix: column (u, sigma) is a(u, m), brought to the
+common denominator of all the a(u, m), translated by the first lift of
+sigma to G_m.  It multiplied F with the nonzeros of the relation matrix
+to check annihilation, and re-read the translate structure off F before
+counting its rank on characters.  The tests keep all three as the
+independent reference of the differential tests of the transform-free
+checks.  The level elements come from the ring product of
+ordist.groupring (trace times the factors 1 - p_star), not from the
+coset sums of alpha.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ordist.distribution import OracleMismatch, _lifts
+from ordist.groupring import GroupRingElt, p_star, trace
+from ordist.zlinalg import IntMatrix, _abs_max, _promote
+
+
+def level_element(n, n2, G) -> GroupRingElt:
+    """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), by products in
+    the group ring."""
+    out = trace(G.level_kernel(n))
+    one = GroupRingElt.one(G.group)
+    for p, _ in n.primes:
+        out = out * (one - p_star(G, p))
+    return out
+
+
+def iwasawa_matrix(P, element=level_element) -> tuple[IntMatrix, int]:
+    """(F, scale): the transform of P, one column per generator, times
+    scale, the least common denominator of its entries.  Block u is one
+    gather of the scaled element(u, m, G_m) on the indices of G_m."""
+    G = P.ray(P.modulus)
+    amb = G.group
+    coords = amb.coordinates()
+    alphas = [element(u, P.modulus, G) for u in P.levels]
+    scale = math.lcm(*(au.den for au in alphas))
+    nums = [_promote(au.num, (_abs_max(au.num) + 1) * (scale // au.den))
+            * (scale // au.den) for au in alphas]
+    out = np.zeros((amb.order, P.n_gens),
+                   dtype=_promote(np.concatenate(nums)).dtype)
+    for u, num in zip(P.levels, nums):
+        _, lift = _lifts(G, u)
+        # F[g, (u, sigma)] = a_u[g - lift(sigma)]
+        out[:, P.offset(u) + np.arange(len(lift))] = \
+            num[amb.indices(coords[:, None, :], -coords[lift][None, :, :])]
+    return IntMatrix(out), scale
+
+
+def annihilation_product(F: IntMatrix, rel) -> bool:
+    """Exact check F . r = 0 for every row r of rel (an IntMatrix or a
+    CSRMatrix).
+
+    Only the nonzeros of rel are multiplied: the columns of F they pick,
+    times their values, summed per relation row.  Rows of F go in
+    chunks, so no temporary is larger than F.
+    """
+    R = rel.array
+    a, r = _abs_max(F.array), _abs_max(R)
+    # bounds every entry and every partial sum of the product
+    bound = max(a, r, a * r * F.cols)
+    i, j = np.nonzero(R)
+    if not i.size:
+        return True
+    A = _promote(F.array, bound)
+    vals = _promote(R[i, j], bound)
+    # np.nonzero goes row by row, so each relation row is one run of i
+    starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+    step = max(1, F.array.size // i.size)
+    return not any(
+        np.add.reduceat(A[k:k + step, j] * vals, starts, axis=1).any()
+        for k in range(0, F.rows, step))
+
+
+def check_structure(P, F: IntMatrix) -> None:
+    """Raise OracleMismatch unless F has the translate structure: for
+    every divisor u the head column F[:, offset(u)] is constant on the
+    fibres of G_m -> G_u, the lifts cover G_u, and every column
+    (u, sigma) equals the head translated by lift(sigma), exactly."""
+    G = P.ray(P.modulus)
+    amb = G.group
+    if F.array.shape != (amb.order, P.n_gens):
+        raise OracleMismatch(
+            f"transform shape {F.array.shape} != "
+            f"(#G_m, generators) = {(amb.order, P.n_gens)}")
+    coords = amb.coordinates()
+    for u in P.levels:
+        image, lift = _lifts(G, u)
+        if (lift < 0).any():
+            raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
+        off = P.offset(u)
+        head = F.array[:, off]
+        if (head != head[lift[image]]).any():
+            raise OracleMismatch(
+                f"head column at {u.label()} is not constant on the "
+                f"fibres of G_m -> G_u")
+        # block[sigma, g] = F[g + lift(sigma), (u, sigma)]
+        block = F.array[amb.indices(coords[lift][:, None, :], coords),
+                        off + np.arange(len(lift))[:, None]]
+        if (block != head).any():
+            raise OracleMismatch(
+                f"a column at {u.label()} is not its head translated by "
+                f"the lift")

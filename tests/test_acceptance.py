@@ -14,9 +14,9 @@ import pytest
 from conftest import prime_above
 from ordist.cohomology import SylowFrameSynthetic, sweep_torsion_law, \
     verify_tor_h2
+from dense_transform import iwasawa_matrix
 from ordist.distribution import (
     build_presentation,
-    iwasawa_matrix,
     level_torsion,
     torsion_bound,
 )
@@ -138,7 +138,7 @@ def test_criterion_4_rank_identities(field7, triple7):
         assert got.rank == want, (d, qs, got.rank, want)
 
     # divisor blocks of the transform span lattices of rank #G_n
-    F = iwasawa_matrix(P)
+    F, _ = iwasawa_matrix(P)
     for n in P.levels:
         cols = [j for j, (u, _) in enumerate(P.gen_index) if u.divides(n)]
         block = IntMatrix.from_rows(

@@ -62,7 +62,7 @@ def test_cache_hit_is_bytes_stable_and_skips_compute(
     key = cli._cache_key("torsion", 7, first["result"]["modulus"])
     assert (tmp_path / key / "manifest.json").exists()
     assert (tmp_path / key / "relations.mat").exists()
-    assert (tmp_path / key / "transform.mat").exists()
+    assert (tmp_path / key / "heads.mat").exists()
 
     def boom(*a, **k):
         raise AssertionError("cache hit must not rebuild")
@@ -156,6 +156,9 @@ def test_cached_matrices_are_readable(capsys, tmp_path):
     rel = IntMatrix.from_text((tmp_path / key / "relations.mat").read_text())
     assert rel.rows == doc["result"]["relations"]
     assert rel.cols == doc["result"]["generators"]
+    # one head per divisor of p11, over G_m
+    heads = IntMatrix.from_text((tmp_path / key / "heads.mat").read_text())
+    assert (heads.rows, heads.cols) == (2, doc["result"]["rank"])
 
 
 def test_search_report(capsys):

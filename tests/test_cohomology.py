@@ -93,6 +93,23 @@ def test_declared_order_is_checked():
     CyclicModule(grp, shift, 6)  # non-faithful declared order is fine
 
 
+def test_declared_order_is_checked_on_mixed_modules():
+    # on Z/9 x Z/9 x Z, t swaps the Z/9's doubling one of them, so t^2
+    # doubles both (2 has order 6 mod 9), and negates Z: t has order 12
+    grp = AbGroup((9, 9, 0))
+    t = AbHom(grp, grp, ((0, 1, 0), (2, 0, 0), (0, 0, -1)))
+    for order in range(1, 37):
+        if order % 12:
+            with pytest.raises(ValueError, match="not the identity"):
+                CyclicModule(grp, t, order)
+        else:
+            CyclicModule(grp, t, order)
+    # repeated squaring: a huge declared order costs a few products
+    CyclicModule(grp, t, 12 * 10 ** 9)
+    with pytest.raises(ValueError, match="not the identity"):
+        CyclicModule(grp, t, 12 * 10 ** 9 + 6)
+
+
 def test_action_must_be_endomorphism():
     a = AbGroup((2,))
     b = AbGroup((4,))

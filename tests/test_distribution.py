@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 import ordist.distribution as dist
 import ordist.zlinalg as zlinalg
+import dense_transform as dt
 import fraction_groupring as ref
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, make_field
 from ordist.zlinalg import (
     AbGroup,
+    CSRMatrix,
     IntMatrix,
     modular_rank,
     rational_kernel,
@@ -29,7 +31,6 @@ from ordist.distribution import (
     OracleMismatch,
     WrongShape,
     build_presentation,
-    iwasawa_matrix,
     level_torsion,
     nu,
     search_torsex,
@@ -50,9 +51,9 @@ def test_trivial_modulus_is_class_group_copy(field7):
     P = build_presentation(field7, Modulus(field7, ()))
     assert P.n_gens == field7.h == 1
     assert P.relations.rows == 0
-    F = iwasawa_matrix(P)
-    assert F.entries == ((1,),)
-    assert P.transform_scale == 1
+    F, scale = dt.iwasawa_matrix(P)
+    assert F.entries == P.heads.entries == ((1,),)
+    assert P.transform_scale == scale == 1
     assert level_torsion(P).is_trivial
     assert torsion_bound(P) == (1, 1)
 
@@ -63,9 +64,10 @@ def test_trivial_modulus_class_number_three():
     assert P.n_gens == K.h == 3
     assert P.relations.rows == 0
     # the transform is a permutation of the class group, identity block
-    F = iwasawa_matrix(P)
+    F, _ = dt.iwasawa_matrix(P)
     assert sorted(F.entries) == sorted(tuple(int(i == j) for j in range(3))
                                        for i in range(3))
+    assert P.heads.entries == ((1, 0, 0),)
     assert level_torsion(P).is_trivial
 
 
@@ -96,8 +98,10 @@ def test_triple_reproduces_published_numbers(triple7):
     P = triple7
     assert P.n_gens == 886
     assert P.relations.rows == 247
-    F = iwasawa_matrix(P)
-    assert (F.rows, F.cols) == (660, 886)
+    assert isinstance(P.relations, CSRMatrix)
+    assert P.relations.cols == 886
+    # one head per divisor, over G_m: the transform itself is not built
+    assert P.heads.array.shape == (8, 660)
     assert level_torsion(P).invariant_factors == (2,)
     assert torsion_bound(P) == (2, 2)
 
@@ -114,7 +118,7 @@ def test_block_layout_matches_gen_index(triple7):
 
 def test_transform_annihilates_relations(field7):
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F = iwasawa_matrix(P)
+    F, _ = dt.iwasawa_matrix(P)
     for row in P.relations.entries:
         for frow in F.entries:
             assert sum(a * b for a, b in zip(frow, row)) == 0
@@ -123,7 +127,7 @@ def test_transform_annihilates_relations(field7):
 def test_transform_columns_independent_of_lift(field7):
     # rebuild one block with randomized section and compare
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F = iwasawa_matrix(P)
+    F, _ = dt.iwasawa_matrix(P)
     G = P.ray(P.modulus)
     amb = G.group
     rng = random.Random(11)
@@ -192,15 +196,62 @@ def _transform_level(request, d, qs):
         else (prime_above(K, q[0]), q[1]) for q in qs)))
 
 
+def _template_verdict(P, heads, rel):
+    """True when the transform-free annihilation check passes."""
+    try:
+        dist._check_annihilation(P, heads, rel)
+    except OracleMismatch:
+        return False
+    return True
+
+
+def _perturbed(rel, F, rng):
+    """Copies of rel with one row changed in a way F can see: one entry
+    raised by 1 in a column where F is nonzero, and, in a row holding
+    two different values in two different columns of F, those two
+    swapped.  (Where F has a zero column, only the template check sees
+    a change of the relations.)"""
+    A = rel.array
+    seen = F.array.any(axis=0)
+    out = []
+    entries = [(i, j) for i, j in np.argwhere(A != 0).tolist() if seen[j]]
+    if entries:
+        i, j = rng.choice(entries)
+        bumped = A.copy()
+        bumped[i, j] += 1
+        out.append(CSRMatrix.from_dense(bumped))
+    pairs = [(i, a, b) for i in range(A.shape[0])
+             for a in np.flatnonzero(A[i] == 1).tolist()
+             for b in np.flatnonzero(A[i] == -1).tolist()
+             if (F.array[:, a] != F.array[:, b]).any()]
+    if pairs:
+        i, a, b = rng.choice(pairs)
+        swapped = A.copy()
+        swapped[i, [a, b]] = swapped[i, [b, a]]
+        out.append(CSRMatrix.from_dense(swapped))
+    return out
+
+
 @pytest.mark.parametrize("d, qs", _TRANSFORM_LEVELS)
 def test_gather_transform_matches_fraction_reference(request, d, qs):
+    """The dense reference transform against the Fraction builder, and
+    the transform-free checks of level_torsion against the reference:
+    heads, scale, rank count and annihilation verdict."""
     P = _transform_level(request, d, qs)
-    F = iwasawa_matrix(P)
-    ref, scale = _fraction_transform(P)
+    F, scale = dt.iwasawa_matrix(P)
+    ref, ref_scale = _fraction_transform(P)
     assert F.to_text() == ref.to_text()
-    assert P.transform_scale == scale
+    assert P.transform_scale == scale == ref_scale
+    dt.check_structure(P, F)
+    for head, u in zip(P.heads.array, P.levels):
+        assert np.array_equal(head, F.array[:, P.offset(u)])
     # the rank certificate counts exactly the rank over F_p
-    assert dist._character_rank(P, F) == modular_rank(F) == F.rows
+    assert dist._character_rank(P, P.heads) == modular_rank(F) == F.rows
+    assert _template_verdict(P, P.heads, P.relations)
+    assert dt.annihilation_product(F, P.relations)
+    for bad in _perturbed(P.relations, F, random.Random(d)):
+        assert not _template_verdict(P, P.heads, bad)
+        assert not dt.annihilation_product(F, bad)
 
 
 def test_gather_transform_falls_back_to_object_entries(
@@ -210,7 +261,8 @@ def test_gather_transform_falls_back_to_object_entries(
     big = ((1 << 61) - 1) ** 2
     m = modulus_of(field7, 7, 11)
     Q = build_presentation(field7, m)
-    small = iwasawa_matrix(Q)
+    small, _ = dt.iwasawa_matrix(Q)
+    want = tuple(tuple(x * big for x in r) for r in Q.heads.entries)
 
     def scaled(u, n2, G):
         au = alpha(u, n2, G)
@@ -218,12 +270,21 @@ def test_gather_transform_falls_back_to_object_entries(
 
     monkeypatch.setattr(dist, "alpha", scaled)
     P = build_presentation(field7, m)
-    F = iwasawa_matrix(P)
     assert P.transform_scale == Q.transform_scale
+    assert P.heads.array.dtype == object
+    assert P.heads.entries == want
+    F, scale = dt.iwasawa_matrix(P, scaled)
+    assert scale == P.transform_scale
     assert F.entries == tuple(tuple(x * big for x in r)
                               for r in small.entries)
-    assert all(type(x) is int for r in F.entries for x in r)
-    assert dist._character_rank(P, F) == modular_rank(F) == F.rows
+    dt.check_structure(P, F)
+    for head, u in zip(P.heads.array, P.levels):
+        assert np.array_equal(head, F.array[:, P.offset(u)])
+    assert dist._character_rank(P, P.heads) == modular_rank(F) == F.rows
+    assert _template_verdict(P, P.heads, P.relations)
+    for bad in _perturbed(P.relations, F, random.Random(11)):
+        assert not _template_verdict(P, P.heads, bad)
+        assert not dt.annihilation_product(F, bad)
     assert not level_torsion(P).invariant_factors
 
 
@@ -246,47 +307,53 @@ def test_rank_defect_is_caught(field7, monkeypatch):
     m = modulus_of(K, 7, 11)
     G = build_presentation(K, m).ray(m)
     g = G.group.elements()[1]
-    monkeypatch.setattr(dist, "alpha", _times_one_minus_g(G, g))
+    mutant = _times_one_minus_g(G, g)
+    monkeypatch.setattr(dist, "alpha", mutant)
     P = build_presentation(K, m)
-    F = iwasawa_matrix(P)
-    assert dist._annihilation_product(F, P.relations)
+    F, _ = dt.iwasawa_matrix(P, mutant)
+    assert dt.annihilation_product(F, P.relations)
+    assert _template_verdict(P, P.heads, P.relations)
     # the count is the rank over F_p exactly, below full rank
     amb = G.group
     p = dist._character_primes(amb.exponent)[0]
-    heads = np.stack([F.array[:, P.offset(u)] for u in P.levels])
-    count = dist._character_count(heads, amb.invariant_factors, p)
+    count = dist._character_count(P.heads.array, amb.invariant_factors, p)
     assert count == modular_rank(F, p) == modular_rank(F) < F.rows
     with pytest.raises(OracleMismatch, match="no prime certifies"):
         level_torsion(P)
 
 
 def test_certificate_refuses_a_permuted_column(field7):
+    # the twin of a transform column off its translate: a relation row
+    # at sigma != 0 with two entries swapped is off its step's template,
+    # though the row at 0 still passes the identity
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F = iwasawa_matrix(P)
-    heads = {P.offset(u) for u in P.levels}
-    j = next(j for j in range(F.cols)
-             if j not in heads and len(set(F.array[:, j].tolist())) > 1)
-    col = F.array[:, j]
-    a = int(np.flatnonzero(col != col[0])[0])
-    bad = F.array.copy()
-    bad[[0, a], j] = bad[[a, 0], j]
-    with pytest.raises(OracleMismatch, match="not its head translated"):
-        dist._character_rank(P, IntMatrix(bad))
+    F, _ = dt.iwasawa_matrix(P)
+    A = P.relations.array
+    u, _, _, first = next(s for s in P._steps()
+                          if P.ray(s[0]).group.order > 1
+                          and len(set(A[s[3] + 1][A[s[3] + 1] != 0])) > 1)
+    i = first + 1
+    a = int(np.flatnonzero(A[i] == 1)[0])
+    b = int(np.flatnonzero(A[i] == -1)[-1])
+    bad = A.copy()
+    bad[i, [a, b]] = bad[i, [b, a]]
+    bad = CSRMatrix.from_dense(bad)
+    assert not dt.annihilation_product(F, bad)
+    with pytest.raises(OracleMismatch, match=f"row {i} .* off its template"):
+        dist._check_annihilation(P, P.heads, bad)
 
 
 def test_certificate_refuses_a_head_off_the_fibres(field7):
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F = iwasawa_matrix(P)
     # the trivial level: its head is the trace of G_m, constant on G_m
-    bad = F.array.copy()
-    bad[0, P.offset(P.levels[0])] += 1
+    bad = P.heads.array.copy()
+    bad[0, 0] += 1
     with pytest.raises(OracleMismatch, match="constant on the fibres"):
         dist._character_rank(P, IntMatrix(bad))
 
 
 def test_certificate_refuses_lifts_that_miss_a_level(field7, monkeypatch):
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F = iwasawa_matrix(P)
     lifts = dist._lifts
 
     def short(G, u):
@@ -297,7 +364,58 @@ def test_certificate_refuses_lifts_that_miss_a_level(field7, monkeypatch):
 
     monkeypatch.setattr(dist, "_lifts", short)
     with pytest.raises(OracleMismatch, match="do not cover"):
-        dist._character_rank(P, F)
+        dist._character_rank(P, P.heads)
+
+
+def test_template_row_off_the_fibre_is_refused(field7):
+    # the row at 0 of a step loses one preimage: the rows stay
+    # translates of it, but it is no longer -1 on the fibre over 0
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    A = P.relations.array.copy()
+    u, _, t, first = next(s for s in P._steps()
+                          if P.ray(s[0]).group.order == 1)
+    j = int(np.flatnonzero(A[first, P.offset(t):])[0]) + P.offset(t)
+    A[first, j] = 0
+    with pytest.raises(OracleMismatch, match=f"row {first} .* off its template"):
+        dist._check_annihilation(P, P.heads, CSRMatrix.from_dense(A))
+
+
+def test_transitions_that_do_not_compose_are_refused(field7, monkeypatch):
+    # G_m -> G_u read through the negation of G_u: the fibres stay the
+    # same sets, but G_m -> G_t -> G_u no longer agrees with it
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    heads = P.heads
+    u = next(u for u in P.levels if P.ray(u).group.exponent > 2)
+    lifts = dist._lifts
+
+    def negated(G, v):
+        image, lift = lifts(G, v)
+        if v != u:
+            return image, lift
+        g = P.ray(u).group
+        neg = g.indices(-g.coordinates())
+        return neg[image], lift[neg]
+
+    monkeypatch.setattr(dist, "_lifts", negated)
+    with pytest.raises(OracleMismatch, match="do not compose"):
+        dist._check_annihilation(P, heads, P.relations)
+
+
+def test_template_identity_sees_a_twisted_head(field7):
+    # a head translated by an element outside ker(G_m -> G_u) is still
+    # constant on the fibres, but no longer kills the step's template
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    G = P.ray(P.modulus)
+    amb = G.group
+    H = P.heads.array.copy()
+    i, u = next((i, u) for i, u in enumerate(P.levels)
+                if P.ray(u).group.order > 1)
+    _, lift = dist._lifts(G, u)
+    coords = amb.coordinates()
+    H[i] = H[i][amb.indices(coords, -coords[lift[1]])]
+    dist._character_rank(P, IntMatrix(H))  # the structure still holds
+    with pytest.raises(OracleMismatch, match="fails to annihilate"):
+        dist._check_annihilation(P, IntMatrix(H), P.relations)
 
 
 def test_level_torsion_never_eliminates_the_transform(field7, monkeypatch):
@@ -313,10 +431,49 @@ def test_level_torsion_never_eliminates_the_transform(field7, monkeypatch):
     monkeypatch.setattr(zlinalg, "_layered_elimination", recording)
     P = build_presentation(field7, modulus_of(field7, 7, 11, 23))
     assert level_torsion(P).invariant_factors == (2,)
-    F = iwasawa_matrix(P)
     assert shapes
-    assert F.array.shape not in shapes
-    assert set(shapes) == {P.relations.array.shape}
+    assert P.heads.array.shape not in shapes
+    assert set(shapes) == {(P.relations.rows, P.relations.cols)}
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("ORDIST_SLOW"),
+                    reason="four-prime level, ORDIST_SLOW=1")
+def test_four_prime_level_without_the_transform():
+    # d = 7, m = 7*11*23*29: #G_m = 18480, 25680 generators, 8007
+    # relations.  The dense relation array would take 1.6 GB and the
+    # transform 3.8 GB; oracle (a), the head rank and the templates run
+    # on the sparse relations and 16 heads, in a child process so that
+    # its peak RSS is its own
+    code = textwrap.dedent("""
+        import resource
+        import ordist.distribution as dist
+        from ordist.quadfield import Modulus, make_field
+        from ordist.zlinalg import CSRMatrix, cokernel
+        K = make_field(7)
+        m = Modulus(K, tuple((K.splitting_type(q)[1][0], 1)
+                             for q in (7, 11, 23, 29)))
+        P = dist.build_presentation(K, m)
+        assert isinstance(P.relations, CSRMatrix)
+        print(P.n_gens, P.relations.rows)
+        quot = cokernel(P.relations, P.n_gens)
+        print(list(quot.torsion), quot.rank)
+        print(dist._character_rank(P, P.heads))
+        dist._check_annihilation(P, P.heads, P.relations)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+        """)
+    src = os.path.dirname(os.path.dirname(dist.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    sizes, quotient, count, peak_mb = r.stdout.splitlines()
+    assert sizes == "25680 8007"
+    assert quotient == "[2, 2, 2, 2] 18480"
+    assert count == "18480"
+    assert int(peak_mb) < 1024, peak_mb
 
 
 @st.composite
@@ -352,12 +509,13 @@ def _annihilation_case(draw):
 @settings(deadline=None, max_examples=150)
 @given(_annihilation_case())
 def test_nonzero_annihilation_matches_dense_product(case):
+    # the reference's product check, against the plain matrix product
     F, rel = case
     dense = F.array.astype(object) @ rel.array.astype(object).T
-    assert dist._annihilation_product(F, rel) == (not dense.any())
-    for r in range(rel.rows):  # one-row rel, as in the certificate
+    assert dt.annihilation_product(F, rel) == (not dense.any())
+    for r in range(rel.rows):  # one-row rel, as in the old certificate
         one = IntMatrix(rel.array[r:r + 1])
-        assert dist._annihilation_product(F, one) == (not dense[:, r].any())
+        assert dt.annihilation_product(F, one) == (not dense[:, r].any())
 
 
 def test_relation_rows_are_preimage_cosets(field7):
@@ -386,7 +544,7 @@ def test_divisor_block_ranks(field7):
     # column built at its conductor level, and all such columns live
     # in the embedded copy of Q[G_n]
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F = iwasawa_matrix(P)
+    F, _ = dt.iwasawa_matrix(P)
     for n in P.levels:
         cols = [j for j, (u, _) in enumerate(P.gen_index)
                 if u.divides(n)]
@@ -401,7 +559,7 @@ def test_divisor_block_ranks(field7):
 def _literal_oracle_b(P):
     """Reference oracle (b): the integer kernel of the transform by a
     direct echelon, modulo the relation lattice."""
-    kern = rational_kernel(iwasawa_matrix(P))
+    kern = rational_kernel(dt.iwasawa_matrix(P)[0])
     rel_rows = [list(r) for r in P.relations.entries if any(r)]
     return subquotient_torsion(kern, rel_rows)
 
@@ -534,6 +692,9 @@ def test_nu_counts_only_full_support(triple7):
 def test_nu_even_on_every_relation_row(triple7):
     P = triple7
     assert all(nu(P, row) % 2 == 0 for row in P.relations.entries)
+    # the certificate's one sparse product gives the same values
+    assert P.relations.dot(dist._full_support(P)).tolist() == \
+        [nu(P, row) for row in P.relations.entries]
 
 
 # the certificate
@@ -557,6 +718,24 @@ def test_certificate_element_is_odd_against_relations(field7, triple7):
     cert = torsex_certificate(field7, *ps)
     P = triple7
     assert nu(P, cert.R) % 2 == 1
+
+
+def test_odd_relation_row_breaks_the_parity_verdict(field7, monkeypatch):
+    # one relation row gains a +1 on the top block: its nu turns odd,
+    # so the parity lemma, and with it the conclusion, must fail
+    orig = dist.DeltaPresentation._relation_matrix
+
+    def odd_row(self):
+        A = orig(self).array
+        A[0, self.offset(self.modulus)] += 1
+        return CSRMatrix.from_dense(A)
+
+    monkeypatch.setattr(dist.DeltaPresentation, "_relation_matrix", odd_row)
+    ps = [prime_above(field7, q) for q in (7, 11, 23)]
+    cert = torsex_certificate(field7, *ps)
+    assert cert.in_kernel and cert.nu_R == 165
+    assert not cert.nu_parity_of_U
+    assert not cert.conclusion
 
 
 def test_certificate_rejects_norm_one_mod_four(field7):

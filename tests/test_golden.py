@@ -2,7 +2,7 @@
 
 Each golden report is the exact JSON text that `ordist` prints, minus
 its `timing_ms` line.  The headline `torsion` run also fills a cache
-entry, whose `relations.mat` and `transform.mat` are pinned by sha256
+entry, whose `relations.mat` and `heads.mat` are pinned by sha256
 (in `sha256sum` format), and counts the trace-ideal quotients it builds.
 
 After an intended change of a report, regenerate the files with
@@ -37,7 +37,7 @@ REPORTS = {
 HEADLINE = ["torsion", "-d", "7", "-m", "p:7,p:11:0,p:23:0"]
 HEADLINE_REPORT = "torsion_headline"
 CACHE_SUMS = "torsion_headline_cache.sha256"
-MATRICES = ("relations.mat", "transform.mat")
+MATRICES = ("relations.mat", "heads.mat")
 
 _TIMING = re.compile(r',\n  "timing_ms": \d+\n')
 

@@ -480,6 +480,29 @@ def test_csr_matrix_round_trips_and_rejects_bad_rows():
     assert CSRMatrix([0, 1, 2], [1, 0], [1, 1], 2).entries == ((0, 1), (1, 0))
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_csr_matrix_from_triplets_text_and_dot(rows, cols, data):
+    # repeated positions add up, zero sums vanish, and the text and the
+    # product are those of the dense matrix; entries may pass 2^63
+    n = data.draw(st.integers(0, 12)) if rows and cols else 0
+    big = (1 << 63) + 1
+    r = [data.draw(st.integers(0, rows - 1)) for _ in range(n)]
+    c = [data.draw(st.integers(0, cols - 1)) for _ in range(n)]
+    v = [data.draw(st.sampled_from([1, -1, 2, big])) for _ in range(n)]
+    dense = [[0] * cols for _ in range(rows)]
+    for i, j, x in zip(r, c, v):
+        dense[i][j] += x
+    want = IntMatrix.from_rows(dense, cols)
+    vals = np.array(v, dtype=object if big in v else np.int64)
+    got = CSRMatrix.from_triplets(rows, cols, r, c, vals)
+    assert got == CSRMatrix.from_dense(want.array)
+    assert got.to_text() == want.to_text()
+    x = [data.draw(st.sampled_from([0, 1, -3, big])) for _ in range(cols)]
+    assert got.dot(np.array(x, dtype=object)).tolist() == \
+        [sum(a * b for a, b in zip(row, x)) for row in dense]
+
+
 def test_cokernel_fast_path_on_coset_style_matrix():
     rows = []
     n = 60
