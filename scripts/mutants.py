@@ -169,6 +169,36 @@ MUTANTS = (
         "    M = _promote(A % mod)\n",
         ("tests/test_zlinalg.py::test_modular_rank_matches_sympy",),
     ),
+    # Smith coordinates
+    Mutant(
+        "smith-inverse-wrong-sign",
+        "zlinalg.py",
+        "            R_inv[j, :] += q * R_inv[i, :]\n",
+        "            R_inv[j, :] -= q * R_inv[i, :]\n",
+        ("tests/test_zlinalg.py::test_smith_coordinates_exact",
+         "tests/test_zlinalg.py::test_smith_coordinates_contract",
+         "tests/test_rayclass.py::test_pair_order"),
+    ),
+    Mutant(
+        "smith-drops-free-columns",
+        "zlinalg.py",
+        "    keep = [i for i, d in enumerate(diag) if d != 1]\n",
+        "    keep = [i for i, d in enumerate(diag) if d > 1]\n",
+        ("tests/test_cohomology.py::"
+         "test_klein_frame_quotient_is_free_of_rank_one",
+         "tests/test_cohomology.py::test_empty_subset_gives_free_quotient"),
+    ),
+    # the character count
+    Mutant(
+        "character-count-mixed-radix-split",
+        "distribution.py",
+        "            t = np.add.outer(t, np.arange(qa, dtype=np.int64) * unit)"
+        " % d\n",
+        "            t = np.add.outer(t * qa, np.arange(qa, dtype=np.int64))"
+        " % d\n",
+        (f"{_DIST}test_crt_character_count_matches_axis_dft[factors2]",
+         f"{_DIST}test_rank_defect_is_caught"),
+    ),
     # subgroup masks and the synthetic frame
     Mutant(
         "grow-stops-after-one-coset",

@@ -34,7 +34,7 @@ from .zlinalg import (  # noqa: F401
     hnf,
     hnf_basis,
     rational_kernel,
-    snf,
+    smith_coordinates,
     snf_invariants,
     solve_left,
     subquotient_torsion,

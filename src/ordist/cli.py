@@ -4,7 +4,8 @@ Each subcommand parses its arguments into a RunConfig, dispatches to
 the library, and prints one ReportDocument to standard output.  The
 document is byte-stable for identical inputs and code versions apart
 from the timing field.  Exit codes: 0 success, 1 usage error, 2 a
-violated hypothesis, 3 an internal oracle mismatch.
+violated hypothesis, 3 an internal oracle mismatch, 4 an I/O error (an
+unusable cache directory, or standard output closed by its reader).
 
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
@@ -26,6 +27,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +52,10 @@ SCHEMA = "ordist/1"
 
 class UsageError(OrdistError):
     pass
+
+
+class CacheUnusable(OrdistError):
+    """The cache directory cannot be read or written."""
 
 
 @dataclass
@@ -153,19 +159,28 @@ class Cache:
         fcntl.flock(fh, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
         return fh
 
+    @contextmanager
+    def _io(self):
+        """Raise an OSError of the cache directory as CacheUnusable."""
+        try:
+            yield
+        except OSError as exc:
+            raise CacheUnusable(f"cache {self.root}: {exc}") from exc
+
     def load(self, command: str, d: int, spec: str) -> dict | None:
         if self.root is None:
             return None
         key = _cache_key(command, d, spec)
         path = self.root / key / "manifest.json"
-        if not path.exists():
-            return None
-        with self._lock(exclusive=False) as fh:
-            try:
-                manifest = json.loads(path.read_text())
-            except ValueError:
-                manifest = None  # truncated or corrupt: a miss
-            fcntl.flock(fh, fcntl.LOCK_UN)
+        with self._io():
+            if not path.exists():
+                return None
+            with self._lock(exclusive=False) as fh:
+                try:
+                    manifest = json.loads(path.read_text())
+                except ValueError:
+                    manifest = None  # truncated or corrupt: a miss
+                fcntl.flock(fh, fcntl.LOCK_UN)
         if not isinstance(manifest, dict) \
                 or manifest.get("schema") != SCHEMA \
                 or "result" not in manifest:
@@ -179,7 +194,7 @@ class Cache:
         key = _cache_key(command, d, spec)
         manifest = {"schema": SCHEMA, "version": __version__,
                     "command": command, "d": d, "spec": spec, **manifest}
-        with self._lock(exclusive=True) as fh:
+        with self._io(), self._lock(exclusive=True) as fh:
             folder = self.root / key
             folder.mkdir(parents=True, exist_ok=True)
             for name, mat in dict(matrices or {}).items():
@@ -434,6 +449,9 @@ def main(argv=None) -> int:
     except OracleMismatch as exc:
         print(f"ordist: oracle mismatch: {exc}", file=sys.stderr)
         return 3
+    except CacheUnusable as exc:
+        print(f"ordist: {exc}", file=sys.stderr)
+        return 4
     except OrdistError as exc:
         print(f"ordist: {exc}", file=sys.stderr)
         return 1
@@ -444,7 +462,14 @@ def main(argv=None) -> int:
         result=result,
         timing_ms=int(timing),
     )
-    _emit(doc, cfg.fmt)
+    try:
+        _emit(doc, cfg.fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; devnull takes the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("ordist: standard output closed", file=sys.stderr)
+        return 4
     return 0
 
 

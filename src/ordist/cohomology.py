@@ -28,16 +28,13 @@ from .zlinalg import (
     AbHom,
     CSRMatrix,
     IntMatrix,
-    LinalgError,
     OrdistError,
-    _abs_max,
     _as_matrix,
     _is_prime,
-    _promote,
+    _reduced_product,
     cokernel,
-    hnf,
     rational_kernel,
-    snf,
+    smith_coordinates,
     solve_left,
     subquotient_torsion,
 )
@@ -94,19 +91,6 @@ class CyclicModule:
                 base = _reduced_product(base, base, inv)
         if not np.array_equal(power, np.identity(n, dtype=np.int64)):
             raise ValueError("declared power of the action is not the identity")
-
-
-def _reduced_product(X: np.ndarray, Y: np.ndarray, inv) -> np.ndarray:
-    """X @ Y with column k reduced mod the invariant factor inv[k] and
-    kept exact where inv[k] = 0.  For matrices of endomorphisms of the
-    group with these invariant factors, reducing the factors first does
-    not change the reduced product."""
-    bound = X.shape[1] * (_abs_max(X) + 1) * (_abs_max(Y) + 1)
-    Z = _promote(X, bound) @ _promote(Y, bound)
-    for k, d in enumerate(inv):
-        if d:
-            Z[:, k] %= d
-    return _promote(Z)
 
 
 def _lattice_preimage(map_rows, rel_rows, ambient: int):
@@ -166,33 +150,12 @@ def _module_from_presentation(ambient: int, rel_rows, act_rows,
     """Quotient Z^ambient / rowspace(rel_rows) in invariant coordinates,
     carrying the action given by act_rows (which must stabilize the
     relation lattice)."""
-    if ambient == 0:
-        triv = AbGroup(())
-        return CyclicModule(triv, AbHom(triv, triv, ()), order)
-    diag, _, R = snf(_as_matrix(rel_rows, ambient))
-    ident, U = hnf(R)
-    if ident != IntMatrix.identity(ambient):
-        raise LinalgError("coordinate change is not unimodular")
-    Rm = R.array.astype(object)
-    R_inv = U.array.astype(object)
-    act = _as_matrix(act_rows, ambient).array.astype(object)
-    rank = len(diag)
-    kept = [i for i in range(rank) if diag[i] > 1]
-    positions = kept + list(range(rank, ambient))
-    invs = tuple(diag[i] for i in kept) + (0,) * (ambient - rank)
-    module = AbGroup(invs)
-
-    def coords(x):
-        full = np.array(list(x), dtype=object) @ Rm
-        out = [int(full[i]) % diag[i] for i in kept]
-        out += [int(full[i]) for i in range(rank, ambient)]
-        return tuple(out)
-
-    hom_rows = []
-    for pos in positions:
-        lift = R_inv[pos]
-        hom_rows.append(coords(lift @ act))
-    return CyclicModule(module, AbHom(module, module, tuple(hom_rows)), order)
+    module, to, back = smith_coordinates(rel_rows, ambient)
+    act = _as_matrix(act_rows, ambient).array
+    inv = module.invariant_factors
+    hom = _reduced_product(back, _reduced_product(act, to, inv), inv)
+    action = AbHom(module, module, tuple(map(tuple, hom.tolist())))
+    return CyclicModule(module, action, order)
 
 
 def dimension_shift(mod: CyclicModule) -> CyclicModule:

@@ -342,12 +342,26 @@ def _character_count(heads: np.ndarray, factors: tuple[int, ...],
     """Number of characters of the group with these invariant factors
     at which some row of heads, in mixed-radix order, is nonzero mod p.
 
-    Needs p = 1 mod the exponent e and e (p - 1)^2 < 2^63.  The DFT
-    runs one invariant-factor axis at a time, as a product with the
-    d x d table of powers of a primitive d-th root of unity mod p.
+    Needs p = 1 mod the exponent e and e (p - 1)^2 < 2^63.  Each
+    invariant-factor axis of length d is first split into its
+    prime-power parts by the CRT re-indexing t -> (t mod q^a)_q; the
+    characters of the parts are those of the axis.  The DFT then runs
+    one part at a time, as a product with the q^a x q^a table of powers
+    of a primitive q^a-th root of unity mod p.
     """
     X = (heads % p).astype(np.int64).reshape(len(heads), *factors)
+    parts = []
     for axis, d in enumerate(factors, start=1):
+        qas = [q ** _val(d, q) for q in sorted(_prime_divisors(d))]
+        # t, laid out on the grid of its residues mod the parts
+        t = np.zeros((), dtype=np.int64)
+        for qa in qas:
+            unit = d // qa * pow(d // qa, -1, qa)  # 1 mod qa, 0 mod d / qa
+            t = np.add.outer(t, np.arange(qa, dtype=np.int64) * unit) % d
+        X = np.take(X, t.ravel(), axis=axis)
+        parts += qas
+    X = X.reshape(len(heads), *parts)
+    for axis, d in enumerate(parts, start=1):
         root = _root_of_unity(d, p)
         powers = np.array([pow(root, t, p) for t in range(d)], dtype=np.int64)
         table = powers[np.multiply.outer(np.arange(d), np.arange(d)) % d]

@@ -41,9 +41,9 @@ from .zlinalg import (
     _grow,
     _harvest,
     _is_prime,
-    hnf,
+    _reduced_product,
     rational_kernel,
-    snf,
+    smith_coordinates,
     solve_left,
 )
 
@@ -205,20 +205,10 @@ class RayClassGroup:
         s = len(self.class_primes)
         self._t, self._s = t, s
         self._class_orders, self._class_stack = self._class_setup()
-        rows = self._relation_rows()
-        diag, _, R = snf(IntMatrix.from_rows(rows, t + s)
-                         if rows else IntMatrix.zeros(0, t + s))
-        if len(diag) != t + s:
+        self.group, self._to, self._back = smith_coordinates(
+            self._relation_rows(), t + s)
+        if not self.group.is_finite:
             raise OrdistError("ray class presentation is not finite")
-        self._diag = diag
-        self._R = R.array.tolist()
-        Hinv, U = hnf(R)
-        if Hinv != IntMatrix.identity(t + s):
-            raise OrdistError("ray class coordinate change is not unimodular")
-        self._R_inv = U.array.tolist()
-        kept = [i for i, d in enumerate(diag) if d > 1]
-        self._kept = kept
-        self.group = AbGroup(tuple(diag[i] for i in kept))
         expected = (K.h if n.is_one()
                     else K.h * n.phi() // len(set(self.mu_images)))
         if self.group.order != expected:
@@ -343,18 +333,11 @@ class RayClassGroup:
     # -- coordinates --
 
     def word_to_coords(self, word) -> tuple[int, ...]:
-        k = self._t + self._s
-        full = [sum(word[i] * self._R[i][j] for i in range(k) if word[i])
-                for j in range(k)]
-        return tuple(full[i] % self._diag[i] for i in self._kept)
+        return self.group.reduce(
+            (np.array(word, dtype=object) @ self._to).tolist())
 
     def coords_to_word(self, coords) -> list[int]:
-        k = self._t + self._s
-        full = [0] * k
-        for pos, i in enumerate(self._kept):
-            full[i] = coords[pos]
-        return [sum(full[i] * self._R_inv[i][j] for i in range(k))
-                for j in range(k)]
+        return (np.array(coords, dtype=object) @ self._back).tolist()
 
     # -- the Artin map --
 
@@ -415,18 +398,9 @@ class RayClassGroup:
             imgs.append(target.word_to_coords(w))
         for q in self.class_primes:
             imgs.append(target.artin(q))
-        rows = []
-        k = self._t + self._s
-        for irow in range(len(self._kept)):
-            word = self.coords_to_word(
-                tuple(1 if pos == irow else 0
-                      for pos in range(len(self._kept))))
-            acc = [0] * len(target.group.invariant_factors)
-            for i in range(k):
-                if word[i]:
-                    for jj, val in enumerate(imgs[i]):
-                        acc[jj] += word[i] * val
-            rows.append(target.group.reduce(tuple(acc)))
+        inv = target.group.invariant_factors
+        images = np.array(imgs, dtype=np.int64).reshape(len(imgs), len(inv))
+        rows = map(tuple, _reduced_product(self._back, images, inv).tolist())
         hom = AbHom(self.group, target.group, tuple(rows))
         if not np.bincount(hom.index_image(),
                            minlength=target.group.order).all():

@@ -16,10 +16,14 @@ of the dense residual.
 The workhorse is a row echelon pass with minimal-absolute-value pivoting
 and repeated Euclidean reduction on object rows, used for Hermite forms,
 kernels and left solves.  Smith forms use alternating row and column
-elimination with a divisibility fix-up.  A separate layered elimination
-over Z/p^K gives ranks over F_p and the p-adic valuations of the
-invariant factors; for large inputs it independently re-verifies the
-Smith form.
+elimination with a divisibility fix-up.  smith_coordinates reads a
+quotient Z^n / rowspace(A) in invariant coordinates: the same pass
+applies each column operation to the transform R and its inverse row
+operation to R^-1, and the columns of R and rows of R^-1 at the factors
+other than 1 map into the coordinates and back.  A separate layered
+elimination over Z/p^K gives ranks over F_p and the p-adic valuations
+of the invariant factors; for large inputs it independently re-verifies
+the Smith form.
 """
 
 from __future__ import annotations
@@ -493,35 +497,34 @@ def _min_abs_position(M: np.ndarray, t: int):
     return t + i, t + j
 
 
-def _snf_core(M: np.ndarray, nrows: int, ncols: int,
-              on_row: Callable | None, on_col: Callable | None) -> list[int]:
-    """In-place Smith elimination; reports row/column operations through
-    the optional callbacks so transforms can be accumulated."""
+def _snf_core(M: np.ndarray, R: np.ndarray | None = None,
+              R_inv: np.ndarray | None = None) -> list[int]:
+    """In-place Smith elimination of the object array M.
+
+    When R and R_inv are given (both starting as the identity on the
+    columns), each column operation is applied to the columns of R and
+    its inverse to the rows of R_inv, so that R @ R_inv stays the
+    identity.
+    """
+    nrows, ncols = M.shape
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         M[i, :] -= q * M[j, :]
-        if on_row:
-            on_row("sub", i, j, q)
 
     def row_swap(i, j):
         M[[i, j], :] = M[[j, i], :]
-        if on_row:
-            on_row("swap", i, j, 0)
-
-    def row_neg(i):
-        np.negative(M[i, :], out=M[i, :])
-        if on_row:
-            on_row("neg", i, i, 0)
 
     def col_sub(i, j, q):  # col_i -= q * col_j
         M[:, i] -= q * M[:, j]
-        if on_col:
-            on_col("sub", i, j, q)
+        if R is not None:
+            R[:, i] -= q * R[:, j]
+            R_inv[j, :] += q * R_inv[i, :]
 
     def col_swap(i, j):
         M[:, [i, j]] = M[:, [j, i]]
-        if on_col:
-            on_col("swap", i, j, 0)
+        if R is not None:
+            R[:, [i, j]] = R[:, [j, i]]
+            R_inv[[i, j], :] = R_inv[[j, i], :]
 
     diag = []
     t = 0
@@ -562,7 +565,7 @@ def _snf_core(M: np.ndarray, nrows: int, ncols: int,
                 continue
             break
         if M[t, t] < 0:
-            row_neg(t)
+            np.negative(M[t, :], out=M[t, :])
         # divisibility fix-up: pivot must divide every remaining entry
         pv = int(M[t, t])
         fixed = True
@@ -580,32 +583,46 @@ def _snf_core(M: np.ndarray, nrows: int, ncols: int,
     return diag
 
 
-def snf(A) -> tuple[list[int], IntMatrix, IntMatrix]:
-    """Smith normal form: returns (d, L, R) with L A R = diag(d),
-    L and R unimodular, and d_1 | d_2 | ... nonnegative."""
-    mat = _as_matrix(A)
-    n, c = mat.rows, mat.cols
-    M = mat.array.astype(object)
-    L = np.identity(n, dtype=object)
-    R = np.identity(c, dtype=object)
+def smith_coordinates(A, ambient: int
+                      ) -> tuple[AbGroup, np.ndarray, np.ndarray]:
+    """Z^ambient / rowspace(A) in invariant coordinates.
 
-    def on_row(kind, i, j, q):
-        if kind == "sub":
-            L[i, :] -= q * L[j, :]
-        elif kind == "swap":
-            L[[i, j], :] = L[[j, i], :]
-        else:
-            np.negative(L[i, :], out=L[i, :])
+    Returns (group, to, back).  x @ to, reduced mod the invariant
+    factors of group (exact on the free ones), are the coordinates of
+    the class of x in Z^ambient; c @ back lifts coordinates c back to
+    Z^ambient.  to holds the columns of the Smith column transform R at
+    the factors other than 1 and at the free factors, back the same rows
+    of R^-1.  R^-1 is built in the same pass, and R @ R^-1 = I is
+    checked: LinalgError otherwise.  to and back are int64 when every
+    entry fits, object arrays otherwise.
+    """
+    M = _as_matrix(A, ambient).array.astype(object)
+    if M.shape[1] != ambient:
+        raise LinalgError(
+            f"relations have {M.shape[1]} columns, not {ambient}")
+    R = np.identity(ambient, dtype=object)
+    R_inv = np.identity(ambient, dtype=object)
+    diag = _snf_core(M, R, R_inv)
+    bound = ambient * _abs_max(R) * _abs_max(R_inv)
+    if not np.array_equal(_promote(R, bound) @ _promote(R_inv, bound),
+                          np.identity(ambient, dtype=np.int64)):
+        raise LinalgError("Smith column transform is not unimodular")
+    diag += [0] * (ambient - len(diag))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    group = AbGroup(tuple(diag[i] for i in keep))
+    return group, _promote(R[:, keep]), _promote(R_inv[keep])
 
-    # column ops act on R from the right
-    def on_col(kind, i, j, q):
-        if kind == "sub":
-            R[:, i] -= q * R[:, j]
-        else:
-            R[:, [i, j]] = R[:, [j, i]]
 
-    diag = _snf_core(M, n, c, on_row, on_col)
-    return diag, IntMatrix(L), IntMatrix(R)
+def _reduced_product(X: np.ndarray, Y: np.ndarray, inv) -> np.ndarray:
+    """X @ Y with column k reduced mod the invariant factor inv[k] and
+    kept exact where inv[k] = 0.  Reducing the columns of Y mod the same
+    factors first does not change the result."""
+    bound = X.shape[1] * (_abs_max(X) + 1) * (_abs_max(Y) + 1)
+    Z = _promote(X, bound) @ _promote(Y, bound)
+    for k, d in enumerate(inv):
+        if d:
+            Z[:, k] %= d
+    return _promote(Z)
 
 
 def snf_invariants(A, verify: bool | None = None) -> list[int]:
@@ -616,7 +633,7 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
     elimination over Z/p^k, and raises LinalgError on disagreement.
     """
     mat = _as_matrix(A)
-    diag = _snf_core(mat.array.astype(object), mat.rows, mat.cols, None, None)
+    diag = _snf_core(mat.array.astype(object))
     if verify is None:
         verify = max(mat.rows, mat.cols) > _VERIFY_DIM
     if verify and diag:
@@ -1165,18 +1182,13 @@ def _discover(order: int, perms: Sequence[np.ndarray], identity: int):
     first = np.ones(len(rel), dtype=bool)
     first[1:] = (rel[1:] != rel[:-1]).any(axis=1)
     rel = rel[first]
-    diag, _, R = snf(IntMatrix(rel))
-    if len(diag) != k or any(d == 0 for d in diag):
+    group, to, _ = smith_coordinates(IntMatrix(rel), k)
+    if not group.is_finite:
         raise LinalgError("black-box group is not finite as presented")
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    group = AbGroup(tuple(diag[i] for i in kept))
-    if (group.order or 1) != order:
+    if group.order != order:
         raise LinalgError("relation lattice volume does not match order")
-    Rk = R.array[:, kept]
-    bound = _abs_max(words) * _abs_max(Rk) * k
-    full = _promote(words, bound) @ _promote(Rk, bound)
-    mods = np.array(group.invariant_factors, dtype=np.int64)
-    return group, bfs, (full % mods).astype(np.int64)
+    coords = _reduced_product(words, to, group.invariant_factors)
+    return group, bfs, coords.astype(np.int64)
 
 
 def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):

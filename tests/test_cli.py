@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ordist.cli as cli
 from ordist.distribution import OracleMismatch
@@ -190,6 +194,38 @@ def test_oracle_mismatch_exits_three(capsys, monkeypatch):
     code = cli.main(["torsion", "-d", "7", "-m", "p:11"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_cache_dir_that_is_a_file_exits_four(capsys, tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    code = cli.main(["torsion", "-d", "23", "-m", "p:3,p:13",
+                     "--cache-dir", str(blocker)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ordist: cache {blocker}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_four():
+    # the read end is closed before the child starts, so its first write
+    # to standard output fails with EPIPE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordist.cli", "field", "-d", "7",
+             "--no-cache"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 4
+    assert proc.stderr == "ordist: standard output closed\n"
 
 
 def test_reports_contain_no_floats(capsys, tmp_path):

@@ -322,6 +322,37 @@ def test_rank_defect_is_caught(field7, monkeypatch):
         level_torsion(P)
 
 
+def _axis_character_count(heads, factors, p):
+    """The character count with one d x d DFT table per invariant
+    factor d, no CRT split (the reference for _character_count)."""
+    X = (heads % p).astype(np.int64).reshape(len(heads), *factors)
+    for axis, d in enumerate(factors, start=1):
+        root = dist._root_of_unity(d, p)
+        powers = np.array([pow(root, t, p) for t in range(d)], dtype=np.int64)
+        table = powers[np.multiply.outer(np.arange(d), np.arange(d)) % d]
+        X = np.moveaxis(np.moveaxis(X, axis, -1) @ table % p, -1, axis)
+    return int(X.reshape(len(heads), -1).any(axis=0).sum())
+
+
+@pytest.mark.parametrize("factors", [(12,), (2, 30), (6, 36), (2, 2, 420)])
+def test_crt_character_count_matches_axis_dft(factors):
+    # heads that are indicators of cyclic subgroups <g> vanish at every
+    # character nontrivial on g, so the counts fall below the order
+    G = AbGroup(factors)
+    rng = random.Random(sum(factors))
+    p = dist._character_primes(G.exponent)[0]
+    gens = [tuple(rng.randrange(d) for d in factors) for _ in range(3)]
+    heads = np.zeros((len(gens) + 1, G.order), dtype=np.int64)
+    for row, g in zip(heads, gens):
+        k = np.arange(G.element_order(g))[:, None]
+        row[G.indices(k * np.array(g, dtype=np.int64))] = 1
+    heads[-1, rng.randrange(G.order)] = 5
+    for rows in (heads[:1], heads[:-1], heads):
+        want = _axis_character_count(rows, factors, p)
+        assert dist._character_count(rows, factors, p) == want
+    assert _axis_character_count(heads[:1], factors, p) < G.order
+
+
 def test_certificate_refuses_a_permuted_column(field7):
     # the twin of a transform column off its translate: a relation row
     # at sigma != 0 with two entries swapped is off its step's template,

@@ -150,6 +150,18 @@ def test_artin_of_principal_prime_reads_residue(triple, K7):
     assert coords == triple.word_to_coords(word)
 
 
+def test_words_and_coordinates_round_trip(triple):
+    # every relation word is 0, and coords_to_word lifts each class to a
+    # word with those coordinates, on the headline group and on one with
+    # a class prime
+    K = make_field(23)
+    for G in (triple, ray_class_group(K, _modulus(K, [(13, 0, 1)]))):
+        zero = G.group.zero()
+        assert all(G.word_to_coords(r) == zero for r in G._relation_rows())
+        for c in G.group.elements():
+            assert G.word_to_coords(G.coords_to_word(c)) == c
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
 def test_artin_principal_matches_residue(xy):

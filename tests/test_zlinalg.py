@@ -23,7 +23,7 @@ from ordist.zlinalg import (
     hnf,
     hnf_basis,
     rational_kernel,
-    snf,
+    smith_coordinates,
     snf_invariants,
     solve_left,
     subquotient_torsion,
@@ -94,25 +94,49 @@ def test_hnf_empty():
     assert U.rows == 0
 
 
-def test_snf_diag_6_4():
-    d, L, R = snf(IntMatrix.from_rows([[6, 0], [0, 4]]))
-    assert d == [2, 12]
+def _check_smith_coordinates(rows, ambient):
+    """The contract of smith_coordinates on the relation rows: the
+    invariants, relations to 0, and back @ to the identity in the group
+    (exact on the free coordinates).  Returns (group, to, back)."""
+    group, to, back = smith_coordinates(
+        IntMatrix.from_rows(rows, ambient), ambient)
+    inv = group.invariant_factors
+    nonzero = minor_gcd_invariants(rows, ambient) if rows else []
+    assert inv == tuple(d for d in nonzero if d != 1) \
+        + (0,) * (ambient - len(nonzero))
+    k = len(inv)
+    assert to.shape == (ambient, k) and back.shape == (k, ambient)
+
+    def reduce(Z):
+        return [[x % d if d else x for x, d in zip(r, inv)]
+                for r in Z.tolist()]
+
+    rel = np.array(rows, dtype=object).reshape(len(rows), ambient)
+    assert reduce(rel @ to) == [[0] * k] * len(rows)
+    assert reduce(back @ to) == np.identity(k, dtype=int).tolist()
+    return group, to, back
 
 
-def test_snf_transforms_exact():
-    A = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    d, L, R = snf(A)
-    n, c = A.rows, A.cols
-    prod = [[sum(L[i, k] * A[k, j] for k in range(n)) for j in range(c)]
-            for i in range(n)]
-    prod = [[sum(prod[i][k] * R[k, j] for k in range(c)) for j in range(c)]
-            for i in range(n)]
-    for i in range(n):
-        for j in range(c):
-            want = d[i] if i == j and i < len(d) else 0
-            assert prod[i][j] == want
-    assert abs(_det([list(r) for r in L.entries])) == 1
-    assert abs(_det([list(r) for r in R.entries])) == 1
+def test_smith_coordinates_diag_6_4():
+    group, to, back = _check_smith_coordinates([[6, 0], [0, 4]], 2)
+    assert group.invariant_factors == (2, 12)
+    # e_1 has order 6 and e_2 order 4 in Z/2 x Z/12
+    assert [group.element_order(tuple(r)) for r in
+            np.identity(2, dtype=object) @ to % [2, 12]] == [6, 4]
+
+
+def test_smith_coordinates_exact():
+    group, to, back = _check_smith_coordinates(
+        [[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
+    assert group.invariant_factors == (2, 2, 156)
+    # free factors: their coordinates are exact integers
+    group, to, back = _check_smith_coordinates([[2, 4, 4]], 3)
+    assert group.invariant_factors == (2, 0, 0)
+    group, to, back = _check_smith_coordinates([], 2)
+    assert group.invariant_factors == (0, 0)
+    assert (to @ back).tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(LinalgError):
+        smith_coordinates([[1, 2, 3]], 2)
 
 
 def test_cokernel_free():
@@ -330,6 +354,12 @@ def matrices(max_dim=5):
 def test_snf_matches_minor_gcd_oracle(rows):
     inv = snf_invariants(IntMatrix.from_rows(rows), verify=True)
     assert inv == minor_gcd_invariants(rows, len(rows[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(5))
+def test_smith_coordinates_contract(rows):
+    _check_smith_coordinates(rows, len(rows[0]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,7 +32,7 @@ from ordist.zlinalg import (
     IntMatrix,
     LinalgError,
     OrdistError,
-    snf,
+    smith_coordinates,
 )
 
 
@@ -94,19 +94,19 @@ def ab_discover(order, mul, gens, identity):
             if any(row):
                 rel.add(row)
     rel = sorted(rel)
-    diag, _, R = snf(IntMatrix.from_rows(rel, k) if rel
-                     else IntMatrix.zeros(0, k))
-    if len(diag) != k or any(d == 0 for d in diag):
+    group, to, _ = smith_coordinates(IntMatrix.from_rows(rel, k) if rel
+                                     else IntMatrix.zeros(0, k), k)
+    if not group.is_finite:
         raise LinalgError("black-box group is not finite as presented")
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    group = AbGroup(tuple(diag[i] for i in kept))
+    inv = group.invariant_factors
     if (group.order or 1) != order:
         raise LinalgError("relation lattice volume does not match order")
-    Rm = R.array.tolist()
+    Rm = to.tolist()
     dlog = {}
     for e, w in words.items():
-        full = [sum(w[i] * Rm[i][j] for i in range(k)) for j in range(k)]
-        dlog[e] = tuple(full[i] % diag[i] for i in kept)
+        full = [sum(w[i] * Rm[i][j] for i in range(k))
+                for j in range(len(inv))]
+        dlog[e] = tuple(x % d for x, d in zip(full, inv))
     return group, dlog
 
 
