@@ -74,7 +74,7 @@ MUTANTS = (
     ),
     Mutant(
         "unit-bfs-drops-last-generator",
-        "quadfield.py",
+        "rayclass.py",
         "_discover(order, [perm_of(g) for g in gens], ident)",
         "_discover(order, [perm_of(g) for g in gens[:-1]], ident)",
         ("tests/test_quadfield.py::test_units_mod_split_11",
@@ -97,6 +97,29 @@ MUTANTS = (
         "            continue  # an equal subgroup has the same cosets\n",
         "            pass  # an equal subgroup has the same cosets\n",
         (f"{_RELATION_LEVELS}[d3-2^2*7]",),
+    ),
+    # ideal lattices and principality
+    Mutant(
+        "ideal-lattice-drops-cross-term",
+        "quadfield.py",
+        "            c, t, ca = g, u * t + v * x, "
+        "math.gcd(ca, (y * t - c * x) // g)\n",
+        "            c, t = g, u * t + v * x\n",
+        ("tests/test_quadfield.py::test_ideal_lattice_matches_hnf_reference",
+         "tests/test_quadfield.py::"
+         "test_ideal_lattice_matches_hnf_reference_on_prime_ideals[7]",
+         "tests/test_quadfield.py::test_split_primes_multiply_to_p"),
+    ),
+    Mutant(
+        "principal-test-skips-reduction",
+        "quadfield.py",
+        "        if K.form_of_ideal(self) != K.principal_form():\n",
+        "        if (self.a, self.b) != K.principal_form()[:2]:\n",
+        ("tests/test_quadfield.py::test_norm19_generator_in_minus15",
+         "tests/test_quadfield.py::"
+         "test_principality_matches_class_triviality[7]",
+         "tests/test_quadfield.py::"
+         "test_principality_matches_class_triviality[23]"),
     ),
     # the rank certificate and the annihilation check on the heads
     Mutant(

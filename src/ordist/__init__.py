@@ -3,12 +3,12 @@ quadratic fields.
 
 The package computes, with integer-exact linear algebra throughout:
 
+  * ideal arithmetic, reduced forms, prime splitting and class numbers
+    of imaginary quadratic fields, in plain integers (quadfield);
   * invariant-factor structure of finitely generated abelian groups
     (zlinalg);
-  * ideal arithmetic, class groups and residue unit groups of imaginary
-    quadratic orders (quadfield);
-  * ray class groups with Artin maps, inertia subgroups, Frobenius data
-    and transition surjections (rayclass);
+  * residue unit groups and ray class groups with Artin maps, inertia
+    subgroups, Frobenius data and transition surjections (rayclass);
   * group-ring traces, averaged Frobenius elements, Iwasawa-type
     coefficients and trace-ideal quotients (groupring);
   * level subgroups of the universal ordinary distribution, their
@@ -17,86 +17,76 @@ The package computes, with integer-exact linear algebra throughout:
   * cyclic Tate cohomology and the synthetic Sylow-frame cross-checks
     (cohomology);
   * a JSON-reporting command line front end with an on-disk cache (cli).
+
+Importing the package loads none of these modules.  Each public name
+below is served from its defining module, which is imported on the
+first access (PEP 562), so that `ordist field` and a cache hit run on
+quadfield alone and never import numpy.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .zlinalg import (  # noqa: F401
-    AbGroup,
-    AbHom,
-    GeneratorsInsufficient,
-    IntMatrix,
-    LinalgError,
-    NotSubLattice,
-    OrdistError,
-    ab_discover,
-    cokernel,
-    hnf,
-    hnf_basis,
-    rational_kernel,
-    smith_coordinates,
-    snf_invariants,
-    solve_left,
-    subquotient_torsion,
-)
-from .quadfield import (  # noqa: F401
-    FieldMismatch,
-    Modulus,
-    ModulusTooLarge,
-    NotPrime,
-    NotSquarefree,
-    OIdeal,
-    QuadField,
-    make_field,
-    residue_units,
-    splitting_type,
-)
-from .rayclass import (  # noqa: F401
-    FrameUnavailable,
-    GaloisOverH,
-    NotCoprime,
-    NotDivisor,
-    PrimeNotInModulus,
-    RayClassGroup,
-    Subgroup,
-    galois_over_h,
-    ray_class_group,
-)
-from .groupring import (  # noqa: F401
-    GroupRingElt,
-    NotCoprimeToW,
-    TraceIdeal,
-    alpha,
-    gal_h_quotient,
-    gal_h_quotient_torsion,
-    p_star,
-    trace,
-    trace_ideal,
-    trace_ideal_quotient,
-    transfer,
-)
-from .cohomology import (  # noqa: F401
-    CyclicModule,
-    NotCyclic,
-    SylowFrameSynthetic,
-    build_lambda_quotients,
-    dimension_shift,
-    hpq_spot_check,
-    sweep_torsion_law,
-    tate_cyclic,
-    twisted_trace_torsion,
-    verify_tor_h2,
-)
-from .distribution import (  # noqa: F401
-    DeltaPresentation,
-    HypothesisFailed,
-    OracleMismatch,
-    TorsionCertificate,
-    WrongShape,
-    build_presentation,
-    level_torsion,
-    nu,
-    search_torsex,
-    torsex_certificate,
-    torsion_bound,
-)
+
+class OrdistError(Exception):
+    """Base class for all package errors.
+
+    The command line front end exits with exit_code and prints prefix
+    before the message.
+    """
+
+    exit_code = 1
+    prefix = ""
+
+
+_EXPORTS = {
+    "zlinalg": (
+        "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
+        "LinalgError", "NotSubLattice", "ab_discover", "cokernel",
+        "rational_kernel", "smith_coordinates", "snf_invariants",
+        "solve_left", "subquotient_torsion",
+    ),
+    "quadfield": (
+        "FieldMismatch", "Modulus", "ModulusTooLarge", "NotPrime",
+        "NotSquarefree", "OIdeal", "QuadField", "make_field",
+        "splitting_type",
+    ),
+    "rayclass": (
+        "FrameUnavailable", "GaloisOverH", "NotCoprime", "NotDivisor",
+        "PrimeNotInModulus", "RayClassGroup", "Subgroup", "galois_over_h",
+        "ray_class_group", "residue_units",
+    ),
+    "groupring": (
+        "GroupRingElt", "NotCoprimeToW", "TraceIdeal", "alpha",
+        "gal_h_quotient", "gal_h_quotient_torsion", "p_star", "trace",
+        "trace_ideal", "trace_ideal_quotient", "transfer",
+    ),
+    "cohomology": (
+        "CyclicModule", "NotCyclic", "SylowFrameSynthetic",
+        "build_lambda_quotients", "dimension_shift", "hpq_spot_check",
+        "sweep_torsion_law", "tate_cyclic", "twisted_trace_torsion",
+        "verify_tor_h2",
+    ),
+    "distribution": (
+        "DeltaPresentation", "HypothesisFailed", "OracleMismatch",
+        "TorsionCertificate", "WrongShape", "build_presentation",
+        "level_torsion", "nu", "search_torsex", "torsex_certificate",
+        "torsion_bound",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+__all__ = ["OrdistError", *_HOME]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

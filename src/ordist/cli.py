@@ -5,7 +5,10 @@ the library, and prints one ReportDocument to standard output.  The
 document is byte-stable for identical inputs and code versions apart
 from the timing field.  Exit codes: 0 success, 1 usage error, 2 a
 violated hypothesis, 3 an internal oracle mismatch, 4 an I/O error (an
-unusable cache directory, or standard output closed by its reader).
+unusable cache directory, or standard output closed by its reader);
+each error class carries its code.  A command imports the layer it
+computes with only when it computes, so `field` and every cache hit run
+without numpy.
 
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
@@ -31,21 +34,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
-from .cohomology import sweep_torsion_law
-from .distribution import (
-    HypothesisFailed,
-    OracleMismatch,
-    build_presentation,
-    level_torsion,
-    search_torsex,
-    torsex_certificate,
-    torsion_bound,
-)
-from .groupring import NotCoprimeToW
+from . import OrdistError, __version__
 from .quadfield import Modulus, QuadField, make_field
-from .rayclass import ray_class_group
-from .zlinalg import CSRMatrix, IntMatrix, OrdistError
 
 SCHEMA = "ordist/1"
 
@@ -56,6 +46,8 @@ class UsageError(OrdistError):
 
 class CacheUnusable(OrdistError):
     """The cache directory cannot be read or written."""
+
+    exit_code = 4
 
 
 @dataclass
@@ -188,7 +180,8 @@ class Cache:
         return manifest
 
     def store(self, command: str, d: int, spec: str, manifest: dict,
-              matrices: dict[str, IntMatrix | CSRMatrix] = ()) -> None:
+              matrices: dict = ()) -> None:
+        """Write the manifest, and each zlinalg matrix by its to_text."""
         if self.root is None:
             return
         key = _cache_key(command, d, spec)
@@ -219,6 +212,7 @@ def cmd_rayclass(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
     if hit is not None:
         _note(cfg, "cache hit")
         return hit["result"]
+    from .rayclass import ray_class_group
     G = ray_class_group(K, m)
     result = {
         "modulus": m.label(),
@@ -240,6 +234,7 @@ def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
     if hit is not None:
         _note(cfg, "cache hit")
         return hit["result"]
+    from .distribution import build_presentation, level_torsion, torsion_bound
     _note(cfg, "building presentation")
     P = build_presentation(K, m)
     _note(cfg, f"{P.n_gens} generators, {P.relations.rows} relations")
@@ -274,6 +269,8 @@ def cmd_certify(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
         _note(cfg, "cache hit")
         # the key ignores the order of -p; the echo follows it
         return {**hit["result"], "primes": [p.norm() for p in primes]}
+    from .distribution import OracleMismatch, torsex_certificate
+    from .zlinalg import IntMatrix
     _note(cfg, "building certificate")
     cert = torsex_certificate(K, *primes)
     result = {
@@ -305,6 +302,7 @@ def _certify_label(K: QuadField, primes) -> str | None:
 
 
 def cmd_search(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
+    from .distribution import search_torsex
     triples = search_torsex(K, cfg.norm_bound)
     return {
         "norm_bound": cfg.norm_bound,
@@ -315,6 +313,7 @@ def cmd_search(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
 
 
 def cmd_toralg_sweep(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
+    from .cohomology import sweep_torsion_law
     max_m = 5 if cfg.slow else 4
     summary = []
     all_hold = True
@@ -325,6 +324,7 @@ def cmd_toralg_sweep(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
         summary.append({"ell": ell, "cases": len(records),
                         "law_holds": holds})
     if not all_hold:
+        from .distribution import OracleMismatch
         raise OracleMismatch("synthetic torsion law failed: "
                              + json.dumps(summary, sort_keys=True))
     return {"max_primes": max_m, "sweeps": summary}
@@ -440,21 +440,9 @@ def main(argv=None) -> int:
         K = make_field(cfg.d) if args.command != "toralg-sweep" else None
         cache = Cache(cfg.cache_dir)
         result = _COMMANDS[args.command](cfg, K, cache)
-    except UsageError as exc:
-        print(f"ordist: {exc}", file=sys.stderr)
-        return 1
-    except (HypothesisFailed, NotCoprimeToW) as exc:
-        print(f"ordist: hypothesis failure: {exc}", file=sys.stderr)
-        return 2
-    except OracleMismatch as exc:
-        print(f"ordist: oracle mismatch: {exc}", file=sys.stderr)
-        return 3
-    except CacheUnusable as exc:
-        print(f"ordist: {exc}", file=sys.stderr)
-        return 4
     except OrdistError as exc:
-        print(f"ordist: {exc}", file=sys.stderr)
-        return 1
+        print(f"ordist: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     timing = (time.monotonic_ns() - started) // 1_000_000
     doc = ReportDocument(
         command=tuple(argv),

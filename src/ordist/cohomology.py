@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groupring import _coset_rows
+from . import OrdistError
+from .quadfield import _is_prime
 from .zlinalg import (
     AbGroup,
     AbHom,
     CSRMatrix,
     IntMatrix,
-    OrdistError,
     _as_matrix,
-    _is_prime,
     _reduced_product,
     cokernel,
     rational_kernel,

@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import OrdistError
 from .groupring import NotCoprimeToW, alpha, trace_ideal_quotient
-from .quadfield import Modulus, OIdeal, QuadField
+from .quadfield import Modulus, OIdeal, QuadField, _is_prime
 from .rayclass import (
     FrameUnavailable,
     RayClassGroup,
@@ -36,10 +37,8 @@ from .zlinalg import (
     AbGroup,
     CSRMatrix,
     IntMatrix,
-    OrdistError,
     _INT64_BOUND,
     _abs_max,
-    _is_prime,
     _prime_divisors,
     _promote,
     _snf_local_valuations,
@@ -53,11 +52,13 @@ class WrongShape(OrdistError):
 
 
 class OracleMismatch(OrdistError):
-    pass
+    exit_code = 3
+    prefix = "oracle mismatch: "
 
 
 class HypothesisFailed(OrdistError):
-    pass
+    exit_code = 2
+    prefix = "hypothesis failure: "
 
 
 class DeltaPresentation:

@@ -34,13 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import OrdistError
 from .quadfield import Modulus, OIdeal
 from .rayclass import RayClassGroup, Subgroup, ray_class_group
 from .zlinalg import (
     AbGroup,
     AbHom,
     CSRMatrix,
-    OrdistError,
     _abs_max,
     _promote,
     cokernel,
@@ -48,7 +48,8 @@ from .zlinalg import (
 
 
 class NotCoprimeToW(OrdistError):
-    pass
+    exit_code = 2
+    prefix = "hypothesis failure: "
 
 
 def _same_group(a: AbGroup, b: AbGroup) -> None:

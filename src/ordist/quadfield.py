@@ -1,4 +1,4 @@
-"""Arithmetic of imaginary quadratic fields.
+"""Arithmetic of imaginary quadratic fields, in plain integers.
 
 A field K = Q(sqrt(-d)) is carried with its maximal order Z + Z*omega,
 omega = sqrt(D)/2 for even fundamental discriminant D and
@@ -6,39 +6,27 @@ omega = sqrt(D)/2 for even fundamental discriminant D and
 meaning x + y*omega.  Integral ideals are stored in two-generator
 lattice form content * (a Z + ((b + sqrt(D))/2) Z) with b normalized
 into [0, 2a); all ideal arithmetic (product, gcd, membership) happens on
-the underlying rank-2 lattices through Hermite reduction, so there is a
-single code path whether or not ideals are primitive.
+the underlying rank-2 lattices through one extended-gcd Hermite
+reduction of two columns, so there is a single code path whether or
+not ideals are primitive.  An ideal is principal exactly when its
+reduced form is the principal form.
 
-The class group is built by enumerating reduced binary quadratic forms
-and closing them under composition-through-ideal-multiplication with
-ab_discover, which labels the classes once.  Unit groups of residue
-rings are found on indices instead: the residues are the entries of
-int64 arrays, multiplication by a unit is one vectorised product that
-permutes the unit labels, and the generator harvest and the abelian
-structure run on those permutations.  Both end in the same structure
-core, zlinalg._discover.
+This module imports neither numpy nor the linear algebra layer, so a
+field, its primes and its ideals cost no more than the interpreter.
+The one exception is the class group, built on first use by
+enumerating reduced binary quadratic forms and closing them under
+composition-through-ideal-multiplication with zlinalg.ab_discover,
+which labels the classes once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .zlinalg import (
-    AbGroup,
-    OrdistError,
-    _discover,
-    _harvest,
-    _is_prime,
-    ab_discover,
-    hnf_basis,
-)
-
-RESIDUE_NORM_BOUND = 10 ** 6
+from . import OrdistError
 
 
 class NotSquarefree(OrdistError):
@@ -55,6 +43,38 @@ class FieldMismatch(OrdistError):
 
 class ModulusTooLarge(OrdistError):
     pass
+
+
+# the least strong pseudoprime to all of the first twelve prime bases
+# (Sorenson and Webster, 2015): below it, Miller-Rabin to those bases
+# decides primality
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below _MR_BOUND, trial division above."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        return all(n % k for k in range(41, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_squarefree(n: int) -> bool:
@@ -86,7 +106,6 @@ class QuadField:
         self.osq_c = D // 4 if D % 2 == 0 else (D - 1) // 4
         self.form_reps = tuple(self._reduced_forms())
         self.h = len(self.form_reps)
-        self.class_group, self._form_dlog = self._build_class_group()
         self._prime_cache: dict[int, tuple[str, tuple["OIdeal", ...]]] = {}
 
     def __eq__(self, other):
@@ -173,16 +192,27 @@ class QuadField:
             b = -b
         return (a, b, c)
 
-    def _build_class_group(self):
-        ident = self.principal_form()
+    @cached_property
+    def _classes(self):
+        """(class group, dlog of the reduced forms), built on first use.
+
+        This is the one place a field needs zlinalg, and with it numpy;
+        the import is deferred so that a field, its primes and its
+        ideals load neither.
+        """
+        from .zlinalg import ab_discover
 
         def compose(f, g):
             return self.form_of_ideal(
                 self.ideal_of_form(f).multiply(self.ideal_of_form(g)))
 
-        group, dlog = ab_discover(self.h, compose, list(self.form_reps),
-                                  identity=ident)
-        return group, dlog
+        return ab_discover(self.h, compose, list(self.form_reps),
+                           identity=self.principal_form())
+
+    @property
+    def class_group(self):
+        """The class group as a zlinalg.AbGroup."""
+        return self._classes[0]
 
     # -- ideals from/to forms --
 
@@ -195,7 +225,7 @@ class QuadField:
         return self.reduce_form((I.a, I.b, c))
 
     def ideal_class(self, I: "OIdeal") -> tuple[int, ...]:
-        return self._form_dlog[self.form_of_ideal(I)]
+        return self._classes[1][self.form_of_ideal(I)]
 
     def unit_ideal(self) -> "OIdeal":
         return OIdeal(self, 1, 1, self.disc & 1)
@@ -336,7 +366,7 @@ class OIdeal:
     def is_principal_generator(self) -> Optional[tuple[int, int]]:
         """Generator as (x, y) with I = ((x + y sqrt(D))/2), if principal."""
         K = self.field
-        if K.ideal_class(self) != K.class_group.zero():
+        if K.form_of_ideal(self) != K.principal_form():
             return None
         u = (self.a, 0)
         w = self.beta()
@@ -382,26 +412,54 @@ class OIdeal:
         return f"OIdeal(d={self.field.d}, c={self.content}, a={self.a}, b={self.b})"
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b) >= 0."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
 def _ideal_from_lattice(K: QuadField, gens: Iterable[tuple[int, int]]) -> OIdeal:
     """Canonical (content, a, b) of the ideal lattice spanned by gens.
 
-    Rows enter Hermite reduction as (y, x) so the first pivot is the gcd
-    of omega coefficients (= content) and the second is content * a.
+    The Hermite basis of the rows (y, x) is (c, t), (0, c a): c is the
+    gcd of the omega coefficients (the content), and c a generates the
+    rows with y = 0.  Each row enters the pivot (c, t) through the
+    unimodular [[u, v], [y/g, -c/g]], u c + v y = g = gcd(c, y), which
+    leaves (g, u t + v x) and the cross term (0, (y t - c x) / g).
     """
-    rows = [(y, x) for x, y in gens if (x, y) != (0, 0)]
-    basis = hnf_basis(rows)
-    if len(basis) != 2:
+    c = t = ca = 0
+    for x, y in gens:
+        g, u, v = _xgcd(c, y)
+        if g:
+            c, t, ca = g, u * t + v * x, math.gcd(ca, (y * t - c * x) // g)
+        else:
+            ca = math.gcd(ca, x)
+    if not c or not ca:
         raise OrdistError("generators do not span a full ideal lattice")
-    c, t = basis[0]
-    ca = basis[1][1]
-    if basis[1][0] != 0:
-        raise OrdistError("ideal lattice basis is not triangular")
+    t %= ca
     if t % c or ca % c:
         raise OrdistError("lattice is not an O_K module")
     a = ca // c
     beta = (t // c) % a
     b = 2 * beta + (K.disc & 1)
     return OIdeal(K, c, a, b)
+
+
+def _residue_reduce(n_ideal: OIdeal, u):
+    """Canonical representative of u modulo the ideal lattice."""
+    c = n_ideal.content
+    ca = c * n_ideal.a
+    bx, _ = n_ideal.beta()
+    x, y = u
+    k = y // c
+    x -= k * c * bx
+    y -= k * c
+    return (x % ca, y)
 
 
 # ---------------------------------------------------------------------------
@@ -511,89 +569,3 @@ class Modulus:
                 s += f"^{e}"
             parts.append(s)
         return ",".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# residue unit groups
-
-def _residue_reduce(n_ideal: OIdeal, u):
-    """Canonical representative of u modulo the ideal lattice."""
-    c = n_ideal.content
-    ca = c * n_ideal.a
-    bx, _ = n_ideal.beta()
-    x, y = u
-    k = y // c
-    x -= k * c * bx
-    y -= k * c
-    return (x % ca, y)
-
-
-def residue_units(K: QuadField, n: Modulus):
-    """Structure of (O_K/n)^x: (AbGroup, dlog, mu_images).
-
-    dlog maps every coprime canonical residue (x, y) to invariant
-    coordinates, in the breadth-first order in which the generators
-    reach it; mu_images lists the images of zeta^0 ... zeta^{w_K - 1}.
-
-    The residues x + y*omega, 0 <= x < c a and 0 <= y < c for
-    n = c (a Z + beta Z), are the indices y c a + x of int64 arrays,
-    and the units are labelled in that order.  Multiplication by a unit
-    g is x g + y (omega g): one vectorised product and reduction of all
-    units at once, which gives a permutation of the unit labels.  The
-    greedy harvest and the structure then run on those permutations
-    (zlinalg._harvest and zlinalg._discover).
-    """
-    if n.norm() > RESIDUE_NORM_BOUND:
-        raise ModulusTooLarge(f"norm {n.norm()} exceeds {RESIDUE_NORM_BOUND}")
-    if n.is_one():
-        return AbGroup(()), {(0, 0): ()}, [()] * K.w_K
-    nid = n.ideal()
-    c, ca = nid.content, nid.content * nid.a
-    bx = nid.beta()[0]
-    y, x = np.divmod(np.arange(c * ca, dtype=np.int64), ca)
-    # non-unit residues at a prime P over p: x - y*beta_P = 0 mod p for
-    # split/ramified P, p | x and p | y for inert P
-    unit = np.ones(c * ca, dtype=bool)
-    for p, _ in n.primes:
-        q = p.rational_prime()
-        if p.content == 1:
-            unit &= (x - y * p.beta()[0]) % q != 0
-        else:
-            unit &= (x % q != 0) | (y % q != 0)
-    units = np.flatnonzero(unit)
-    order = n.phi()
-    if len(units) != order:
-        raise OrdistError(f"found {len(units)} residue units, phi(n) = {order}")
-    label = np.full(c * ca, -1, dtype=np.int64)
-    label[units] = np.arange(order)
-    ux, uy = x[units], y[units]
-
-    def label_of(u) -> int:
-        rx, ry = _residue_reduce(nid, u)
-        return int(label[ry * ca + rx])
-
-    def perm_of(g: int) -> np.ndarray:
-        """Multiplication by the unit of label g, on unit labels."""
-        u = (int(ux[g]), int(uy[g]))
-        # x u + y (omega u), reduced; entries stay below 2 (c a)^2
-        (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
-                              for v in (u, K.elt_mul((0, 1), u)))
-        X, Y = ux * gx + uy * hx, ux * gy + uy * hy
-        k = Y // c
-        X = (X - k * c * bx) % ca
-        out = label[(Y - k * c) * ca + X]
-        if (out < 0).any():
-            raise OrdistError("a product of residue units is not a unit")
-        return out
-
-    ident = label_of((1, 0))
-    gens = _harvest(order, perm_of, ident)
-    group, bfs, coords = _discover(order, [perm_of(g) for g in gens], ident)
-    dlog = dict(zip(zip(ux[bfs].tolist(), uy[bfs].tolist()),
-                    map(tuple, coords[bfs].tolist())))
-    z = perm_of(label_of(K.zeta()))
-    mu, cur = [], ident
-    for _ in range(K.w_K):
-        mu.append(tuple(coords[cur].tolist()))
-        cur = int(z[cur])
-    return group, dlog, mu

@@ -14,6 +14,12 @@ Artin images of coprime ideals are computed by the same mechanism:
 divide the ideal by a product of class primes to reach a principal
 ideal, recover the generator, and read off its residue.
 
+The unit groups (O_K/n)^x are found on indices: the residues are the
+entries of int64 arrays, multiplication by a unit is one vectorised
+product that permutes the unit labels, and the generator harvest and
+the abelian structure run on those permutations, in the structure core
+zlinalg._discover that subgroups share.
+
 The tau-frame decomposes Gamma = ker(G_m -> G_(1)) into the prime-to-l
 part and the l-Sylow G_l, writes G_l as an internal direct product of
 the inertia l-Sylows for all primes but the last, and solves for a last
@@ -25,22 +31,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from . import OrdistError
 from .quadfield import (
     Modulus,
+    ModulusTooLarge,
     OIdeal,
     QuadField,
+    _is_prime,
     _residue_reduce,
-    residue_units,
 )
 from .zlinalg import (
     AbGroup,
     AbHom,
     IntMatrix,
-    OrdistError,
     _discover,
     _grow,
     _harvest,
-    _is_prime,
     _reduced_product,
     rational_kernel,
     smith_coordinates,
@@ -185,6 +191,83 @@ class Subgroup:
 
     def invariant_factors(self) -> tuple[int, ...]:
         return self.as_group()[0].invariant_factors
+
+
+# ---------------------------------------------------------------------------
+# residue unit groups
+
+RESIDUE_NORM_BOUND = 10 ** 6
+
+
+def residue_units(K: QuadField, n: Modulus):
+    """Structure of (O_K/n)^x: (AbGroup, dlog, mu_images).
+
+    dlog maps every coprime canonical residue (x, y) to invariant
+    coordinates, in the breadth-first order in which the generators
+    reach it; mu_images lists the images of zeta^0 ... zeta^{w_K - 1}.
+
+    The residues x + y*omega, 0 <= x < c a and 0 <= y < c for
+    n = c (a Z + beta Z), are the indices y c a + x of int64 arrays,
+    and the units are labelled in that order.  Multiplication by a unit
+    g is x g + y (omega g): one vectorised product and reduction of all
+    units at once, which gives a permutation of the unit labels.  The
+    greedy harvest and the structure then run on those permutations
+    (zlinalg._harvest and zlinalg._discover).
+    """
+    if n.norm() > RESIDUE_NORM_BOUND:
+        raise ModulusTooLarge(f"norm {n.norm()} exceeds {RESIDUE_NORM_BOUND}")
+    if n.is_one():
+        return AbGroup(()), {(0, 0): ()}, [()] * K.w_K
+    nid = n.ideal()
+    c, ca = nid.content, nid.content * nid.a
+    bx = nid.beta()[0]
+    y, x = np.divmod(np.arange(c * ca, dtype=np.int64), ca)
+    # non-unit residues at a prime P over p: x - y*beta_P = 0 mod p for
+    # split/ramified P, p | x and p | y for inert P
+    unit = np.ones(c * ca, dtype=bool)
+    for p, _ in n.primes:
+        q = p.rational_prime()
+        if p.content == 1:
+            unit &= (x - y * p.beta()[0]) % q != 0
+        else:
+            unit &= (x % q != 0) | (y % q != 0)
+    units = np.flatnonzero(unit)
+    order = n.phi()
+    if len(units) != order:
+        raise OrdistError(f"found {len(units)} residue units, phi(n) = {order}")
+    label = np.full(c * ca, -1, dtype=np.int64)
+    label[units] = np.arange(order)
+    ux, uy = x[units], y[units]
+
+    def label_of(u) -> int:
+        rx, ry = _residue_reduce(nid, u)
+        return int(label[ry * ca + rx])
+
+    def perm_of(g: int) -> np.ndarray:
+        """Multiplication by the unit of label g, on unit labels."""
+        u = (int(ux[g]), int(uy[g]))
+        # x u + y (omega u), reduced; entries stay below 2 (c a)^2
+        (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
+                              for v in (u, K.elt_mul((0, 1), u)))
+        X, Y = ux * gx + uy * hx, ux * gy + uy * hy
+        k = Y // c
+        X = (X - k * c * bx) % ca
+        out = label[(Y - k * c) * ca + X]
+        if (out < 0).any():
+            raise OrdistError("a product of residue units is not a unit")
+        return out
+
+    ident = label_of((1, 0))
+    gens = _harvest(order, perm_of, ident)
+    group, bfs, coords = _discover(order, [perm_of(g) for g in gens], ident)
+    dlog = dict(zip(zip(ux[bfs].tolist(), uy[bfs].tolist()),
+                    map(tuple, coords[bfs].tolist())))
+    z = perm_of(label_of(K.zeta()))
+    mu, cur = [], ident
+    for _ in range(K.w_K):
+        mu.append(tuple(coords[cur].tolist()))
+        cur = int(z[cur])
+    return group, dlog, mu
 
 
 # ---------------------------------------------------------------------------

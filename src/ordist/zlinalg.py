@@ -14,9 +14,9 @@ pivots by one sparse Schur pass on Python ints, then takes the Smith form
 of the dense residual.
 
 The workhorse is a row echelon pass with minimal-absolute-value pivoting
-and repeated Euclidean reduction on object rows, used for Hermite forms,
-kernels and left solves.  Smith forms use alternating row and column
-elimination with a divisibility fix-up.  smith_coordinates reads a
+and repeated Euclidean reduction on object rows, used for Hermite-reduced
+kernels, subquotients and left solves.  Smith forms use alternating row
+and column elimination with a divisibility fix-up.  smith_coordinates reads a
 quotient Z^n / rowspace(A) in invariant coordinates: the same pass
 applies each column operation to the transform R and its inverse row
 operation to R^-1, and the columns of R and rows of R^-1 at the factors
@@ -35,9 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-
-class OrdistError(Exception):
-    """Base class for all package errors."""
+from . import OrdistError
 
 
 class LinalgError(OrdistError):
@@ -410,30 +408,6 @@ def _augmented(mat: IntMatrix) -> list[np.ndarray]:
                            np.identity(mat.rows, dtype=object)]))
 
 
-def hnf(A) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form H = U A with U unimodular.
-
-    H has positive pivots, entries above each pivot reduced into
-    [0, pivot), and zero rows at the bottom.
-    """
-    mat = _as_matrix(A)
-    n, c = mat.rows, mat.cols
-    pivots, rest = _echelon(_augmented(mat), 0, c)
-    _reduce_above(pivots)
-    ordered = np.array([p for _, p in pivots] + rest, dtype=object) \
-        .reshape(n, c + n)
-    return IntMatrix(ordered[:, :c]), IntMatrix(ordered[:, c:])
-
-
-def hnf_basis(rows_or_mat) -> list[tuple[int, ...]]:
-    """Canonical HNF basis of the lattice spanned by the given rows
-    (zero rows dropped)."""
-    rows, cols = _rows_of(rows_or_mat)
-    pivots, _ = _echelon(rows, 0, cols)
-    _reduce_above(pivots)
-    return [tuple(p.tolist()) for _, p in pivots]
-
-
 def _back_substitute(pivots: list[tuple[int, np.ndarray]], target: np.ndarray):
     """Write target as an integer combination of echelon rows.
 
@@ -644,38 +618,6 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
                 raise LinalgError(
                     f"smith verification failed at p={p}: {got} != {want}")
     return diag
-
-
-# the least strong pseudoprime to all of the first twelve prime bases
-# (Sorenson and Webster, 2015): below it, Miller-Rabin to those bases
-# decides primality
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below _MR_BOUND, trial division above."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n >= _MR_BOUND:
-        return all(n % k for k in range(41, math.isqrt(n) + 1, 2))
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _prime_divisors(n: int) -> set[int]:

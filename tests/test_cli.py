@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import ordist.cli as cli
+import ordist.distribution as distribution
+import ordist.rayclass as rayclass
 from ordist.distribution import OracleMismatch
 
 
@@ -71,7 +73,7 @@ def test_cache_hit_is_bytes_stable_and_skips_compute(
     def boom(*a, **k):
         raise AssertionError("cache hit must not rebuild")
 
-    monkeypatch.setattr(cli, "build_presentation", boom)
+    monkeypatch.setattr(distribution, "build_presentation", boom)
     code, second = run(capsys, *argv)
     assert code == 0
     first.pop("timing_ms"), second.pop("timing_ms")
@@ -107,8 +109,8 @@ def test_reordered_spec_hits_the_same_entry(capsys, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise AssertionError("cache hit must not recompute")
 
-    monkeypatch.setattr(cli, "build_presentation", boom)
-    monkeypatch.setattr(cli, "ray_class_group", boom)
+    monkeypatch.setattr(distribution, "build_presentation", boom)
+    monkeypatch.setattr(rayclass, "ray_class_group", boom)
     code, second = run(capsys, "torsion", "-m", "p:29:0,p:23:0", *base)
     assert code == 0
     assert second["result"] == first["result"]
@@ -127,7 +129,7 @@ def test_reordered_certify_primes_hit_the_same_entry(
     def boom(*a, **k):
         raise AssertionError("cache hit must not recompute")
 
-    monkeypatch.setattr(cli, "torsex_certificate", boom)
+    monkeypatch.setattr(distribution, "torsex_certificate", boom)
     code = cli.main(["certify", "-p", "23", "-p", "11", "-p", "7", *base])
     out = capsys.readouterr()
     assert code == 0
@@ -190,7 +192,7 @@ def test_oracle_mismatch_exits_three(capsys, monkeypatch):
     def boom(P):
         raise OracleMismatch("forced")
 
-    monkeypatch.setattr(cli, "level_torsion", boom)
+    monkeypatch.setattr(distribution, "level_torsion", boom)
     code = cli.main(["torsion", "-d", "7", "-m", "p:11"])
     assert code == 3
     capsys.readouterr()

@@ -1,0 +1,119 @@
+"""What the package and its cheap commands load.
+
+A field, its primes and ideals, `ordist field` and every cache hit need
+only the standard library, the package root, cli and quadfield; numpy
+and the computing layers load when a command computes.  Each footprint
+is read in a child interpreter, since this one has imported everything
+long ago.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import ordist
+import ordist.cli as cli
+
+SRC = str(Path(ordist.__file__).resolve().parents[1])
+HEAVY = ("numpy", "ordist.zlinalg", "ordist.distribution",
+         "ordist.cohomology")
+
+# the public names of the package before its exports became lazy, by
+# defining module at that time; hnf and hnf_basis were dropped since
+OLD_EXPORTS = {
+    "zlinalg": (
+        "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
+        "LinalgError", "NotSubLattice", "OrdistError", "ab_discover",
+        "cokernel", "hnf", "hnf_basis", "rational_kernel",
+        "smith_coordinates", "snf_invariants", "solve_left",
+        "subquotient_torsion",
+    ),
+    "quadfield": (
+        "FieldMismatch", "Modulus", "ModulusTooLarge", "NotPrime",
+        "NotSquarefree", "OIdeal", "QuadField", "make_field",
+        "residue_units", "splitting_type",
+    ),
+    "rayclass": (
+        "FrameUnavailable", "GaloisOverH", "NotCoprime", "NotDivisor",
+        "PrimeNotInModulus", "RayClassGroup", "Subgroup", "galois_over_h",
+        "ray_class_group",
+    ),
+    "groupring": (
+        "GroupRingElt", "NotCoprimeToW", "TraceIdeal", "alpha",
+        "gal_h_quotient", "gal_h_quotient_torsion", "p_star", "trace",
+        "trace_ideal", "trace_ideal_quotient", "transfer",
+    ),
+    "cohomology": (
+        "CyclicModule", "NotCyclic", "SylowFrameSynthetic",
+        "build_lambda_quotients", "dimension_shift", "hpq_spot_check",
+        "sweep_torsion_law", "tate_cyclic", "twisted_trace_torsion",
+        "verify_tor_h2",
+    ),
+    "distribution": (
+        "DeltaPresentation", "HypothesisFailed", "OracleMismatch",
+        "TorsionCertificate", "WrongShape", "build_presentation",
+        "level_torsion", "nu", "search_torsex", "torsex_certificate",
+        "torsion_bound",
+    ),
+}
+DROPPED = {"hnf", "hnf_basis"}
+MOVED = {"residue_units": "rayclass"}
+
+
+def _footprint(code: str) -> dict:
+    """Run code in a child interpreter; its stderr and the HEAVY modules
+    it left in sys.modules."""
+    probe = (code + "\nimport json, sys\n"
+             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    r = subprocess.run([sys.executable, "-c", probe], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return {"heavy": json.loads(r.stdout.splitlines()[-1]), "err": r.stderr}
+
+
+def _main(*argv) -> str:
+    return ("import ordist.cli\n"
+            f"assert ordist.cli.main({list(argv)!r}) == 0\n")
+
+
+def test_field_command_loads_no_numpy():
+    assert _footprint(_main("field", "-d", "7"))["heavy"] == []
+
+
+def test_make_field_loads_no_numpy():
+    run = _footprint("import ordist.cli\n"
+                     "from ordist.quadfield import make_field\n"
+                     "K = make_field(7)\n"
+                     "K.splitting_type(11)[1][0].multiply(K.unit_ideal())\n")
+    assert run["heavy"] == []
+
+
+def test_torsion_cache_hit_loads_no_numpy(tmp_path, capsys):
+    argv = ["torsion", "-d", "7", "-m", "p:11", "--cache-dir",
+            str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    run = _footprint(_main(*argv, "-v"))
+    assert "cache hit" in run["err"]
+    assert run["heavy"] == []
+
+
+def test_package_exports_resolve_lazily():
+    names = {n for group in OLD_EXPORTS.values() for n in group}
+    listed = set(dir(ordist))
+    assert names - DROPPED <= listed
+    assert not DROPPED & listed
+    for home, group in OLD_EXPORTS.items():
+        for name in set(group) - DROPPED:
+            module = import_module(f"ordist.{MOVED.get(name, home)}")
+            assert getattr(ordist, name) is getattr(module, name)
+    from ordist import OrdistError, build_presentation  # noqa: F401
+    for name in DROPPED | {"no_such_name"}:
+        with pytest.raises(AttributeError):
+            getattr(ordist, name)

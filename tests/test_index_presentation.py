@@ -17,7 +17,8 @@ import tuple_presentation as tp
 from conftest import prime_above
 from ordist.distribution import build_presentation
 from ordist.groupring import alpha, trace_ideal, trace_ideal_quotient
-from ordist.quadfield import Modulus, make_field, residue_units
+from ordist.quadfield import Modulus, make_field
+from ordist.rayclass import residue_units
 from ordist.rayclass import Subgroup, ray_class_group
 from ordist.zlinalg import AbHom, OrdistError, ab_discover, cokernel
 from test_distribution import _TRANSFORM_LEVELS, _transform_level

@@ -19,8 +19,12 @@ from ordist.quadfield import (
     NotSquarefree,
     OIdeal,
     make_field,
-    residue_units,
 )
+from ordist.quadfield import _ideal_from_lattice, _is_prime
+from ordist.rayclass import residue_units
+from ordist.zlinalg import OrdistError
+
+from hnf_reference import ideal_from_lattice
 
 
 def kronecker(a: int, n: int) -> int:
@@ -185,6 +189,77 @@ def test_norm_multiplicativity(d, i, j, k):
     B = primes[j % len(primes)].multiply(primes[k % len(primes)])
     assert A.multiply(B).norm() == A.norm() * B.norm()
     assert A.multiply(B) == B.multiply(A)
+
+
+# the fields of the benchmark survey: h 1-3, w 2/4/6
+SURVEY_FIELDS = (1, 3, 7, 11, 15, 19, 23)
+
+
+def _lattice_outcome(reduce, K, gens):
+    """(content, a, b) of the ideal gens span, or the error message."""
+    try:
+        I = reduce(K, gens)
+    except OrdistError as exc:
+        return str(exc)
+    return (I.content, I.a, I.b)
+
+
+# small entries, and entries past 2^63
+_entries = st.one_of(st.integers(-12, 12), st.integers(2 ** 63, 2 ** 70),
+                     st.integers(-2 ** 70, -2 ** 63))
+
+
+@st.composite
+def _lattice_generators(draw):
+    """A field and 2-4 generator rows (x, y): free rows, rows with zero
+    omega coefficient, multiples of one vector (a degenerate span), or
+    combinations of the basis of an ideal, its basis sometimes among
+    them."""
+    K = make_field(draw(st.sampled_from(SURVEY_FIELDS)))
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("free", "free", "axis", "line",
+                                 "ideal", "ideal", "ideal")))
+    if kind == "free":
+        return K, [(draw(_entries), draw(_entries)) for _ in range(n)]
+    if kind == "axis":
+        return K, [(draw(_entries), 0) for _ in range(n)]
+    if kind == "line":
+        x, y = draw(_entries), draw(_entries)
+        return K, [(k * x, k * y) for k in draw(
+            st.lists(_entries, min_size=n, max_size=n))]
+    q = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    P = draw(st.sampled_from(K.splitting_type(q)[1]))
+    I = OIdeal(K, P.content * draw(st.integers(1, 4)), P.a, P.b)
+    (x1, y1), (x2, y2) = I.lattice_rows()
+    rows = [(k * x1 + j * x2, k * y1 + j * y2) for k, j in draw(
+        st.lists(st.tuples(_entries, _entries), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        rows += I.lattice_rows()
+    return K, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_generators())
+def test_ideal_lattice_matches_hnf_reference(case):
+    K, gens = case
+    assert _lattice_outcome(_ideal_from_lattice, K, gens) \
+        == _lattice_outcome(ideal_from_lattice, K, gens)
+
+
+@pytest.mark.parametrize("d", SURVEY_FIELDS)
+def test_ideal_lattice_matches_hnf_reference_on_prime_ideals(d):
+    # every product and gcd of two prime ideals of norm at most 40
+    K = make_field(d)
+    primes = [P for q in range(2, 41) if _is_prime(q)
+              for P in K.splitting_type(q)[1] if P.norm() <= 40]
+    for P in primes:
+        for Q in primes:
+            product = [K.elt_mul(u, v) for u in P.lattice_rows()
+                       for v in Q.lattice_rows()]
+            for gens in (product, P.lattice_rows() + Q.lattice_rows()):
+                got = _lattice_outcome(_ideal_from_lattice, K, gens)
+                assert isinstance(got, tuple)
+                assert got == _lattice_outcome(ideal_from_lattice, K, gens)
 
 
 # -- principality -------------------------------------------------------------

@@ -285,7 +285,7 @@ def _old_bfs(mul, identity, gens):
 
 def _old_harvest(elements, mul, identity, order):
     """Copy of the greedy harvest loop of rayclass._subgroup_structure
-    and quadfield.residue_units before it moved onto index
+    and rayclass.residue_units before it moved onto index
     permutations (zlinalg._harvest): the closure is rebuilt from the
     identity after each new generator."""
     gens = []
@@ -302,7 +302,6 @@ def _old_harvest(elements, mul, identity, order):
 
 def test_generator_harvests_match_old_loop(triple, monkeypatch):
     # the harvested lists fix every dlog, so they must not move
-    import ordist.quadfield as qf
     import ordist.zlinalg as zl
     import tuple_presentation as tp
 
@@ -318,10 +317,9 @@ def test_generator_harvests_match_old_loop(triple, monkeypatch):
     subs = [Subgroup.whole(triple.group), triple.gamma()] + \
         [triple.inertia(p) for p, _ in triple.modulus.primes]
     monkeypatch.setattr(rc, "_harvest", recording)
-    monkeypatch.setattr(qf, "_harvest", recording)
     for sub in subs:  # a fresh copy: the structure is kept per instance
         Subgroup(sub.ambient, sub.mask).as_group()
-    qf.residue_units(triple.field, triple.modulus)
+    rc.residue_units(triple.field, triple.modulus)
     assert len(calls) == len(subs) + 1
     # labels are positions among the subgroup's sorted elements, and
     # among the units in the old enumeration order
