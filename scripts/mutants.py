@@ -83,6 +83,13 @@ MUTANTS = (
          "tests/test_rayclass.py::test_triple_order_and_structure"),
     ),
     Mutant(
+        "frobenius-lift-takes-index-0",
+        "rayclass.py",
+        "        lift = tuple(self.group.coordinates()[over[0]].tolist())\n",
+        "        lift = tuple(self.group.coordinates()[0].tolist())\n",
+        ("tests/test_rayclass.py::test_frobenius_lift_consistent",),
+    ),
+    Mutant(
         "scatter-drops-frobenius-twist",
         "distribution.py",
         "                vals.append(np.full(n_u, -1, dtype=np.int64))\n",
@@ -147,8 +154,8 @@ MUTANTS = (
         "level-torsion-eliminates-transform",
         "distribution.py",
         "    tor = AbGroup(quot.torsion)\n",
-        "    from .zlinalg import modular_rank\n"
-        "    modular_rank(heads)\n"
+        "    from .zlinalg import _layered_elimination\n"
+        "    _layered_elimination(heads, 2, 1)\n"
         "    tor = AbGroup(quot.torsion)\n",
         (f"{_DIST}test_level_torsion_never_eliminates_the_transform",),
     ),

@@ -9,8 +9,8 @@ The package computes, with integer-exact linear algebra throughout:
     (zlinalg);
   * residue unit groups and ray class groups with Artin maps, inertia
     subgroups, Frobenius data and transition surjections (rayclass);
-  * group-ring traces, averaged Frobenius elements, Iwasawa-type
-    coefficients and trace-ideal quotients (groupring);
+  * group-ring traces, the level elements and trace-ideal quotients
+    (groupring);
   * level subgroups of the universal ordinary distribution, their
     torsion, bounds, and odd-functional certificates of non-trivial
     torsion (distribution);
@@ -58,9 +58,9 @@ _EXPORTS = {
         "ray_class_group", "residue_units",
     ),
     "groupring": (
-        "GroupRingElt", "NotCoprimeToW", "TraceIdeal", "alpha",
-        "gal_h_quotient", "gal_h_quotient_torsion", "p_star", "trace",
-        "trace_ideal", "trace_ideal_quotient", "transfer",
+        "GroupRingElt", "NotCoprimeToW", "alpha", "gal_h_quotient",
+        "gal_h_quotient_torsion", "trace", "trace_ideal",
+        "trace_ideal_quotient",
     ),
     "cohomology": (
         "CyclicModule", "NotCyclic", "SylowFrameSynthetic",

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import OrdistError
-from .groupring import NotCoprimeToW, alpha, trace_ideal_quotient
+from .groupring import _check_coprime_to_w, alpha, trace_ideal_quotient
 from .quadfield import Modulus, OIdeal, QuadField, _is_prime
 from .rayclass import (
     FrameUnavailable,
@@ -95,16 +95,6 @@ class DeltaPresentation:
         self.relations = self._relation_matrix()
         self._torsion = None
 
-    @property
-    def m(self) -> Modulus:
-        return self.modulus
-
-    @cached_property
-    def gen_index(self) -> tuple:
-        """(u, sigma) of every generator, in column order."""
-        return tuple((u, e) for u in self.levels
-                     for e in self.rays[u.primes].group.elements())
-
     @cached_property
     def product_bound(self) -> int:
         """Product over all divisors u | m of the exponent z_u of the
@@ -138,9 +128,6 @@ class DeltaPresentation:
     def offset(self, u: Modulus) -> int:
         """First generator index of the block for the divisor u."""
         return self._offset[u.primes]
-
-    def column_of(self, u: Modulus, sigma) -> int:
-        return self._offset[u.primes] + self.ray(u).group.index_of(sigma)
 
     def _steps(self):
         """(u, p, t, first row) of every divisor step u -> t = u p^e, in
@@ -478,9 +465,7 @@ def torsion_bound(P: DeltaPresentation) -> tuple[int, int]:
     """
     m = P.modulus
     K = P.field
-    if math.gcd(m.norm(), K.w_K) != 1:
-        raise NotCoprimeToW(
-            f"modulus norm {m.norm()} shares a factor with w = {K.w_K}")
+    _check_coprime_to_w(m)
     product_bound = P.product_bound
     k = m.n_primes
     a = (1 << (k - 1)) - k if k else 0

@@ -2,24 +2,20 @@
 
 An element of Q[G] is one integer numerator per element of G, in the
 mixed-radix index order of AbGroup.index_of, over one positive common
-denominator.  Every operation is an index map on that vector: a trace
-counts indices, a translation is a permutation of them, a transfer
-reads the numerators through the index image of a homomorphism, and a
-product adds translated copies of one factor, one per nonzero of the
-other.  A subgroup is a boolean mask over the indices (rayclass.Subgroup),
-so its trace is that mask as a numerator vector.  A kernel of a
-transition G_n -> G_u is the set of indices the transition sends to 0,
-and its cosets are the fibres of the transition.  The main
-constructions:
+denominator.  The level elements are built by index maps on that
+vector, with no ring product: a trace counts indices, and each factor
+(1 - p*) of a level element is one coset sum over an inertia group.  A
+subgroup is a boolean mask over the indices (rayclass.Subgroup), so its
+trace is that mask as a numerator vector.  A kernel of a transition
+G_n -> G_u is the set of indices the transition sends to 0, and its
+cosets are the fibres of the transition.  The main constructions:
 
   * trace(X) = sum of the elements of X with coefficient one;
-  * p_star(G, p) = averaged inverse Frobenius at p: the inverse of any
-    Frobenius lift times the normalized inertia trace (independent of
-    the lift since the trace absorbs inertia translations);
   * alpha(n, n2, G) = trace of ker(G_{n2} -> G_n) times the product of
-    (1 - p_star) over primes dividing n, each factor one coset sum over
-    the inertia group; its transfers up the modulus tower satisfy the
-    distribution compatibility checked in the tests;
+    (1 - p*) over primes dividing n, where p* is the averaged inverse
+    Frobenius at p: the inverse of any Frobenius lift times the
+    normalized inertia trace (independent of the lift, since the trace
+    absorbs inertia translations);
   * trace_ideal_quotient(G) = structure of Z[G_n]/S(n) where S(n) is
     the ideal generated by all inertia traces, with the exponent z_n of
     its torsion subgroup, computed once per group and kept with it;
@@ -39,7 +35,6 @@ from .quadfield import Modulus, OIdeal
 from .rayclass import RayClassGroup, Subgroup, ray_class_group
 from .zlinalg import (
     AbGroup,
-    AbHom,
     CSRMatrix,
     _abs_max,
     _promote,
@@ -50,13 +45,6 @@ from .zlinalg import (
 class NotCoprimeToW(OrdistError):
     exit_code = 2
     prefix = "hypothesis failure: "
-
-
-def _same_group(a: AbGroup, b: AbGroup) -> None:
-    if a != b:
-        raise OrdistError(
-            f"group ring elements over {a.invariant_factors} and "
-            f"{b.invariant_factors} do not mix")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,59 +81,11 @@ class GroupRingElt:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den // g)
 
-    @staticmethod
-    def basis(group: AbGroup, el) -> "GroupRingElt":
-        num = np.zeros(group.order, dtype=np.int64)
-        num[group.index_of(el)] = 1
-        return GroupRingElt(group, num)
-
-    @staticmethod
-    def one(group: AbGroup) -> "GroupRingElt":
-        return GroupRingElt.basis(group, group.zero())
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingElt):
             return NotImplemented
         return self.group == other.group and self.den == other.den \
             and np.array_equal(self.num, other.num)
-
-    def __add__(self, other: "GroupRingElt") -> "GroupRingElt":
-        _same_group(self.group, other.group)
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        # caps the sum and both multipliers
-        bound = (_abs_max(self.num) + 1) * a + (_abs_max(other.num) + 1) * b
-        return GroupRingElt(self.group, _promote(self.num, bound) * a
-                            + _promote(other.num, bound) * b, den)
-
-    def __neg__(self) -> "GroupRingElt":
-        return GroupRingElt(self.group, -self.num, self.den)
-
-    def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElt") -> "GroupRingElt":
-        """One translated copy of the denser factor per nonzero of the
-        sparser one: O(#G * nonzeros) work."""
-        _same_group(self.group, other.group)
-        g = self.group
-        a, b = sorted((self, other), key=lambda x: np.count_nonzero(x.num))
-        support = np.flatnonzero(a.num)
-        weights = [int(x) for x in a.num[support]]
-        B = _promote(b.num,
-                     sum(map(abs, weights)) * (_abs_max(b.num) + 1))
-        coords = g.coordinates()
-        out = np.zeros(g.order, dtype=B.dtype)
-        for s, w in zip(support.tolist(), weights):
-            # coefficient at x of w * (s + b) is w * b[x - s]
-            out += w * B[g.indices(coords, -coords[s])]
-        return GroupRingElt(g, out, a.den * b.den)
-
-    def translate(self, sigma) -> "GroupRingElt":
-        g = self.group
-        shift = -np.asarray(sigma, dtype=np.int64)
-        return GroupRingElt(g, self.num[g.indices(g.coordinates(), shift)],
-                            self.den)
 
 
 def trace(X, group: AbGroup | None = None) -> GroupRingElt:
@@ -162,21 +102,11 @@ def trace(X, group: AbGroup | None = None) -> GroupRingElt:
     return GroupRingElt(group, np.bincount(idx, minlength=group.order))
 
 
-def p_star(G: RayClassGroup, p: OIdeal) -> GroupRingElt:
-    """Averaged inverse Frobenius at p inside Q[G_n]."""
-    lam, exact = G.frobenius(p)
-    if exact:
-        return GroupRingElt.basis(G.group, G.group.neg(lam))
-    T = trace(G.inertia(p))
-    return GroupRingElt(G.group, T.translate(G.group.neg(lam)).num,
-                        int(T.num.sum()))
-
-
 def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
-    """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), inside Q[G_{n2}].
+    """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p*), inside Q[G_{n2}].
 
     Each factor is one coset sum, with no ring product: for x in Q[G],
-    x (1 - p_star) = x - s(T_p) x lam^-1 / #T_p, where lam is the
+    x (1 - p*) = x - s(T_p) x lam^-1 / #T_p, where lam is the
     Frobenius lift at p and s(T_p) x takes, at g, the sum of x over the
     coset g + T_p, one fibre of _fibres(G, p).
     """
@@ -198,24 +128,8 @@ def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
     return GroupRingElt(amb, num, den)
 
 
-def transfer(x: GroupRingElt, hom: AbHom) -> GroupRingElt:
-    """Sum-over-preimages lift of x along a surjection hom; the linear
-    map sending each group element to the sum of its hom-fibre."""
-    _same_group(x.group, hom.codomain)
-    return GroupRingElt(hom.domain, x.num[hom.index_image()], x.den)
-
-
 # ---------------------------------------------------------------------------
 # inertia-trace ideals
-
-@dataclass(frozen=True)
-class TraceIdeal:
-    """The G-stable ideal generated by the inertia traces s(T_p)."""
-
-    group: AbGroup
-    generators: tuple[GroupRingElt, ...]
-    rows: CSRMatrix
-
 
 def _coset_rows(order: int, labels) -> CSRMatrix:
     """Indicator rows of all cosets of each listed subgroup of a group
@@ -262,18 +176,18 @@ def _fibres(G: RayClassGroup, p: OIdeal) -> np.ndarray:
     return G.transition(G.modulus.without(p)).index_image()
 
 
-def trace_ideal(G: RayClassGroup) -> TraceIdeal:
-    primes = [p for p, _ in G.modulus.primes]
-    gens = tuple(trace(G.inertia(p)) for p in primes)
-    return TraceIdeal(G.group, gens, _coset_rows(
-        G.group.order, [_fibres(G, p) for p in primes]))
+def trace_ideal(G: RayClassGroup) -> CSRMatrix:
+    """The coset rows spanning S(n), the ideal of Z[G_n] generated by
+    the inertia traces s(T_p), one row per coset of each T_p."""
+    return _coset_rows(G.group.order,
+                       [_fibres(G, p) for p, _ in G.modulus.primes])
 
 
 def trace_ideal_quotient(G: RayClassGroup) -> tuple[AbGroup, int]:
     """(structure of Z[G_n]/S(n), exponent z_n of its torsion part),
     computed once per group and kept with it."""
     if G._trace_quotient is None:
-        quot = cokernel(trace_ideal(G).rows, G.group.order)
+        quot = cokernel(trace_ideal(G), G.group.order)
         G._trace_quotient = (quot, quot.exponent)
     return G._trace_quotient
 

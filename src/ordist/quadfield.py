@@ -137,12 +137,6 @@ class QuadField:
         a, b = u
         return 2 * a + self.osq_o * b
 
-    def elt_pow(self, u, k: int):
-        out = (1, 0)
-        for _ in range(k):
-            out = self.elt_mul(out, u)
-        return out
-
     def zeta(self):
         """A generator of the roots of unity (order w_K)."""
         if self.disc == -3:

@@ -48,6 +48,7 @@ from .zlinalg import (
     _grow,
     _harvest,
     _reduced_product,
+    _val,
     rational_kernel,
     smith_coordinates,
     solve_left,
@@ -131,18 +132,11 @@ class Subgroup:
         return Subgroup(amb, mask)
 
     def sylow(self, ell: int) -> "Subgroup":
-        n = self.order
-        while n % ell == 0:
-            n //= ell
-        return self.scaled(n)  # multiplication by the prime-to-ell part
+        # multiplication by the prime-to-ell part of the order
+        return self.scaled(self.order // ell ** _val(self.order, ell))
 
     def prime_to(self, ell: int) -> "Subgroup":
-        n = self.order
-        la = 1
-        while n % ell == 0:
-            n //= ell
-            la *= ell
-        return self.scaled(la)
+        return self.scaled(ell ** _val(self.order, ell))
 
     def product(self, other: "Subgroup") -> "Subgroup":
         """Grown from self by cosets: each time by the least member of
@@ -419,9 +413,6 @@ class RayClassGroup:
         return self.group.reduce(
             (np.array(word, dtype=object) @ self._to).tolist())
 
-    def coords_to_word(self, coords) -> list[int]:
-        return (np.array(coords, dtype=object) @ self._back).tolist()
-
     # -- the Artin map --
 
     def artin(self, a: OIdeal) -> tuple[int, ...]:
@@ -520,15 +511,11 @@ class RayClassGroup:
         target = ray_class_group(self.field, n2)
         hom = self.transition(n2)
         lam = target.artin(p)
-        rows = [list(r) for r in hom.matrix] + \
-            [[m if j == i else 0
-              for j in range(len(target.group.invariant_factors))]
-             for i, m in enumerate(target.group.invariant_factors)]
-        sol = solve_left(IntMatrix.from_rows(
-            rows, len(target.group.invariant_factors)), list(lam))
-        if sol is None:
+        # the first element of G_n over lam, as in distribution._lifts
+        over = np.flatnonzero(hom.index_image() == target.group.index_of(lam))
+        if not over.size:
             raise OrdistError("the Frobenius has no preimage under transition")
-        lift = self.group.reduce(tuple(sol[:len(self.group.invariant_factors)]))
+        lift = tuple(self.group.coordinates()[over[0]].tolist())
         if hom.apply(lift) != lam:
             raise OrdistError("the Frobenius lift maps to the wrong class")
         self._frobenius_cache[key] = lift
@@ -574,11 +561,7 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
     gamma = G_m.gamma()
     g_ell = gamma.sylow(ell)
     g_prime = gamma.prime_to(ell)
-    r = 0
-    w = K.w_K
-    while w % ell == 0:
-        w //= ell
-        r += 1
+    r = _val(K.w_K, ell)
     mod_primes = [p for p, _ in G_m.modulus.primes]
     syls = {}
     gs = {}

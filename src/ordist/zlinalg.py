@@ -21,9 +21,8 @@ quotient Z^n / rowspace(A) in invariant coordinates: the same pass
 applies each column operation to the transform R and its inverse row
 operation to R^-1, and the columns of R and rows of R^-1 at the factors
 other than 1 map into the coordinates and back.  A separate layered
-elimination over Z/p^K gives ranks over F_p and the p-adic valuations
-of the invariant factors; for large inputs it independently re-verifies
-the Smith form.
+elimination over Z/p^K gives the p-adic valuations of the invariant
+factors; for large inputs it independently re-verifies the Smith form.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -725,19 +724,6 @@ class AbGroup:
                 raise LinalgError("free factors must come last")
             prev = d
 
-    @staticmethod
-    def from_moduli(moduli: Iterable[int]) -> "AbGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 = free)."""
-        mods = [int(m) for m in moduli]
-        if any(m < 0 for m in mods):
-            raise LinalgError("negative modulus")
-        n = len(mods)
-        diag = [[mods[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        inv = snf_invariants(IntMatrix.from_rows(diag, n), verify=False)
-        finite = tuple(d for d in inv if d > 1)
-        rank = n - len(inv)
-        return AbGroup(finite + (0,) * rank)
-
     @property
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.invariant_factors if d)
@@ -870,11 +856,6 @@ class AbHom:
                 for j in range(kc):
                     acc[j] += x * row[j]
         return self.codomain.reduce(tuple(acc))
-
-    def compose(self, other: "AbHom") -> "AbHom":
-        """self after other (other maps into self.domain)."""
-        rows = [self.apply(row) for row in other.matrix]
-        return AbHom(other.domain, self.codomain, tuple(tuple(r) for r in rows))
 
     def index_image(self) -> np.ndarray:
         """The map on mixed-radix indices: entry g is the codomain index
@@ -1029,17 +1010,6 @@ def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
         coords.append(c)
     rank_k = len(pivots)
     return cokernel(IntMatrix.from_rows(coords, rank_k), rank_k)
-
-
-def modular_rank(A, p: int = 2147483647) -> int:
-    """Rank of A over the prime field F_p, by default p = 2^31 - 1.
-
-    Always a lower bound for the rank over Q; when the result reaches
-    min(rows, cols) the rational rank is certified equal.
-    """
-    if p < 2:
-        raise LinalgError(f"{p} is not a prime")
-    return len(_layered_elimination(_as_matrix(A), p, 1))
 
 
 # ---------------------------------------------------------------------------

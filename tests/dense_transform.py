@@ -8,9 +8,9 @@ sigma to G_m.  It multiplied F with the nonzeros of the relation matrix
 to check annihilation, and re-read the translate structure off F before
 counting its rank on characters.  The tests keep all three as the
 independent reference of the differential tests of the transform-free
-checks.  The level elements come from the ring product of
-ordist.groupring (trace times the factors 1 - p_star), not from the
-coset sums of alpha.
+checks, with the rank over F_p that certified F.  The level elements
+come from the ring products of index_groupring (trace times the factors
+1 - p_star), not from the coset sums of alpha.
 """
 
 from __future__ import annotations
@@ -19,19 +19,25 @@ import math
 
 import numpy as np
 
+from index_groupring import level_element
 from ordist.distribution import OracleMismatch, _lifts
-from ordist.groupring import GroupRingElt, p_star, trace
-from ordist.zlinalg import IntMatrix, _abs_max, _promote
+from ordist.zlinalg import (
+    IntMatrix,
+    _abs_max,
+    _as_matrix,
+    _layered_elimination,
+    _promote,
+)
 
 
-def level_element(n, n2, G) -> GroupRingElt:
-    """s(ker(G_{n2} -> G_n)) * prod_{p | n} (1 - p_star), by products in
-    the group ring."""
-    out = trace(G.level_kernel(n))
-    one = GroupRingElt.one(G.group)
-    for p, _ in n.primes:
-        out = out * (one - p_star(G, p))
-    return out
+def modular_rank(A, p: int = 2147483647) -> int:
+    """Rank of A over the prime field F_p, by default p = 2^31 - 1: the
+    pivot count of the layered elimination over Z/p.
+
+    Always a lower bound for the rank over Q; when the result reaches
+    min(rows, cols) the rational rank is certified equal.
+    """
+    return len(_layered_elimination(_as_matrix(A), p, 1))
 
 
 def iwasawa_matrix(P, element=level_element) -> tuple[IntMatrix, int]:

@@ -14,7 +14,8 @@ import pytest
 from conftest import prime_above
 from ordist.cohomology import SylowFrameSynthetic, sweep_torsion_law, \
     verify_tor_h2
-from dense_transform import iwasawa_matrix
+import tuple_presentation as tp
+from dense_transform import iwasawa_matrix, modular_rank
 from ordist.distribution import (
     build_presentation,
     level_torsion,
@@ -23,7 +24,7 @@ from ordist.distribution import (
 from ordist.groupring import gal_h_quotient_torsion, trace_ideal_quotient
 from ordist.quadfield import Modulus, make_field
 from ordist.rayclass import Subgroup, ray_class_group
-from ordist.zlinalg import IntMatrix, cokernel, modular_rank
+from ordist.zlinalg import IntMatrix, cokernel
 
 
 def modulus_of(K, *qs):
@@ -140,7 +141,8 @@ def test_criterion_4_rank_identities(field7, triple7):
     # divisor blocks of the transform span lattices of rank #G_n
     F, _ = iwasawa_matrix(P)
     for n in P.levels:
-        cols = [j for j, (u, _) in enumerate(P.gen_index) if u.divides(n)]
+        cols = [j for j, (u, _) in enumerate(tp.gen_index(P))
+                if u.divides(n)]
         block = IntMatrix.from_rows(
             [[row[j] for j in cols] for row in F.entries], len(cols))
         assert modular_rank(block) == P.ray(n).group.order

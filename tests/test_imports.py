@@ -24,7 +24,8 @@ HEAVY = ("numpy", "ordist.zlinalg", "ordist.distribution",
          "ordist.cohomology")
 
 # the public names of the package before its exports became lazy, by
-# defining module at that time; hnf and hnf_basis were dropped since
+# defining module at that time; hnf, hnf_basis, and the group-ring
+# p_star, transfer and TraceIdeal were dropped since
 OLD_EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
@@ -61,7 +62,7 @@ OLD_EXPORTS = {
         "torsion_bound",
     ),
 }
-DROPPED = {"hnf", "hnf_basis"}
+DROPPED = {"hnf", "hnf_basis", "p_star", "transfer", "TraceIdeal"}
 MOVED = {"residue_units": "rayclass"}
 
 

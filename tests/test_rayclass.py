@@ -151,15 +151,16 @@ def test_artin_of_principal_prime_reads_residue(triple, K7):
 
 
 def test_words_and_coordinates_round_trip(triple):
-    # every relation word is 0, and coords_to_word lifts each class to a
-    # word with those coordinates, on the headline group and on one with
-    # a class prime
+    # every relation word is 0, and the back map of the Smith
+    # coordinates lifts each class to a word with those coordinates, on
+    # the headline group and on one with a class prime
     K = make_field(23)
     for G in (triple, ray_class_group(K, _modulus(K, [(13, 0, 1)]))):
         zero = G.group.zero()
         assert all(G.word_to_coords(r) == zero for r in G._relation_rows())
         for c in G.group.elements():
-            assert G.word_to_coords(G.coords_to_word(c)) == c
+            word = (np.array(c, dtype=object) @ G._back).tolist()
+            assert G.word_to_coords(word) == c
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,7 +211,9 @@ def test_transition_functorial(triple, K7):
     t1 = triple.transition(mid)
     t2 = ray_class_group(K7, mid).transition(small)
     direct = triple.transition(small)
-    assert t2.compose(t1).matrix == direct.matrix
+    # t2 after t1, on indices
+    assert np.array_equal(t2.index_image()[t1.index_image()],
+                          direct.index_image())
 
 
 # -- inertia ------------------------------------------------------------------
@@ -523,13 +526,15 @@ def test_frobenius_check_survives_optimize():
     # a Frobenius with no preimage must raise even when python -O strips
     # assert statements
     code = textwrap.dedent("""
+        import numpy as np
         import ordist.rayclass as rc
         from ordist.quadfield import Modulus, make_field
         from ordist.zlinalg import OrdistError
         K = make_field(7)
         p = K.splitting_type(11)[1][0]
         G = rc.ray_class_group(K, Modulus(K, ((p, 1),)))
-        rc.solve_left = lambda *args: None
+        G.transition(G.modulus.without(p))  # built while still onto
+        rc.AbHom.index_image = lambda hom: np.full(hom.domain.order, -1)
         try:
             G.frobenius(p)
         except OrdistError as exc:

@@ -76,7 +76,7 @@ def test_sparse_pass_matches_dense_reference_on_sweep_frames():
 
 def test_sparse_pass_matches_dense_reference_on_trace_ideals(triple7):
     for u in triple7.levels:
-        assert _same_as_dense(trace_ideal(triple7.ray(u)).rows), u
+        assert _same_as_dense(trace_ideal(triple7.ray(u))), u
 
 
 def _label_order_rows(order, labels, reverse):

@@ -7,6 +7,9 @@ onto mixed-radix indices:
     (x, y) tuples, a greedy generator harvest that multiplies field
     elements one pair at a time, and the word-recording breadth-first
     search of the old ab_discover;
+  * gen_index: the (u, sigma) of every generator, the column list
+    that the presentation kept before its columns became block offsets
+    plus indices;
   * relation_matrix: one dense Python row per relation;
   * coset_rows: the trace-ideal rows, each inertia group's cosets
     labelled element by element from its element tuples;
@@ -161,6 +164,13 @@ def residue_units(K, n):
         mu.append(dlog[cur])
         cur = mul(cur, z)
     return group, dlog, mu
+
+
+def gen_index(P) -> tuple:
+    """(u, sigma) of every generator of P, in column order: the blocks
+    in level order, each over the elements of G_u in index order."""
+    return tuple((u, e) for u in P.levels
+                 for e in P.ray(u).group.elements())
 
 
 def relation_matrix(P) -> IntMatrix:
