@@ -15,10 +15,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ordist.distribution import HypothesisFailed, search_torsex, \
-    torsex_certificate
-from ordist.quadfield import Modulus, make_field
-from ordist.quadfield import NotSquarefree
+from ordist.distribution import torsex_certificate
+from ordist.quadfield import HypothesisFailed, Modulus, NotSquarefree, \
+    make_field, search_torsex
 
 
 @dataclass

@@ -48,9 +48,9 @@ _EXPORTS = {
         "solve_left", "subquotient_torsion",
     ),
     "quadfield": (
-        "FieldMismatch", "Modulus", "ModulusTooLarge", "NotPrime",
-        "NotSquarefree", "OIdeal", "QuadField", "make_field",
-        "splitting_type",
+        "FieldMismatch", "HypothesisFailed", "Modulus", "ModulusTooLarge",
+        "NotPrime", "NotSquarefree", "OIdeal", "QuadField", "make_field",
+        "search_torsex", "splitting_type",
     ),
     "rayclass": (
         "FrameUnavailable", "GaloisOverH", "NotCoprime", "NotDivisor",
@@ -69,10 +69,9 @@ _EXPORTS = {
         "verify_tor_h2",
     ),
     "distribution": (
-        "DeltaPresentation", "HypothesisFailed", "OracleMismatch",
-        "TorsionCertificate", "WrongShape", "build_presentation",
-        "level_torsion", "nu", "search_torsex", "torsex_certificate",
-        "torsion_bound",
+        "DeltaPresentation", "OracleMismatch", "TorsionCertificate",
+        "WrongShape", "build_presentation", "level_torsion", "nu",
+        "torsex_certificate", "torsion_bound",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

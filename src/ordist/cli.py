@@ -302,7 +302,7 @@ def _certify_label(K: QuadField, primes) -> str | None:
 
 
 def cmd_search(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
-    from .distribution import search_torsex
+    from .quadfield import search_torsex
     triples = search_torsex(K, cfg.norm_bound)
     return {
         "norm_bound": cfg.norm_bound,

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import OrdistError
 from .groupring import _check_coprime_to_w, alpha, trace_ideal_quotient
-from .quadfield import Modulus, OIdeal, QuadField, _is_prime
+from .quadfield import HypothesisFailed, Modulus, OIdeal, QuadField, \
+    _is_prime
 from .rayclass import (
     FrameUnavailable,
     RayClassGroup,
@@ -39,9 +40,9 @@ from .zlinalg import (
     IntMatrix,
     _INT64_BOUND,
     _abs_max,
+    _local_valuations,
     _prime_divisors,
     _promote,
-    _snf_local_valuations,
     _val,
     cokernel,
 )
@@ -54,11 +55,6 @@ class WrongShape(OrdistError):
 class OracleMismatch(OrdistError):
     exit_code = 3
     prefix = "oracle mismatch: "
-
-
-class HypothesisFailed(OrdistError):
-    exit_code = 2
-    prefix = "hypothesis failure: "
 
 
 class DeltaPresentation:
@@ -413,8 +409,8 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
     coset-sum identity per step, with no transform and no product.  With the rank identity
     this makes the kernel of F the saturation of the relation lattice,
     so the torsion is that kernel modulo the relations.  Oracle (b)
-    recomputes the torsion p-locally, by Smith elimination over Z/p^k
-    on the dense relation matrix, at every prime p dividing
+    recomputes the torsion p-locally, by its own elimination over Z/p^k
+    on the sparse relation rows, at every prime p dividing
     S = w * product_bound * |T| with T the torsion from (a).  Each pass
     must find one pivot per unit of relation rank, with (a)'s
     p-valuations and zeros elsewhere.  Any rank defect, annihilation
@@ -438,9 +434,8 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
     tor = AbGroup(quot.torsion)
     units = P.n_gens - n_top - len(tor.torsion)
     S = P.field.w_K * P.product_bound * tor.order
-    dense = IntMatrix(P.relations.array)  # oracle (b) eliminates densely
     for p in sorted(_prime_divisors(S)):
-        got = _snf_local_valuations(dense, p, _val(S, p))
+        got = _local_valuations(P.relations, p, _val(S, p) + 2)
         want = [0] * units + sorted(_val(d, p) for d in tor.torsion)
         if got != want:
             raise OracleMismatch(
@@ -642,31 +637,3 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
     conclusion = bool(in_kernel and nu_R % 2 == 1 and nu_parity)
     return TorsionCertificate(tuple(vec), bool(in_kernel), nu_R,
                               nu_parity, conclusion)
-
-
-def search_torsex(K: QuadField, norm_bound: int):
-    """All certificate-admissible prime triples with norms up to a bound.
-
-    Keeps the prime ideals that are principal with norm congruent to
-    3 mod 4 (inert primes never qualify: square norms are 0 or 1 mod 4)
-    and returns every 3-subset with pairwise distinct residue
-    characteristics, in enumeration order.
-    """
-    if K.w_K != 2:
-        raise HypothesisFailed(f"w = {K.w_K} is not 2")
-    found = []
-    for q in range(2, norm_bound + 1):
-        if not _is_prime(q):
-            continue
-        kind, ids = K.splitting_type(q)
-        if kind == "inert":
-            continue
-        for pid in ids:
-            if pid.norm() <= norm_bound and pid.norm() % 4 == 3 \
-                    and pid.is_principal_generator() is not None:
-                found.append(pid)
-    triples = []
-    for trio in itertools.combinations(found, 3):
-        if len({p.rational_prime() for p in trio}) == 3:
-            triples.append(trio)
-    return triples

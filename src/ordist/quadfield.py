@@ -16,11 +16,13 @@ field, its primes and its ideals cost no more than the interpreter.
 The one exception is the class group, built on first use by
 enumerating reduced binary quadratic forms and closing them under
 composition-through-ideal-multiplication with zlinalg.ab_discover,
-which labels the classes once.
+which labels the classes once.  search_torsex lists the prime triples
+that the certificate of the distribution module admits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -39,6 +41,11 @@ class NotPrime(OrdistError):
 
 class FieldMismatch(OrdistError):
     pass
+
+
+class HypothesisFailed(OrdistError):
+    exit_code = 2
+    prefix = "hypothesis failure: "
 
 
 class ModulusTooLarge(OrdistError):
@@ -349,14 +356,6 @@ class OIdeal:
             out = out.multiply(self)
         return out
 
-    def conjugate(self) -> "OIdeal":
-        bx, by = self.beta()
-        cx, cy = self.field.elt_conj((bx, by))
-        # conj generator has omega coefficient -1; negate to renormalize
-        rows = [(self.content * self.a, 0),
-                (-self.content * cx, -self.content * cy)]
-        return _ideal_from_lattice(self.field, rows)
-
     def is_principal_generator(self) -> Optional[tuple[int, int]]:
         """Generator as (x, y) with I = ((x + y sqrt(D))/2), if principal."""
         K = self.field
@@ -563,3 +562,31 @@ class Modulus:
                 s += f"^{e}"
             parts.append(s)
         return ",".join(parts)
+
+
+def search_torsex(K: QuadField, norm_bound: int):
+    """All certificate-admissible prime triples with norms up to a bound.
+
+    Keeps the prime ideals that are principal with norm congruent to
+    3 mod 4 (inert primes never qualify: square norms are 0 or 1 mod 4)
+    and returns every 3-subset with pairwise distinct residue
+    characteristics, in enumeration order.
+    """
+    if K.w_K != 2:
+        raise HypothesisFailed(f"w = {K.w_K} is not 2")
+    found = []
+    for q in range(2, norm_bound + 1):
+        if not _is_prime(q):
+            continue
+        kind, ids = K.splitting_type(q)
+        if kind == "inert":
+            continue
+        for pid in ids:
+            if pid.norm() <= norm_bound and pid.norm() % 4 == 3 \
+                    and pid.is_principal_generator() is not None:
+                found.append(pid)
+    triples = []
+    for trio in itertools.combinations(found, 3):
+        if len({p.rational_prime() for p in trio}) == 3:
+            triples.append(trio)
+    return triples

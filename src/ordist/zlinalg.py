@@ -20,7 +20,7 @@ and column elimination with a divisibility fix-up.  smith_coordinates reads a
 quotient Z^n / rowspace(A) in invariant coordinates: the same pass
 applies each column operation to the transform R and its inverse row
 operation to R^-1, and the columns of R and rows of R^-1 at the factors
-other than 1 map into the coordinates and back.  A separate layered
+other than 1 map into the coordinates and back.  A separate sparse
 elimination over Z/p^K gives the p-adic valuations of the invariant
 factors; for large inputs it independently re-verifies the Smith form.
 """
@@ -142,9 +142,6 @@ class IntMatrix:
         i, j = ij
         return int(self.array[i, j])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self.array[i].tolist())
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -162,25 +159,6 @@ class IntMatrix:
         lines = [f"{self.rows} {self.cols}"]
         lines += [" ".join(map(str, r.tolist())) for r in self.array]
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "IntMatrix":
-        lines = [ln for ln in text.strip().splitlines()]
-        if not lines:
-            raise LinalgError("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise LinalgError("bad matrix header")
-        rows, cols = int(head[0]), int(head[1])
-        if len(lines) != rows + 1:
-            raise LinalgError("bad matrix body")
-        data = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != cols:
-                raise LinalgError("bad matrix row length")
-            data.append([int(x) for x in parts])
-        return IntMatrix.from_rows(data, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,7 +580,7 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
     """Nonzero part of the Smith diagonal (no transforms kept).
 
     For large matrices an independent pass recomputes the invariant
-    valuations at every prime dividing the result, by the layered
+    valuations at every prime dividing the result, by the sparse
     elimination over Z/p^k, and raises LinalgError on disagreement.
     """
     mat = _as_matrix(A)
@@ -612,7 +590,7 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
     if verify and diag:
         for p in sorted(_prime_divisors(math.prod(d for d in diag if d))):
             want = [_val(d, p) for d in diag]
-            got = _snf_local_valuations(mat, p, max(want))
+            got = _local_valuations(_as_sparse(mat), p, max(want) + 2)
             if got != want:
                 raise LinalgError(
                     f"smith verification failed at p={p}: {got} != {want}")
@@ -641,62 +619,74 @@ def _val(n: int, p: int) -> int:
     return v
 
 
-def _layered_elimination(mat: IntMatrix, p: int, K: int) -> list[int]:
-    """p-adic valuations below K of the invariant factors of mat, by
-    elimination over Z/p^K, in ascending order.
+def _local_valuations(A: CSRMatrix, p: int, K: int) -> list[int]:
+    """p-adic valuations below K of the invariant factors of A, in
+    ascending order, by sparse elimination over Z/p^K.
 
-    Layer v sweeps the columns once.  A column with an entry prime to p
-    at or below the leading block takes that entry as pivot: its row is
-    swapped into the leading block, scaled to pivot 1, and subtracted
-    from the rows below that are nonzero in the column.  Each pivot is
-    one invariant factor of valuation exactly v.  What remains outside
-    the pivot rows and columns is then divisible by p; divided by p it
-    is the next layer.  The rank over F_p is the pivot count at K = 1.
+    The pass shares no code with _unit_prereduce or the Smith
+    elimination: it reads the arrays of A itself into one dict per row,
+    from column to residue mod p^K, and keeps for each column the set of
+    rows nonzero in it.  Layer v works mod p^(K - v), in rounds.  A round
+    offers from each row its unit mod p in the column with fewest rows,
+    sorts these by (row nonzeros - 1) * (column nonzeros - 1) and takes
+    them in that order, skipping the rows that an earlier pivot of the
+    round changed.  A pivot clears its column from the other rows (the
+    Schur update mod p^(K - v)) and leaves with its row and column: one
+    invariant factor of valuation exactly v.  Once no unit is left,
+    every residue is divisible by p; divided by p they are the next
+    layer.  The rank over F_p is the pivot count at K = 1.
     """
     mod = p ** K
-    # int64 needs the entries and the modulus to fit, and then products
-    # of residues
-    A = _promote(mat.array, max(_abs_max(mat.array), mod))
-    M = _promote(A % mod, mod * mod)
+    ptr, idx, val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    rows, at = {}, {}
+    for i, (s, e) in enumerate(zip(ptr, ptr[1:])):
+        row = {c: x % mod for c, x in zip(idx[s:e], val[s:e]) if x % mod}
+        if row:
+            rows[i] = row
+            for c in row:
+                at.setdefault(c, set()).add(i)
     vals = []
-    for layer in range(K):
-        if not M.any():
-            break
-        mcur = p ** (K - layer)
-        # in the last layer the columns already swept are 0 below the
-        # leading block, so row updates can start at the pivot column
-        last = mcur == p
-        rows, cols = M.shape
-        rank = 0
-        pivoted = np.zeros(cols, dtype=bool)
-        for col in range(cols):
-            if rank == rows:
+    for v in range(K):
+        m = mod // p ** v
+        while rows:
+            cand = []
+            for i, row in rows.items():
+                units = [(len(at[c]), c) for c, x in row.items() if x % p]
+                if units:
+                    n, c = min(units)
+                    cand.append(((len(row) - 1) * (n - 1), i, c))
+            if not cand:
                 break
-            units = np.nonzero(M[rank:, col] % p)[0]
-            if units.size == 0:
-                continue
-            i = rank + int(units[0])
-            if i != rank:
-                M[[rank, i]] = M[[i, rank]]
-            start = col if last else 0
-            inv = pow(int(M[rank, col]), -1, mcur)
-            M[rank, start:] = M[rank, start:] * inv % mcur
-            below = rank + 1 + np.nonzero(M[rank + 1:, col])[0]
-            if below.size:
-                M[below, start:] = (M[below, start:] - np.outer(
-                    M[below, col], M[rank, start:])) % mcur
-            pivoted[col] = True
-            rank += 1
-        vals += [layer] * rank
-        M = M[rank:][:, ~pivoted] // p
+            cand.sort()
+            changed = set()
+            for _, i, c in cand:
+                if i in changed:
+                    continue
+                prow = rows.pop(i)
+                changed.add(i)
+                for c2 in prow:
+                    at[c2].discard(i)
+                inv = pow(prow.pop(c), -1, m)
+                for r in at.pop(c):
+                    row = rows[r]
+                    get = row.get
+                    f = row.pop(c) * inv % m
+                    for c2, x in prow.items():
+                        y = (get(c2, 0) - f * x) % m
+                        if y:
+                            row[c2] = y
+                            at[c2].add(r)
+                        elif c2 in row:
+                            del row[c2]
+                            at[c2].discard(r)
+                    if not row:
+                        del rows[r]
+                    changed.add(r)
+                vals.append(v)
+        for row in rows.values():
+            for c in row:
+                row[c] //= p
     return vals
-
-
-def _snf_local_valuations(mat: IntMatrix, p: int, vmax: int) -> list[int]:
-    """p-adic valuations of the invariant factors, by the layered
-    elimination over Z/p^K with K = vmax + 2.  Independent of the
-    integer Smith elimination."""
-    return _layered_elimination(mat, p, vmax + 2)
 
 
 # ---------------------------------------------------------------------------

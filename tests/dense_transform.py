@@ -11,6 +11,10 @@ independent reference of the differential tests of the transform-free
 checks, with the rank over F_p that certified F.  The level elements
 come from the ring products of index_groupring (trace times the factors
 1 - p_star), not from the coset sums of alpha.
+
+The rank and oracle (b) of level_torsion once ran on one dense layered
+elimination over Z/p^K; it stays here as the reference of the sparse
+pass zlinalg._local_valuations.
 """
 
 from __future__ import annotations
@@ -21,13 +25,58 @@ import numpy as np
 
 from index_groupring import level_element
 from ordist.distribution import OracleMismatch, _lifts
-from ordist.zlinalg import (
-    IntMatrix,
-    _abs_max,
-    _as_matrix,
-    _layered_elimination,
-    _promote,
-)
+from ordist.zlinalg import IntMatrix, _abs_max, _as_matrix, _promote
+
+
+def _layered_elimination(mat: IntMatrix, p: int, K: int) -> list[int]:
+    """p-adic valuations below K of the invariant factors of mat, by
+    dense elimination over Z/p^K, in ascending order.
+
+    Layer v sweeps the columns once.  A column with an entry prime to p
+    at or below the leading block takes that entry as pivot: its row is
+    swapped into the leading block, scaled to pivot 1, and subtracted
+    from the rows below that are nonzero in the column.  Each pivot is
+    one invariant factor of valuation exactly v.  What remains outside
+    the pivot rows and columns is then divisible by p; divided by p it
+    is the next layer.  The rank over F_p is the pivot count at K = 1.
+    """
+    mod = p ** K
+    # int64 needs the entries and the modulus to fit, and then products
+    # of residues
+    A = _promote(mat.array, max(_abs_max(mat.array), mod))
+    M = _promote(A % mod, mod * mod)
+    vals = []
+    for layer in range(K):
+        if not M.any():
+            break
+        mcur = p ** (K - layer)
+        # in the last layer the columns already swept are 0 below the
+        # leading block, so row updates can start at the pivot column
+        last = mcur == p
+        rows, cols = M.shape
+        rank = 0
+        pivoted = np.zeros(cols, dtype=bool)
+        for col in range(cols):
+            if rank == rows:
+                break
+            units = np.nonzero(M[rank:, col] % p)[0]
+            if units.size == 0:
+                continue
+            i = rank + int(units[0])
+            if i != rank:
+                M[[rank, i]] = M[[i, rank]]
+            start = col if last else 0
+            inv = pow(int(M[rank, col]), -1, mcur)
+            M[rank, start:] = M[rank, start:] * inv % mcur
+            below = rank + 1 + np.nonzero(M[rank + 1:, col])[0]
+            if below.size:
+                M[below, start:] = (M[below, start:] - np.outer(
+                    M[below, col], M[rank, start:])) % mcur
+            pivoted[col] = True
+            rank += 1
+        vals += [layer] * rank
+        M = M[rank:][:, ~pivoted] // p
+    return vals
 
 
 def modular_rank(A, p: int = 2147483647) -> int:

@@ -195,7 +195,7 @@ def test_criterion_7_arithmetic_substrate():
 
 
 def test_criterion_8_negative_control():
-    from ordist.distribution import search_torsex
+    from ordist.quadfield import search_torsex
 
     assert search_torsex(make_field(5), 100) == []
     r = run_cli("certify", "-d", "5", "-p", "3", "-p", "7", "-p", "11")

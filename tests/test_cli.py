@@ -152,18 +152,18 @@ def test_cache_env_var_and_no_cache(capsys, tmp_path, monkeypatch):
 
 
 def test_cached_matrices_are_readable(capsys, tmp_path):
-    from ordist.zlinalg import IntMatrix
+    from matrix_text import from_text
 
     argv = ["torsion", "-d", "7", "-m", "p:11", "--cache-dir",
             str(tmp_path)]
     code, doc = run(capsys, *argv)
     assert code == 0
     key = cli._cache_key("torsion", 7, doc["result"]["modulus"])
-    rel = IntMatrix.from_text((tmp_path / key / "relations.mat").read_text())
+    rel = from_text((tmp_path / key / "relations.mat").read_text())
     assert rel.rows == doc["result"]["relations"]
     assert rel.cols == doc["result"]["generators"]
     # one head per divisor of p11, over G_m
-    heads = IntMatrix.from_text((tmp_path / key / "heads.mat").read_text())
+    heads = from_text((tmp_path / key / "heads.mat").read_text())
     assert (heads.rows, heads.cols) == (2, doc["result"]["rank"])
 
 

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import random
@@ -20,7 +21,7 @@ import index_groupring as ig
 import tuple_presentation as tp
 from dense_transform import modular_rank
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
-from ordist.quadfield import Modulus, make_field
+from ordist.quadfield import Modulus, make_field, search_torsex
 from ordist.zlinalg import (
     AbGroup,
     CSRMatrix,
@@ -35,7 +36,6 @@ from ordist.distribution import (
     build_presentation,
     level_torsion,
     nu,
-    search_torsex,
     torsex_certificate,
     torsion_bound,
 )
@@ -451,20 +451,41 @@ def test_template_identity_sees_a_twisted_head(field7):
 
 def test_level_torsion_never_eliminates_the_transform(field7, monkeypatch):
     # the rank certificate counts characters: only the p-local passes
-    # of oracle (b) on the relation matrix reach the modular elimination
-    shapes = []
-    orig = zlinalg._layered_elimination
+    # of oracle (b) reach the modular elimination, and each one gets the
+    # sparse relations themselves, never a dense copy or the heads
+    seen = []
+    orig = zlinalg._local_valuations
 
-    def recording(mat, p, K):
-        shapes.append(mat.array.shape)
-        return orig(mat, p, K)
+    def recording(A, p, K):
+        seen.append(A)
+        return orig(A, p, K)
 
-    monkeypatch.setattr(zlinalg, "_layered_elimination", recording)
+    monkeypatch.setattr(zlinalg, "_local_valuations", recording)
+    monkeypatch.setattr(dist, "_local_valuations", recording)
     P = build_presentation(field7, modulus_of(field7, 7, 11, 23))
     assert level_torsion(P).invariant_factors == (2,)
-    assert shapes
-    assert P.heads.array.shape not in shapes
-    assert set(shapes) == {(P.relations.rows, P.relations.cols)}
+    assert seen
+    assert all(A is P.relations for A in seen)
+
+
+# the largest survey level of each field, and the headline level
+_LOCAL_PASS_LEVELS = [
+    (7, (11, 23)), (19, (5, 7, 17)), (1, (5, 13, 17)), (3, (7, 13, 19)),
+    (11, (3, 5, 37)), (15, (3, 5, 23)), (23, (3, 31)), (7, (7, 11, 23)),
+]
+
+
+@pytest.mark.parametrize("d, qs", _LOCAL_PASS_LEVELS)
+def test_local_pass_matches_dense_reference_on_levels(request, d, qs):
+    # oracle (b)'s sparse pass against the dense layered elimination at
+    # every p dividing S = w * product_bound * |T|, with K = v_p(S) + 2
+    P = _transform_level(request, d, qs)
+    S = P.field.w_K * P.product_bound * level_torsion(P).order
+    dense = IntMatrix(P.relations.array)
+    for p in sorted(zlinalg._prime_divisors(S)):
+        K = zlinalg._val(S, p) + 2
+        assert zlinalg._local_valuations(P.relations, p, K) \
+            == dt._layered_elimination(dense, p, K)
 
 
 @pytest.mark.slow
@@ -472,26 +493,19 @@ def test_level_torsion_never_eliminates_the_transform(field7, monkeypatch):
                     reason="four-prime level, ORDIST_SLOW=1")
 def test_four_prime_level_without_the_transform():
     # d = 7, m = 7*11*23*29: #G_m = 18480, 25680 generators, 8007
-    # relations.  The dense relation array would take 1.6 GB and the
-    # transform 3.8 GB; oracle (a), the head rank and the templates run
-    # on the sparse relations and 16 heads, in a child process so that
-    # its peak RSS is its own
+    # relations.  The transform would take 3.8 GB.  The whole torsion
+    # command runs on the sparse relations and 16 heads: oracle (a), the
+    # head rank, the templates, oracle (b) and both bounds, so exit 0
+    # means every check passed.  A child process, so that its peak RSS
+    # is its own
     code = textwrap.dedent("""
-        import resource
-        import ordist.distribution as dist
-        from ordist.quadfield import Modulus, make_field
-        from ordist.zlinalg import CSRMatrix, cokernel
-        K = make_field(7)
-        m = Modulus(K, tuple((K.splitting_type(q)[1][0], 1)
-                             for q in (7, 11, 23, 29)))
-        P = dist.build_presentation(K, m)
-        assert isinstance(P.relations, CSRMatrix)
-        print(P.n_gens, P.relations.rows)
-        quot = cokernel(P.relations, P.n_gens)
-        print(list(quot.torsion), quot.rank)
-        print(dist._character_rank(P, P.heads))
-        dist._check_annihilation(P, P.heads, P.relations)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+        import resource, sys
+        import ordist.cli
+        code = ordist.cli.main(["torsion", "-d", "7", "-m",
+                                "p:7,p:11:0,p:23:0,p:29:0", "--no-cache"])
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        print(peak, file=sys.stderr)
+        sys.exit(code)
         """)
     src = os.path.dirname(os.path.dirname(dist.__file__))
     env = dict(os.environ)
@@ -500,11 +514,12 @@ def test_four_prime_level_without_the_transform():
     r = subprocess.run([sys.executable, "-c", code], env=env,
                        capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stderr
-    sizes, quotient, count, peak_mb = r.stdout.splitlines()
-    assert sizes == "25680 8007"
-    assert quotient == "[2, 2, 2, 2] 18480"
-    assert count == "18480"
-    assert int(peak_mb) < 1024, peak_mb
+    result = json.loads(r.stdout)["result"]
+    assert result["torsion_invariants"] == [2, 2, 2, 2]
+    assert (result["product_bound"], result["borne"]) == (16, 16)
+    assert (result["generators"], result["relations"], result["rank"]) \
+        == (25680, 8007, 18480)
+    assert int(r.stderr.splitlines()[-1]) < 1536, r.stderr
 
 
 @st.composite

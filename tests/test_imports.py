@@ -1,10 +1,10 @@
 """What the package and its cheap commands load.
 
-A field, its primes and ideals, `ordist field` and every cache hit need
-only the standard library, the package root, cli and quadfield; numpy
-and the computing layers load when a command computes.  Each footprint
-is read in a child interpreter, since this one has imported everything
-long ago.
+A field, its primes and ideals, `ordist field`, `ordist search` and every
+cache hit need only the standard library, the package root, cli and
+quadfield; numpy and the computing layers load when a command computes.
+Each footprint is read in a child interpreter, since this one has
+imported everything long ago.
 """
 
 import json
@@ -63,7 +63,8 @@ OLD_EXPORTS = {
     ),
 }
 DROPPED = {"hnf", "hnf_basis", "p_star", "transfer", "TraceIdeal"}
-MOVED = {"residue_units": "rayclass"}
+MOVED = {"residue_units": "rayclass", "HypothesisFailed": "quadfield",
+         "search_torsex": "quadfield"}
 
 
 def _footprint(code: str) -> dict:
@@ -85,6 +86,20 @@ def _main(*argv) -> str:
 
 def test_field_command_loads_no_numpy():
     assert _footprint(_main("field", "-d", "7"))["heavy"] == []
+
+
+def test_search_command_loads_no_numpy():
+    run = _footprint(_main("search", "-d", "15", "-B", "80", "--no-cache"))
+    assert run["heavy"] == []
+
+
+def test_hypothesis_failure_is_one_class():
+    # distribution raises the class that quadfield defines, so one
+    # except clause catches the failures of both, with exit code 2
+    import ordist.distribution as distribution
+    import ordist.quadfield as quadfield
+    assert distribution.HypothesisFailed is quadfield.HypothesisFailed
+    assert quadfield.HypothesisFailed.exit_code == 2
 
 
 def test_make_field_loads_no_numpy():

@@ -139,15 +139,6 @@ def test_split_primes_multiply_to_p():
     assert prod.norm() == 121
 
 
-def test_conjugate_pairs():
-    K = make_field(7)
-    _, (p, pbar) = K.splitting_type(23)
-    assert p.conjugate() == pbar
-    assert pbar.conjugate() == p
-    _, (r,) = K.splitting_type(7)
-    assert r.conjugate() == r
-
-
 def test_prime_splitting_against_symbol():
     for d in (7, 5, 15, 23):
         K = make_field(d)

@@ -55,6 +55,12 @@ def _reads(path: Path) -> set[str]:
             and isinstance(node.ctx, ast.Load)}
 
 
+def _readers() -> list[Path]:
+    """Library code, scripts and the benchmark."""
+    return [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+            *(ROOT / "perfbench").glob("*.py")]
+
+
 def test_every_public_name_has_a_reader():
     # a public function or class of the package, or an export, that no
     # library code, script or benchmark reads is API nothing needs: it
@@ -66,9 +72,29 @@ def test_every_public_name_has_a_reader():
                and not node.name.startswith("_")}
     public = defined | {name for names in ordist._EXPORTS.values()
                         for name in names}
-    readers = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-               *(ROOT / "perfbench").glob("*.py")]
-    read = set().union(*map(_reads, readers))
+    read = set().union(*map(_reads, _readers()))
     assert sorted(public - read - UNREAD_ALLOWED) == []
     # an entry that gained a reader, or whose name left, leaves the list
     assert sorted(UNREAD_ALLOWED - (public - read)) == []
+
+
+def test_every_public_method_has_a_reader():
+    # the same for the public methods and properties of the package's
+    # classes: one counts as read when an attribute load of its name
+    # appears in library code, a script or the benchmark, so a name that
+    # several classes share counts for all of them
+    methods = {f"{cls.name}.{node.name}": node.name
+               for path in SRC.glob("*.py")
+               for cls in ast.parse(path.read_text()).body
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    loaded = {node.attr
+              for path in _readers()
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    assert len(methods) > 50
+    assert sorted(m for m, name in methods.items() if name not in loaded) \
+        == []

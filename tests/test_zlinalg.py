@@ -27,8 +27,9 @@ from ordist.zlinalg import (
     subquotient_torsion,
 )
 
-from dense_transform import modular_rank
+from dense_transform import _layered_elimination, modular_rank
 from hnf_reference import hnf, hnf_basis
+from matrix_text import from_text
 
 
 # -- brute-force oracle: invariant factors from gcds of k x k minors --------
@@ -258,12 +259,12 @@ def test_solve_left():
 
 def test_text_round_trip():
     A = IntMatrix.from_rows([[0, -17, 2 ** 80], [5, 0, -1]])
-    assert IntMatrix.from_text(A.to_text()) == A
+    assert from_text(A.to_text()) == A
 
 
 def test_text_rejects_bad_body():
     with pytest.raises(LinalgError):
-        IntMatrix.from_text("2 2\n1 2\n3")
+        from_text("2 2\n1 2\n3")
 
 
 # -- AbGroup / AbHom ---------------------------------------------------------
@@ -447,13 +448,14 @@ def test_snf_modular_verification_pass_runs():
 def test_large_dim_triggers_verification(monkeypatch):
     import ordist.zlinalg as zl
     calls = []
-    orig = zl._snf_local_valuations
+    orig = zl._local_valuations
 
-    def spy(mat, p, vmax):
+    def spy(A, p, K):
+        assert isinstance(A, CSRMatrix)
         calls.append(p)
-        return orig(mat, p, vmax)
+        return orig(A, p, K)
 
-    monkeypatch.setattr(zl, "_snf_local_valuations", spy)
+    monkeypatch.setattr(zl, "_local_valuations", spy)
     monkeypatch.setattr(zl, "_VERIFY_DIM", 10)
     big = IntMatrix.from_rows(
         [[6 if i == j else 0 for j in range(12)] for i in range(12)])
@@ -464,9 +466,9 @@ def test_large_dim_triggers_verification(monkeypatch):
 def test_verification_detects_wrong_invariants(monkeypatch):
     import ordist.zlinalg as zl
     # corrupt the local pass to simulate a bug: drop one pivot valuation
-    orig = zl._snf_local_valuations
-    monkeypatch.setattr(zl, "_snf_local_valuations",
-                        lambda mat, p, vmax: orig(mat, p, vmax)[:-1])
+    orig = zl._local_valuations
+    monkeypatch.setattr(zl, "_local_valuations",
+                        lambda A, p, K: orig(A, p, K)[:-1])
     with pytest.raises(LinalgError):
         snf_invariants(IntMatrix.from_rows([[4, 0], [0, 90]]), verify=True)
 
@@ -613,11 +615,28 @@ def test_cokernel_matches_sympy(rows):
 @example([[2, 1], [4, 3]], 2)  # a column left without pivot, then updated
 @settings(max_examples=80, deadline=None)
 def test_local_valuations_match_sympy(rows, p):
-    from ordist.zlinalg import _snf_local_valuations, _val
+    from ordist.zlinalg import _local_valuations, _val
 
     want = sorted(_val(d, p) for d in _sympy_factors(rows))
+    mat = CSRMatrix.from_dense(IntMatrix.from_rows(rows, len(rows[0])).array)
+    assert _local_valuations(mat, p, max(want, default=0) + 2) == want
+
+
+@given(_int_matrices())
+@example([[2, 1], [4, 3]])
+@settings(max_examples=80, deadline=None)
+def test_local_valuations_match_dense_reference(rows):
+    # every p < 30 dividing S = 30 * (product of the invariant factors),
+    # with K = v_p(S) + 2, as oracle (b) chooses them; S may have prime
+    # factors past 2^60, too large to find by trial division
+    from ordist.zlinalg import _local_valuations, _val
+
     mat = IntMatrix.from_rows(rows, len(rows[0]))
-    assert _snf_local_valuations(mat, p, max(want, default=0)) == want
+    S = 30 * math.prod(_sympy_factors(rows))
+    for p in (q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if S % q == 0):
+        K = _val(S, p) + 2
+        assert _local_valuations(CSRMatrix.from_dense(mat.array), p, K) \
+            == _layered_elimination(mat, p, K)
 
 
 @given(_int_matrices(), st.sampled_from([2, 3, 5, 2147483647, (1 << 61) - 1]))
