@@ -21,7 +21,8 @@ The package computes, with integer-exact linear algebra throughout:
 Importing the package loads none of these modules.  Each public name
 below is served from its defining module, which is imported on the
 first access (PEP 562), so that `ordist field` and a cache hit run on
-quadfield alone and never import numpy.
+quadfield alone.  The package needs nothing outside the standard
+library.
 """
 
 from importlib import import_module as _import_module

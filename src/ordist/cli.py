@@ -8,7 +8,7 @@ violated hypothesis, 3 an internal oracle mismatch, 4 an I/O error (an
 unusable cache directory, or standard output closed by its reader);
 each error class carries its code.  A command imports the layer it
 computes with only when it computes, so `field` and every cache hit run
-without numpy.
+on quadfield alone.
 
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label

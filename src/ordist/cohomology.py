@@ -20,8 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groupring import _coset_rows
 from . import OrdistError
 from .quadfield import _is_prime
@@ -32,6 +30,7 @@ from .zlinalg import (
     IntMatrix,
     _as_matrix,
     _reduced_product,
+    _shifted_indices,
     cokernel,
     rational_kernel,
     smith_coordinates,
@@ -78,10 +77,9 @@ class CyclicModule:
             return
         # t ** order by repeated squaring; no invariant factor is 1, so
         # the identity is its own reduction
-        base = _reduced_product(np.identity(n, dtype=np.int64),
-                                np.array(self.t_action.matrix, dtype=object),
-                                inv)
-        power = np.identity(n, dtype=np.int64)
+        identity = IntMatrix.identity(n).entries
+        base = _reduced_product(identity, self.t_action.matrix, inv)
+        power = identity
         e = self.order
         while e:
             if e & 1:
@@ -89,7 +87,7 @@ class CyclicModule:
             e >>= 1
             if e:
                 base = _reduced_product(base, base, inv)
-        if not np.array_equal(power, np.identity(n, dtype=np.int64)):
+        if power != identity:
             raise ValueError("declared power of the action is not the identity")
 
 
@@ -119,19 +117,19 @@ def tate_cyclic(mod: CyclicModule, parity: str) -> AbGroup:
     n = len(inv)
     if n == 0:
         return AbGroup(())
-    A = np.array([list(r) for r in mod.t_action.matrix], dtype=object)
-    diff = A - np.identity(n, dtype=object)
-    norm = np.zeros((n, n), dtype=object)
-    power = np.identity(n, dtype=object)
+    A = mod.t_action.matrix
+    exact = (0,) * n  # invariants of Z^n: the products stay exact
+    diff = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(A)]
+    norm = IntMatrix.zeros(n, n).entries
+    power = IntMatrix.identity(n).entries
     for _ in range(mod.order):
-        norm = norm + power
-        power = power @ A
+        norm = [[a + b for a, b in zip(x, y)] for x, y in zip(norm, power)]
+        power = _reduced_product(power, A, exact)
     rel = [[inv[i] if j == i else 0 for j in range(n)]
            for i in range(n) if inv[i] > 0]
     kernel_of, image_of = (diff, norm) if parity == "even" else (norm, diff)
-    kernel_rows = _lattice_preimage(kernel_of.tolist(), rel, n)
-    image_rows = [[int(x) for x in r] for r in image_of.tolist()]
-    sub = [r for r in image_rows + rel if any(r)]
+    kernel_rows = _lattice_preimage(kernel_of, rel, n)
+    sub = [list(r) for r in list(image_of) + rel if any(r)]
     if not kernel_rows:
         if sub:
             raise OrdistError("image is nonzero inside a zero kernel")
@@ -151,11 +149,10 @@ def _module_from_presentation(ambient: int, rel_rows, act_rows,
     carrying the action given by act_rows (which must stabilize the
     relation lattice)."""
     module, to, back = smith_coordinates(rel_rows, ambient)
-    act = _as_matrix(act_rows, ambient).array
+    act = _as_matrix(act_rows, ambient).entries
     inv = module.invariant_factors
     hom = _reduced_product(back, _reduced_product(act, to, inv), inv)
-    action = AbHom(module, module, tuple(map(tuple, hom.tolist())))
-    return CyclicModule(module, action, order)
+    return CyclicModule(module, AbHom(module, module, hom), order)
 
 
 def dimension_shift(mod: CyclicModule) -> CyclicModule:
@@ -170,15 +167,15 @@ def dimension_shift(mod: CyclicModule) -> CyclicModule:
     k = mod.order
     if n == 0:
         return mod
-    A = np.array([list(r) for r in mod.t_action.matrix], dtype=object)
-    powers = [np.identity(n, dtype=object)]
+    powers = [IntMatrix.identity(n).entries]
     for _ in range(k - 1):
-        powers.append(powers[-1] @ A)
+        powers.append(_reduced_product(powers[-1], mod.t_action.matrix,
+                                       (0,) * n))
     # basis (a, i) of Z[C] (x) M maps to e_i . t^a under evaluation
     phi = []
     for a in range(k):
         for i in range(n):
-            phi.append(_reduce_mixed(inv, [int(x) for x in powers[a][i]]))
+            phi.append(_reduce_mixed(inv, powers[a][i]))
     rel = [[inv[i] if j == i else 0 for j in range(n)]
            for i in range(n) if inv[i] > 0]
     ambient = n * k
@@ -283,15 +280,10 @@ def _validate_subset(frame: SylowFrameSynthetic, subset) -> tuple[int, ...]:
     return out
 
 
-def _translation(frame: SylowFrameSynthetic, elt) -> np.ndarray:
+def _translation(frame: SylowFrameSynthetic, elt) -> list[int]:
     """Translation by elt as a permutation of the frame's indices:
     entry a is the index of (element a) + elt."""
-    moduli = np.array(frame.moduli, dtype=np.int64)
-    radix = np.array([math.prod(frame.moduli[k + 1:])
-                      for k in range(frame.m)], dtype=np.int64)
-    coords = np.indices(frame.moduli, dtype=np.int64) \
-        .reshape(frame.m, frame.size).T
-    return (coords + np.array(elt, dtype=np.int64)) % moduli @ radix
+    return _shifted_indices(frame.moduli, elt)
 
 
 def _trace_rows(frame: SylowFrameSynthetic, subset,
@@ -307,19 +299,18 @@ def _trace_rows(frame: SylowFrameSynthetic, subset,
     for i in _validate_subset(frame, subset):
         gen = frame.j if (composite_last and i == frame.m) else frame.tau(i)
         perm = _translation(frame, gen)
-        lab = cur = np.arange(frame.size)
+        lab = cur = range(frame.size)
         for _ in range(_porder(frame.moduli, gen) - 1):
-            cur = perm[cur]
-            lab = np.minimum(lab, cur)
+            cur = [perm[c] for c in cur]
+            lab = list(map(min, lab, cur))
         labels.append(lab)
     return _coset_rows(frame.size, labels)
 
 
 def _translation_rows(frame: SylowFrameSynthetic, elt) -> IntMatrix:
     """The permutation matrix of the translation by elt."""
-    rows = np.zeros((frame.size, frame.size), dtype=np.int64)
-    rows[np.arange(frame.size), _translation(frame, elt)] = 1
-    return IntMatrix(rows)
+    return IntMatrix([[int(j == t) for j in range(frame.size)]
+                      for t in _translation(frame, elt)], frame.size)
 
 
 def twisted_trace_torsion(frame: SylowFrameSynthetic, subset=None) -> AbGroup:

@@ -20,8 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from operator import mul
 
 from . import OrdistError
 from .groupring import _check_coprime_to_w, alpha, trace_ideal_quotient
@@ -38,11 +37,8 @@ from .zlinalg import (
     AbGroup,
     CSRMatrix,
     IntMatrix,
-    _INT64_BOUND,
-    _abs_max,
     _local_valuations,
     _prime_divisors,
-    _promote,
     _val,
     cokernel,
 )
@@ -103,9 +99,8 @@ class DeltaPresentation:
         G = self.ray(self.modulus)
         alphas = [alpha(u, self.modulus, G) for u in self.levels]
         scale = math.lcm(*(au.den for au in alphas))
-        nums = [_promote(au.num, (_abs_max(au.num) + 1) * (scale // au.den))
-                * (scale // au.den) for au in alphas]
-        return scale, IntMatrix(np.stack(nums))
+        return scale, IntMatrix([[x * (scale // au.den) for x in au.num]
+                                 for au in alphas], G.group.order)
 
     @property
     def heads(self) -> IntMatrix:
@@ -147,35 +142,31 @@ class DeltaPresentation:
         for u, p, t, first in self._steps():
             Gu = self.ray(u)
             n_u = Gu.group.order
-            sigma = np.arange(n_u)
+            ou, ot = self.offset(u), self.offset(t)
             image = self.ray(t).transition(u).index_image()
-            rows += [first + sigma, first + image]
-            cols += [self.offset(u) + sigma,
-                     self.offset(t) + np.arange(len(image))]
-            vals += [np.ones(n_u, dtype=np.int64),
-                     np.full(len(image), -1, dtype=np.int64)]
+            rows += [first + s for s in range(n_u)]
+            cols += range(ou, ou + n_u)
+            vals += [1] * n_u
+            rows += [first + s for s in image]
+            cols += range(ot, ot + len(image))
+            vals += [-1] * len(image)
             if u.v_p(p) == 0:
                 # -1 at sigma - artin(p), which meets the +1 at sigma
                 # when artin(p) is trivial in G_u: hence the entries
                 # are added, not assigned
-                twist = Gu.group.indices(Gu.group.coordinates(),
-                                         -np.array(Gu.artin(p),
-                                                   dtype=np.int64))
-                rows.append(first + sigma)
-                cols.append(self.offset(u) + twist)
-                vals.append(np.full(n_u, -1, dtype=np.int64))
+                twist = Gu.group.translation(Gu.group.neg(Gu.artin(p)))
+                rows += range(first, first + n_u)
+                cols += [ou + s for s in twist]
+                vals += [-1] * n_u
             n_rows = first + n_u
-        empty = [np.zeros(0, dtype=np.int64)]
-        return CSRMatrix.from_triplets(
-            n_rows, self.n_gens, *(np.concatenate(x or empty)
-                                   for x in (rows, cols, vals)))
+        return CSRMatrix.from_triplets(n_rows, self.n_gens, rows, cols, vals)
 
 
 def build_presentation(K: QuadField, m: Modulus) -> DeltaPresentation:
     return DeltaPresentation(K, m)
 
 
-def _lifts(G: RayClassGroup, u: Modulus) -> tuple[np.ndarray, np.ndarray]:
+def _lifts(G: RayClassGroup, u: Modulus) -> tuple[tuple[int, ...], list[int]]:
     """The transition G_m -> G_u on indices, and the section lift.
 
     image[g] is the index in G_u of the image of the element of index g
@@ -183,34 +174,31 @@ def _lifts(G: RayClassGroup, u: Modulus) -> tuple[np.ndarray, np.ndarray]:
     """
     down = G.transition(u)
     image = down.index_image()
-    lift = np.full(down.codomain.order, -1, dtype=np.int64)
-    hit, first = np.unique(image, return_index=True)
-    lift[hit] = first
+    lift = [-1] * down.codomain.order
+    for g in range(len(image) - 1, -1, -1):  # the first g writes last
+        lift[image[g]] = g
     return image, lift
 
 
 def _transform_times(P: DeltaPresentation, heads: IntMatrix, cols,
-                     vals) -> np.ndarray:
+                     vals) -> list[int]:
     """F v in Z[G_m], exactly, for the vector v with entries vals at the
     generator indices cols; column (u, sigma) of the transform F is
     head u translated by lift(sigma), so F v sums translated heads."""
     G = P.ray(P.modulus)
     amb = G.group
     coords = amb.coordinates()
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
-    H = _promote(heads.array,
-                 (_abs_max(heads.array) + 1) * (_abs_max(vals) + 1)
-                 * (len(vals) + 1))
-    out = np.zeros(amb.order, dtype=H.dtype)
-    for head, u in zip(H, P.levels):
+    out = [0] * amb.order
+    for head, u in zip(heads.entries, P.levels):
         off = P.offset(u)
-        here = (off <= cols) & (cols < off + P.ray(u).group.order)
-        if here.any():
+        here = [(c - off, v) for c, v in zip(cols, vals)
+                if off <= c < off + P.ray(u).group.order]
+        if here:
             _, lift = _lifts(G, u)
-            # F[g, (u, sigma)] = h_u[g - lift(sigma)]
-            at = amb.indices(coords, -coords[lift[cols[here] - off]][:, None])
-            out += (vals[here][:, None] * head[at]).sum(axis=0)
+            for sigma, v in here:
+                # F[g, (u, sigma)] = h_u[g - lift(sigma)]
+                at = amb.translation(amb.neg(coords[lift[sigma]]))
+                out = [o + v * head[a] for o, a in zip(out, at)]
     return out
 
 
@@ -231,8 +219,8 @@ def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
         I(s) = sum_j v_j h_u(s - c_j) - (sum of h_t over the fibre over s)
     for the entries v_j at (u, c_j) of the row at 0: +1 at 0, and the
     -1 of the Frobenius twist at -artin(p) when p does not divide u.
-    I must vanish; it is two np.add.at, exact on int64 or object
-    arrays, in O(#G_t).
+    I must vanish; it takes one pass over G_t and one over G_u per
+    entry in block u.
     """
     G = P.ray(P.modulus)
     steps = list(P._steps())
@@ -241,55 +229,51 @@ def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
         raise OracleMismatch(
             f"relation matrix shape {(rel.rows, rel.cols)} != "
             f"{(n_rows, P.n_gens)}")
-    # caps a row of the relations against the heads, and a fibre sum
-    bound = (_abs_max(heads.array) + 1) * (
-        _abs_max(rel.data) * int(np.diff(rel.indptr).max(initial=0))
-        + G.group.order)
     level = {}  # per divisor: G_m -> G_u on indices, h_u on G_u
-    for u, head in zip(P.levels, _promote(heads.array, bound)):
+    for u, head in zip(P.levels, heads.entries):
         image, lift = _lifts(G, u)
-        level[u.primes] = image, head[lift]
+        level[u.primes] = image, [head[g] for g in lift]
+    ptr, idx, val = rel.indptr, rel.indices, rel.data
     for u, _, t, first in steps:
         Gu = P.ray(u).group
         ou, ot = P.offset(u), P.offset(t)
         image_u, hu = level[u.primes]
         image_t, ht = level[t.primes]
         down = P.ray(t).transition(u).index_image()  # G_t -> G_u
-        if not np.array_equal(down[image_t], image_u):
+        if any(down[s] != g for s, g in zip(image_t, image_u)):
             raise OracleMismatch(
                 f"the transitions to {t.label()} and on to {u.label()} "
                 f"do not compose to the transition to {u.label()}")
-        ptr = rel.indptr[first:first + Gu.order + 1]
-        width = int(ptr[1] - ptr[0])
-        if (np.diff(ptr) != width).any():
+        starts = ptr[first:first + Gu.order + 1]
+        if len({e - s for s, e in zip(starts, starts[1:])}) > 1:
             raise OracleMismatch(
                 f"relation rows of step {u.label()} -> {t.label()} differ "
                 f"in their entry counts")
-        cols = rel.indices[ptr[0]:ptr[-1]].reshape(Gu.order, width)
-        vals = rel.data[ptr[0]:ptr[-1]].reshape(Gu.order, width)
-        c0, v0 = cols[0], vals[0]
-        in_u = (ou <= c0) & (c0 < ou + Gu.order)
-        cu = Gu.coordinates()
-        shifted = Gu.indices(cu[c0[in_u] - ou], cu[:, None])  # c_j + sigma
-        fibres = np.argsort(down, kind="stable").reshape(Gu.order, -1)
-        want = np.concatenate([ou + shifted, ot + fibres], axis=1)
-        if want.shape == cols.shape:
-            order = np.argsort(want, axis=1)
-            moved = ((np.take_along_axis(want, order, 1) != cols)
-                     | (np.r_[v0[in_u], [-1] * fibres.shape[1]][order]
-                        != vals)).any(axis=1)
-        else:  # every row has the wrong number of entries
-            moved = np.ones(Gu.order, dtype=bool)
-        if moved.any():
-            raise OracleMismatch(
-                f"relation row {first + int(moved.argmax())} of step "
-                f"{u.label()} -> {t.label()} is off its template")
-        identity = np.zeros(Gu.order, dtype=hu.dtype)
-        np.add.at(identity, down, -ht)
+        s0 = starts[0]
+        in_u = [(c - ou, v) for c, v in zip(idx[s0:starts[1]],
+                                            val[s0:starts[1]])
+                if ou <= c < ou + Gu.order]
+        # shifts[j][sigma]: the index of c_j + sigma
+        shifts = [Gu.translation(Gu.coordinates()[c]) for c, _ in in_u]
+        fibres = [[] for _ in range(Gu.order)]
+        for k, s in enumerate(down):
+            fibres[s].append((ot + k, -1))
+        for sigma, (s, e) in enumerate(zip(starts, starts[1:])):
+            want = sorted([(ou + sh[sigma], v)
+                           for sh, (_, v) in zip(shifts, in_u)]
+                          + fibres[sigma])
+            if want != list(zip(idx[s:e], val[s:e])):
+                raise OracleMismatch(
+                    f"relation row {first + sigma} of step "
+                    f"{u.label()} -> {t.label()} is off its template")
+        identity = [0] * Gu.order
+        for s, h in zip(down, ht):
+            identity[s] -= h
         # h_u(s - c_j) at s = sigma + c_j
-        np.add.at(identity, shifted.ravel(),
-                  (hu[:, None] * v0[in_u]).ravel())
-        if identity.any():
+        for sh, (_, v) in zip(shifts, in_u):
+            for s, h in zip(sh, hu):
+                identity[s] += h * v
+        if any(identity):
             raise OracleMismatch(
                 f"transform fails to annihilate the relations of step "
                 f"{u.label()} -> {t.label()}")
@@ -297,13 +281,13 @@ def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
 
 @functools.lru_cache(maxsize=None)
 def _character_primes(e: int) -> tuple[int, ...]:
-    """The three largest primes p = 1 mod e with e (p - 1)^2 < 2^63.
+    """The three largest primes p = 1 mod e below 2^30.
 
-    F_p then holds the e-th roots of unity, and a DFT axis, whose
-    length divides e, sums its products of residues inside int64.
+    F_p then holds the e-th roots of unity, and residues mod p stay
+    single-digit Python ints.
     """
     out = []
-    k = math.isqrt((_INT64_BOUND - 1) // e) // e
+    k = ((1 << 30) - 2) // e
     while len(out) < 3 and k > 0:
         if _is_prime(k * e + 1):
             out.append(k * e + 1)
@@ -321,36 +305,51 @@ def _root_of_unity(d: int, p: int) -> int:
     raise OrdistError(f"no primitive {d}-th root of unity mod {p}")
 
 
-def _character_count(heads: np.ndarray, factors: tuple[int, ...],
-                     p: int) -> int:
+def _character_count(heads, factors: tuple[int, ...], p: int) -> int:
     """Number of characters of the group with these invariant factors
     at which some row of heads, in mixed-radix order, is nonzero mod p.
 
-    Needs p = 1 mod the exponent e and e (p - 1)^2 < 2^63.  Each
-    invariant-factor axis of length d is first split into its
-    prime-power parts by the CRT re-indexing t -> (t mod q^a)_q; the
-    characters of the parts are those of the axis.  The DFT then runs
-    one part at a time, as a product with the q^a x q^a table of powers
-    of a primitive q^a-th root of unity mod p.
+    Needs p = 1 mod the exponent.  Each invariant-factor axis of length
+    d is first split into its prime-power parts by the CRT re-indexing
+    t -> (t mod q^a)_q; the characters of the parts are those of the
+    axis.  The DFT then runs one part at a time: every line of the flat
+    rows along that part's axis, a strided slice, is multiplied with the
+    q^a x q^a table of powers of a primitive q^a-th root of unity mod p.
+
+    Several rows are first combined into one: where the combination is
+    nonzero some row is, so when it is nonzero at every character that
+    is the count, and otherwise the rows are counted one by one.
     """
-    X = (heads % p).astype(np.int64).reshape(len(heads), *factors)
-    parts = []
-    for axis, d in enumerate(factors, start=1):
+    n = math.prod(factors)
+    if len(heads) > 1:
+        weights = range(1, len(heads) + 1)
+        mix = [sum(map(mul, weights, col)) % p for col in zip(*heads)]
+        if _character_count([mix], factors, p) == n:
+            return n
+    parts, gather = [], [0]
+    for d, r in zip(factors, AbGroup(factors).radix()):
         qas = [q ** _val(d, q) for q in sorted(_prime_divisors(d))]
         # t, laid out on the grid of its residues mod the parts
-        t = np.zeros((), dtype=np.int64)
+        t = [0]
         for qa in qas:
             unit = d // qa * pow(d // qa, -1, qa)  # 1 mod qa, 0 mod d / qa
-            t = np.add.outer(t, np.arange(qa, dtype=np.int64) * unit) % d
-        X = np.take(X, t.ravel(), axis=axis)
+            t = [(x + k * unit) % d for x in t for k in range(qa)]
+        gather = [g + x * r for g in gather for x in t]
         parts += qas
-    X = X.reshape(len(heads), *parts)
-    for axis, d in enumerate(parts, start=1):
+    X = [row[g] % p for row in heads for g in gather]
+    stride = n
+    for d in parts:
+        stride //= d
         root = _root_of_unity(d, p)
-        powers = np.array([pow(root, t, p) for t in range(d)], dtype=np.int64)
-        table = powers[np.multiply.outer(np.arange(d), np.arange(d)) % d]
-        X = np.moveaxis(np.moveaxis(X, axis, -1) @ table % p, -1, axis)
-    return int(X.reshape(len(heads), -1).any(axis=0).sum())
+        table = [[pow(root, j * k % d, p) for k in range(d)]
+                 for j in range(d)]
+        span = d * stride
+        for b in range(0, len(X), span):
+            for i in range(b, b + stride):
+                line = X[i:i + span:stride]
+                X[i:i + span:stride] = [sum(map(mul, w, line)) % p
+                                        for w in table]
+    return sum(map(any, zip(*(X[i:i + n] for i in range(0, len(X), n)))))
 
 
 def _character_rank(P: DeltaPresentation, heads: IntMatrix) -> int:
@@ -372,21 +371,21 @@ def _character_rank(P: DeltaPresentation, heads: IntMatrix) -> int:
     """
     G = P.ray(P.modulus)
     amb = G.group
-    if heads.array.shape != (len(P.levels), amb.order):
+    if (heads.rows, heads.cols) != (len(P.levels), amb.order):
         raise OracleMismatch(
-            f"heads shape {heads.array.shape} != "
+            f"heads shape {(heads.rows, heads.cols)} != "
             f"(divisors, #G_m) = {(len(P.levels), amb.order)}")
-    for u, head in zip(P.levels, heads.array):
+    for u, head in zip(P.levels, heads.entries):
         image, lift = _lifts(G, u)
-        if (lift < 0).any():
+        if -1 in lift:
             raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
-        if (head != head[lift[image]]).any():
+        if any(h != head[lift[s]] for h, s in zip(head, image)):
             raise OracleMismatch(
                 f"head at {u.label()} is not constant on the fibres of "
                 f"G_m -> G_u")
     best = 0
     for p in _character_primes(amb.exponent):
-        best = max(best, _character_count(heads.array,
+        best = max(best, _character_count(heads.entries,
                                           amb.invariant_factors, p))
         if best == amb.order:
             break
@@ -491,16 +490,17 @@ def nu(P: DeltaPresentation, v) -> int:
     if len(v) != P.n_gens:
         raise WrongShape(
             f"vector has {len(v)} coordinates, presentation has {P.n_gens}")
-    return sum(x for x, f in zip(v, _full_support(P).tolist()) if f)
+    return sum(x for x, f in zip(v, _full_support(P)) if f)
 
 
-def _full_support(P: DeltaPresentation) -> np.ndarray:
+def _full_support(P: DeltaPresentation) -> list[int]:
     """0/1 per generator: 1 on the blocks of the levels that every
     prime of m divides."""
-    out = np.zeros(P.n_gens, dtype=np.int64)
+    out = [0] * P.n_gens
     for u in P.levels:
         if all(u.v_p(p) >= 1 for p, _ in P.modulus.primes):
-            out[P.offset(u):P.offset(u) + P.ray(u).group.order] = 1
+            out[P.offset(u):P.offset(u) + P.ray(u).group.order] = \
+                [1] * P.ray(u).group.order
     return out
 
 
@@ -585,8 +585,9 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
     if fr.j != amb.add(fr.taus[0], fr.taus[1]):
         raise OracleMismatch("j is not the product t_1 t_2")
     odd = Subgroup.whole(amb).prime_to(2)
-    vec = np.zeros(P.n_gens, dtype=np.int64)
-    vec[P.offset(m) + np.flatnonzero(odd.mask)] = 1
+    vec = [0] * P.n_gens
+    for g in odd.members():
+        vec[P.offset(m) + g] = 1
     # one halved bracket term per prime: (prime, generator, sign, twist)
     terms = ((fr.primes[0], gens[0], 1, None),
              (fr.primes[1], gens[1], 1, None),
@@ -595,11 +596,11 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
         u = m.without(q)
         Gu = P.ray(u)
         push = G.transition(u)
-        phi = np.zeros(Gu.group.order, dtype=bool)  # the image of G'
-        phi[push.index_image()[odd.mask]] = True
-        n_phi = int(np.count_nonzero(phi))
+        image = push.index_image()
+        phi = sorted({image[g] for g in odd.members()})  # the image of G'
+        n_phi = len(phi)
         lam = Gu.artin(q)
-        if phi[Gu.group.index_of(lam)]:
+        if Gu.group.index_of(lam) in phi:
             continue  # s(Phi)(1 - lam^-1) = 0, the whole term vanishes
         if Gu.group.order != 2 * n_phi:
             raise HypothesisFailed(
@@ -608,17 +609,17 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
         shift = Gu.group.neg(lam)
         if extra is not None:
             shift = Gu.group.add(shift, push.apply(extra))
-        vec[P.offset(u) + Gu.group.indices(
-            Gu.group.coordinates()[phi], np.array(shift))] += sign
-    support = np.flatnonzero(vec)
-    in_kernel = not _transform_times(P, P.heads, support,
-                                     vec[support]).any()
-    vec = vec.tolist()
+        moved = Gu.group.translation(shift)
+        for s in phi:
+            vec[P.offset(u) + moved[s]] += sign
+    support = [i for i, x in enumerate(vec) if x]
+    in_kernel = not any(_transform_times(P, P.heads, support,
+                                         [vec[i] for i in support]))
     nu_R = nu(P, vec)
     if nu_R != odd.order:
         raise OracleMismatch(f"nu(R) = {nu_R} != #G' = {odd.order}")
     # nu of every relation row at once
-    rows_even = not (P.relations.dot(_full_support(P)) % 2).any()
+    rows_even = not any(x % 2 for x in P.relations.dot(_full_support(P)))
     norms = [q.norm() for q, _ in m.primes]
     # symbolic half of the parity lemma, instantiated with the concrete
     # numbers: at a full-support level a relation subtracts N(q)^e

@@ -5,7 +5,7 @@ mixed-radix index order of AbGroup.index_of, over one positive common
 denominator.  The level elements are built by index maps on that
 vector, with no ring product: a trace counts indices, and each factor
 (1 - p*) of a level element is one coset sum over an inertia group.  A
-subgroup is a boolean mask over the indices (rayclass.Subgroup), so its
+subgroup is a 0/1 mask over the indices (rayclass.Subgroup), so its
 trace is that mask as a numerator vector.  A kernel of a transition
 G_n -> G_u is the set of indices the transition sends to 0, and its
 cosets are the fibres of the transition.  The main constructions:
@@ -27,19 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import index
 
 from . import OrdistError
 from .quadfield import Modulus, OIdeal
 from .rayclass import RayClassGroup, Subgroup, ray_class_group
-from .zlinalg import (
-    AbGroup,
-    CSRMatrix,
-    _abs_max,
-    _promote,
-    cokernel,
-)
+from .zlinalg import AbGroup, CSRMatrix, cokernel
 
 
 class NotCoprimeToW(OrdistError):
@@ -51,41 +44,40 @@ class NotCoprimeToW(OrdistError):
 class GroupRingElt:
     """The element num / den of Q[G], G finite.
 
-    num is one integer numerator per element of G in index order, int64
-    or, past 2^63, an object array of Python ints; den is positive.  The
-    constructor reduces the pair to lowest terms and freezes num, so
-    equal elements have equal arrays and denominators.
+    num is one integer numerator per element of G in index order, a
+    tuple of Python ints; den is positive.  The constructor reduces the
+    pair to lowest terms, so equal elements have equal numerators and
+    denominators.
     """
 
     group: AbGroup
-    num: np.ndarray
+    num: tuple[int, ...]
     den: int = 1
 
     def __post_init__(self):
-        num = self.num
-        if not isinstance(num, np.ndarray):
-            num = np.array(num, dtype=object)
-        if num.shape != (self.group.order,) or num.dtype.kind not in "iO":
+        try:
+            num = tuple(map(index, self.num))
+        except TypeError:
+            raise OrdistError("numerators must be integers") from None
+        if len(num) != self.group.order:
             raise OrdistError(
-                f"numerators of shape {num.shape} and dtype {num.dtype} "
-                f"do not fit a group of order {self.group.order}")
-        den = int(self.den)
+                f"{len(num)} numerators do not fit a group of order "
+                f"{self.group.order}")
+        den = index(self.den)
         if den < 1:
             raise OrdistError(f"denominator {den} is not positive")
         # over den = 1 there is nothing to reduce
-        g = math.gcd(den, int(np.gcd.reduce(num))) if den > 1 else 1
-        if g > 1 and num.any():  # a zero num has g = den and stays
-            num = num // g
-        num = _promote(num)
-        num.flags.writeable = False
+        g = math.gcd(den, *num) if den > 1 else 1
+        if g > 1 and any(num):  # a zero num has g = den and stays
+            num = tuple(x // g for x in num)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den // g)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElt):
             return NotImplemented
-        return self.group == other.group and self.den == other.den \
-            and np.array_equal(self.num, other.num)
+        return (self.group, self.den, self.num) == \
+            (other.group, other.den, other.num)
 
 
 def trace(X, group: AbGroup | None = None) -> GroupRingElt:
@@ -93,13 +85,13 @@ def trace(X, group: AbGroup | None = None) -> GroupRingElt:
     Subgroup, whose mask is the numerator, or a sequence of element
     tuples of group."""
     if isinstance(X, Subgroup):
-        return GroupRingElt(X.ambient, X.mask.astype(np.int64))
+        return GroupRingElt(X.ambient, X.mask)
     if group is None:
         raise OrdistError("trace of a raw element list needs the group")
-    X = list(X)
-    k = len(group.invariant_factors)
-    idx = group.indices(np.array(X, dtype=np.int64).reshape(len(X), k))
-    return GroupRingElt(group, np.bincount(idx, minlength=group.order))
+    num = [0] * group.order
+    for g in group.indices(X):
+        num[g] += 1
+    return GroupRingElt(group, num)
 
 
 def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
@@ -118,12 +110,12 @@ def alpha(n: Modulus, n2: Modulus, G: RayClassGroup) -> GroupRingElt:
         lam, _ = G.frobenius(p)
         fibre = _fibres(G, p)
         t = G.inertia(p).order
-        num = _promote(num, 2 * t * (_abs_max(num) + 1))
-        sums = np.zeros(amb.order // t, dtype=num.dtype)
-        np.add.at(sums, fibre, num)
+        sums = [0] * (amb.order // t)
+        for f, x in zip(fibre, num):
+            sums[f] += x
         # (s(T_p) x lam^-1)[g] = (s(T_p) x)[g + lam]
-        num = num * t - sums[fibre[amb.indices(amb.coordinates(),
-                                               np.array(lam))]]
+        num = [x * t - sums[fibre[g]]
+               for x, g in zip(num, amb.translation(lam))]
         den *= t
     return GroupRingElt(amb, num, den)
 
@@ -136,41 +128,36 @@ def _coset_rows(order: int, labels) -> CSRMatrix:
     of this order; these are exactly the distinct translates of the
     subgroup traces.
 
-    Each subgroup comes as one coset-label array over the indices of
+    Each subgroup comes as one coset-label sequence over the indices of
     the group: two indices carry the same label exactly when they lie
     in one coset, so the subgroup is the coset of index 0.  Equal
     subgroups give their cosets once.  The rows come as a CSRMatrix,
     sorted as tuples, an order that does not depend on the label
     values.
     """
-    blocks, seen = [], set()
+    cosets, seen = [], set()
     for lab in labels:
-        sub = np.flatnonzero(lab == lab[0])
-        key = sub.tobytes()
-        if key in seen:
+        sub = tuple(g for g, x in enumerate(lab) if x == lab[0])
+        if sub in seen:
             continue  # an equal subgroup has the same cosets
-        seen.add(key)
+        seen.add(sub)
         # one coset per row, its members ascending
-        blocks.append(np.argsort(lab, kind="stable").reshape(-1, len(sub)))
-    if not blocks:
-        return CSRMatrix.from_dense(np.zeros((0, order), dtype=np.int64))
-    width = max(b.shape[1] for b in blocks)
+        block = {}
+        for g, x in enumerate(lab):
+            block.setdefault(x, []).append(g)
+        cosets += block.values()
     # of two rows, the smaller tuple has the larger member where their
     # ascending member lists first differ, or is a prefix of the other:
-    # sort on the negated members, padded with -order past the end
-    keys = np.full((sum(len(b) for b in blocks), width), -order,
-                   dtype=np.int64)
-    starts = np.cumsum([0] + [len(b) for b in blocks])
-    for b, r in zip(blocks, starts):
-        keys[r:r + len(b), :b.shape[1]] = -b
-    keys = keys[np.lexsort(keys.T[::-1])]
-    member = keys != -order
-    return CSRMatrix(np.concatenate([[0], np.cumsum(member.sum(axis=1))]),
-                     -keys[member], np.ones(member.sum(), dtype=np.int64),
-                     order)
+    # sort on the negated members
+    cosets.sort(key=lambda c: [-g for g in c])
+    ptr = [0]
+    for c in cosets:
+        ptr.append(ptr[-1] + len(c))
+    return CSRMatrix(ptr, [g for c in cosets for g in c],
+                     [1] * ptr[-1], order)
 
 
-def _fibres(G: RayClassGroup, p: OIdeal) -> np.ndarray:
+def _fibres(G: RayClassGroup, p: OIdeal) -> tuple[int, ...]:
     """Coset labels of the inertia group at p: its cosets are the
     fibres of the transition G_n -> G_{n/p^v}."""
     return G.transition(G.modulus.without(p)).index_image()
@@ -198,7 +185,7 @@ def _check_coprime_to_w(n: Modulus) -> None:
             f"modulus norm {n.norm()} shares a factor with w = {n.field.w_K}")
 
 
-def _gamma_labels(G: RayClassGroup) -> tuple[int, list[np.ndarray]]:
+def _gamma_labels(G: RayClassGroup) -> tuple[int, list[list[int]]]:
     """The order of Gamma_n = ker(G_n -> G_(1)) and, per prime of n,
     the coset labels of its inertia group inside Gamma_n, over the
     indices of Gamma_n's own group."""
@@ -206,8 +193,10 @@ def _gamma_labels(G: RayClassGroup) -> tuple[int, list[np.ndarray]]:
     own = gab.indices(coords)  # the indices in gab of the members
     labels = []
     for p, _ in G.modulus.primes:
-        lab = np.empty(gab.order, dtype=np.int64)
-        lab[own] = _fibres(G, p)[inside]
+        fibre = _fibres(G, p)
+        lab = [0] * gab.order
+        for o, g in zip(own, inside):
+            lab[o] = fibre[g]
         labels.append(lab)
     return gab.order, labels
 

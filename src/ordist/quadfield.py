@@ -11,8 +11,8 @@ reduction of two columns, so there is a single code path whether or
 not ideals are primitive.  An ideal is principal exactly when its
 reduced form is the principal form.
 
-This module imports neither numpy nor the linear algebra layer, so a
-field, its primes and its ideals cost no more than the interpreter.
+This module does not import the linear algebra layer, so a field, its
+primes and its ideals cost no more than the interpreter.
 The one exception is the class group, built on first use by
 enumerating reduced binary quadratic forms and closing them under
 composition-through-ideal-multiplication with zlinalg.ab_discover,
@@ -197,9 +197,9 @@ class QuadField:
     def _classes(self):
         """(class group, dlog of the reduced forms), built on first use.
 
-        This is the one place a field needs zlinalg, and with it numpy;
-        the import is deferred so that a field, its primes and its
-        ideals load neither.
+        This is the one place a field needs zlinalg; the import is
+        deferred so that a field, its primes and its ideals do not load
+        it.
         """
         from .zlinalg import ab_discover
 

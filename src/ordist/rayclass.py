@@ -14,11 +14,10 @@ Artin images of coprime ideals are computed by the same mechanism:
 divide the ideal by a product of class primes to reach a principal
 ideal, recover the generator, and read off its residue.
 
-The unit groups (O_K/n)^x are found on indices: the residues are the
-entries of int64 arrays, multiplication by a unit is one vectorised
-product that permutes the unit labels, and the generator harvest and
-the abelian structure run on those permutations, in the structure core
-zlinalg._discover that subgroups share.
+The unit groups (O_K/n)^x are found on indices: the residues are
+numbered, multiplication by a unit permutes the unit labels, and the
+generator harvest and the abelian structure run on those permutations,
+in the structure core zlinalg._discover that subgroups share.
 
 The tau-frame decomposes Gamma = ker(G_m -> G_(1)) into the prime-to-l
 part and the l-Sylow G_l, writes G_l as an internal direct product of
@@ -29,7 +28,6 @@ frame element whose order drops by the l-part of w_K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
 from . import OrdistError
 from .quadfield import (
@@ -76,50 +74,52 @@ class FrameUnavailable(OrdistError):
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup as one read-only boolean mask over the mixed-radix
-    indices of the ambient group, True on the members.  The constructor
-    checks the length and that the identity, index 0, is in."""
+    """A subgroup as one immutable 0/1 mask (bytes) over the mixed-radix
+    indices of the ambient group, 1 on the members.  The constructor
+    takes any sequence of truth values, and checks the length and that
+    the identity, index 0, is in."""
 
     ambient: AbGroup
-    mask: np.ndarray
+    mask: bytes
 
     def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)
-        if mask.shape != (self.ambient.order,) or not mask[0]:
+        mask = bytes(map(bool, self.mask))
+        if len(mask) != self.ambient.order or not mask[0]:
             raise OrdistError(
                 f"a subgroup mask needs {self.ambient.order} entries, "
                 f"with the identity at index 0")
-        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     @staticmethod
     def generated(ambient: AbGroup, gens) -> "Subgroup":
-        span = np.zeros(ambient.order, dtype=bool)
-        span[0] = True
-        coords = ambient.coordinates()
+        span = bytearray(ambient.order)
+        span[0] = 1
         for g in gens:
-            _grow(span, ambient.indices(coords, np.array(g, dtype=np.int64)))
+            _grow(span, ambient.translation(g))
         return Subgroup(ambient, span)
 
     @staticmethod
     def whole(ambient: AbGroup) -> "Subgroup":
-        return Subgroup(ambient, np.ones(ambient.order, dtype=bool))
+        return Subgroup(ambient, b"\x01" * ambient.order)
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.ambient == other.ambient and \
-            np.array_equal(self.mask, other.mask)
+        return self.ambient == other.ambient and self.mask == other.mask
+
+    def members(self) -> list[int]:
+        """The indices of the members, ascending."""
+        return [g for g, x in enumerate(self.mask) if x]
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """The members as element tuples, in index (= sorted) order."""
-        return tuple(map(tuple,
-                         self.ambient.coordinates()[self.mask].tolist()))
+        coords = self.ambient.coordinates()
+        return tuple(coords[g] for g in self.members())
 
     @property
     def order(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return self.mask.count(1)
 
     def contains(self, x) -> bool:
         return bool(self.mask[self.ambient.index_of(x)])
@@ -127,8 +127,9 @@ class Subgroup:
     def scaled(self, k: int) -> "Subgroup":
         """The image of multiplication by k."""
         amb = self.ambient
-        mask = np.zeros(amb.order, dtype=bool)
-        mask[amb.indices(amb.coordinates()[self.mask] * k)] = True
+        mask = bytearray(amb.order)
+        for a in self.elements:
+            mask[amb.index_of(amb.scale(a, k))] = 1
         return Subgroup(amb, mask)
 
     def sylow(self, ell: int) -> "Subgroup":
@@ -142,45 +143,45 @@ class Subgroup:
         """Grown from self by cosets: each time by the least member of
         other that is not in yet."""
         amb = self.ambient
-        span = self.mask.copy()
+        span = bytearray(self.mask)
         coords = amb.coordinates()
         while True:
-            outside = other.mask & ~span
-            if not outside.any():
+            x = next((g for g, (a, b) in enumerate(zip(other.mask, span))
+                      if a and not b), None)
+            if x is None:
                 return Subgroup(amb, span)
-            x = int(np.argmax(outside))
-            _grow(span, amb.indices(coords, coords[x]))
+            _grow(span, amb.translation(coords[x]))
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.ambient, self.mask & other.mask)
+        return Subgroup(self.ambient,
+                        [a and b for a, b in zip(self.mask, other.mask)])
 
     def as_group(self):
         """(AbGroup, members, coords, reps), computed once: the abstract
         structure; the ambient indices of the members in the order the
         structure search found them, and their coordinates; element
         tuples representing the abstract invariant basis.  The labels
-        are positions among the members; adding an element is one
-        gather, and zlinalg._harvest and _discover run on those."""
+        are positions among the members; adding an element maps them to
+        labels, and zlinalg._harvest and _discover run on those."""
         if "_structure" not in self.__dict__:
             amb = self.ambient
-            members = np.flatnonzero(self.mask)
-            els = amb.coordinates()[members]
-            label = np.full(amb.order, -1, dtype=np.int64)
-            label[members] = np.arange(len(members))
+            members = self.members()
+            els = self.elements
+            label = dict(zip(members, range(len(members))))
 
-            def perm_of(x: int) -> np.ndarray:
-                return label[amb.indices(els, els[x])]
+            def perm_of(x: int) -> list[int]:
+                return [label[amb.index_of(amb.add(e, els[x]))] for e in els]
 
             gens = _harvest(len(members), perm_of, 0)  # label 0 is zero
             group, bfs, coords = _discover(
                 len(members), [perm_of(g) for g in gens], 0)
             # each basis coordinate vector has one member
-            reps = [tuple(els[int(np.argmax((coords == e).all(axis=1)))]
-                          .tolist())
-                    for e in np.eye(len(group.invariant_factors),
-                                    dtype=np.int64)]
-            object.__setattr__(self, "_structure",
-                               (group, members[bfs], coords[bfs], reps))
+            k = len(group.invariant_factors)
+            reps = [els[coords.index(tuple(int(i == j) for j in range(k)))]
+                    for i in range(k)]
+            object.__setattr__(self, "_structure", (
+                group, tuple(members[i] for i in bfs),
+                tuple(coords[i] for i in bfs), reps))
         return self.__dict__["_structure"]
 
     def invariant_factors(self) -> tuple[int, ...]:
@@ -201,12 +202,12 @@ def residue_units(K: QuadField, n: Modulus):
     reach it; mu_images lists the images of zeta^0 ... zeta^{w_K - 1}.
 
     The residues x + y*omega, 0 <= x < c a and 0 <= y < c for
-    n = c (a Z + beta Z), are the indices y c a + x of int64 arrays,
-    and the units are labelled in that order.  Multiplication by a unit
-    g is x g + y (omega g): one vectorised product and reduction of all
-    units at once, which gives a permutation of the unit labels.  The
-    greedy harvest and the structure then run on those permutations
-    (zlinalg._harvest and zlinalg._discover).
+    n = c (a Z + beta Z), are numbered y c a + x, and the units are
+    labelled in that order: a 0/1 mask over the residues loses the
+    non-units of each prime by strided slices.  Multiplication by a unit
+    g is x g + y (omega g), which gives a permutation of the unit
+    labels.  The greedy harvest and the structure then run on those
+    permutations (zlinalg._harvest and zlinalg._discover).
     """
     if n.norm() > RESIDUE_NORM_BOUND:
         raise ModulusTooLarge(f"norm {n.norm()} exceeds {RESIDUE_NORM_BOUND}")
@@ -215,52 +216,54 @@ def residue_units(K: QuadField, n: Modulus):
     nid = n.ideal()
     c, ca = nid.content, nid.content * nid.a
     bx = nid.beta()[0]
-    y, x = np.divmod(np.arange(c * ca, dtype=np.int64), ca)
     # non-unit residues at a prime P over p: x - y*beta_P = 0 mod p for
     # split/ramified P, p | x and p | y for inert P
-    unit = np.ones(c * ca, dtype=bool)
+    unit = bytearray(b"\x01") * (c * ca)
     for p, _ in n.primes:
-        q = p.rational_prime()
-        if p.content == 1:
-            unit &= (x - y * p.beta()[0]) % q != 0
-        else:
-            unit &= (x % q != 0) | (y % q != 0)
-    units = np.flatnonzero(unit)
+        q, b = p.rational_prime(), p.beta()[0]
+        for y in range(0, c, 1 if p.content == 1 else q):
+            start = y * ca + (y * b % q if p.content == 1 else 0)
+            stop = (y + 1) * ca
+            unit[start:stop:q] = bytes(len(range(start, stop, q)))
+    units = [i for i, x in enumerate(unit) if x]
     order = n.phi()
     if len(units) != order:
         raise OrdistError(f"found {len(units)} residue units, phi(n) = {order}")
-    label = np.full(c * ca, -1, dtype=np.int64)
-    label[units] = np.arange(order)
-    ux, uy = x[units], y[units]
+    label = [-1] * (c * ca)
+    for k, i in enumerate(units):
+        label[i] = k
+    uy, ux = zip(*(divmod(i, ca) for i in units))
 
     def label_of(u) -> int:
         rx, ry = _residue_reduce(nid, u)
-        return int(label[ry * ca + rx])
+        return label[ry * ca + rx]
 
-    def perm_of(g: int) -> np.ndarray:
+    perms = {}
+
+    def perm_of(g: int) -> list[int]:
         """Multiplication by the unit of label g, on unit labels."""
-        u = (int(ux[g]), int(uy[g]))
-        # x u + y (omega u), reduced; entries stay below 2 (c a)^2
-        (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
-                              for v in (u, K.elt_mul((0, 1), u)))
-        X, Y = ux * gx + uy * hx, ux * gy + uy * hy
-        k = Y // c
-        X = (X - k * c * bx) % ca
-        out = label[(Y - k * c) * ca + X]
-        if (out < 0).any():
-            raise OrdistError("a product of residue units is not a unit")
-        return out
+        if g not in perms:
+            u = (ux[g], uy[g])
+            # x u + y (omega u), reduced
+            (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
+                                  for v in (u, K.elt_mul((0, 1), u)))
+            Y = [x * gy + y * hy for x, y in zip(ux, uy)]
+            out = [label[v % c * ca + (x * gx + y * hx - (v - v % c) * bx) % ca]
+                   for x, y, v in zip(ux, uy, Y)]
+            if -1 in out:
+                raise OrdistError("a product of residue units is not a unit")
+            perms[g] = out
+        return perms[g]
 
     ident = label_of((1, 0))
     gens = _harvest(order, perm_of, ident)
     group, bfs, coords = _discover(order, [perm_of(g) for g in gens], ident)
-    dlog = dict(zip(zip(ux[bfs].tolist(), uy[bfs].tolist()),
-                    map(tuple, coords[bfs].tolist())))
+    dlog = {(ux[i], uy[i]): coords[i] for i in bfs}
     z = perm_of(label_of(K.zeta()))
     mu, cur = [], ident
     for _ in range(K.w_K):
-        mu.append(tuple(coords[cur].tolist()))
-        cur = int(z[cur])
+        mu.append(coords[cur])
+        cur = z[cur]
     return group, dlog, mu
 
 
@@ -410,8 +413,8 @@ class RayClassGroup:
     # -- coordinates --
 
     def word_to_coords(self, word) -> tuple[int, ...]:
-        return self.group.reduce(
-            (np.array(word, dtype=object) @ self._to).tolist())
+        return _reduced_product([word], self._to,
+                                self.group.invariant_factors)[0]
 
     # -- the Artin map --
 
@@ -472,12 +475,9 @@ class RayClassGroup:
             imgs.append(target.word_to_coords(w))
         for q in self.class_primes:
             imgs.append(target.artin(q))
-        inv = target.group.invariant_factors
-        images = np.array(imgs, dtype=np.int64).reshape(len(imgs), len(inv))
-        rows = map(tuple, _reduced_product(self._back, images, inv).tolist())
-        hom = AbHom(self.group, target.group, tuple(rows))
-        if not np.bincount(hom.index_image(),
-                           minlength=target.group.order).all():
+        hom = AbHom(self.group, target.group, _reduced_product(
+            self._back, imgs, target.group.invariant_factors))
+        if len(set(hom.index_image())) != target.group.order:
             raise OrdistError("transition must be onto")
         self._transition_cache[key] = hom
         return hom
@@ -488,7 +488,7 @@ class RayClassGroup:
         if key in self._inertia_cache:
             return self._inertia_cache[key]
         hom = self.transition(u)
-        sub = Subgroup(self.group, hom.index_image() == 0)
+        sub = Subgroup(self.group, [g == 0 for g in hom.index_image()])
         if sub.order * hom.codomain.order != self.group.order:
             raise OrdistError("level kernel order does not match the index")
         self._inertia_cache[key] = sub
@@ -512,10 +512,11 @@ class RayClassGroup:
         hom = self.transition(n2)
         lam = target.artin(p)
         # the first element of G_n over lam, as in distribution._lifts
-        over = np.flatnonzero(hom.index_image() == target.group.index_of(lam))
-        if not over.size:
+        image = hom.index_image()
+        over = target.group.index_of(lam)
+        if over not in image:
             raise OrdistError("the Frobenius has no preimage under transition")
-        lift = tuple(self.group.coordinates()[over[0]].tolist())
+        lift = self.group.coordinates()[image.index(over)]
         if hom.apply(lift) != lam:
             raise OrdistError("the Frobenius lift maps to the wrong class")
         self._frobenius_cache[key] = lift

@@ -1,20 +1,19 @@
 """Exact linear algebra over the integers.
 
-No floating point enters any result.  A matrix is one read-only numpy
-array: int64 while every entry fits, an object array of Python ints
-otherwise.  One helper, _promote, makes that choice from a bound on the
-entries, both when a matrix is built and before every int64 computation
-whose results could outgrow it.  Lattices are row spaces of integer
-matrices.  Finitely generated abelian groups are cokernels
+No floating point enters any result, and every entry is a Python int.
+A dense matrix is a tuple of row tuples (IntMatrix), a sparse one three
+int tuples in compressed row form (CSRMatrix).  Lattices are row spaces
+of integer matrices.  Finitely generated abelian groups are cokernels
 Z^n / rowspace(R), described by invariant factors d_1 | d_2 | ... (0
-encodes an infinite cyclic factor, factors equal to 1 are dropped).
+encodes an infinite cyclic factor, factors equal to 1 are dropped).  The
+elements of a finite group are numbered by mixed-radix indices, and its
+translations and homomorphisms act on them as index lists.
 
-Sparse rows come as a CSRMatrix.  A cokernel first splits off its unit
-pivots by one sparse Schur pass on Python ints, then takes the Smith form
-of the dense residual.
+A cokernel first splits off its unit pivots by one sparse Schur pass,
+then takes the Smith form of the dense residual.
 
 The workhorse is a row echelon pass with minimal-absolute-value pivoting
-and repeated Euclidean reduction on object rows, used for Hermite-reduced
+and repeated Euclidean reduction on list rows, used for Hermite-reduced
 kernels, subquotients and left solves.  Smith forms use alternating row
 and column elimination with a divisibility fix-up.  smith_coordinates reads a
 quotient Z^n / rowspace(A) in invariant coordinates: the same pass
@@ -30,9 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import OrdistError
 
@@ -52,113 +50,77 @@ class GeneratorsInsufficient(LinalgError):
 # ---------------------------------------------------------------------------
 # matrices
 
-# int64 holds exactly the integers of absolute value below 2^63
-_INT64_BOUND = 1 << 63
-
-
-def _abs_max(a: np.ndarray) -> int:
-    """Largest absolute entry as a Python int, 0 when a is empty."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
-
-
-def _promote(a: np.ndarray, bound: int | None = None) -> np.ndarray:
-    """The one int64/object choice of the package.
-
-    bound caps the absolute value of every entry the caller holds in the
-    array, now and after the arithmetic it is about to do; it defaults
-    to the largest entry.  Below 2^63 the array comes back as int64,
-    otherwise as an object array of Python ints (a itself when it
-    already has that dtype).
-    """
-    if bound is None:
-        bound = _abs_max(a)
-    return a.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+def _ints(seq) -> tuple[int, ...]:
+    """seq as a tuple of Python ints; LinalgError on any other entry."""
+    try:
+        return tuple(map(index, seq))
+    except TypeError:
+        raise LinalgError("matrix entries must be integers") from None
 
 
 @dataclass(frozen=True, eq=False)
 class IntMatrix:
-    """Immutable integer matrix on one read-only numpy array.
+    """Immutable integer matrix: entries is the tuple of its rows, each a
+    tuple of Python ints.  cols defaults to the length of the first row
+    (0 without rows)."""
 
-    The array is int64 when every entry fits and object otherwise.  The
-    constructor takes ownership of the array it is given and freezes it.
-    """
-
-    array: np.ndarray
+    entries: tuple[tuple[int, ...], ...]
+    cols: int = None
 
     def __post_init__(self):
-        a = np.asarray(self.array)
-        if a.ndim != 2:
-            raise LinalgError("a matrix needs a 2-D array")
-        a = _promote(a)
-        a.flags.writeable = False
-        object.__setattr__(self, "array", a)
+        rows = tuple(map(_ints, self.entries))
+        cols = len(rows[0]) if self.cols is None and rows else self.cols or 0
+        if cols < 0:
+            raise LinalgError("negative matrix dimensions")
+        if any(len(r) != cols for r in rows):
+            raise LinalgError("column count mismatch")
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as tuples of Python ints."""
-        return tuple(tuple(r.tolist()) for r in self.array)
+        return len(self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = list(rows)
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        if not rows:
-            return IntMatrix.zeros(0, cols)
-        try:  # integer rows parse to an integer dtype
-            a = np.array(rows)
-        except ValueError:
-            raise LinalgError("column count mismatch")
-        if a.dtype.kind not in "biu":
-            # past int64 numpy falls back to float64 or object, so
-            # look at the entries themselves
-            if not all(isinstance(x, (int, np.integer))
-                       for r in rows for x in r):
-                raise LinalgError("matrix entries must be integers")
-            a = np.array([[int(x) for x in r] for r in rows], dtype=object)
-        if a.shape != (len(rows), cols):
-            raise LinalgError("column count mismatch")
-        return IntMatrix(a)
+        return IntMatrix(rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(np.identity(n, dtype=np.int64))
+        return IntMatrix(_identity_rows(n), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
+        if rows < 0:
             raise LinalgError("negative matrix dimensions")
-        return IntMatrix(np.zeros((rows, cols), dtype=np.int64))
+        return IntMatrix(((0,) * cols,) * rows, cols)
 
     def __getitem__(self, ij) -> int:
         i, j = ij
-        return int(self.array[i, j])
+        return self.entries[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return np.array_equal(self.array, other.array)
+        return (self.cols, self.entries) == (other.cols, other.entries)
 
     def __hash__(self):
-        return hash((self.array.shape, tuple(self.array.ravel().tolist())))
+        return hash((self.cols, self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.array.T)
+        return IntMatrix(tuple(zip(*self.entries)) or ((),) * self.cols,
+                         self.rows)
 
     # plain text serialization: header "rows cols", then one row per line,
     # base-10, space separated.  Round-trips bit exactly.
     def to_text(self) -> str:
         lines = [f"{self.rows} {self.cols}"]
-        lines += [" ".join(map(str, r.tolist())) for r in self.array]
+        lines += [" ".join(map(str, r)) for r in self.entries]
         return "\n".join(lines) + "\n"
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,127 +129,142 @@ class CSRMatrix:
 
     Row i has the entries data[indptr[i]:indptr[i + 1]] in the columns
     indices[indptr[i]:indptr[i + 1]], ascending; no stored entry is 0,
-    so equal matrices have equal arrays.  indptr and indices are int64,
-    data int64 or object as for IntMatrix.  The constructor takes
-    ownership of the arrays it is given and freezes them.
+    so equal matrices have equal tuples.  The constructor stores the
+    three sequences as tuples of Python ints and checks them.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    indptr: tuple[int, ...]
+    indices: tuple[int, ...]
+    data: tuple[int, ...]
     cols: int
 
     def __post_init__(self):
-        ptr = np.asarray(self.indptr, dtype=np.int64)
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = _promote(np.asarray(self.data))
-        if ptr.ndim != 1 or len(ptr) == 0 or ptr[0] != 0 \
-                or (np.diff(ptr) < 0).any() or ptr[-1] != len(idx) \
-                or val.shape != idx.shape:
+        ptr, idx, val = map(_ints, (self.indptr, self.indices, self.data))
+        if not ptr or ptr[0] != 0 or ptr[-1] != len(idx) \
+                or len(val) != len(idx) \
+                or any(a > b for a, b in zip(ptr, ptr[1:])):
             raise LinalgError("inconsistent sparse row pointers")
         # within a row the columns ascend; a row start may step back
-        starts = np.zeros(len(idx), dtype=bool)
-        starts[ptr[:-1][ptr[:-1] < len(idx)]] = True
-        if ((idx < 0) | (idx >= self.cols)).any() \
-                or ((np.diff(idx) <= 0) & ~starts[1:]).any() \
-                or not val.all():
+        descents = {k for k, (a, b) in enumerate(zip(idx, idx[1:]), 1)
+                    if b <= a}
+        if idx and (min(idx) < 0 or max(idx) >= self.cols) \
+                or not descents <= set(ptr) or not all(val):
             raise LinalgError("bad sparse row entries")
-        for a, name in ((ptr, "indptr"), (idx, "indices"), (val, "data")):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        for name, seq in (("indptr", ptr), ("indices", idx), ("data", val)):
+            object.__setattr__(self, name, seq)
 
     @staticmethod
-    def from_dense(a: np.ndarray) -> "CSRMatrix":
-        """The nonzeros of a 2-D integer array."""
-        r, c = np.nonzero(a)
-        return CSRMatrix(np.searchsorted(r, np.arange(a.shape[0] + 1)),
-                         c, a[r, c], a.shape[1])
+    def from_dense(rows, cols: int | None = None) -> "CSRMatrix":
+        """The nonzeros of a sequence of int rows, cols wide (by default
+        the length of the first row)."""
+        ptr, idx, val = [0], [], []
+        for r in rows:
+            for j, x in enumerate(r):
+                if x:
+                    idx.append(j)
+                    val.append(x)
+            ptr.append(len(idx))
+        if cols is None:
+            cols = len(rows[0]) if len(rows) else 0
+        return CSRMatrix(ptr, idx, val, cols)
 
     @staticmethod
     def from_triplets(rows: int, cols: int, r, c, v) -> "CSRMatrix":
         """The rows x cols matrix with v[k] added at (r[k], c[k]):
         repeated positions are summed, and sums of 0 are not stored."""
-        key = np.asarray(r, dtype=np.int64) * cols \
-            + np.asarray(c, dtype=np.int64)
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], np.asarray(v)[order]
-        if key.size:
-            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            key, val = key[first], np.add.reduceat(val, first)
-        keep = val != 0
-        r, c = np.divmod(key[keep], max(cols, 1))
-        return CSRMatrix(np.searchsorted(r, np.arange(rows + 1)), c,
-                         val[keep], cols)
+        acc = [{} for _ in range(rows)]
+        for i, j, x in zip(r, c, v):
+            row = acc[i]
+            row[j] = row.get(j, 0) + x
+        ptr, idx, val = [0], [], []
+        for row in acc:
+            for j in sorted(row):
+                if row[j]:
+                    idx.append(j)
+                    val.append(row[j])
+            ptr.append(len(idx))
+        return CSRMatrix(ptr, idx, val, cols)
 
     @property
     def rows(self) -> int:
         return len(self.indptr) - 1
 
-    def dot(self, v) -> np.ndarray:
-        """The exact product with an integer vector, one entry per row."""
-        v = np.asarray(v)
-        if v.shape != (self.cols,):
-            raise LinalgError("vector length does not match matrix width")
-        bound = (_abs_max(self.data) + 1) * (_abs_max(v) + 1) * self.cols
-        terms = _promote(self.data, bound) * _promote(v, bound)[self.indices]
-        out = np.zeros(self.rows, dtype=terms.dtype)
-        np.add.at(out, np.repeat(np.arange(self.rows), np.diff(self.indptr)),
-                  terms)
-        return out
+    def _row_items(self):
+        """(columns, values) of each row, as tuple slices."""
+        ptr, idx, val = self.indptr, self.indices, self.data
+        for s, e in zip(ptr, ptr[1:]):
+            yield idx[s:e], val[s:e]
 
-    @property
-    def array(self) -> np.ndarray:
-        """The dense array, built on each read."""
-        out = np.zeros((self.rows, self.cols), dtype=self.data.dtype)
-        out[np.repeat(np.arange(self.rows), np.diff(self.indptr)),
-            self.indices] = self.data
-        return out
+    def dot(self, v) -> list[int]:
+        """The exact product with an integer vector, one entry per row."""
+        v = _ints(v)
+        if len(v) != self.cols:
+            raise LinalgError("vector length does not match matrix width")
+        return [sum(x * v[j] for j, x in zip(cs, xs))
+                for cs, xs in self._row_items()]
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows as tuples of Python ints."""
-        return tuple(map(tuple, self.array.tolist()))
+        return tuple(map(tuple, self._dense_rows()))
+
+    def _dense_rows(self):
+        """Each dense row as a list, built one at a time."""
+        for cs, xs in self._row_items():
+            row = [0] * self.cols
+            for j, x in zip(cs, xs):
+                row[j] = x
+            yield row
 
     def to_text(self) -> str:
         """IntMatrix.to_text of the dense matrix, one dense row at a
         time."""
         lines = [f"{self.rows} {self.cols}"]
-        row = np.zeros(self.cols, dtype=self.data.dtype)
-        for i in range(self.rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            row[self.indices[lo:hi]] = self.data[lo:hi]
-            lines.append(" ".join(map(str, row.tolist())))
-            row[self.indices[lo:hi]] = 0
+        lines += [" ".join(map(str, row)) for row in self._dense_rows()]
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, CSRMatrix):
             return NotImplemented
-        return self.cols == other.cols \
-            and np.array_equal(self.indptr, other.indptr) \
-            and np.array_equal(self.indices, other.indices) \
-            and np.array_equal(self.data, other.data)
+        return (self.cols, self.indptr, self.indices, self.data) == \
+            (other.cols, other.indptr, other.indices, other.data)
 
 
 def _as_matrix(A, cols: int | None = None) -> IntMatrix:
     """A itself, the dense form of a CSRMatrix, or the matrix of a
     sequence of int rows."""
     if isinstance(A, CSRMatrix):
-        return IntMatrix(A.array)
-    return A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A, cols)
+        return IntMatrix(A.entries, A.cols)
+    return A if isinstance(A, IntMatrix) else IntMatrix(A, cols)
 
 
 def _as_sparse(A, cols: int | None = None) -> CSRMatrix:
     """A itself, or the nonzeros of a dense matrix or row sequence."""
     if isinstance(A, CSRMatrix):
         return A
-    return CSRMatrix.from_dense(_as_matrix(A, cols).array)
+    mat = _as_matrix(A, cols)
+    return CSRMatrix.from_dense(mat.entries, mat.cols)
 
 
-def _rows_of(A) -> tuple[list[np.ndarray], int]:
-    """Writable object rows of a matrix or row sequence, and its width."""
+def _rows_of(A) -> tuple[list[list[int]], int]:
+    """Writable list rows of a matrix or row sequence, and its width."""
     mat = _as_matrix(A)
-    return list(mat.array.astype(object)), mat.cols
+    return list(map(list, mat.entries)), mat.cols
+
+
+def _reduced_product(X, Y, inv) -> tuple[tuple[int, ...], ...]:
+    """The rows of X @ Y with column k reduced mod the invariant factor
+    inv[k] and kept exact where inv[k] = 0.  Reducing the columns of Y
+    mod the same factors first does not change the result.  Row i sums
+    the rows of Y at the nonzeros of row i of X."""
+    out = []
+    for row in X:
+        acc = [0] * len(inv)
+        for x, y in zip(row, Y):
+            if x:
+                acc = [a + x * b for a, b in zip(acc, y)]
+        out.append(tuple(a % d if d else a for a, d in zip(acc, inv)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +276,8 @@ _GROWTH_LIMIT = 1 << 96
 _VERIFY_DIM = 500
 
 
-def _row_content(row: np.ndarray) -> int:
-    g = 0
-    for x in row.tolist():
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
-def _echelon(rows: list[np.ndarray], col_start: int, col_stop: int,
-             gcd_rows: bool = False) -> tuple[list[tuple[int, np.ndarray]], list[np.ndarray]]:
+def _echelon(rows: list[list[int]], col_start: int, col_stop: int,
+             gcd_rows: bool = False) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
     """Row echelon over Z on columns [col_start, col_stop).
 
     Rows must have zero entries in any column left of col_start that has
@@ -322,7 +289,7 @@ def _echelon(rows: list[np.ndarray], col_start: int, col_stop: int,
 
     Returns (pivots, rest): pivots is a list of (column, row) with
     positive pivot entries, rest the rows that are zero on the whole
-    column range.
+    column range.  The rows are changed in place.
     """
     active = list(rows)
     pivots = []
@@ -331,15 +298,14 @@ def _echelon(rows: list[np.ndarray], col_start: int, col_stop: int,
         if not cand:
             continue
         while True:
-            best = min(cand, key=lambda i: abs(int(active[i][col])))
-            bv = active[best][col]
-            if bv < 0:
-                np.negative(active[best], out=active[best])
-                bv = -bv
+            best = min(cand, key=lambda i: abs(active[i][col]))
+            prow = active[best]
+            if prow[col] < 0:
+                prow[:] = [-x for x in prow]
+            bv = prow[col]
             if len(cand) == 1:
                 break
             nxt = [best]
-            prow = active[best]
             pslice = prow[col:]
             for i in cand:
                 if i == best:
@@ -347,11 +313,11 @@ def _echelon(rows: list[np.ndarray], col_start: int, col_stop: int,
                 r = active[i]
                 q = r[col] // bv
                 if q:
-                    r[col:] -= q * pslice
+                    r[col:] = [a - q * b for a, b in zip(r[col:], pslice)]
                     if gcd_rows and abs(r[col]) > _GROWTH_LIMIT:
-                        g = _row_content(r)
+                        g = math.gcd(*r)
                         if g > 1:
-                            np.floor_divide(r, g, out=r)
+                            r[:] = [x // g for x in r]
                 if r[col] != 0:
                     nxt.append(i)
             cand = nxt
@@ -359,15 +325,15 @@ def _echelon(rows: list[np.ndarray], col_start: int, col_stop: int,
                 break
         prow = active[cand[0]]
         if gcd_rows:
-            g = _row_content(prow)
+            g = math.gcd(*prow)
             if g > 1:
-                np.floor_divide(prow, g, out=prow)
+                prow[:] = [x // g for x in prow]
         del active[cand[0]]
         pivots.append((col, prow))
     return pivots, active
 
 
-def _reduce_above(pivots: list[tuple[int, np.ndarray]]) -> None:
+def _reduce_above(pivots: list[tuple[int, list[int]]]) -> None:
     """Make entries above each pivot lie in [0, pivot); canonical HNF."""
     for k in range(1, len(pivots)):
         col, prow = pivots[k]
@@ -376,16 +342,15 @@ def _reduce_above(pivots: list[tuple[int, np.ndarray]]) -> None:
             r = pivots[j][1]
             q = r[col] // pv
             if q:
-                r[col:] -= q * prow[col:]
+                r[col:] = [a - q * b for a, b in zip(r[col:], prow[col:])]
 
 
-def _augmented(mat: IntMatrix) -> list[np.ndarray]:
-    """Object rows of [A | I], the identity block recording row operations."""
-    return list(np.hstack([mat.array.astype(object),
-                           np.identity(mat.rows, dtype=object)]))
+def _augmented(mat: IntMatrix) -> list[list[int]]:
+    """List rows of [A | I], the identity block recording row operations."""
+    return [list(r) + e for r, e in zip(mat.entries, _identity_rows(mat.rows))]
 
 
-def _back_substitute(pivots: list[tuple[int, np.ndarray]], target: np.ndarray):
+def _back_substitute(pivots: list[tuple[int, list[int]]], target: list[int]):
     """Write target as an integer combination of echelon rows.
 
     Returns the coefficient list or None when target is not in the row
@@ -393,15 +358,13 @@ def _back_substitute(pivots: list[tuple[int, np.ndarray]], target: np.ndarray):
     """
     coeffs = []
     for col, prow in pivots:
-        t = target[col]
-        pv = prow[col]
-        q, rem = divmod(int(t), int(pv))
+        q, rem = divmod(target[col], prow[col])
         if rem:
             return None
         if q:
-            target[col:] -= q * prow[col:]
+            target[col:] = [a - q * b for a, b in zip(target[col:], prow[col:])]
         coeffs.append(q)
-    if any(x != 0 for x in target.tolist()):
+    if any(target):
         return None
     return coeffs
 
@@ -414,68 +377,70 @@ def solve_left(A, b: Sequence[int]):
     mat = _as_matrix(A)
     n, cols = mat.rows, mat.cols
     pivots, _ = _echelon(_augmented(mat), 0, cols)
-    t = np.array([int(x) for x in b], dtype=object)
-    coeffs = _back_substitute([(c, p[:cols]) for c, p in pivots], t)
+    coeffs = _back_substitute([(c, p[:cols]) for c, p in pivots],
+                              list(_ints(b)))
     if coeffs is None:
         return None
     x = [0] * n
     for q, (_, prow) in zip(coeffs, pivots):
         if q:
             for k in range(n):
-                x[k] += q * int(prow[cols + k])
+                x[k] += q * prow[cols + k]
     return x
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _min_abs_position(M: np.ndarray, t: int):
-    """Position of a minimal-|value| nonzero entry of M[t:, t:], or None."""
-    block = M[t:, t:]
-    if block.size == 0:
-        return None
-    try:
-        a = np.abs(block.astype(float))
-    except OverflowError:
-        # entries beyond float range: exact elementwise scan
-        a = np.frompyfunc(lambda x: float(min(abs(x), 1 << 1020)), 1, 1)(
-            block).astype(float)
-    a[a == 0.0] = np.inf
-    flat = int(np.argmin(a))
-    i, j = divmod(flat, block.shape[1])
-    if block[i, j] == 0:
-        return None
-    return t + i, t + j
+def _min_abs_position(M: list[list[int]], t: int):
+    """Position of the first nonzero entry of least absolute value in
+    M[t:][t:], row by row, or None."""
+    best, pos = 0, None
+    for i in range(t, len(M)):
+        tail = M[i][t:]
+        m = min(map(abs, filter(None, tail)), default=0)
+        if m and (not best or m < best):
+            best = m
+            pos = i, t + next(j for j, x in enumerate(tail) if abs(x) == m)
+            if m == 1:
+                break
+    return pos
 
 
-def _snf_core(M: np.ndarray, R: np.ndarray | None = None,
-              R_inv: np.ndarray | None = None) -> list[int]:
-    """In-place Smith elimination of the object array M.
+def _snf_core(M: list[list[int]], R: list[list[int]] | None = None,
+              R_inv: list[list[int]] | None = None) -> list[int]:
+    """In-place Smith elimination of the list rows M.
 
     When R and R_inv are given (both starting as the identity on the
-    columns), each column operation is applied to the columns of R and
-    its inverse to the rows of R_inv, so that R @ R_inv stays the
-    identity.
+    columns), each column operation is applied to the columns of R,
+    held as the lists R[i], and its inverse to the rows R_inv[j], so
+    that R @ R_inv stays the identity.  Step t works on the block
+    M[t:][t:]: the rows and columns outside it are already 0 there.
     """
-    nrows, ncols = M.shape
+    nrows, ncols = len(M), len(M[0]) if M else 0
 
-    def row_sub(i, j, q):  # row_i -= q * row_j
-        M[i, :] -= q * M[j, :]
+    def row_sub(i, j, q, t):  # row_i -= q * row_j
+        M[i][t:] = [a - q * b for a, b in zip(M[i][t:], M[j][t:])]
 
     def row_swap(i, j):
-        M[[i, j], :] = M[[j, i], :]
+        M[i], M[j] = M[j], M[i]
 
-    def col_sub(i, j, q):  # col_i -= q * col_j
-        M[:, i] -= q * M[:, j]
+    def col_sub(i, j, q, t):  # col_i -= q * col_j
+        for r in range(t, nrows):
+            row = M[r]
+            if row[j]:
+                row[i] -= q * row[j]
         if R is not None:
-            R[:, i] -= q * R[:, j]
-            R_inv[j, :] += q * R_inv[i, :]
+            R[i] = [a - q * b for a, b in zip(R[i], R[j])]
+            R_inv[j] = [a + q * b for a, b in zip(R_inv[j], R_inv[i])]
 
-    def col_swap(i, j):
-        M[:, [i, j]] = M[:, [j, i]]
+    def col_swap(i, j, t):
+        for r in range(t, nrows):
+            row = M[r]
+            row[i], row[j] = row[j], row[i]
         if R is not None:
-            R[:, [i, j]] = R[:, [j, i]]
-            R_inv[[i, j], :] = R_inv[[j, i], :]
+            R[i], R[j] = R[j], R[i]
+            R_inv[i], R_inv[j] = R_inv[j], R_inv[i]
 
     diag = []
     t = 0
@@ -488,92 +453,90 @@ def _snf_core(M: np.ndarray, R: np.ndarray | None = None,
         if i != t:
             row_swap(t, i)
         if j != t:
-            col_swap(t, j)
+            col_swap(t, j, t)
         while True:
             # clear column t, re-pivoting on any smaller remainder
             moved = False
             for i in range(t + 1, nrows):
-                v = M[i, t]
+                v = M[i][t]
                 if v:
-                    q = v // M[t, t]
+                    q = v // M[t][t]
                     if q:
-                        row_sub(i, t, q)
-                    if M[i, t]:
+                        row_sub(i, t, q, t)
+                    if M[i][t]:
                         row_swap(t, i)
                         moved = True
             if moved:
                 continue
             for j in range(t + 1, ncols):
-                v = M[t, j]
+                v = M[t][j]
                 if v:
-                    q = v // M[t, t]
+                    q = v // M[t][t]
                     if q:
-                        col_sub(j, t, q)
-                    if M[t, j]:
-                        col_swap(t, j)
+                        col_sub(j, t, q, t)
+                    if M[t][j]:
+                        col_swap(t, j, t)
                         moved = True
             if moved:
                 continue
             break
-        if M[t, t] < 0:
-            np.negative(M[t, :], out=M[t, :])
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
         # divisibility fix-up: pivot must divide every remaining entry
-        pv = int(M[t, t])
-        fixed = True
-        if pv != 1 and t + 1 < nrows and t + 1 < ncols:
-            rem = M[t + 1:, t + 1:] % pv
-            bad_rows = np.nonzero(rem.any(axis=1))[0]
-            if bad_rows.size:
-                # add the offending row to row t, then re-eliminate
-                row_sub(t, t + 1 + int(bad_rows[0]), -1)
-                fixed = False
-        if not fixed:
+        pv = M[t][t]
+        bad = next((i for i in range(t + 1, nrows) if pv != 1
+                    and any(x % pv for x in M[i][t + 1:])), None)
+        if bad is not None:
+            # add the offending row to row t, then re-eliminate
+            row_sub(t, bad, -1, t)
             continue
         diag.append(pv)
         t += 1
     return diag
 
 
+def _is_inverse(R: list[list[int]], R_inv: list[list[int]]) -> bool:
+    """R @ R_inv == I, for R given by its columns and R_inv by its rows,
+    on their nonzeros: row i of the product sums, over the k with
+    R[i, k] != 0, R[i, k] times row k of R_inv."""
+    prod = [{} for _ in R]
+    for col, row in zip(R, R_inv):
+        row = [(j, y) for j, y in enumerate(row) if y]
+        for i, x in enumerate(col):
+            if x:
+                acc = prod[i]
+                for j, y in row:
+                    acc[j] = acc.get(j, 0) + x * y
+    return all({j: y for j, y in acc.items() if y} == {i: 1}
+               for i, acc in enumerate(prod))
+
+
 def smith_coordinates(A, ambient: int
-                      ) -> tuple[AbGroup, np.ndarray, np.ndarray]:
+                      ) -> tuple[AbGroup, tuple, tuple]:
     """Z^ambient / rowspace(A) in invariant coordinates.
 
-    Returns (group, to, back).  x @ to, reduced mod the invariant
-    factors of group (exact on the free ones), are the coordinates of
-    the class of x in Z^ambient; c @ back lifts coordinates c back to
-    Z^ambient.  to holds the columns of the Smith column transform R at
-    the factors other than 1 and at the free factors, back the same rows
-    of R^-1.  R^-1 is built in the same pass, and R @ R^-1 = I is
-    checked: LinalgError otherwise.  to and back are int64 when every
-    entry fits, object arrays otherwise.
+    Returns (group, to, back), to and back as tuples of int rows.  x @ to,
+    reduced mod the invariant factors of group (exact on the free ones),
+    are the coordinates of the class of x in Z^ambient; c @ back lifts
+    coordinates c back to Z^ambient.  to holds the columns of the Smith
+    column transform R at the factors other than 1 and at the free
+    factors, back the same rows of R^-1.  R^-1 is built in the same
+    pass, and R @ R^-1 = I is checked on the nonzeros: LinalgError
+    otherwise.
     """
-    M = _as_matrix(A, ambient).array.astype(object)
-    if M.shape[1] != ambient:
+    mat = _as_matrix(A, ambient)
+    if mat.cols != ambient:
         raise LinalgError(
-            f"relations have {M.shape[1]} columns, not {ambient}")
-    R = np.identity(ambient, dtype=object)
-    R_inv = np.identity(ambient, dtype=object)
-    diag = _snf_core(M, R, R_inv)
-    bound = ambient * _abs_max(R) * _abs_max(R_inv)
-    if not np.array_equal(_promote(R, bound) @ _promote(R_inv, bound),
-                          np.identity(ambient, dtype=np.int64)):
+            f"relations have {mat.cols} columns, not {ambient}")
+    R, R_inv = _identity_rows(ambient), _identity_rows(ambient)
+    diag = _snf_core(list(map(list, mat.entries)), R, R_inv)
+    if not _is_inverse(R, R_inv):
         raise LinalgError("Smith column transform is not unimodular")
     diag += [0] * (ambient - len(diag))
     keep = [i for i, d in enumerate(diag) if d != 1]
     group = AbGroup(tuple(diag[i] for i in keep))
-    return group, _promote(R[:, keep]), _promote(R_inv[keep])
-
-
-def _reduced_product(X: np.ndarray, Y: np.ndarray, inv) -> np.ndarray:
-    """X @ Y with column k reduced mod the invariant factor inv[k] and
-    kept exact where inv[k] = 0.  Reducing the columns of Y mod the same
-    factors first does not change the result."""
-    bound = X.shape[1] * (_abs_max(X) + 1) * (_abs_max(Y) + 1)
-    Z = _promote(X, bound) @ _promote(Y, bound)
-    for k, d in enumerate(inv):
-        if d:
-            Z[:, k] %= d
-    return _promote(Z)
+    to = tuple(zip(*(R[i] for i in keep))) or ((),) * ambient
+    return group, to, tuple(tuple(R_inv[i]) for i in keep)
 
 
 def snf_invariants(A, verify: bool | None = None) -> list[int]:
@@ -584,7 +547,7 @@ def snf_invariants(A, verify: bool | None = None) -> list[int]:
     elimination over Z/p^k, and raises LinalgError on disagreement.
     """
     mat = _as_matrix(A)
-    diag = _snf_core(mat.array.astype(object))
+    diag = _snf_core(list(map(list, mat.entries)))
     if verify is None:
         verify = max(mat.rows, mat.cols) > _VERIFY_DIM
     if verify and diag:
@@ -624,9 +587,9 @@ def _local_valuations(A: CSRMatrix, p: int, K: int) -> list[int]:
     ascending order, by sparse elimination over Z/p^K.
 
     The pass shares no code with _unit_prereduce or the Smith
-    elimination: it reads the arrays of A itself into one dict per row,
-    from column to residue mod p^K, and keeps for each column the set of
-    rows nonzero in it.  Layer v works mod p^(K - v), in rounds.  A round
+    elimination: it reads the sequences of A itself into one dict per
+    row, from column to residue mod p^K, and keeps for each column the
+    set of rows nonzero in it.  Layer v works mod p^(K - v), in rounds.  A round
     offers from each row its unit mod p in the column with fewest rows,
     sorts these by (row nonzeros - 1) * (column nonzeros - 1) and takes
     them in that order, skipping the rows that an earlier pivot of the
@@ -637,7 +600,7 @@ def _local_valuations(A: CSRMatrix, p: int, K: int) -> list[int]:
     layer.  The rank over F_p is the pivot count at K = 1.
     """
     mod = p ** K
-    ptr, idx, val = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    ptr, idx, val = A.indptr, A.indices, A.data
     rows, at = {}, {}
     for i, (s, e) in enumerate(zip(ptr, ptr[1:])):
         row = {c: x % mod for c, x in zip(idx[s:e], val[s:e]) if x % mod}
@@ -691,6 +654,16 @@ def _local_valuations(A: CSRMatrix, p: int, K: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # abelian groups
+
+def _shifted_indices(factors, g) -> list[int]:
+    """The mixed-radix index of a + g for every tuple a of residues mod
+    factors, in index order: one nested product per factor."""
+    out = [0]
+    for d, x in zip(factors, g):
+        step = [(t + x) % d for t in range(d)]
+        out = [o * d + s for o in out for s in step]
+    return out
+
 
 @dataclass(frozen=True)
 class AbGroup:
@@ -775,41 +748,31 @@ class AbGroup:
             idx = idx * d + (x % d)
         return idx
 
-    # the same enumeration on int64 arrays, for vectorized index maps
-    def coordinates(self) -> np.ndarray:
-        """(order, k) int64 array of the elements, in elements() order.
-        Computed once per group and read-only."""
+    # the enumeration as index lists, for index maps
+    def coordinates(self) -> tuple[tuple[int, ...], ...]:
+        """The elements as one tuple, in elements() order: the element
+        of index g is entry g.  Computed once per group."""
         if "_coordinates" not in self.__dict__:
-            if not self.is_finite:
-                raise LinalgError("cannot enumerate an infinite group")
-            k = len(self.invariant_factors)
-            coords = np.indices(self.invariant_factors, dtype=np.int64) \
-                .reshape(k, self.order).T
-            coords.flags.writeable = False
-            object.__setattr__(self, "_coordinates", coords)
+            object.__setattr__(self, "_coordinates", tuple(self.elements()))
         return self.__dict__["_coordinates"]
 
-    def radix(self) -> np.ndarray:
+    def radix(self) -> tuple[int, ...]:
         """Mixed-radix place values: index_of(a) == reduce(a) . radix()."""
         if not self.is_finite:
             raise LinalgError("an infinite group has no mixed-radix index")
         d = self.invariant_factors
-        return np.array([math.prod(d[i + 1:]) for i in range(len(d))],
-                        dtype=np.int64)
+        return tuple(math.prod(d[i + 1:]) for i in range(len(d)))
 
-    def indices(self, *coords) -> np.ndarray:
-        """index_of of the sum of int64 coordinate arrays (last axis the
-        coordinate), broadcast together; one pass per invariant factor
-        keeps the temporaries at the size of the result."""
-        shape = np.broadcast_shapes(*(np.shape(c)[:-1] for c in coords))
-        out = np.zeros(shape, dtype=np.int64)
-        for i, (d, r) in enumerate(zip(self.invariant_factors,
-                                       self.radix().tolist())):
-            term = sum(np.asarray(c, dtype=np.int64)[..., i] for c in coords)
-            term %= d
-            term *= r
-            out += term
-        return out
+    def indices(self, coords) -> list[int]:
+        """index_of of each coordinate tuple of coords."""
+        return [self.index_of(a) for a in coords]
+
+    def translation(self, g) -> list[int]:
+        """Translation by g on indices: entry a is the index of the
+        element of index a plus g."""
+        if not self.is_finite:
+            raise LinalgError("an infinite group has no mixed-radix index")
+        return _shifted_indices(self.invariant_factors, g)
 
 
 @dataclass(frozen=True)
@@ -847,17 +810,24 @@ class AbHom:
                     acc[j] += x * row[j]
         return self.codomain.reduce(tuple(acc))
 
-    def index_image(self) -> np.ndarray:
+    def index_image(self) -> tuple[int, ...]:
         """The map on mixed-radix indices: entry g is the codomain index
         of the image of the domain element of index g.  Computed once
-        per homomorphism and read-only."""
+        per homomorphism, one codomain coordinate at a time: over the
+        domain factors in turn, each nested product adds the multiples
+        of one matrix row."""
         if "_index_image" not in self.__dict__:
-            hom = np.array(self.matrix, dtype=np.int64).reshape(
-                len(self.domain.invariant_factors),
-                len(self.codomain.invariant_factors))
-            image = self.codomain.indices(self.domain.coordinates() @ hom)
-            image.flags.writeable = False
-            object.__setattr__(self, "_index_image", image)
+            cod = self.codomain
+            out = [0] * self.domain.order
+            for j, (d, r) in enumerate(zip(cod.invariant_factors,
+                                           cod.radix())):
+                coord = [0]
+                for f, row in zip(self.domain.invariant_factors,
+                                  self.matrix):
+                    step = [t * row[j] % d for t in range(f)]
+                    coord = [(x + s) % d for x in coord for s in step]
+                out = [o + x * r for o, x in zip(out, coord)]
+            object.__setattr__(self, "_index_image", tuple(out))
         return self.__dict__["_index_image"]
 
 
@@ -883,7 +853,7 @@ def _unit_prereduce(mat) -> tuple[int, IntMatrix]:
     matrix).
     """
     sp = _as_sparse(mat)
-    ptr, idx, val = sp.indptr.tolist(), sp.indices.tolist(), sp.data.tolist()
+    ptr, idx, val = sp.indptr, sp.indices, sp.data
     rows = {}
     at = [set() for _ in range(sp.cols)]  # the rows nonzero in each column
     for i, (s, e) in enumerate(zip(ptr, ptr[1:])):
@@ -932,14 +902,12 @@ def _unit_prereduce(mat) -> tuple[int, IntMatrix]:
                     del rows[r]
                 hit_rows.add(r)
             ones += 1
-    keep = sorted(rows)
     kept = [c for c in range(sp.cols) if at[c]]
-    pos = {c: k for k, c in enumerate(kept)}
-    rest = np.zeros((len(keep), len(kept)), dtype=object)
-    for k, i in enumerate(keep):
-        for c, x in rows[i].items():
-            rest[k, pos[c]] = x
-    return ones, IntMatrix(rest)
+    rest = []
+    for i in sorted(rows):
+        get = rows[i].get
+        rest.append([get(c, 0) for c in kept])
+    return ones, IntMatrix(rest, len(kept))
 
 
 def cokernel(A, ambient_rank: int) -> AbGroup:
@@ -967,14 +935,14 @@ def rational_kernel(A) -> list[tuple[int, ...]]:
         return []
     # augmented transpose trick: echelon [A^T | I]; rows whose A^T block
     # dies give exactly the kernel lattice in the right block.
-    mat = IntMatrix(mat.array[mat.array.any(axis=1)])
+    mat = IntMatrix([r for r in mat.entries if any(r)], mat.cols)
     nr = mat.rows
     _, rest = _echelon(_augmented(mat.transpose()), 0, nr, gcd_rows=True)
     kpiv, kz = _echelon(rest, nr, nr + mat.cols)
-    if any(any(x != 0 for x in r.tolist()) for r in kz):
+    if any(any(r) for r in kz):
         raise LinalgError("kernel echelon left a nonzero row unpivoted")
     _reduce_above(kpiv)
-    return [tuple(r[nr:].tolist()) for _, r in kpiv]
+    return [tuple(r[nr:]) for _, r in kpiv]
 
 
 def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
@@ -986,7 +954,7 @@ def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
     """
     krows, cols = _rows_of(kernel_basis)
     pivots, kz = _echelon(krows, 0, cols)
-    if any(any(x != 0 for x in r.tolist()) for r in kz):
+    if any(any(r) for r in kz):
         raise LinalgError("kernel basis rows are dependent")
     _reduce_above(pivots)
     srows, scols = _rows_of(sub_rows)
@@ -999,47 +967,49 @@ def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
             raise NotSubLattice("row outside the big lattice")
         coords.append(c)
     rank_k = len(pivots)
-    return cokernel(IntMatrix.from_rows(coords, rank_k), rank_k)
+    return cokernel(IntMatrix(coords, rank_k), rank_k)
 
 
 # ---------------------------------------------------------------------------
 # black-box abelian structure
 
-def _grow(span: np.ndarray, perm: np.ndarray) -> None:
-    """Grow the boolean mask span of a subgroup H, in place, to the
+def _grow(span: bytearray, perm: Sequence[int]) -> None:
+    """Grow the 0/1 mask span of a subgroup H, in place, to the
     subgroup that H and x generate, where perm is multiplication by x
     on the labels: the cosets H, xH, x^2 H, ... are added until one is
     already in."""
-    coset = perm[np.flatnonzero(span)]
+    coset = [perm[i] for i, x in enumerate(span) if x]
     while not span[coset[0]]:
-        span[coset] = True
-        coset = perm[coset]
+        for i in coset:
+            span[i] = 1
+        coset = [perm[i] for i in coset]
 
 
-def _harvest(order: int, perm_of: Callable[[int], np.ndarray],
+def _harvest(order: int, perm_of: Callable[[int], Sequence[int]],
              identity: int) -> list[int]:
     """Greedy generators of a group on the labels 0 .. order - 1.
 
-    perm_of(x) is multiplication by the element of label x, as an array
+    perm_of(x) is multiplication by the element of label x, as a list
     of labels.  A label joins, in increasing order, when it is outside
     the subgroup the earlier ones generate, until that subgroup is the
-    whole group.  The subgroup is a mask that _grow extends by whole
-    cosets.
+    whole group.  The subgroup is a bytearray mask that _grow extends by
+    whole cosets.
     """
-    span = np.zeros(order, dtype=bool)
-    span[identity] = True
+    span = bytearray(order)
+    span[identity] = 1
     gens = []
-    while not span.all():
-        x = int(np.argmin(span))  # the least label outside the span
+    x = span.find(0)  # the least label outside the span
+    while x >= 0:
         gens.append(x)
         _grow(span, perm_of(x))
+        x = span.find(0, x)
     return gens
 
 
-def _discover(order: int, perms: Sequence[np.ndarray], identity: int):
+def _discover(order: int, perms: Sequence[Sequence[int]], identity: int):
     """Structure and discrete logarithm of a group on integer labels.
 
-    perms[i] is multiplication by the i-th generator, as an array of
+    perms[i] is multiplication by the i-th generator, as a list of
     labels.  A breadth-first search from identity records each label's
     first word in the generators, generator by generator in the order
     given; the differences of words along every generator edge are the
@@ -1047,50 +1017,65 @@ def _discover(order: int, perms: Sequence[np.ndarray], identity: int):
     coordinates.  Returns (AbGroup, bfs, coords): bfs lists the labels
     in the order the search found them, coords[label] their invariant
     coordinates.
+
+    A word is packed into one int, its entries the digits base B: an
+    entry counts steps of a search over at most size labels, so each
+    entry of a difference of words lies strictly between -B/2 and B/2,
+    and one balanced digit expansion reads it back.
     """
     k = len(perms)
     size = len(perms[0]) if k else identity + 1
-    P = np.array(perms, dtype=np.int64).reshape(k, size)
+    B = 2 * size + 2
+    unit = [B ** i for i in range(k)]
     # a FIFO queue visits the elements level by level, each level in
     # the order its parents were found and, per parent, generator by
-    # generator; an element keeps the word of its first visit
-    word = [None] * size
-    word[identity] = (0,) * k
+    # generator; an element keeps the word of its first visit, one step
+    # on from its parent's
+    word, parent = [None] * size, [None] * size
+    word[identity] = 0
     bfs = [identity]
-    steps = P.tolist()
     for e in bfs:  # grows while it is walked
         w = word[e]
-        for i, step in enumerate(steps):
+        for i, step in enumerate(perms):
             f = step[e]
             if word[f] is None:
-                word[f] = w[:i] + (w[i] + 1,) + w[i + 1:]
+                word[f] = w + unit[i]
+                parent[f] = e, i
                 bfs.append(f)
-    bfs = np.array(bfs, dtype=np.int64)
     if len(bfs) < order:
         raise GeneratorsInsufficient(
             f"generators span {len(bfs)} of {order} elements")
     if len(bfs) > order:
         raise LinalgError("closure exceeds declared order")
-    if k == 0:
-        return AbGroup(()), bfs, np.zeros((size, 0), dtype=np.int64)
-    words = np.zeros((size, k), dtype=np.int64)
-    words[bfs] = [word[e] for e in bfs.tolist()]
-    # row (e, i): word(e) + e_i - word(e g_i)
-    rel = (words[bfs][None, :, :] + np.eye(k, dtype=np.int64)[:, None, :]
-           - words[P[:, bfs]]).reshape(-1, k)
-    # the distinct nonzero rows, sorted as tuples
-    rel = rel[rel.any(axis=1)]
-    rel = rel[np.lexsort(rel.T[::-1])]
-    first = np.ones(len(rel), dtype=bool)
-    first[1:] = (rel[1:] != rel[:-1]).any(axis=1)
-    rel = rel[first]
-    group, to, _ = smith_coordinates(IntMatrix(rel), k)
+    # row (e, i): word(e) + e_i - word(e g_i), the distinct nonzero rows
+    # sorted as tuples
+    rel = set()
+    for u, step in zip(unit, perms):
+        rel.update([word[e] + u - word[step[e]] for e in bfs])
+    rel.discard(0)
+
+    def digits(x):
+        out = []
+        for _ in range(k):
+            d = x % B
+            d -= B if 2 * d > B else 0
+            out.append(d)
+            x = (x - d) // B
+        return tuple(out)
+
+    group, to, _ = smith_coordinates(
+        IntMatrix(sorted(map(digits, rel)), k), k)
     if not group.is_finite:
         raise LinalgError("black-box group is not finite as presented")
     if group.order != order:
         raise LinalgError("relation lattice volume does not match order")
-    coords = _reduced_product(words, to, group.invariant_factors)
-    return group, bfs, coords.astype(np.int64)
+    # coords(word(e) + e_i) = coords(word(e)) + row i of to, reduced
+    coords = [group.zero()] * size
+    to = [group.reduce(r) for r in to]
+    for f in bfs[1:]:
+        e, i = parent[f]
+        coords[f] = group.add(coords[e], to[i])
+    return group, bfs, coords
 
 
 def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
@@ -1134,5 +1119,4 @@ def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
                 elements.append(f)
             perm.append(label[f])
     group, bfs, coords = _discover(order, perms, 0)
-    return group, dict(zip([elements[i] for i in bfs.tolist()],
-                           map(tuple, coords[bfs].tolist())))
+    return group, {elements[i]: coords[i] for i in bfs}

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ordist.zlinalg import IntMatrix, _abs_max, _promote
+from numpy_linalg import _abs_max, _promote, dense
+from ordist.zlinalg import IntMatrix
 
 
-def unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
-    """(unit pivot count, remaining matrix), by dense Schur steps."""
-    A = mat.array.copy()
+def unit_prereduce(mat) -> tuple[int, IntMatrix]:
+    """(unit pivot count, remaining matrix), by dense Schur steps, for
+    an IntMatrix, a CSRMatrix or int rows."""
+    A = dense(mat)
     if A.size == 0:
-        return 0, mat
+        return 0, IntMatrix(A, A.shape[1])
     ones = 0
     while True:
         unit = np.abs(A) == 1
@@ -52,4 +54,4 @@ def unit_prereduce(mat: IntMatrix) -> tuple[int, IntMatrix]:
             break
     keep_r = np.nonzero((A != 0).any(axis=1))[0]
     keep_c = np.nonzero((A != 0).any(axis=0))[0]
-    return ones, IntMatrix(A[np.ix_(keep_r, keep_c)])
+    return ones, IntMatrix(A[np.ix_(keep_r, keep_c)], len(keep_c))

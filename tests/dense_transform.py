@@ -24,8 +24,9 @@ import math
 import numpy as np
 
 from index_groupring import level_element
+from numpy_linalg import _abs_max, _promote, coordinates, dense, indices
 from ordist.distribution import OracleMismatch, _lifts
-from ordist.zlinalg import IntMatrix, _abs_max, _as_matrix, _promote
+from ordist.zlinalg import IntMatrix, _as_matrix
 
 
 def _layered_elimination(mat: IntMatrix, p: int, K: int) -> list[int]:
@@ -43,7 +44,8 @@ def _layered_elimination(mat: IntMatrix, p: int, K: int) -> list[int]:
     mod = p ** K
     # int64 needs the entries and the modulus to fit, and then products
     # of residues
-    A = _promote(mat.array, max(_abs_max(mat.array), mod))
+    A = dense(mat)
+    A = _promote(A, max(_abs_max(A), mod))
     M = _promote(A % mod, mod * mod)
     vals = []
     for layer in range(K):
@@ -95,19 +97,19 @@ def iwasawa_matrix(P, element=level_element) -> tuple[IntMatrix, int]:
     gather of the scaled element(u, m, G_m) on the indices of G_m."""
     G = P.ray(P.modulus)
     amb = G.group
-    coords = amb.coordinates()
+    coords = coordinates(amb)
     alphas = [element(u, P.modulus, G) for u in P.levels]
     scale = math.lcm(*(au.den for au in alphas))
-    nums = [_promote(au.num, (_abs_max(au.num) + 1) * (scale // au.den))
-            * (scale // au.den) for au in alphas]
+    nums = [np.array([x * (scale // au.den) for x in au.num], dtype=object)
+            for au in alphas]
     out = np.zeros((amb.order, P.n_gens),
                    dtype=_promote(np.concatenate(nums)).dtype)
     for u, num in zip(P.levels, nums):
-        _, lift = _lifts(G, u)
+        lift = np.asarray(_lifts(G, u)[1], dtype=np.int64)
         # F[g, (u, sigma)] = a_u[g - lift(sigma)]
         out[:, P.offset(u) + np.arange(len(lift))] = \
-            num[amb.indices(coords[:, None, :], -coords[lift][None, :, :])]
-    return IntMatrix(out), scale
+            num[indices(amb, coords[:, None, :], -coords[lift][None, :, :])]
+    return IntMatrix(out, P.n_gens), scale
 
 
 def annihilation_product(F: IntMatrix, rel) -> bool:
@@ -118,21 +120,21 @@ def annihilation_product(F: IntMatrix, rel) -> bool:
     times their values, summed per relation row.  Rows of F go in
     chunks, so no temporary is larger than F.
     """
-    R = rel.array
-    a, r = _abs_max(F.array), _abs_max(R)
+    R, F = dense(rel), dense(F)
+    a, r = _abs_max(F), _abs_max(R)
     # bounds every entry and every partial sum of the product
-    bound = max(a, r, a * r * F.cols)
+    bound = max(a, r, a * r * F.shape[1])
     i, j = np.nonzero(R)
     if not i.size:
         return True
-    A = _promote(F.array, bound)
+    A = _promote(F, bound)
     vals = _promote(R[i, j], bound)
     # np.nonzero goes row by row, so each relation row is one run of i
     starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
-    step = max(1, F.array.size // i.size)
+    step = max(1, F.size // i.size)
     return not any(
         np.add.reduceat(A[k:k + step, j] * vals, starts, axis=1).any()
-        for k in range(0, F.rows, step))
+        for k in range(0, F.shape[0], step))
 
 
 def check_structure(P, F: IntMatrix) -> None:
@@ -142,24 +144,25 @@ def check_structure(P, F: IntMatrix) -> None:
     (u, sigma) equals the head translated by lift(sigma), exactly."""
     G = P.ray(P.modulus)
     amb = G.group
-    if F.array.shape != (amb.order, P.n_gens):
+    F = dense(F)
+    if F.shape != (amb.order, P.n_gens):
         raise OracleMismatch(
-            f"transform shape {F.array.shape} != "
+            f"transform shape {F.shape} != "
             f"(#G_m, generators) = {(amb.order, P.n_gens)}")
-    coords = amb.coordinates()
+    coords = coordinates(amb)
     for u in P.levels:
-        image, lift = _lifts(G, u)
+        image, lift = map(np.asarray, _lifts(G, u))
         if (lift < 0).any():
             raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
         off = P.offset(u)
-        head = F.array[:, off]
+        head = F[:, off]
         if (head != head[lift[image]]).any():
             raise OracleMismatch(
                 f"head column at {u.label()} is not constant on the "
                 f"fibres of G_m -> G_u")
         # block[sigma, g] = F[g + lift(sigma), (u, sigma)]
-        block = F.array[amb.indices(coords[lift][:, None, :], coords),
-                        off + np.arange(len(lift))[:, None]]
+        block = F[indices(amb, coords[lift][:, None, :], coords),
+                  off + np.arange(len(lift))[:, None]]
         if (block != head).any():
             raise OracleMismatch(
                 f"a column at {u.label()} is not its head translated by "

@@ -11,8 +11,6 @@ previous body is kept here as ideal_from_lattice.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ordist import OrdistError
 from ordist.quadfield import OIdeal
 from ordist.zlinalg import (
@@ -35,9 +33,9 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     n, c = mat.rows, mat.cols
     pivots, rest = _echelon(_augmented(mat), 0, c)
     _reduce_above(pivots)
-    ordered = np.array([p for _, p in pivots] + rest, dtype=object) \
-        .reshape(n, c + n)
-    return IntMatrix(ordered[:, :c]), IntMatrix(ordered[:, c:])
+    ordered = [p for _, p in pivots] + rest
+    return IntMatrix([r[:c] for r in ordered], c), \
+        IntMatrix([r[c:] for r in ordered], n)
 
 
 def hnf_basis(rows_or_mat) -> list[tuple[int, ...]]:
@@ -46,7 +44,7 @@ def hnf_basis(rows_or_mat) -> list[tuple[int, ...]]:
     rows, cols = _rows_of(rows_or_mat)
     pivots, _ = _echelon(rows, 0, cols)
     _reduce_above(pivots)
-    return [tuple(p.tolist()) for _, p in pivots]
+    return [tuple(p) for _, p in pivots]
 
 
 def ideal_from_lattice(K, gens) -> OIdeal:

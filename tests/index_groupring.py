@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ordist import OrdistError
 from ordist.groupring import GroupRingElt, trace
-from ordist.zlinalg import _abs_max, _promote
 
 
 def _same_group(a, b) -> None:
@@ -29,7 +26,7 @@ def _same_group(a, b) -> None:
 
 
 def basis(group, el) -> GroupRingElt:
-    num = np.zeros(group.order, dtype=np.int64)
+    num = [0] * group.order
     num[group.index_of(el)] = 1
     return GroupRingElt(group, num)
 
@@ -42,14 +39,12 @@ def add(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     _same_group(x.group, y.group)
     den = math.lcm(x.den, y.den)
     a, b = den // x.den, den // y.den
-    # caps the sum and both multipliers
-    bound = (_abs_max(x.num) + 1) * a + (_abs_max(y.num) + 1) * b
-    return GroupRingElt(x.group, _promote(x.num, bound) * a
-                        + _promote(y.num, bound) * b, den)
+    return GroupRingElt(x.group, [s * a + t * b
+                                  for s, t in zip(x.num, y.num)], den)
 
 
 def neg(x: GroupRingElt) -> GroupRingElt:
-    return GroupRingElt(x.group, -x.num, x.den)
+    return GroupRingElt(x.group, [-s for s in x.num], x.den)
 
 
 def sub(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
@@ -61,22 +56,21 @@ def mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     sparser one: O(#G * nonzeros) work."""
     _same_group(x.group, y.group)
     g = x.group
-    a, b = sorted((x, y), key=lambda e: np.count_nonzero(e.num))
-    support = np.flatnonzero(a.num)
-    weights = [int(w) for w in a.num[support]]
-    B = _promote(b.num, sum(map(abs, weights)) * (_abs_max(b.num) + 1))
+    a, b = sorted((x, y), key=lambda e: sum(map(bool, e.num)))
     coords = g.coordinates()
-    out = np.zeros(g.order, dtype=B.dtype)
-    for s, w in zip(support.tolist(), weights):
-        # coefficient at e of w * (s + b) is w * b[e - s]
-        out += w * B[g.indices(coords, -coords[s])]
+    out = [0] * g.order
+    for s, w in enumerate(a.num):
+        if w:
+            # coefficient at e of w * (s + b) is w * b[e - s]
+            at = g.translation(g.neg(coords[s]))
+            out = [o + w * b.num[t] for o, t in zip(out, at)]
     return GroupRingElt(g, out, a.den * b.den)
 
 
 def translate(x: GroupRingElt, sigma) -> GroupRingElt:
     g = x.group
-    shift = -np.asarray(sigma, dtype=np.int64)
-    return GroupRingElt(g, x.num[g.indices(g.coordinates(), shift)], x.den)
+    return GroupRingElt(g, [x.num[t] for t in g.translation(g.neg(sigma))],
+                        x.den)
 
 
 def p_star(G, p) -> GroupRingElt:
@@ -86,14 +80,15 @@ def p_star(G, p) -> GroupRingElt:
         return basis(G.group, G.group.neg(lam))
     T = trace(G.inertia(p))
     return GroupRingElt(G.group, translate(T, G.group.neg(lam)).num,
-                        int(T.num.sum()))
+                        sum(T.num))
 
 
 def transfer(x: GroupRingElt, hom) -> GroupRingElt:
     """Sum-over-preimages lift of x along a surjection hom; the linear
     map sending each group element to the sum of its hom-fibre."""
     _same_group(x.group, hom.codomain)
-    return GroupRingElt(hom.domain, x.num[hom.index_image()], x.den)
+    return GroupRingElt(hom.domain, [x.num[t] for t in hom.index_image()],
+                        x.den)
 
 
 def level_element(n, n2, G) -> GroupRingElt:

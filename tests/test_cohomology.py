@@ -313,7 +313,7 @@ def test_frame_rows_match_tuple_loops():
     for frame in _sweep_frames(243):
         m = frame.m
         for elt in [frame.tau(i) for i in range(1, m + 1)] + [frame.j]:
-            assert _translation_rows(frame, elt).array.tolist() == \
+            assert list(map(list, _translation_rows(frame, elt).entries)) == \
                 tp.frame_translation_rows(frame, elt), (frame, elt)
         for k in range(m + 1):
             for subset in itertools.combinations(range(1, m + 1), k):
@@ -321,7 +321,7 @@ def test_frame_rows_match_tuple_loops():
                     got = _trace_rows(frame, subset, twisted)
                     want = tp.frame_trace_rows(frame, subset, twisted)
                     assert got.cols == frame.size
-                    assert got.array.tolist() == [list(r) for r in want], \
+                    assert list(map(list, got.entries)) == [list(r) for r in want], \
                         (frame, subset, twisted)
                     cases += 1
     assert cases == 816  # of the 1024 in the sweep space

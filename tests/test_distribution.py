@@ -16,19 +16,14 @@ from hypothesis import strategies as st
 import ordist.distribution as dist
 import ordist.zlinalg as zlinalg
 import dense_transform as dt
+import numpy_linalg as nl
 import fraction_groupring as ref
 import index_groupring as ig
 import tuple_presentation as tp
 from dense_transform import modular_rank
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, make_field, search_torsex
-from ordist.zlinalg import (
-    AbGroup,
-    CSRMatrix,
-    IntMatrix,
-    rational_kernel,
-    subquotient_torsion,
-)
+from ordist.zlinalg import AbGroup, CSRMatrix, IntMatrix
 from ordist.distribution import (
     HypothesisFailed,
     OracleMismatch,
@@ -99,7 +94,7 @@ def test_triple_reproduces_published_numbers(triple7):
     assert isinstance(P.relations, CSRMatrix)
     assert P.relations.cols == 886
     # one head per divisor, over G_m: the transform itself is not built
-    assert P.heads.array.shape == (8, 660)
+    assert (P.heads.rows, P.heads.cols) == (8, 660)
     assert level_torsion(P).invariant_factors == (2,)
     assert torsion_bound(P) == (2, 2)
 
@@ -211,24 +206,24 @@ def _perturbed(rel, F, rng):
     two different values in two different columns of F, those two
     swapped.  (Where F has a zero column, only the template check sees
     a change of the relations.)"""
-    A = rel.array
-    seen = F.array.any(axis=0)
+    A, F = nl.dense(rel), nl.dense(F)
+    seen = F.any(axis=0)
     out = []
     entries = [(i, j) for i, j in np.argwhere(A != 0).tolist() if seen[j]]
     if entries:
         i, j = rng.choice(entries)
         bumped = A.copy()
         bumped[i, j] += 1
-        out.append(CSRMatrix.from_dense(bumped))
+        out.append(CSRMatrix.from_dense(bumped, rel.cols))
     pairs = [(i, a, b) for i in range(A.shape[0])
              for a in np.flatnonzero(A[i] == 1).tolist()
              for b in np.flatnonzero(A[i] == -1).tolist()
-             if (F.array[:, a] != F.array[:, b]).any()]
+             if (F[:, a] != F[:, b]).any()]
     if pairs:
         i, a, b = rng.choice(pairs)
         swapped = A.copy()
         swapped[i, [a, b]] = swapped[i, [b, a]]
-        out.append(CSRMatrix.from_dense(swapped))
+        out.append(CSRMatrix.from_dense(swapped, rel.cols))
     return out
 
 
@@ -243,8 +238,9 @@ def test_gather_transform_matches_fraction_reference(request, d, qs):
     assert F.to_text() == ref.to_text()
     assert P.transform_scale == scale == ref_scale
     dt.check_structure(P, F)
-    for head, u in zip(P.heads.array, P.levels):
-        assert np.array_equal(head, F.array[:, P.offset(u)])
+    Fd = nl.dense(F)
+    for head, u in zip(nl.dense(P.heads), P.levels):
+        assert np.array_equal(head, Fd[:, P.offset(u)])
     # the rank certificate counts exactly the rank over F_p
     assert dist._character_rank(P, P.heads) == modular_rank(F) == F.rows
     assert _template_verdict(P, P.heads, P.relations)
@@ -266,20 +262,21 @@ def test_gather_transform_falls_back_to_object_entries(
 
     def scaled(u, n2, G):
         au = alpha(u, n2, G)
-        return GroupRingElt(au.group, au.num.astype(object) * big, au.den)
+        return GroupRingElt(au.group, [x * big for x in au.num], au.den)
 
     monkeypatch.setattr(dist, "alpha", scaled)
     P = build_presentation(field7, m)
     assert P.transform_scale == Q.transform_scale
-    assert P.heads.array.dtype == object
+    assert max(abs(x) for r in P.heads.entries for x in r) > 1 << 63
     assert P.heads.entries == want
     F, scale = dt.iwasawa_matrix(P, scaled)
     assert scale == P.transform_scale
     assert F.entries == tuple(tuple(x * big for x in r)
                               for r in small.entries)
     dt.check_structure(P, F)
-    for head, u in zip(P.heads.array, P.levels):
-        assert np.array_equal(head, F.array[:, P.offset(u)])
+    Fd = nl.dense(F)
+    for head, u in zip(nl.dense(P.heads), P.levels):
+        assert np.array_equal(head, Fd[:, P.offset(u)])
     assert dist._character_rank(P, P.heads) == modular_rank(F) == F.rows
     assert _template_verdict(P, P.heads, P.relations)
     for bad in _perturbed(P.relations, F, random.Random(11)):
@@ -316,7 +313,7 @@ def test_rank_defect_is_caught(field7, monkeypatch):
     # the count is the rank over F_p exactly, below full rank
     amb = G.group
     p = dist._character_primes(amb.exponent)[0]
-    count = dist._character_count(P.heads.array, amb.invariant_factors, p)
+    count = dist._character_count(P.heads.entries, amb.invariant_factors, p)
     assert count == modular_rank(F, p) == modular_rank(F) < F.rows
     with pytest.raises(OracleMismatch, match="no prime certifies"):
         level_torsion(P)
@@ -324,11 +321,13 @@ def test_rank_defect_is_caught(field7, monkeypatch):
 
 def _axis_character_count(heads, factors, p):
     """The character count with one d x d DFT table per invariant
-    factor d, no CRT split (the reference for _character_count)."""
-    X = (heads % p).astype(np.int64).reshape(len(heads), *factors)
+    factor d, no CRT split (the reference for _character_count).  The
+    residues are Python ints in object arrays: a sum of d products of
+    residues below 2^30 can pass int64."""
+    X = (heads % p).astype(object).reshape(len(heads), *factors)
     for axis, d in enumerate(factors, start=1):
         root = dist._root_of_unity(d, p)
-        powers = np.array([pow(root, t, p) for t in range(d)], dtype=np.int64)
+        powers = np.array([pow(root, t, p) for t in range(d)], dtype=object)
         table = powers[np.multiply.outer(np.arange(d), np.arange(d)) % d]
         X = np.moveaxis(np.moveaxis(X, axis, -1) @ table % p, -1, axis)
     return int(X.reshape(len(heads), -1).any(axis=0).sum())
@@ -345,12 +344,16 @@ def test_crt_character_count_matches_axis_dft(factors):
     heads = np.zeros((len(gens) + 1, G.order), dtype=np.int64)
     for row, g in zip(heads, gens):
         k = np.arange(G.element_order(g))[:, None]
-        row[G.indices(k * np.array(g, dtype=np.int64))] = 1
+        row[nl.indices(G, k * np.array(g, dtype=np.int64))] = 1
     heads[-1, rng.randrange(G.order)] = 5
-    for rows in (heads[:1], heads[:-1], heads):
+    # a point mass, nonzero at every character, beside -1/2 times itself:
+    # the combination of the two rows that the count tries first is 0
+    cancel = np.stack([heads[-1], heads[-1] * ((p - 1) // 2) % p])
+    for rows in (heads[:1], heads[:-1], heads, cancel):
         want = _axis_character_count(rows, factors, p)
-        assert dist._character_count(rows, factors, p) == want
+        assert dist._character_count(rows.tolist(), factors, p) == want
     assert _axis_character_count(heads[:1], factors, p) < G.order
+    assert _axis_character_count(cancel, factors, p) == G.order
 
 
 def test_certificate_refuses_a_permuted_column(field7):
@@ -359,7 +362,7 @@ def test_certificate_refuses_a_permuted_column(field7):
     # though the row at 0 still passes the identity
     P = build_presentation(field7, modulus_of(field7, 7, 11))
     F, _ = dt.iwasawa_matrix(P)
-    A = P.relations.array
+    A = nl.dense(P.relations)
     u, _, _, first = next(s for s in P._steps()
                           if P.ray(s[0]).group.order > 1
                           and len(set(A[s[3] + 1][A[s[3] + 1] != 0])) > 1)
@@ -368,7 +371,7 @@ def test_certificate_refuses_a_permuted_column(field7):
     b = int(np.flatnonzero(A[i] == -1)[-1])
     bad = A.copy()
     bad[i, [a, b]] = bad[i, [b, a]]
-    bad = CSRMatrix.from_dense(bad)
+    bad = CSRMatrix.from_dense(bad, P.n_gens)
     assert not dt.annihilation_product(F, bad)
     with pytest.raises(OracleMismatch, match=f"row {i} .* off its template"):
         dist._check_annihilation(P, P.heads, bad)
@@ -377,7 +380,7 @@ def test_certificate_refuses_a_permuted_column(field7):
 def test_certificate_refuses_a_head_off_the_fibres(field7):
     P = build_presentation(field7, modulus_of(field7, 7, 11))
     # the trivial level: its head is the trace of G_m, constant on G_m
-    bad = P.heads.array.copy()
+    bad = nl.dense(P.heads)
     bad[0, 0] += 1
     with pytest.raises(OracleMismatch, match="constant on the fibres"):
         dist._character_rank(P, IntMatrix(bad))
@@ -402,13 +405,14 @@ def test_template_row_off_the_fibre_is_refused(field7):
     # the row at 0 of a step loses one preimage: the rows stay
     # translates of it, but it is no longer -1 on the fibre over 0
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    A = P.relations.array.copy()
+    A = nl.dense(P.relations)
     u, _, t, first = next(s for s in P._steps()
                           if P.ray(s[0]).group.order == 1)
     j = int(np.flatnonzero(A[first, P.offset(t):])[0]) + P.offset(t)
     A[first, j] = 0
     with pytest.raises(OracleMismatch, match=f"row {first} .* off its template"):
-        dist._check_annihilation(P, P.heads, CSRMatrix.from_dense(A))
+        dist._check_annihilation(P, P.heads,
+                                 CSRMatrix.from_dense(A, P.n_gens))
 
 
 def test_transitions_that_do_not_compose_are_refused(field7, monkeypatch):
@@ -424,8 +428,8 @@ def test_transitions_that_do_not_compose_are_refused(field7, monkeypatch):
         if v != u:
             return image, lift
         g = P.ray(u).group
-        neg = g.indices(-g.coordinates())
-        return neg[image], lift[neg]
+        neg = g.indices(g.neg(c) for c in g.coordinates())
+        return [neg[s] for s in image], [lift[s] for s in neg]
 
     monkeypatch.setattr(dist, "_lifts", negated)
     with pytest.raises(OracleMismatch, match="do not compose"):
@@ -438,12 +442,11 @@ def test_template_identity_sees_a_twisted_head(field7):
     P = build_presentation(field7, modulus_of(field7, 7, 11))
     G = P.ray(P.modulus)
     amb = G.group
-    H = P.heads.array.copy()
+    H = nl.dense(P.heads)
     i, u = next((i, u) for i, u in enumerate(P.levels)
                 if P.ray(u).group.order > 1)
     _, lift = dist._lifts(G, u)
-    coords = amb.coordinates()
-    H[i] = H[i][amb.indices(coords, -coords[lift[1]])]
+    H[i] = H[i][amb.translation(amb.neg(amb.coordinates()[lift[1]]))]
     dist._character_rank(P, IntMatrix(H))  # the structure still holds
     with pytest.raises(OracleMismatch, match="fails to annihilate"):
         dist._check_annihilation(P, IntMatrix(H), P.relations)
@@ -481,7 +484,7 @@ def test_local_pass_matches_dense_reference_on_levels(request, d, qs):
     # every p dividing S = w * product_bound * |T|, with K = v_p(S) + 2
     P = _transform_level(request, d, qs)
     S = P.field.w_K * P.product_bound * level_torsion(P).order
-    dense = IntMatrix(P.relations.array)
+    dense = IntMatrix(P.relations.entries, P.n_gens)
     for p in sorted(zlinalg._prime_divisors(S)):
         K = zlinalg._val(S, p) + 2
         assert zlinalg._local_valuations(P.relations, p, K) \
@@ -557,10 +560,10 @@ def _annihilation_case(draw):
 def test_nonzero_annihilation_matches_dense_product(case):
     # the reference's product check, against the plain matrix product
     F, rel = case
-    dense = F.array.astype(object) @ rel.array.astype(object).T
+    dense = nl.dense(F).astype(object) @ nl.dense(rel).astype(object).T
     assert dt.annihilation_product(F, rel) == (not dense.any())
     for r in range(rel.rows):  # one-row rel, as in the old certificate
-        one = IntMatrix(rel.array[r:r + 1])
+        one = IntMatrix(rel.entries[r:r + 1], rel.cols)
         assert dt.annihilation_product(F, one) == (not dense[:, r].any())
 
 
@@ -604,10 +607,11 @@ def test_divisor_block_ranks(field7):
 
 def _literal_oracle_b(P):
     """Reference oracle (b): the integer kernel of the transform by a
-    direct echelon, modulo the relation lattice."""
-    kern = rational_kernel(dt.iwasawa_matrix(P)[0])
+    direct echelon, modulo the relation lattice, on the array code
+    of numpy_linalg."""
+    kern = nl.rational_kernel(dt.iwasawa_matrix(P)[0])
     rel_rows = [list(r) for r in P.relations.entries if any(r)]
-    return subquotient_torsion(kern, rel_rows)
+    return nl.subquotient_torsion(kern, rel_rows)
 
 
 # the small levels of acceptance criterion 6
@@ -739,7 +743,7 @@ def test_nu_even_on_every_relation_row(triple7):
     P = triple7
     assert all(nu(P, row) % 2 == 0 for row in P.relations.entries)
     # the certificate's one sparse product gives the same values
-    assert P.relations.dot(dist._full_support(P)).tolist() == \
+    assert P.relations.dot(dist._full_support(P)) == \
         [nu(P, row) for row in P.relations.entries]
 
 
@@ -772,9 +776,9 @@ def test_odd_relation_row_breaks_the_parity_verdict(field7, monkeypatch):
     orig = dist.DeltaPresentation._relation_matrix
 
     def odd_row(self):
-        A = orig(self).array
+        A = nl.dense(orig(self))
         A[0, self.offset(self.modulus)] += 1
-        return CSRMatrix.from_dense(A)
+        return CSRMatrix.from_dense(A, self.n_gens)
 
     monkeypatch.setattr(dist.DeltaPresentation, "_relation_matrix", odd_row)
     ps = [prime_above(field7, q) for q in (7, 11, 23)]

@@ -62,13 +62,13 @@ def test_trace_of_identity_is_one():
     G = AbGroup((4,))
     x = trace([(0,)], G)
     assert x == ig.one(G)
-    assert x.num.sum() == x.den == 1
+    assert sum(x.num) == x.den == 1
 
 
 def test_trace_augmentation_counts():
     G = AbGroup((4,))
     x = trace(G.elements(), G)
-    assert x.num.tolist() == [1, 1, 1, 1]
+    assert list(x.num) == [1, 1, 1, 1]
     assert x.den == 1
 
 
@@ -76,7 +76,7 @@ def test_subgroup_trace_idempotent_up_to_order():
     G = AbGroup((2, 4))
     H = Subgroup.generated(G, [(1, 2)])
     s = trace(H)
-    assert ig.mul(s, s) == GroupRingElt(G, s.num * H.order)
+    assert ig.mul(s, s) == GroupRingElt(G, [x * H.order for x in s.num])
 
 
 def test_ring_is_commutative_and_distributive():
@@ -94,11 +94,11 @@ def test_translate_and_rows():
     G = AbGroup((3,))
     x = GroupRingElt(G, [1, 2, 0])
     y = ig.translate(x, (1,))
-    assert y.num.tolist() == [0, 1, 2]
-    assert ig.translate(x, (-1,)).num.tolist() == [2, 0, 1]
+    assert list(y.num) == [0, 1, 2]
+    assert list(ig.translate(x, (-1,)).num) == [2, 0, 1]
     # the pair is kept in lowest terms
     half = GroupRingElt(G, [2, 4, 0], 4)
-    assert half.num.tolist() == [1, 2, 0]
+    assert list(half.num) == [1, 2, 0]
     assert half.den == 2
     assert half == GroupRingElt(G, x.num, 2)
     for num, den in (([1, 2], 1), ([1, 2, 0], 0), ([0.5, 0, 0], 1)):
@@ -112,16 +112,15 @@ def test_product_past_int64_is_exact():
     a = GroupRingElt(G, [big, big, 0, 0, 0, 3], 5)
     b = GroupRingElt(G, [0, 7 * big, 0, -1, 0, 0], 3)
     prod = ig.mul(a, b)
-    assert prod.num.dtype == object
     assert all(type(x) is int for x in prod.num)
     want = ref.GroupRingElt.make(G, {(i,): Fraction(int(x), 5)
                                      for i, x in enumerate(a.num)}) * \
         ref.GroupRingElt.make(G, {(i,): Fraction(int(x), 3)
                                   for i, x in enumerate(b.num)})
-    assert (prod.num.tolist(), prod.den) == ref.to_num_den(want)
+    assert (list(prod.num), prod.den) == ref.to_num_den(want)
     assert max(abs(x) for x in prod.num) > 1 << 63
-    # numerators that fit again come back as int64
-    assert ig.add(ig.sub(prod, prod), a).num.dtype == np.int64
+    # numerators that fit again come back exactly; no dtype is left
+    assert ig.add(ig.sub(prod, prod), a) == a
 
 
 # -- averaged Frobenius -------------------------------------------------------
@@ -149,11 +148,11 @@ def test_p_star_ramified_in_triple(triple, K7):
     p7 = _prime(K7, 7)
     star = ig.p_star(triple, p7)
     T = triple.inertia(p7)
-    assert sorted(star.num.tolist()) == [0] * 654 + [1] * 6
+    assert sorted(star.num) == [0] * 654 + [1] * 6
     assert star.den == 6
     # the trace absorbs any inertia translation of the Frobenius lift
     assert ig.mul(star, trace(T)) == GroupRingElt(
-        triple.group, star.num * T.order, star.den)
+        triple.group, [x * T.order for x in star.num], star.den)
 
 
 # -- alpha and the distribution compatibility ---------------------------------
@@ -171,7 +170,7 @@ def test_alpha_from_bottom_is_full_trace(triple, K7):
 
 def test_alpha_augmentation_vanishes(triple, K7):
     n = _modulus(K7, [(7, None, 1)])
-    assert alpha(n, triple.modulus, triple).num.sum() == 0
+    assert sum(alpha(n, triple.modulus, triple).num) == 0
 
 
 def test_alpha_transfer_compatibility(triple, K7):
@@ -232,7 +231,7 @@ def test_quotient_rank_formula(triple, K7):
 
 def test_trace_ideal_rows_are_cosets(triple, K7):
     rows = trace_ideal(triple)
-    sizes = sorted(set(rows.array.sum(axis=1).tolist()))
+    sizes = sorted({e - s for s, e in zip(rows.indptr, rows.indptr[1:])})
     assert sizes == [6, 10, 22]
     assert rows.rows == 660 // 6 + 660 // 10 + 660 // 22
 
@@ -294,7 +293,7 @@ def test_gal_torsion_rejects_bad_coprimality():
 # -- the integer layout against the Fraction reference ------------------------
 
 def _num_den(x):
-    return x.num.tolist(), x.den
+    return list(x.num), x.den
 
 
 @pytest.mark.parametrize("d, qs", _TRANSFORM_LEVELS)
@@ -317,6 +316,6 @@ def test_ring_matches_fraction_reference(request, d, qs):
             assert lifted == alpha(u, m, G)
         subs = [H.inertia(p).elements for p, _ in n2.primes]
         rows = trace_ideal(H)
-        assert rows.array.dtype == np.int64
+        assert all(type(x) is int for x in rows.data)
         # the same rows in the same order
         assert rows.entries == ref.coset_rows(H.group, subs)

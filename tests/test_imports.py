@@ -2,9 +2,9 @@
 
 A field, its primes and ideals, `ordist field`, `ordist search` and every
 cache hit need only the standard library, the package root, cli and
-quadfield; numpy and the computing layers load when a command computes.
-Each footprint is read in a child interpreter, since this one has
-imported everything long ago.
+quadfield; the computing layers load when a command computes, and no
+command and no library call loads numpy.  Each footprint is read in a
+child interpreter, since this one has imported everything long ago.
 """
 
 import json
@@ -91,6 +91,39 @@ def test_field_command_loads_no_numpy():
 def test_search_command_loads_no_numpy():
     run = _footprint(_main("search", "-d", "15", "-B", "80", "--no-cache"))
     assert run["heavy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "-d", "7", "-p", "7", "-p", "11", "-p", "23", "--no-cache"),
+    ("rayclass", "-d", "7", "-m", "p:11:0,p:23:0", "--no-cache"),
+    ("toralg-sweep", "--no-cache"),
+], ids=lambda argv: argv[0])
+def test_computing_commands_load_no_numpy(argv):
+    assert "numpy" not in _footprint(_main(*argv))["heavy"]
+
+
+def test_torsion_cache_miss_loads_no_numpy(tmp_path):
+    argv = ["torsion", "-d", "7", "-m", "p:7,p:11:0,p:23:0", "--cache-dir",
+            str(tmp_path)]
+    run = _footprint(_main(*argv, "-v"))
+    assert "building presentation" in run["err"]
+    assert "ordist.distribution" in run["heavy"]
+    assert "numpy" not in run["heavy"]
+
+
+def test_survey_calls_load_no_numpy():
+    # the calls of scripts/torsion_survey.py, in process
+    run = _footprint(
+        "from ordist import (Modulus, build_presentation, level_torsion,\n"
+        "                    make_field, torsion_bound)\n"
+        "K = make_field(19)\n"
+        "m = Modulus(K, tuple((K.splitting_type(q)[1][0], 1)\n"
+        "                     for q in (5, 7, 17)))\n"
+        "P = build_presentation(K, m)\n"
+        "assert level_torsion(P).invariant_factors == (2,)\n"
+        "torsion_bound(P)\n")
+    assert "ordist.distribution" in run["heavy"]
+    assert "numpy" not in run["heavy"]
 
 
 def test_hypothesis_failure_is_one_class():

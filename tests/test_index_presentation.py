@@ -9,6 +9,7 @@ items in the same order, the same arrays, the same row order.
 import os
 
 import numpy as np
+import numpy_linalg as nl
 import pytest
 
 import ordist.groupring as gr
@@ -89,14 +90,14 @@ def test_relation_matrix_and_trace_rows_match_tuple_loops(request, d, qs):
         K = make_field(d)
         P = build_presentation(K, _mod(K, *qs))
     want = tp.relation_matrix(P)
-    assert P.relations.array.dtype == want.array.dtype == np.int64
-    assert np.array_equal(P.relations.array, want.array)
+    assert all(type(x) is int for x in P.relations.data)
+    assert P.relations.entries == want.entries
     for u in P.levels:
         G = P.ray(u)
-        rows = trace_ideal(G).array
-        assert rows.dtype == np.int64
+        rows = trace_ideal(G)
+        assert all(type(x) is int for x in rows.data)
         # the same rows in the same order
-        assert np.array_equal(rows, tp.trace_ideal_rows(G))
+        assert np.array_equal(nl.dense(rows), tp.trace_ideal_rows(G))
 
 
 @pytest.mark.parametrize("d", [5, 14, 15, 23, 47, 71])
@@ -123,8 +124,7 @@ def test_subgroup_structure_matches_tuple_bfs(triple7):
         [G.inertia(p) for p, _ in G.modulus.primes]
     for sub in subs:
         group, members, coords, reps = sub.as_group()
-        dlog = dict(zip(map(tuple, amb.coordinates()[members].tolist()),
-                        map(tuple, coords.tolist())))
+        dlog = dict(zip((amb.coordinates()[g] for g in members), coords))
         gens = tp.greedy_generators(sub.elements, amb.add, amb.zero(),
                                     sub.order)
         want_group, want_dlog = tp.ab_discover(sub.order, amb.add, gens,
@@ -151,7 +151,7 @@ def test_residue_units_match_tuple_loop_on_four_primes():
         _same_units(K, n)
         if n != m:
             G = ray_class_group(K, n)
-            assert np.array_equal(trace_ideal(G).array,
+            assert np.array_equal(nl.dense(trace_ideal(G)),
                                   tp.trace_ideal_rows(G))
 
 
@@ -173,8 +173,8 @@ def fresh_rays(monkeypatch):
 def test_transition_onto_is_checked_on_indices(fresh_rays, monkeypatch):
     K = make_field(7)
     G = ray_class_group(K, _mod(K, 7, 11))
-    monkeypatch.setattr(AbHom, "index_image", lambda self: np.zeros(
-        self.domain.order, dtype=np.int64))
+    monkeypatch.setattr(AbHom, "index_image",
+                        lambda self: (0,) * self.domain.order)
     with pytest.raises(OrdistError, match="transition must be onto"):
         G.transition(_mod(K, 11))
 

@@ -11,6 +11,7 @@ import sys
 import textwrap
 
 import numpy as np
+import numpy_linalg as nl
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,7 +160,8 @@ def test_words_and_coordinates_round_trip(triple):
         zero = G.group.zero()
         assert all(G.word_to_coords(r) == zero for r in G._relation_rows())
         for c in G.group.elements():
-            word = (np.array(c, dtype=object) @ G._back).tolist()
+            word = (np.array(c, dtype=object)
+                    @ nl.dense(G._back, G._t + G._s)).tolist()
             assert G.word_to_coords(word) == c
 
 
@@ -212,8 +214,8 @@ def test_transition_functorial(triple, K7):
     t2 = ray_class_group(K7, mid).transition(small)
     direct = triple.transition(small)
     # t2 after t1, on indices
-    assert np.array_equal(t2.index_image()[t1.index_image()],
-                          direct.index_image())
+    assert tuple(t2.index_image()[g] for g in t1.index_image()) == \
+        direct.index_image()
 
 
 # -- inertia ------------------------------------------------------------------
@@ -409,7 +411,7 @@ def test_subgroup_rejects_bad_masks(triple):
     mask[0] = True
     sub = Subgroup(amb, mask)
     mask[1] = False
-    assert sub.mask.all() and not sub.mask.flags.writeable
+    assert sub.mask == b"\x01" * amb.order and isinstance(sub.mask, bytes)
 
 
 def test_modulus_ideal_is_built_once_per_group(K7, monkeypatch):
@@ -526,7 +528,6 @@ def test_frobenius_check_survives_optimize():
     # a Frobenius with no preimage must raise even when python -O strips
     # assert statements
     code = textwrap.dedent("""
-        import numpy as np
         import ordist.rayclass as rc
         from ordist.quadfield import Modulus, make_field
         from ordist.zlinalg import OrdistError
@@ -534,7 +535,7 @@ def test_frobenius_check_survives_optimize():
         p = K.splitting_type(11)[1][0]
         G = rc.ray_class_group(K, Modulus(K, ((p, 1),)))
         G.transition(G.modulus.without(p))  # built while still onto
-        rc.AbHom.index_image = lambda hom: np.full(hom.domain.order, -1)
+        rc.AbHom.index_image = lambda hom: (-1,) * hom.domain.order
         try:
             G.frobenius(p)
         except OrdistError as exc:

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import ordist
 
@@ -98,3 +102,22 @@ def test_every_public_method_has_a_reader():
     assert len(methods) > 50
     assert sorted(m for m, name in methods.items() if name not in loaded) \
         == []
+
+
+def test_every_third_party_import_is_a_dependency():
+    # the package runs on what pyproject.toml declares: an import that
+    # is neither the standard library nor the package itself must be
+    # listed in the project dependencies
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                .replace("-", "_") for dep in project["dependencies"]}
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"ordist"}
+    assert sorted(third_party - declared) == []

@@ -1,5 +1,6 @@
 """Oracle and property tests for the integer linear algebra core."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from ordist.zlinalg import (
@@ -27,6 +28,7 @@ from ordist.zlinalg import (
     subquotient_torsion,
 )
 
+import numpy_linalg as nl
 from dense_transform import _layered_elimination, modular_rank
 from hnf_reference import hnf, hnf_basis
 from matrix_text import from_text
@@ -99,7 +101,8 @@ def test_hnf_empty():
 def _check_smith_coordinates(rows, ambient):
     """The contract of smith_coordinates on the relation rows: the
     invariants, relations to 0, and back @ to the identity in the group
-    (exact on the free coordinates).  Returns (group, to, back)."""
+    (exact on the free coordinates).  Returns (group, to, back), to and
+    back as object arrays."""
     group, to, back = smith_coordinates(
         IntMatrix.from_rows(rows, ambient), ambient)
     inv = group.invariant_factors
@@ -107,7 +110,10 @@ def _check_smith_coordinates(rows, ambient):
     assert inv == tuple(d for d in nonzero if d != 1) \
         + (0,) * (ambient - len(nonzero))
     k = len(inv)
-    assert to.shape == (ambient, k) and back.shape == (k, ambient)
+    assert len(to) == ambient and all(len(r) == k for r in to)
+    assert len(back) == k and all(len(r) == ambient for r in back)
+    to = np.array(to, dtype=object).reshape(ambient, k)
+    back = np.array(back, dtype=object).reshape(k, ambient)
 
     def reduce(Z):
         return [[x % d if d else x for x, d in zip(r, inv)]
@@ -139,6 +145,27 @@ def test_smith_coordinates_exact():
     assert (to @ back).tolist() == [[1, 0], [0, 1]]
     with pytest.raises(LinalgError):
         smith_coordinates([[1, 2, 3]], 2)
+
+
+def test_smith_check_refuses_a_pair_off_the_inverse(monkeypatch):
+    import ordist.zlinalg as zl
+    # R by its columns, R_inv by its rows: the diagonal of the product
+    # is 1, one entry off it is not 0
+    assert zl._is_inverse([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    assert not zl._is_inverse([[1, 0], [0, 1]], [[1, 1], [0, 1]])
+    assert not zl._is_inverse([[1, 2], [0, 1]], [[1, 0], [0, 1]])
+    # a Smith pass whose inverse drifts off R by one off-diagonal entry
+    core = zl._snf_core
+
+    def drifting(M, R=None, R_inv=None):
+        diag = core(M, R, R_inv)
+        if R_inv is not None:
+            R_inv[0][1] += 1
+        return diag
+
+    monkeypatch.setattr(zl, "_snf_core", drifting)
+    with pytest.raises(LinalgError, match="not unimodular"):
+        smith_coordinates([[2, 0], [0, 3]], 2)
 
 
 def test_cokernel_free():
@@ -188,9 +215,8 @@ def test_rational_kernel_rejects_fractions():
 def test_from_rows_past_int64_stays_exact():
     # numpy parses this row as float64
     big = IntMatrix.from_rows([[2 ** 63, -1]])
-    assert big.array.dtype == object
     assert big.entries == ((2 ** 63, -1),)
-    assert all(type(x) is int for x in big.array.ravel())
+    assert all(type(x) is int for r in big.entries for x in r)
 
 
 def test_subquotient_trivial():
@@ -293,16 +319,19 @@ def test_abgroup_elements():
 def test_abgroup_index_arrays_match_tuples(inv):
     g = AbGroup(inv)
     coords = g.coordinates()
-    assert coords.shape == (g.order, len(inv))
-    assert [tuple(r) for r in coords.tolist()] == g.elements()
-    assert g.indices(coords).tolist() == list(range(g.order))
+    assert len(coords) == g.order and {len(r) for r in coords} <= {len(inv)}
+    assert [tuple(r) for r in coords] == g.elements()
+    assert g.indices(coords) == list(range(g.order))
+    assert list(g.radix()) == nl.indices(g, np.eye(len(inv),
+                                                  dtype=np.int64)).tolist()
     # translation on indices agrees with add and index_of
     rng = random.Random(len(inv))
     for _ in range(5):
         s = tuple(rng.randrange(d) for d in inv)
-        moved = g.indices(coords + np.array(s, dtype=np.int64))
-        assert moved.tolist() == [g.index_of(g.add(e, s))
-                                  for e in g.elements()]
+        moved = g.translation(s)
+        assert moved == [g.index_of(g.add(e, s)) for e in g.elements()]
+        assert moved == nl.indices(g, nl.coordinates(g),
+                                   np.array(s, dtype=np.int64)).tolist()
 
 
 def test_abgroup_index_arrays_reject_infinite():
@@ -310,6 +339,8 @@ def test_abgroup_index_arrays_reject_infinite():
         AbGroup((2, 0)).coordinates()
     with pytest.raises(LinalgError):
         AbGroup((0,)).radix()
+    with pytest.raises(LinalgError):
+        AbGroup((3, 0)).translation((1, 0))
 
 
 def test_abhom_well_defined():
@@ -327,9 +358,9 @@ def test_abhom_apply_compose():
     incl = AbHom(mid, dom, ((2,),))
     assert proj.apply((3,)) == (1,)
     # proj after incl, on indices: the index images compose
-    comp = proj.index_image()[incl.index_image()]
-    assert comp.tolist() == [mid.index_of(proj.apply(incl.apply(x)))
-                             for x in mid.elements()]
+    comp = [proj.index_image()[g] for g in incl.index_image()]
+    assert comp == [mid.index_of(proj.apply(incl.apply(x)))
+                    for x in mid.elements()]
     assert comp[mid.index_of((1,))] == mid.index_of((0,))
 
 
@@ -492,13 +523,14 @@ def test_csr_matrix_round_trips_and_rejects_bad_rows():
     for a in (np.array([[0, 2, 0], [0, 0, 0], [-1, 0, 5]]),
               np.array([[1 << 63, 0], [0, -3]], dtype=object),
               np.zeros((0, 4), dtype=np.int64)):
-        sp = CSRMatrix.from_dense(a)
-        assert (sp.rows, sp.cols) == a.shape
-        assert sp.array.dtype == IntMatrix(a).array.dtype
-        assert np.array_equal(sp.array, a)
-        assert sp.entries == IntMatrix(a).entries
-        assert sp == CSRMatrix.from_dense(a.copy())
-        assert cokernel(sp, a.shape[1]) == cokernel(IntMatrix(a), a.shape[1])
+        sp = CSRMatrix.from_dense(a, a.shape[1])
+        mat = IntMatrix(a, a.shape[1])
+        assert (sp.rows, sp.cols) == (mat.rows, mat.cols) == a.shape
+        assert all(type(x) is int for x in sp.indptr + sp.indices + sp.data)
+        assert np.array_equal(nl.dense(sp), a)
+        assert sp.entries == mat.entries
+        assert sp == CSRMatrix.from_dense(a.copy(), a.shape[1])
+        assert cokernel(sp, a.shape[1]) == cokernel(mat, a.shape[1])
     assert CSRMatrix([0, 1], [0], [1], 2) != CSRMatrix([0, 1], [1], [1], 2)
     for ptr, idx, val in (([0, 2], [1, 0], [1, 1]),  # columns not ascending
                           ([0, 1], [0], [0]),  # a stored zero
@@ -527,10 +559,10 @@ def test_csr_matrix_from_triplets_text_and_dot(rows, cols, data):
     want = IntMatrix.from_rows(dense, cols)
     vals = np.array(v, dtype=object if big in v else np.int64)
     got = CSRMatrix.from_triplets(rows, cols, r, c, vals)
-    assert got == CSRMatrix.from_dense(want.array)
+    assert got == CSRMatrix.from_dense(want.entries, want.cols)
     assert got.to_text() == want.to_text()
     x = [data.draw(st.sampled_from([0, 1, -3, big])) for _ in range(cols)]
-    assert got.dot(np.array(x, dtype=object)).tolist() == \
+    assert got.dot(np.array(x, dtype=object)) == \
         [sum(a * b for a, b in zip(row, x)) for row in dense]
 
 
@@ -618,7 +650,7 @@ def test_local_valuations_match_sympy(rows, p):
     from ordist.zlinalg import _local_valuations, _val
 
     want = sorted(_val(d, p) for d in _sympy_factors(rows))
-    mat = CSRMatrix.from_dense(IntMatrix.from_rows(rows, len(rows[0])).array)
+    mat = CSRMatrix.from_dense(rows, len(rows[0]))
     assert _local_valuations(mat, p, max(want, default=0) + 2) == want
 
 
@@ -635,7 +667,7 @@ def test_local_valuations_match_dense_reference(rows):
     S = 30 * math.prod(_sympy_factors(rows))
     for p in (q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if S % q == 0):
         K = _val(S, p) + 2
-        assert _local_valuations(CSRMatrix.from_dense(mat.array), p, K) \
+        assert _local_valuations(CSRMatrix.from_dense(mat.entries), p, K) \
             == _layered_elimination(mat, p, K)
 
 
@@ -651,11 +683,73 @@ def test_modular_rank_matches_sympy(rows, p):
 
 
 def test_sympy_strategy_reaches_the_object_path():
-    big = IntMatrix.from_rows([[1 << 63, 3], [2, -(1 << 63)]])
-    assert big.array.dtype == object
-    assert IntMatrix.from_rows([[(1 << 63) - 1, -(1 << 63) + 1]]) \
-        .array.dtype == np.int64
-    assert IntMatrix.from_rows([[-(1 << 63)]]).array.dtype == object
+    # no dtype is left to check: the strategy must still draw entries
+    # past int64 on both sides, where the array code left int64 for
+    # object arrays; the first such draw will do, unshrunk
+    first = settings(phases=[Phase.generate], database=None)
+    for sign in (1, -1):
+        rows = find(_int_matrices(),
+                    lambda rows: any(sign * x >= 1 << 63
+                                     for r in rows for x in r),
+                    settings=first)
+        assert max(sign * x for r in rows for x in r) >= 1 << 63
+
+
+@st.composite
+def _reference_cases(draw):
+    """The sympy matrices, and sometimes a zero row or a zero column
+    added, or no rows at all."""
+    rows = draw(_int_matrices())
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(rows[0])))
+        rows = [r[:j] + [0] + r[j:] for r in rows]
+    if draw(st.integers(0, 9)) == 0:
+        return [], len(rows[0])
+    return rows, len(rows[0])
+
+
+@given(_reference_cases())
+@example(([[1, 1 << 62], [1 << 62, 1]], 2))
+@example(([], 3))
+@example(([[0, 0], [0, 0]], 2))
+@settings(max_examples=80, deadline=None)
+def test_list_linalg_matches_numpy_reference(case):
+    # the list code against the numpy code it replaced, routine by
+    # routine, and the invariant factors against sympy
+    rows, cols = case
+    mat = IntMatrix.from_rows(rows, cols)
+    factors = _sympy_factors(rows) if rows else []
+    assert snf_invariants(mat, verify=False) == nl.snf_invariants(mat) \
+        == factors
+    group, to, back = smith_coordinates(mat, cols)
+    ref = nl.smith_coordinates(mat, cols)
+    assert group == ref[0]
+    if max(map(abs, itertools.chain([0], *rows))) < 1 << 53:
+        # the array code took its pivots from a float scan, which is
+        # exact below 2^53, so both pick the same ones
+        assert (to, back) == tuple(tuple(map(tuple, a.tolist()))
+                                   for a in ref[1:])
+    assert rational_kernel(mat) == nl.rational_kernel(mat)
+    basis = hnf_basis(rows)
+    assert basis == nl_hnf_basis(rows)
+    if basis:
+        doubled = [[2 * x for x in r] for r in rows]
+        assert subquotient_torsion(basis, doubled) \
+            == nl.subquotient_torsion(basis, doubled) \
+            == AbGroup((2,) * len(basis))
+    eye = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    assert subquotient_torsion(eye, rows) == nl.subquotient_torsion(eye, rows) \
+        == cokernel(mat, cols)
+
+
+def nl_hnf_basis(rows):
+    """hnf_basis on the numpy echelon pass."""
+    krows, cols = nl._object_rows(rows)
+    pivots, _ = nl._echelon(krows, 0, cols)
+    nl._reduce_above(pivots)
+    return [tuple(p.tolist()) for _, p in pivots]
 
 
 # the least strong pseudoprimes to the prime bases up to 7 and up to

@@ -27,6 +27,7 @@ import itertools
 
 import numpy as np
 
+from numpy_linalg import coordinates, indices, smith_coordinates
 from ordist.cohomology import _porder, _validate_subset
 from ordist.quadfield import _residue_reduce
 from ordist.zlinalg import (
@@ -35,7 +36,6 @@ from ordist.zlinalg import (
     IntMatrix,
     LinalgError,
     OrdistError,
-    smith_coordinates,
 )
 
 
@@ -212,20 +212,20 @@ def coset_rows(group, subgroup_elements) -> np.ndarray:
     """The old _coset_rows: each subgroup given by its element tuples,
     every coset labelled by the least index of its members."""
     n = group.order
-    coords = group.coordinates()
+    coords = coordinates(group)
     k = len(group.invariant_factors)
     cosets, seen = [], set()
     for els in subgroup_elements:
         els = tuple(els)
-        idx = np.unique(group.indices(
-            np.array(els, dtype=np.int64).reshape(len(els), k)))
+        idx = np.unique(indices(
+            group, np.array(els, dtype=np.int64).reshape(len(els), k)))
         key = tuple(idx.tolist())
         if key in seen:
             continue
         seen.add(key)
         label = np.full(n, n, dtype=np.int64)
         for h in coords[idx]:
-            np.minimum(label, group.indices(coords, h), out=label)
+            np.minimum(label, indices(group, coords, h), out=label)
         cosets += np.argsort(label, kind="stable").reshape(-1, len(idx)) \
             .tolist()
     cosets.sort(key=lambda c: [-g for g in c])
