@@ -226,6 +226,38 @@ MUTANTS = (
         "    return all(acc.get(i) == 1\n",
         ("tests/test_zlinalg.py::test_smith_check_refuses_a_pair_off_the_inverse",),
     ),
+    # kernels, left solves and subquotients on the Smith pass
+    Mutant(
+        "kernel-takes-torsion-columns",
+        "zlinalg.py",
+        "    return list(zip(*to))[len(group.torsion):]\n",
+        "    return list(zip(*to))[:len(group.torsion)]\n",
+        ("tests/test_zlinalg.py::test_rational_kernel_saturated",
+         "tests/test_zlinalg.py::"
+         "test_rational_kernel_saturation_and_exactness"),
+    ),
+    Mutant(
+        "solve-left-skips-check",
+        "zlinalg.py",
+        "    if _reduced_product([x], stacked.entries[:n], (0,) * stacked.cols) \\\n"
+        "            != stacked.entries[n:]:\n",
+        "    if False:\n",
+        ("tests/test_zlinalg.py::test_solve_left_refuses_a_wrong_combination",),
+    ),
+    Mutant(
+        "subquotient-skips-dependence-check",
+        "zlinalg.py",
+        "    if rational_kernel(kmat.transpose()):\n",
+        "    if False:\n",
+        ("tests/test_zlinalg.py::test_subquotient_rejects_dependent_rows",),
+    ),
+    Mutant(
+        "subquotient-skips-outside-row",
+        "zlinalg.py",
+        "            raise NotSubLattice(\"row outside the big lattice\")\n",
+        "            continue\n",
+        ("tests/test_zlinalg.py::test_subquotient_rejects_outside_vector",),
+    ),
     # the sparse rows
     Mutant(
         "csr-accepts-descending-columns",

@@ -12,16 +12,17 @@ translations and homomorphisms act on them as index lists.
 A cokernel first splits off its unit pivots by one sparse Schur pass,
 then takes the Smith form of the dense residual.
 
-The workhorse is a row echelon pass with minimal-absolute-value pivoting
-and repeated Euclidean reduction on list rows, used for Hermite-reduced
-kernels, subquotients and left solves.  Smith forms use alternating row
-and column elimination with a divisibility fix-up.  smith_coordinates reads a
-quotient Z^n / rowspace(A) in invariant coordinates: the same pass
-applies each column operation to the transform R and its inverse row
-operation to R^-1, and the columns of R and rows of R^-1 at the factors
-other than 1 map into the coordinates and back.  A separate sparse
-elimination over Z/p^K gives the p-adic valuations of the invariant
-factors; for large inputs it independently re-verifies the Smith form.
+One dense elimination carries everything else: the Smith form, by
+alternating row and column elimination with a divisibility fix-up.
+smith_coordinates reads a quotient Z^n / rowspace(A) in invariant
+coordinates: the same pass applies each column operation to the
+transform R and its inverse row operation to R^-1, and the columns of R
+and rows of R^-1 at the factors other than 1 map into the coordinates
+and back.  The columns of R at the free factors are a saturated kernel
+basis, and left solves and subquotients read their coordinates off such
+kernels.  A separate sparse elimination over Z/p^K gives the p-adic
+valuations of the invariant factors; for large inputs it independently
+re-verifies the Smith form.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from operator import index
 from typing import Callable, Sequence
 
 from . import OrdistError
+from .quadfield import _xgcd
 
 
 class LinalgError(OrdistError):
@@ -246,12 +248,6 @@ def _as_sparse(A, cols: int | None = None) -> CSRMatrix:
     return CSRMatrix.from_dense(mat.entries, mat.cols)
 
 
-def _rows_of(A) -> tuple[list[list[int]], int]:
-    """Writable list rows of a matrix or row sequence, and its width."""
-    mat = _as_matrix(A)
-    return list(map(list, mat.entries)), mat.cols
-
-
 def _reduced_product(X, Y, inv) -> tuple[tuple[int, ...], ...]:
     """The rows of X @ Y with column k reduced mod the invariant factor
     inv[k] and kept exact where inv[k] = 0.  Reducing the columns of Y
@@ -268,129 +264,11 @@ def _reduced_product(X, Y, inv) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# echelon core
-
-_GROWTH_LIMIT = 1 << 96
+# Smith normal form
 
 # side length beyond which snf_invariants re-verifies itself modularly
 _VERIFY_DIM = 500
 
-
-def _echelon(rows: list[list[int]], col_start: int, col_stop: int,
-             gcd_rows: bool = False) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
-    """Row echelon over Z on columns [col_start, col_stop).
-
-    Rows must have zero entries in any column left of col_start that has
-    already been pivoted; every arithmetic operation works on the slice
-    row[col:] so callers must keep augmented blocks to the right.  When
-    gcd_rows is set, rows are divided by their content when entries grow
-    past a threshold (contents are harmless for kernel extraction but
-    would change the row lattice, so plain HNF keeps them).
-
-    Returns (pivots, rest): pivots is a list of (column, row) with
-    positive pivot entries, rest the rows that are zero on the whole
-    column range.  The rows are changed in place.
-    """
-    active = list(rows)
-    pivots = []
-    for col in range(col_start, col_stop):
-        cand = [i for i, r in enumerate(active) if r[col] != 0]
-        if not cand:
-            continue
-        while True:
-            best = min(cand, key=lambda i: abs(active[i][col]))
-            prow = active[best]
-            if prow[col] < 0:
-                prow[:] = [-x for x in prow]
-            bv = prow[col]
-            if len(cand) == 1:
-                break
-            nxt = [best]
-            pslice = prow[col:]
-            for i in cand:
-                if i == best:
-                    continue
-                r = active[i]
-                q = r[col] // bv
-                if q:
-                    r[col:] = [a - q * b for a, b in zip(r[col:], pslice)]
-                    if gcd_rows and abs(r[col]) > _GROWTH_LIMIT:
-                        g = math.gcd(*r)
-                        if g > 1:
-                            r[:] = [x // g for x in r]
-                if r[col] != 0:
-                    nxt.append(i)
-            cand = nxt
-            if len(cand) == 1:
-                break
-        prow = active[cand[0]]
-        if gcd_rows:
-            g = math.gcd(*prow)
-            if g > 1:
-                prow[:] = [x // g for x in prow]
-        del active[cand[0]]
-        pivots.append((col, prow))
-    return pivots, active
-
-
-def _reduce_above(pivots: list[tuple[int, list[int]]]) -> None:
-    """Make entries above each pivot lie in [0, pivot); canonical HNF."""
-    for k in range(1, len(pivots)):
-        col, prow = pivots[k]
-        pv = prow[col]
-        for j in range(k):
-            r = pivots[j][1]
-            q = r[col] // pv
-            if q:
-                r[col:] = [a - q * b for a, b in zip(r[col:], prow[col:])]
-
-
-def _augmented(mat: IntMatrix) -> list[list[int]]:
-    """List rows of [A | I], the identity block recording row operations."""
-    return [list(r) + e for r, e in zip(mat.entries, _identity_rows(mat.rows))]
-
-
-def _back_substitute(pivots: list[tuple[int, list[int]]], target: list[int]):
-    """Write target as an integer combination of echelon rows.
-
-    Returns the coefficient list or None when target is not in the row
-    lattice.  target is consumed.
-    """
-    coeffs = []
-    for col, prow in pivots:
-        q, rem = divmod(target[col], prow[col])
-        if rem:
-            return None
-        if q:
-            target[col:] = [a - q * b for a, b in zip(target[col:], prow[col:])]
-        coeffs.append(q)
-    if any(target):
-        return None
-    return coeffs
-
-
-def solve_left(A, b: Sequence[int]):
-    """One integer solution x of x A = b, or None.
-
-    A may be an IntMatrix or a row sequence.
-    """
-    mat = _as_matrix(A)
-    n, cols = mat.rows, mat.cols
-    pivots, _ = _echelon(_augmented(mat), 0, cols)
-    coeffs = _back_substitute([(c, p[:cols]) for c, p in pivots],
-                              list(_ints(b)))
-    if coeffs is None:
-        return None
-    x = [0] * n
-    for q, (_, prow) in zip(coeffs, pivots):
-        if q:
-            for k in range(n):
-                x[k] += q * prow[cols + k]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
 
 def _min_abs_position(M: list[list[int]], t: int):
     """Position of the first nonzero entry of least absolute value in
@@ -927,47 +805,63 @@ def cokernel(A, ambient_rank: int) -> AbGroup:
 # kernels and subquotients
 
 def rational_kernel(A) -> list[tuple[int, ...]]:
-    """Saturated basis of {v integer : A v = 0}: the full integer
-    kernel lattice of the rational kernel space, in canonical echelon
-    form."""
+    """Saturated basis of {v integer : A v = 0}: the columns of the
+    Smith column transform R at the free factors of
+    smith_coordinates(A, A.cols).  A R is zero past the rank and R is
+    unimodular, so these columns span every integer kernel vector."""
     mat = _as_matrix(A)
-    if mat.cols == 0:
-        return []
-    # augmented transpose trick: echelon [A^T | I]; rows whose A^T block
-    # dies give exactly the kernel lattice in the right block.
-    mat = IntMatrix([r for r in mat.entries if any(r)], mat.cols)
-    nr = mat.rows
-    _, rest = _echelon(_augmented(mat.transpose()), 0, nr, gcd_rows=True)
-    kpiv, kz = _echelon(rest, nr, nr + mat.cols)
-    if any(any(r) for r in kz):
-        raise LinalgError("kernel echelon left a nonzero row unpivoted")
-    _reduce_above(kpiv)
-    return [tuple(r[nr:]) for _, r in kpiv]
+    group, to, _ = smith_coordinates(mat, mat.cols)
+    return list(zip(*to))[len(group.torsion):]
+
+
+def solve_left(A, b: Sequence[int]):
+    """One integer solution x of x A = b, or None.
+
+    A may be an IntMatrix or a row sequence.  The kernel of [A; b]^T
+    holds the (x, t) with x A + t b = 0, and it is saturated, so b lies
+    in the row lattice exactly when the t of its basis have gcd 1.  The
+    extended gcd combines the basis into one vector with t = 1, whose
+    negated x is returned once x A = b is checked: LinalgError
+    otherwise.
+    """
+    stacked = IntMatrix(_as_matrix(A).entries + (_ints(b),))
+    n = stacked.rows - 1
+    g, acc = 0, [0] * (n + 1)
+    for v in rational_kernel(stacked.transpose()):
+        g, u, w = _xgcd(g, v[n])
+        acc = [u * a + w * y for a, y in zip(acc, v)]
+    if g != 1:
+        return None
+    x = [-a for a in acc[:n]]
+    if _reduced_product([x], stacked.entries[:n], (0,) * stacked.cols) \
+            != stacked.entries[n:]:
+        raise LinalgError("left solve does not reproduce the target")
+    return x
 
 
 def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
     """Structure of rowspace(kernel_basis) / rowspace(sub_rows).
 
+    The kernel basis rows must be independent (LinalgError otherwise).
+    Each sub row enters through its coordinates in that basis, by
+    solve_left, and the cokernel of the coordinates is the result.
     Raises NotSubLattice when some sub row is outside the span of the
     kernel basis.  Free rank, if any, is reported through zero invariant
     factors.
     """
-    krows, cols = _rows_of(kernel_basis)
-    pivots, kz = _echelon(krows, 0, cols)
-    if any(any(r) for r in kz):
+    kmat = _as_matrix(kernel_basis)
+    if rational_kernel(kmat.transpose()):
         raise LinalgError("kernel basis rows are dependent")
-    _reduce_above(pivots)
-    srows, scols = _rows_of(sub_rows)
-    if srows and scols != cols:
+    smat = _as_matrix(sub_rows)
+    if smat.rows and smat.cols != kmat.cols:
         raise NotSubLattice("ambient dimensions differ")
     coords = []
-    for r in srows:
-        c = _back_substitute(pivots, r)
+    for r in smat.entries:
+        c = solve_left(kmat, r)
         if c is None:
             raise NotSubLattice("row outside the big lattice")
         coords.append(c)
-    rank_k = len(pivots)
-    return cokernel(IntMatrix(coords, rank_k), rank_k)
+    return cokernel(IntMatrix(coords, kmat.rows), kmat.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,25 @@
-"""Reference Hermite forms on the echelon core, and the ideal lattice
-reduction that used them.
+"""Reference Hermite forms on the numpy echelon pass, and the ideal
+lattice reduction that used them.
 
 ordist.zlinalg served hnf and hnf_basis until the ideal arithmetic of
-quadfield moved onto a two-column extended-gcd reduction; nothing in
-the package reads them since.  The tests keep them, on the package's
-own _echelon and _reduce_above, as the reference of the Hermite tests
-and of the differential test of quadfield._ideal_from_lattice, whose
-previous body is kept here as ideal_from_lattice.
+quadfield moved onto a two-column extended-gcd reduction, and it lost
+its echelon pass when kernels, left solves and subquotients moved onto
+the Smith elimination.  The tests keep hnf and hnf_basis here, on the
+_echelon, _reduce_above and _augmented of numpy_linalg, as the
+reference of the Hermite tests, as the canonical form that kernel bases
+are compared in, and for the differential test of
+quadfield._ideal_from_lattice, whose previous body is kept here as
+ideal_from_lattice.
 """
 
 from __future__ import annotations
 
 from ordist import OrdistError
 from ordist.quadfield import OIdeal
-from ordist.zlinalg import (
-    IntMatrix,
-    _as_matrix,
-    _augmented,
-    _echelon,
-    _reduce_above,
-    _rows_of,
-)
+from ordist.zlinalg import IntMatrix
+
+from numpy_linalg import _augmented, _echelon, _object_rows, _reduce_above, \
+    dense
 
 
 def hnf(A) -> tuple[IntMatrix, IntMatrix]:
@@ -29,11 +28,11 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     H has positive pivots, entries above each pivot reduced into
     [0, pivot), and zero rows at the bottom.
     """
-    mat = _as_matrix(A)
-    n, c = mat.rows, mat.cols
-    pivots, rest = _echelon(_augmented(mat), 0, c)
+    a = dense(A)
+    n, c = a.shape
+    pivots, rest = _echelon(_augmented(a), 0, c)
     _reduce_above(pivots)
-    ordered = [p for _, p in pivots] + rest
+    ordered = [p.tolist() for _, p in pivots] + [r.tolist() for r in rest]
     return IntMatrix([r[:c] for r in ordered], c), \
         IntMatrix([r[c:] for r in ordered], n)
 
@@ -41,10 +40,10 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
 def hnf_basis(rows_or_mat) -> list[tuple[int, ...]]:
     """Canonical HNF basis of the lattice spanned by the given rows
     (zero rows dropped)."""
-    rows, cols = _rows_of(rows_or_mat)
+    rows, cols = _object_rows(rows_or_mat)
     pivots, _ = _echelon(rows, 0, cols)
     _reduce_above(pivots)
-    return [tuple(p) for _, p in pivots]
+    return [tuple(p.tolist()) for _, p in pivots]
 
 
 def ideal_from_lattice(K, gens) -> OIdeal:

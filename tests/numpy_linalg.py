@@ -8,10 +8,17 @@ echelon pass with rational_kernel and subquotient_torsion on it, and
 the Smith elimination with smith_coordinates and the invariant factors
 on it.  It is unchanged, apart from reading the package's IntMatrix and
 CSRMatrix through their entries and subquotient_torsion ending in the
-Smith elimination here instead of the package's cokernel.  The other
-array references of the tests (dense_transform, dense_prereduce,
-tuple_presentation) build their arrays with _promote, dense, coordinates
-and indices.
+Smith elimination here instead of the package's cokernel.
+
+The package has no echelon pass of its own any more: its kernels, left
+solves and subquotients read the Smith column transform.  So the
+echelon pass here is also the reference that those are compared with,
+through the canonical Hermite basis of a kernel, and through
+_back_substitute for membership in a row lattice; hnf_reference builds
+hnf and hnf_basis on _echelon, _reduce_above, _augmented and
+_object_rows.  The other array references of the tests
+(dense_transform, dense_prereduce, tuple_presentation) build their
+arrays with _promote, dense, coordinates and indices.
 """
 
 from __future__ import annotations

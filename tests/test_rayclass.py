@@ -142,6 +142,56 @@ def test_artin_multiplicative_with_class_group():
     assert G.artin(a.multiply(a)) == g.scale(G.artin(a), 2)
 
 
+# Cl = Z/2 x Z/8 on three class primes: kernel rows of the class stack
+# survive their reduction mod the class orders, unlike over a cyclic Cl
+def _level161(K):
+    return _modulus(K, [(5, None, 1), (11, None, 1)])
+
+
+@pytest.fixture(scope="module")
+def K161():
+    return make_field(161)
+
+
+def test_noncyclic_class_group_level(K161):
+    assert K161.class_group.invariant_factors == (2, 8)
+    G = ray_class_group(K161, _level161(K161))
+    assert len(G.class_primes) == 3
+    assert G.group.invariant_factors == (2, 160)
+    assert G.group.order == 320
+
+
+def test_noncyclic_level_ignores_the_kernel_basis(K161, monkeypatch):
+    # any basis of the class-stack kernel gives the same group
+    kernel = rc.rational_kernel
+
+    def mixed(A):
+        # negate the first vector and add each vector to the next: a
+        # unimodular change of basis
+        basis = kernel(A)
+        out = [tuple(-x for x in basis[0])]
+        for prev, v in zip(basis, basis[1:]):
+            out.append(tuple(a + b for a, b in zip(prev, v)))
+        return out
+
+    G = ray_class_group(K161, _level161(K161))
+    assert len(kernel(G._class_stack.transpose())) == 3
+    monkeypatch.setattr(rc, "rational_kernel", mixed)
+    G = rc.RayClassGroup(K161, _level161(K161))
+    assert G.group.invariant_factors == (2, 160)
+
+
+def test_artin_multiplicative_on_noncyclic_class_group(K161):
+    G = ray_class_group(K161, _level161(K161))
+    g = G.group
+    # split primes of classes (1, 5), (0, 7), (0, 6) and (1, 0)
+    a, b, c, e = (_prime(K161, q) for q in (3, 17, 29, 43))
+    for x, y in ((a, b), (b, c), (a, e), (c, e)):
+        assert G.artin(x.multiply(y)) == g.add(G.artin(x), G.artin(y))
+    assert G.artin(a.multiply(a)) == g.scale(G.artin(a), 2)
+    assert len({G.artin(x) for x in (a, b, c, e)}) == 4
+
+
 def test_artin_of_principal_prime_reads_residue(triple, K7):
     # omega = (1 + sqrt(-7))/2 has norm 2 and generates a prime over 2
     w_ideal = K7.principal_ideal((0, 1))

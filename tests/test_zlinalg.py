@@ -193,11 +193,11 @@ def test_rational_kernel_identity():
 
 
 def test_rational_kernel_saturated():
-    assert rational_kernel([[2, 4]]) == [(2, -1)]
+    assert hnf_basis(rational_kernel([[2, 4]])) == [(2, -1)]
 
 
 def test_rational_kernel_fractions():
-    assert rational_kernel([[3, 2]]) == [(2, -3)]
+    assert hnf_basis(rational_kernel([[3, 2]])) == [(2, -3)]
 
 
 def test_from_rows_rejects_floats():
@@ -279,6 +279,19 @@ def test_solve_left():
     got = [sum(x[i] * A[i][j] for i in range(2)) for j in range(3)]
     assert got == [2, 7, 1]
     assert solve_left([[2, 0]], [1, 0]) is None
+
+
+def test_solve_left_refuses_a_wrong_combination(monkeypatch):
+    import ordist.zlinalg as zl
+    # a "kernel" that is not one: the vector it combines to misses b
+    monkeypatch.setattr(zl, "rational_kernel", lambda A: [(1,) * A.cols])
+    with pytest.raises(LinalgError, match="reproduce"):
+        zl.solve_left([[1, 2, 0], [0, 3, 1]], [2, 7, 1])
+
+
+def test_subquotient_rejects_dependent_rows():
+    with pytest.raises(LinalgError, match="dependent"):
+        subquotient_torsion([(1, 0), (2, 0)], [(2, 0)])
 
 
 # -- serialization -----------------------------------------------------------
@@ -442,6 +455,30 @@ def test_rational_kernel_saturation_and_exactness(rows):
     nz = [r for r in rows if any(r)]
     rank = len(hnf_basis(nz)) if nz else 0
     assert len(ker) == amb - rank
+
+
+def _times(x, rows):
+    return [sum(a * r[j] for a, r in zip(x, rows)) for j in range(len(rows[0]))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(5), st.data())
+def test_solve_left_matches_numpy_reference(rows, data):
+    # b = x A is always solved; b + e_j is solved exactly when the
+    # reference's back substitution on its echelon pivots finds it in
+    # the row lattice
+    x = data.draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+    b = _times(x, rows)
+    sol = solve_left(rows, b)
+    assert sol is not None and _times(sol, rows) == b
+    b[data.draw(st.integers(0, len(b) - 1))] += 1
+    krows, cols = nl._object_rows(rows)
+    pivots, _ = nl._echelon(krows, 0, cols)
+    want = nl._back_substitute(pivots, np.array(b, dtype=object))
+    sol = solve_left(rows, b)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        assert _times(sol, rows) == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -731,9 +768,8 @@ def test_list_linalg_matches_numpy_reference(case):
         # exact below 2^53, so both pick the same ones
         assert (to, back) == tuple(tuple(map(tuple, a.tolist()))
                                    for a in ref[1:])
-    assert rational_kernel(mat) == nl.rational_kernel(mat)
+    assert hnf_basis(rational_kernel(mat)) == nl.rational_kernel(mat)
     basis = hnf_basis(rows)
-    assert basis == nl_hnf_basis(rows)
     if basis:
         doubled = [[2 * x for x in r] for r in rows]
         assert subquotient_torsion(basis, doubled) \
@@ -742,14 +778,6 @@ def test_list_linalg_matches_numpy_reference(case):
     eye = [[int(i == j) for j in range(cols)] for i in range(cols)]
     assert subquotient_torsion(eye, rows) == nl.subquotient_torsion(eye, rows) \
         == cokernel(mat, cols)
-
-
-def nl_hnf_basis(rows):
-    """hnf_basis on the numpy echelon pass."""
-    krows, cols = nl._object_rows(rows)
-    pivots, _ = nl._echelon(krows, 0, cols)
-    nl._reduce_above(pivots)
-    return [tuple(p.tolist()) for _, p in pivots]
 
 
 # the least strong pseudoprimes to the prime bases up to 7 and up to
