@@ -267,6 +267,25 @@ MUTANTS = (
         ("tests/test_zlinalg.py::"
          "test_csr_matrix_round_trips_and_rejects_bad_rows",),
     ),
+    Mutant(
+        "csr-accepts-negative-cols",
+        "zlinalg.py",
+        "        if cols < 0:\n"
+        "            raise LinalgError(\"negative matrix dimensions\")\n"
+        "        if not ptr",
+        "        if not ptr",
+        ("tests/test_zlinalg.py::"
+         "test_csr_matrix_round_trips_and_rejects_bad_rows",),
+    ),
+    # the value classes
+    Mutant(
+        "modulus-eq-ignores-exponents",
+        "quadfield.py",
+        "        return (self.field, self.primes) == (other.field, other.primes)\n",
+        "        return (self.field, [p for p, _ in self.primes]) == \\\n"
+        "            (other.field, [p for p, _ in other.primes])\n",
+        ("tests/test_values.py::test_value_semantics[Modulus]",),
+    ),
     # the character count
     Mutant(
         "character-count-trusts-the-mix",

@@ -41,6 +41,19 @@ class OrdistError(Exception):
     prefix = ""
 
 
+class _Frozen:
+    """Base of the immutable value classes: their __init__ fills the
+    instance __dict__, and assigning or deleting an attribute later
+    raises AttributeError.  Caches computed on first use are written
+    into the __dict__ as well."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",

@@ -1,14 +1,22 @@
 """Command line frontend with JSON reports and an on-disk cache.
 
-Each subcommand parses its arguments into a RunConfig, dispatches to
-the library, and prints one ReportDocument to standard output.  The
-document is byte-stable for identical inputs and code versions apart
-from the timing field.  Exit codes: 0 success, 1 usage error, 2 a
-violated hypothesis, 3 an internal oracle mismatch, 4 an I/O error (an
-unusable cache directory, or standard output closed by its reader);
-each error class carries its code.  A command imports the layer it
-computes with only when it computes, so `field` and every cache hit run
-on quadfield alone.
+Each subcommand reads its parsed arguments, dispatches to the library,
+and prints one report to standard output: the schema, the command line,
+the field, the result and the timing.  The report is byte-stable for
+identical inputs and code versions apart from the timing field.  Exit
+codes: 0 success, 1 usage error, 2 a violated hypothesis, 3 an internal
+oracle mismatch, 4 an I/O error (an unusable cache directory, or
+standard output closed by its reader); each error class carries its
+code.
+
+A command imports the layer it computes with only when it computes.
+Besides the package root, cli and quadfield, which every command loads:
+`field`, `search` and every cache hit load nothing more; `rayclass`
+loads rayclass and zlinalg; `torsion` and `certify` load distribution,
+groupring, rayclass and zlinalg; `toralg-sweep` loads cohomology,
+groupring, rayclass and zlinalg.  The value classes of the package are
+plain classes, so no command loads inspect or ast; hashlib loads only
+to key a cache entry, so `--no-cache` never loads it.
 
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
@@ -25,13 +33,11 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import hashlib
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import OrdistError, __version__
@@ -50,41 +56,8 @@ class CacheUnusable(OrdistError):
     exit_code = 4
 
 
-@dataclass
-class RunConfig:
-    """Parsed command line options shared by all subcommands."""
-
-    d: int
-    modulus_spec: str | None = None
-    prime_specs: tuple[str, ...] = ()
-    norm_bound: int = 0
-    cache_dir: Path | None = None
-    fmt: str = "json"
-    verbose: int = 0
-    slow: bool = False
-
-
-@dataclass
-class ReportDocument:
-    """What a subcommand prints: input echo, field data, result."""
-
-    command: tuple[str, ...]
-    field: dict
-    result: dict
-    timing_ms: int
-
-    def payload(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "command": list(self.command),
-            "field": self.field,
-            "result": self.result,
-            "timing_ms": self.timing_ms,
-        }
-
-
-def _note(cfg: RunConfig, msg: str) -> None:
-    if cfg.verbose:
+def _note(args, msg: str) -> None:
+    if args.verbose:
         print(msg, file=sys.stderr)
 
 
@@ -135,6 +108,7 @@ def _field_block(K: QuadField) -> dict:
 
 
 def _cache_key(command: str, d: int, spec: str) -> str:
+    import hashlib  # loads OpenSSL: only calls with a cache pay for it
     raw = f"{command}|{d}|{spec}|{__version__}"
     return hashlib.sha256(raw.encode()).hexdigest()
 
@@ -201,16 +175,16 @@ class Cache:
 # subcommands
 
 
-def cmd_field(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
+def cmd_field(args, K: QuadField, cache: Cache) -> dict:
     return _field_block(K)
 
 
-def cmd_rayclass(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
-    m = _parse_modulus(K, cfg.modulus_spec)
+def cmd_rayclass(args, K: QuadField, cache: Cache) -> dict:
+    m = _parse_modulus(K, args.modulus)
     spec = m.label()
-    hit = cache.load("rayclass", cfg.d, spec)
+    hit = cache.load("rayclass", args.d, spec)
     if hit is not None:
-        _note(cfg, "cache hit")
+        _note(args, "cache hit")
         return hit["result"]
     from .rayclass import ray_class_group
     G = ray_class_group(K, m)
@@ -222,22 +196,22 @@ def cmd_rayclass(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
         "inertia_orders": {Modulus(K, ((p, 1),)).label(): G.inertia(p).order
                            for p, _ in m.primes},
     }
-    cache.store("rayclass", cfg.d, spec, {
+    cache.store("rayclass", args.d, spec, {
         "field": _field_block(K), "result": result})
     return result
 
 
-def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
-    m = _parse_modulus(K, cfg.modulus_spec)
+def cmd_torsion(args, K: QuadField, cache: Cache) -> dict:
+    m = _parse_modulus(K, args.modulus)
     spec = m.label()
-    hit = cache.load("torsion", cfg.d, spec)
+    hit = cache.load("torsion", args.d, spec)
     if hit is not None:
-        _note(cfg, "cache hit")
+        _note(args, "cache hit")
         return hit["result"]
     from .distribution import build_presentation, level_torsion, torsion_bound
-    _note(cfg, "building presentation")
+    _note(args, "building presentation")
     P = build_presentation(K, m)
-    _note(cfg, f"{P.n_gens} generators, {P.relations.rows} relations")
+    _note(args, f"{P.n_gens} generators, {P.relations.rows} relations")
     tor = level_torsion(P)
     product_bound, borne = torsion_bound(P)
     result = {
@@ -249,7 +223,7 @@ def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
         "product_bound": product_bound,
         "borne": borne,
     }
-    cache.store("torsion", cfg.d, spec, {
+    cache.store("torsion", args.d, spec, {
         "field": _field_block(K),
         "levels": [{"label": u.label(),
                     "invariant_factors": list(P.ray(u).group.torsion)}
@@ -260,18 +234,18 @@ def cmd_torsion(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
     return result
 
 
-def cmd_certify(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
+def cmd_certify(args, K: QuadField, cache: Cache) -> dict:
     primes = [_parse_prime(K, s, allow_exponent=False)[0]
-              for s in cfg.prime_specs]
+              for s in args.primes]
     spec = _certify_label(K, primes)
-    hit = cache.load("certify", cfg.d, spec) if spec else None
+    hit = cache.load("certify", args.d, spec) if spec else None
     if hit is not None:
-        _note(cfg, "cache hit")
+        _note(args, "cache hit")
         # the key ignores the order of -p; the echo follows it
         return {**hit["result"], "primes": [p.norm() for p in primes]}
     from .distribution import OracleMismatch, torsex_certificate
     from .zlinalg import IntMatrix
-    _note(cfg, "building certificate")
+    _note(args, "building certificate")
     cert = torsex_certificate(K, *primes)
     result = {
         "modulus": spec,
@@ -286,7 +260,7 @@ def cmd_certify(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
         raise OracleMismatch(
             "hypotheses hold but the certificate failed to verify: "
             + json.dumps(result, sort_keys=True))
-    cache.store("certify", cfg.d, spec, {
+    cache.store("certify", args.d, spec, {
         "field": _field_block(K), "result": result},
         {"R": IntMatrix.from_rows([list(cert.R)], len(cert.R))})
     return result
@@ -301,20 +275,20 @@ def _certify_label(K: QuadField, primes) -> str | None:
         return None
 
 
-def cmd_search(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
+def cmd_search(args, K: QuadField, cache: Cache) -> dict:
     from .quadfield import search_torsex
-    triples = search_torsex(K, cfg.norm_bound)
+    triples = search_torsex(K, args.norm_bound)
     return {
-        "norm_bound": cfg.norm_bound,
+        "norm_bound": args.norm_bound,
         "count": len(triples),
         "triples": [[Modulus(K, ((p, 1),)).label() for p in trio]
                     for trio in triples],
     }
 
 
-def cmd_toralg_sweep(cfg: RunConfig, K: QuadField, cache: Cache) -> dict:
+def cmd_toralg_sweep(args, K: QuadField, cache: Cache) -> dict:
     from .cohomology import sweep_torsion_law
-    max_m = 5 if cfg.slow else 4
+    max_m = 5 if args.slow else 4
     summary = []
     all_hold = True
     for ell in (2, 3):
@@ -390,29 +364,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    cache_dir = None
-    if not args.no_cache:
-        if args.cache_dir is not None:
-            cache_dir = args.cache_dir
-        elif os.environ.get("ORDIST_CACHE"):
-            cache_dir = Path(os.environ["ORDIST_CACHE"])
-    if getattr(args, "norm_bound", 0) < 0:
-        raise UsageError("norm bound must be positive")
-    return RunConfig(
-        d=getattr(args, "d", 0),
-        modulus_spec=getattr(args, "modulus", None),
-        prime_specs=tuple(getattr(args, "primes", ())),
-        norm_bound=getattr(args, "norm_bound", 0),
-        cache_dir=cache_dir,
-        fmt=args.fmt,
-        verbose=args.verbose,
-        slow=getattr(args, "slow", False),
-    )
+def _cache_dir(args) -> Path | None:
+    """--cache-dir, else $ORDIST_CACHE; None with --no-cache."""
+    if args.no_cache:
+        return None
+    if args.cache_dir is not None:
+        return args.cache_dir
+    if os.environ.get("ORDIST_CACHE"):
+        return Path(os.environ["ORDIST_CACHE"])
+    return None
 
 
-def _emit(doc: ReportDocument, fmt: str) -> None:
-    payload = doc.payload()
+def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
         return
@@ -434,24 +397,26 @@ def main(argv=None) -> int:
     started = time.monotonic_ns()
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config(args)
-        if args.command == "certify" and len(cfg.prime_specs) != 3:
+        cache = Cache(_cache_dir(args))
+        if getattr(args, "norm_bound", 0) < 0:
+            raise UsageError("norm bound must be positive")
+        if args.command == "certify" and len(args.primes) != 3:
             raise UsageError("certify needs exactly three -p primes")
-        K = make_field(cfg.d) if args.command != "toralg-sweep" else None
-        cache = Cache(cfg.cache_dir)
-        result = _COMMANDS[args.command](cfg, K, cache)
+        K = make_field(args.d) if args.command != "toralg-sweep" else None
+        result = _COMMANDS[args.command](args, K, cache)
     except OrdistError as exc:
         print(f"ordist: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code
     timing = (time.monotonic_ns() - started) // 1_000_000
-    doc = ReportDocument(
-        command=tuple(argv),
-        field=_field_block(K) if K is not None else {},
-        result=result,
-        timing_ms=int(timing),
-    )
+    payload = {
+        "schema": SCHEMA,
+        "command": argv,
+        "field": _field_block(K) if K is not None else {},
+        "result": result,
+        "timing_ms": int(timing),
+    }
     try:
-        _emit(doc, cfg.fmt)
+        _emit(payload, args.fmt)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; devnull takes the interpreter's final flush

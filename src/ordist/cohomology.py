@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .groupring import _coset_rows
-from . import OrdistError
+from . import OrdistError, _Frozen
 from .quadfield import _is_prime
 from .zlinalg import (
     AbGroup,
@@ -52,8 +51,7 @@ def _reduce_mixed(invariants, vec) -> tuple[int, ...]:
     return tuple(x % d if d else x for x, d in zip(vec, invariants))
 
 
-@dataclass(frozen=True)
-class CyclicModule:
+class CyclicModule(_Frozen):
     """A finitely generated abelian group with a finite-order automorphism.
 
     t_action is the matrix of a generator t of the acting cyclic group in
@@ -62,11 +60,8 @@ class CyclicModule:
     order when the action is not faithful).
     """
 
-    module: AbGroup
-    t_action: AbHom
-    order: int
-
-    def __post_init__(self):
+    def __init__(self, module: AbGroup, t_action: AbHom, order: int):
+        self.__dict__.update(module=module, t_action=t_action, order=order)
         if self.order < 1:
             raise ValueError("acting order must be positive")
         if self.t_action.domain != self.module or self.t_action.codomain != self.module:
@@ -89,6 +84,15 @@ class CyclicModule:
                 base = _reduced_product(base, base, inv)
         if power != identity:
             raise ValueError("declared power of the action is not the identity")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.module, self.t_action, self.order) == \
+            (other.module, other.t_action, other.order)
+
+    def __hash__(self):
+        return hash((self.module, self.t_action, self.order))
 
 
 def _lattice_preimage(map_rows, rel_rows, ambient: int):
@@ -213,8 +217,7 @@ def _porder(moduli, a) -> int:
     return math.lcm(*(d // math.gcd(d, x) for x, d in zip(a, moduli))) if a else 1
 
 
-@dataclass(frozen=True)
-class SylowFrameSynthetic:
+class SylowFrameSynthetic(_Frozen):
     """Prescribed ell-Sylow data of the ramified generators over the base.
 
     g lists the inertia orders (ell powers, smallest last); the last
@@ -226,12 +229,9 @@ class SylowFrameSynthetic:
     their mixed-radix index, the last residue running fastest.
     """
 
-    ell: int
-    g: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(int(x) for x in self.g))
+    def __init__(self, ell: int, g: tuple[int, ...], r: int):
+        # the checks below read the properties of the fields
+        self.__dict__.update(ell=ell, g=tuple(int(x) for x in g), r=r)
         if not _is_prime(self.ell):
             raise ValueError("ell must be prime")
         if not self.g:
@@ -248,6 +248,14 @@ class SylowFrameSynthetic:
             raise ValueError("ell**r must divide the last order")
         if self.m >= 2 and _porder(self.moduli, self.j) != self.g[-1]:
             raise ValueError("composite element does not recover the last order")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ell, self.g, self.r) == (other.ell, other.g, other.r)
+
+    def __hash__(self):
+        return hash((self.ell, self.g, self.r))
 
     @property
     def m(self) -> int:

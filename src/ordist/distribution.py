@@ -18,11 +18,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from . import OrdistError
+from . import OrdistError, _Frozen
 from .groupring import _check_coprime_to_w, alpha, trace_ideal_quotient
 from .quadfield import HypothesisFailed, Modulus, OIdeal, QuadField, \
     _is_prime
@@ -504,8 +503,7 @@ def _full_support(P: DeltaPresentation) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(_Frozen):
     """Evidence that the level torsion is nonzero.
 
     R is the certificate element in generator coordinates; in_kernel
@@ -518,11 +516,23 @@ class TorsionCertificate:
     conclusion holds when all three parts do.
     """
 
-    R: tuple[int, ...]
-    in_kernel: bool
-    nu_R: int
-    nu_parity_of_U: bool
-    conclusion: bool
+    def __init__(self, R: tuple[int, ...], in_kernel: bool, nu_R: int,
+                 nu_parity_of_U: bool, conclusion: bool):
+        self.__dict__.update(R=R, in_kernel=in_kernel, nu_R=nu_R,
+                             nu_parity_of_U=nu_parity_of_U,
+                             conclusion=conclusion)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.R, self.in_kernel, self.nu_R, self.nu_parity_of_U,
+                self.conclusion) == \
+            (other.R, other.in_kernel, other.nu_R, other.nu_parity_of_U,
+             other.conclusion)
+
+    def __hash__(self):
+        return hash((self.R, self.in_kernel, self.nu_R, self.nu_parity_of_U,
+                     self.conclusion))
 
 
 def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,

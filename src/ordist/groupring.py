@@ -26,10 +26,9 @@ cosets are the fibres of the transition.  The main constructions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import index
 
-from . import OrdistError
+from . import OrdistError, _Frozen
 from .quadfield import Modulus, OIdeal
 from .rayclass import RayClassGroup, Subgroup, ray_class_group
 from .zlinalg import AbGroup, CSRMatrix, cokernel
@@ -40,8 +39,7 @@ class NotCoprimeToW(OrdistError):
     prefix = "hypothesis failure: "
 
 
-@dataclass(frozen=True, eq=False)
-class GroupRingElt:
+class GroupRingElt(_Frozen):
     """The element num / den of Q[G], G finite.
 
     num is one integer numerator per element of G in index order, a
@@ -50,28 +48,23 @@ class GroupRingElt:
     denominators.
     """
 
-    group: AbGroup
-    num: tuple[int, ...]
-    den: int = 1
-
-    def __post_init__(self):
+    def __init__(self, group: AbGroup, num: tuple[int, ...], den: int = 1):
         try:
-            num = tuple(map(index, self.num))
+            num = tuple(map(index, num))
         except TypeError:
             raise OrdistError("numerators must be integers") from None
-        if len(num) != self.group.order:
+        if len(num) != group.order:
             raise OrdistError(
                 f"{len(num)} numerators do not fit a group of order "
-                f"{self.group.order}")
-        den = index(self.den)
+                f"{group.order}")
+        den = index(den)
         if den < 1:
             raise OrdistError(f"denominator {den} is not positive")
         # over den = 1 there is nothing to reduce
         g = math.gcd(den, *num) if den > 1 else 1
         if g > 1 and any(num):  # a zero num has g = den and stays
             num = tuple(x // g for x in num)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den // g)
+        self.__dict__.update(group=group, num=num, den=den // g)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElt):

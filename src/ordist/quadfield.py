@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
 
-from . import OrdistError
+from . import OrdistError, _Frozen
 
 
 class NotSquarefree(OrdistError):
@@ -286,25 +285,29 @@ def splitting_type(K: QuadField, p: int):
 # ---------------------------------------------------------------------------
 # ideals
 
-@dataclass(frozen=True)
-class OIdeal:
+class OIdeal(_Frozen):
     """Integral ideal content * (a Z + ((b + sqrt(D))/2) Z).
 
     b lies in [0, 2a) with b^2 = D mod 4a; the primitive part has norm a.
     """
 
-    field: QuadField
-    content: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.content < 1 or self.a < 1:
+    def __init__(self, field: QuadField, content: int, a: int, b: int):
+        if content < 1 or a < 1:
             raise OrdistError("ideal must be nonzero and integral")
-        if not (0 <= self.b < 2 * self.a):
+        if not (0 <= b < 2 * a):
             raise OrdistError("b out of canonical range")
-        if (self.b * self.b - self.field.disc) % (4 * self.a):
+        if (b * b - field.disc) % (4 * a):
             raise OrdistError("b^2 must be D modulo 4a")
+        self.__dict__.update(field=field, content=content, a=a, b=b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.content, self.a, self.b) == \
+            (other.field, other.content, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.field, self.content, self.a, self.b))
 
     def norm(self) -> int:
         return self.content * self.content * self.a
@@ -356,7 +359,7 @@ class OIdeal:
             out = out.multiply(self)
         return out
 
-    def is_principal_generator(self) -> Optional[tuple[int, int]]:
+    def is_principal_generator(self) -> tuple[int, int] | None:
         """Generator as (x, y) with I = ((x + y sqrt(D))/2), if principal."""
         K = self.field
         if K.form_of_ideal(self) != K.principal_form():
@@ -458,17 +461,14 @@ def _residue_reduce(n_ideal: OIdeal, u):
 # ---------------------------------------------------------------------------
 # moduli
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(_Frozen):
     """A formal product of distinct prime ideals with positive exponents."""
 
-    field: QuadField
-    primes: tuple[tuple[OIdeal, int], ...]
-
-    def __post_init__(self):
+    def __init__(self, field: QuadField,
+                 primes: tuple[tuple[OIdeal, int], ...]):
         seen = set()
-        for p, e in self.primes:
-            if p.field != self.field:
+        for p, e in primes:
+            if p.field != field:
                 raise FieldMismatch("modulus prime from a different field")
             if e < 1:
                 raise OrdistError("modulus exponents must be positive")
@@ -478,9 +478,16 @@ class Modulus:
             if key in seen:
                 raise OrdistError("modulus primes must be distinct")
             seen.add(key)
-        canon = tuple(sorted(self.primes,
-                             key=lambda pe: (pe[0].norm(), pe[0].b)))
-        object.__setattr__(self, "primes", canon)
+        canon = tuple(sorted(primes, key=lambda pe: (pe[0].norm(), pe[0].b)))
+        self.__dict__.update(field=field, primes=canon)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.primes) == (other.field, other.primes)
+
+    def __hash__(self):
+        return hash((self.field, self.primes))
 
     @staticmethod
     def one(K: QuadField) -> "Modulus":

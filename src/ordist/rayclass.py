@@ -27,9 +27,7 @@ frame element whose order drops by the l-part of w_K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import OrdistError
+from . import OrdistError, _Frozen
 from .quadfield import (
     Modulus,
     ModulusTooLarge,
@@ -72,23 +70,19 @@ class FrameUnavailable(OrdistError):
 # ---------------------------------------------------------------------------
 # subgroups of a finite abelian group, carried as masks over its indices
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup as one immutable 0/1 mask (bytes) over the mixed-radix
     indices of the ambient group, 1 on the members.  The constructor
     takes any sequence of truth values, and checks the length and that
     the identity, index 0, is in."""
 
-    ambient: AbGroup
-    mask: bytes
-
-    def __post_init__(self):
-        mask = bytes(map(bool, self.mask))
-        if len(mask) != self.ambient.order or not mask[0]:
+    def __init__(self, ambient: AbGroup, mask: bytes):
+        mask = bytes(map(bool, mask))
+        if len(mask) != ambient.order or not mask[0]:
             raise OrdistError(
-                f"a subgroup mask needs {self.ambient.order} entries, "
+                f"a subgroup mask needs {ambient.order} entries, "
                 f"with the identity at index 0")
-        object.__setattr__(self, "mask", mask)
+        self.__dict__.update(ambient=ambient, mask=mask)
 
     @staticmethod
     def generated(ambient: AbGroup, gens) -> "Subgroup":
@@ -540,19 +534,31 @@ def ray_class_group(K: QuadField, n: Modulus) -> RayClassGroup:
 # ---------------------------------------------------------------------------
 # the tau-frame over the Hilbert class field
 
-@dataclass(frozen=True)
-class GaloisOverH:
-    ray: RayClassGroup
-    ell: int
-    r: int
-    primes: tuple[OIdeal, ...]
-    gamma: Subgroup
-    g_prime: Subgroup
-    g_ell: Subgroup
-    inertia_ell: tuple[Subgroup, ...]
-    g: tuple[int, ...]
-    taus: tuple[tuple[int, ...], ...]
-    j: tuple[int, ...]
+class GaloisOverH(_Frozen):
+    def __init__(self, ray: RayClassGroup, ell: int, r: int,
+                 primes: tuple[OIdeal, ...], gamma: Subgroup,
+                 g_prime: Subgroup, g_ell: Subgroup,
+                 inertia_ell: tuple[Subgroup, ...], g: tuple[int, ...],
+                 taus: tuple[tuple[int, ...], ...], j: tuple[int, ...]):
+        self.__dict__.update(
+            ray=ray, ell=ell, r=r, primes=primes, gamma=gamma,
+            g_prime=g_prime, g_ell=g_ell, inertia_ell=inertia_ell, g=g,
+            taus=taus, j=j)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ray, self.ell, self.r, self.primes, self.gamma,
+                self.g_prime, self.g_ell, self.inertia_ell, self.g,
+                self.taus, self.j) == \
+            (other.ray, other.ell, other.r, other.primes, other.gamma,
+             other.g_prime, other.g_ell, other.inertia_ell, other.g,
+             other.taus, other.j)
+
+    def __hash__(self):
+        return hash((self.ray, self.ell, self.r, self.primes, self.gamma,
+                     self.g_prime, self.g_ell, self.inertia_ell, self.g,
+                     self.taus, self.j))
 
 
 def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:

@@ -28,12 +28,11 @@ re-verifies the Smith form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import cached_property
 from operator import index
-from typing import Callable, Sequence
 
-from . import OrdistError
+from . import OrdistError, _Frozen
 from .quadfield import _xgcd
 
 
@@ -60,24 +59,20 @@ def _ints(seq) -> tuple[int, ...]:
         raise LinalgError("matrix entries must be integers") from None
 
 
-@dataclass(frozen=True, eq=False)
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Immutable integer matrix: entries is the tuple of its rows, each a
     tuple of Python ints.  cols defaults to the length of the first row
     (0 without rows)."""
 
-    entries: tuple[tuple[int, ...], ...]
-    cols: int = None
-
-    def __post_init__(self):
-        rows = tuple(map(_ints, self.entries))
-        cols = len(rows[0]) if self.cols is None and rows else self.cols or 0
+    def __init__(self, entries: tuple[tuple[int, ...], ...],
+                 cols: int | None = None):
+        rows = tuple(map(_ints, entries))
+        cols = len(rows[0]) if cols is None and rows else cols or 0
         if cols < 0:
             raise LinalgError("negative matrix dimensions")
         if any(len(r) != cols for r in rows):
             raise LinalgError("column count mismatch")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "cols", cols)
+        self.__dict__.update(entries=rows, cols=cols)
 
     @property
     def rows(self) -> int:
@@ -125,8 +120,7 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True, eq=False)
-class CSRMatrix:
+class CSRMatrix(_Frozen):
     """Immutable integer matrix in compressed sparse row form.
 
     Row i has the entries data[indptr[i]:indptr[i + 1]] in the columns
@@ -135,13 +129,11 @@ class CSRMatrix:
     three sequences as tuples of Python ints and checks them.
     """
 
-    indptr: tuple[int, ...]
-    indices: tuple[int, ...]
-    data: tuple[int, ...]
-    cols: int
-
-    def __post_init__(self):
-        ptr, idx, val = map(_ints, (self.indptr, self.indices, self.data))
+    def __init__(self, indptr: tuple[int, ...], indices: tuple[int, ...],
+                 data: tuple[int, ...], cols: int):
+        ptr, idx, val = map(_ints, (indptr, indices, data))
+        if cols < 0:
+            raise LinalgError("negative matrix dimensions")
         if not ptr or ptr[0] != 0 or ptr[-1] != len(idx) \
                 or len(val) != len(idx) \
                 or any(a > b for a, b in zip(ptr, ptr[1:])):
@@ -149,11 +141,10 @@ class CSRMatrix:
         # within a row the columns ascend; a row start may step back
         descents = {k for k, (a, b) in enumerate(zip(idx, idx[1:]), 1)
                     if b <= a}
-        if idx and (min(idx) < 0 or max(idx) >= self.cols) \
+        if idx and (min(idx) < 0 or max(idx) >= cols) \
                 or not descents <= set(ptr) or not all(val):
             raise LinalgError("bad sparse row entries")
-        for name, seq in (("indptr", ptr), ("indices", idx), ("data", val)):
-            object.__setattr__(self, name, seq)
+        self.__dict__.update(indptr=ptr, indices=idx, data=val, cols=cols)
 
     @staticmethod
     def from_dense(rows, cols: int | None = None) -> "CSRMatrix":
@@ -543,19 +534,16 @@ def _shifted_indices(factors, g) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class AbGroup:
+class AbGroup(_Frozen):
     """Finitely generated abelian group in invariant factor form.
 
     invariant_factors is (d_1, ..., d_k) with d_i | d_{i+1}, no d_i = 1,
     and 0 encoding an infinite cyclic factor (zeros come last).
     """
 
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, invariant_factors: tuple[int, ...]):
         prev = None
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d == 1 or d < 0:
                 raise LinalgError(f"bad invariant factor {d}")
             if prev is not None and prev != 0:
@@ -564,6 +552,15 @@ class AbGroup:
             if prev == 0 and d != 0:
                 raise LinalgError("free factors must come last")
             prev = d
+        self.__dict__.update(invariant_factors=invariant_factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.invariant_factors,) == (other.invariant_factors,)
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -653,8 +650,7 @@ class AbGroup:
         return _shifted_indices(self.invariant_factors, g)
 
 
-@dataclass(frozen=True)
-class AbHom:
+class AbHom(_Frozen):
     """Homomorphism between finite abelian groups in invariant coordinates.
 
     matrix has one row per domain invariant; the image of x is x @ matrix
@@ -662,22 +658,29 @@ class AbHom:
     d_i * row_i must vanish in the codomain.
     """
 
-    domain: AbGroup
-    codomain: AbGroup
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        kd = len(self.domain.invariant_factors)
-        kc = len(self.codomain.invariant_factors)
-        if len(self.matrix) != kd or any(len(r) != kc for r in self.matrix):
+    def __init__(self, domain: AbGroup, codomain: AbGroup,
+                 matrix: tuple[tuple[int, ...], ...]):
+        kd = len(domain.invariant_factors)
+        kc = len(codomain.invariant_factors)
+        if len(matrix) != kd or any(len(r) != kc for r in matrix):
             raise LinalgError("homomorphism matrix has wrong shape")
-        for d, row in zip(self.domain.invariant_factors, self.matrix):
-            for v, dc in zip(row, self.codomain.invariant_factors):
+        for d, row in zip(domain.invariant_factors, matrix):
+            for v, dc in zip(row, codomain.invariant_factors):
                 if dc == 0:
                     if d != 0 and d * v != 0:
                         raise LinalgError("map not well defined on torsion")
                 elif d != 0 and (d * v) % dc:
                     raise LinalgError("map not well defined")
+        self.__dict__.update(domain=domain, codomain=codomain, matrix=matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.codomain, self.matrix) == \
+            (other.domain, other.codomain, other.matrix)
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.matrix))
 
     def apply(self, a) -> tuple[int, ...]:
         kc = len(self.codomain.invariant_factors)

@@ -3,8 +3,10 @@
 A field, its primes and ideals, `ordist field`, `ordist search` and every
 cache hit need only the standard library, the package root, cli and
 quadfield; the computing layers load when a command computes, and no
-command and no library call loads numpy.  Each footprint is read in a
-child interpreter, since this one has imported everything long ago.
+command and no library call loads numpy.  No command loads dataclasses
+or inspect, and only a call with a cache directory loads hashlib.  Each
+footprint is read in a child interpreter, since this one has imported
+everything long ago.
 """
 
 import json
@@ -67,16 +69,27 @@ MOVED = {"residue_units": "rayclass", "HypothesisFailed": "quadfield",
          "search_torsex": "quadfield"}
 
 
-def _footprint(code: str) -> dict:
-    """Run code in a child interpreter; its stderr and the HEAVY modules
-    it left in sys.modules."""
-    probe = (code + "\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+def _child(code: str) -> tuple[set[str], str]:
+    """Run code in a child interpreter: the modules it left in
+    sys.modules, and its stderr."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": SRC}
     r = subprocess.run([sys.executable, "-c", probe], env=env,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    return {"heavy": json.loads(r.stdout.splitlines()[-1]), "err": r.stderr}
+    return set(json.loads(r.stdout.splitlines()[-1])), r.stderr
+
+
+def _footprint(code: str) -> dict:
+    """The HEAVY modules that code loads in a child, and its stderr."""
+    loaded, err = _child(code)
+    return {"heavy": [m for m in HEAVY if m in loaded], "err": err}
+
+
+def _added(code: str) -> set[str]:
+    """What code loads in a child beyond a bare interpreter, whose site
+    hooks may preload modules of their own."""
+    return _child(code)[0] - _child("pass")[0]
 
 
 def _main(*argv) -> str:
@@ -166,3 +179,30 @@ def test_package_exports_resolve_lazily():
     for name in DROPPED | {"no_such_name"}:
         with pytest.raises(AttributeError):
             getattr(ordist, name)
+
+
+# the calls of the commands, with their cache directory (if any) last
+START_UP_CALLS = {
+    "field": ("field", "-d", "7", "--no-cache"),
+    "search": ("search", "-d", "15", "-B", "80", "--no-cache"),
+    "torsion-hit": ("torsion", "-d", "7", "-m", "p:11", "--cache-dir"),
+    "torsion": ("torsion", "-d", "7", "-m", "p:7,p:11:0,p:23:0",
+                "--no-cache"),
+    "certify": ("certify", "-d", "7", "-p", "7", "-p", "11", "-p", "23",
+                "--no-cache"),
+    "toralg-sweep": ("toralg-sweep", "--no-cache"),
+}
+
+
+@pytest.mark.parametrize("name", list(START_UP_CALLS))
+def test_commands_load_no_dataclasses_and_hash_only_with_a_cache(
+        name, tmp_path, capsys):
+    argv = list(START_UP_CALLS[name])
+    if argv[-1] == "--cache-dir":
+        argv.append(str(tmp_path))
+        assert cli.main(argv) == 0  # fill the cache: the child hits it
+        capsys.readouterr()
+    added = _added(_main(*argv))
+    assert "ordist.cli" in added
+    assert not {"dataclasses", "inspect"} & added
+    assert ("hashlib" in added) == ("--no-cache" not in argv)

@@ -576,6 +576,8 @@ def test_csr_matrix_round_trips_and_rejects_bad_rows():
                           ([1, 1], [0], [1])):  # not starting at 0
         with pytest.raises(LinalgError):
             CSRMatrix(ptr, idx, val, 2)
+    with pytest.raises(LinalgError, match="negative matrix dimensions"):
+        CSRMatrix((0, 0), (), (), -3)  # one empty row, -3 columns
     # a row may start at a smaller column than the last row ended
     assert CSRMatrix([0, 1, 2], [1, 0], [1, 1], 2).entries == ((0, 1), (1, 0))
 
