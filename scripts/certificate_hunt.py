@@ -13,23 +13,17 @@ Usage: python scripts/certificate_hunt.py --max-d 20 --norm-bound 40
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from ordist.distribution import torsex_certificate
 from ordist.quadfield import HypothesisFailed, Modulus, NotSquarefree, \
     make_field, search_torsex
 
 
-@dataclass
-class HuntConfig:
-    max_d: int = 20
-    norm_bound: int = 40
-    per_field: int = 3
-
-
-def hunt(cfg: HuntConfig) -> int:
+def hunt(args: argparse.Namespace) -> int:
+    """Certify up to args.per_field triples of norm at most
+    args.norm_bound for each field with d up to args.max_d."""
     verified = 0
-    for d in range(1, cfg.max_d + 1):
+    for d in range(1, args.max_d + 1):
         try:
             K = make_field(d)
         except NotSquarefree:
@@ -37,12 +31,12 @@ def hunt(cfg: HuntConfig) -> int:
         if K.w_K != 2:
             print(f"d={d:<3} skipped: w = {K.w_K}")
             continue
-        triples = search_torsex(K, cfg.norm_bound)
+        triples = search_torsex(K, args.norm_bound)
         if not triples:
             print(f"d={d:<3} no admissible triple up to norm "
-                  f"{cfg.norm_bound} (h = {K.h})")
+                  f"{args.norm_bound} (h = {K.h})")
             continue
-        for trio in triples[:cfg.per_field]:
+        for trio in triples[:args.per_field]:
             m = Modulus(K, tuple((p, 1) for p in trio))
             t0 = time.time()
             try:
@@ -65,9 +59,7 @@ def main(argv=None) -> int:
     ap.add_argument("--norm-bound", type=int, default=40)
     ap.add_argument("--per-field", type=int, default=3,
                     help="certify at most this many triples per field")
-    args = ap.parse_args(argv)
-    return hunt(HuntConfig(max_d=args.max_d, norm_bound=args.norm_bound,
-                           per_field=args.per_field))
+    return hunt(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -15,20 +15,11 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 from ordist.distribution import build_presentation, level_torsion, \
     torsion_bound
 from ordist.groupring import NotCoprimeToW
 from ordist.quadfield import Modulus, ModulusTooLarge, _is_prime, make_field
-
-
-@dataclass
-class SurveyConfig:
-    fields: list[int] = field(default_factory=lambda: [7])
-    norm_bound: int = 24
-    max_primes: int = 3
-    max_group: int = 2000
 
 
 def admissible_primes(K, bound):
@@ -43,15 +34,18 @@ def admissible_primes(K, bound):
     return out
 
 
-def survey(cfg: SurveyConfig) -> int:
-    for d in cfg.fields:
+def survey(args: argparse.Namespace) -> int:
+    """Print the levels of each field in args.fields, built from up to
+    args.max_primes primes of norm at most args.norm_bound, whose ray
+    class group has order at most args.max_group."""
+    for d in args.fields:
         K = make_field(d)
-        primes = admissible_primes(K, cfg.norm_bound)
+        primes = admissible_primes(K, args.norm_bound)
         print(f"\nQ(sqrt(-{d}))  disc {K.disc}  h {K.h}  w {K.w_K}  "
               f"usable primes {[p.norm() for p in primes]}")
         print(f"{'modulus':<24}{'gens':>6}{'rels':>6}{'rank':>6}"
               f"{'torsion':>10}{'exp|':>6}{'ord|':>6}{'sec':>7}")
-        for k in range(1, cfg.max_primes + 1):
+        for k in range(1, args.max_primes + 1):
             for combo in itertools.combinations(primes, k):
                 if len({p.rational_prime() for p in combo}) < k:
                     continue
@@ -61,7 +55,7 @@ def survey(cfg: SurveyConfig) -> int:
                     P = build_presentation(K, m)
                 except ModulusTooLarge:
                     continue
-                if P.ray(m).group.order > cfg.max_group:
+                if P.ray(m).group.order > args.max_group:
                     continue
                 tor = level_torsion(P)
                 try:
@@ -86,11 +80,8 @@ def main(argv=None) -> int:
     ap.add_argument("--max-group", type=int, default=2000,
                     help="skip levels whose ray group exceeds this order")
     args = ap.parse_args(argv)
-    cfg = SurveyConfig(fields=args.fields or [7],
-                       norm_bound=args.norm_bound,
-                       max_primes=args.max_primes,
-                       max_group=args.max_group)
-    return survey(cfg)
+    args.fields = args.fields or [7]
+    return survey(args)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ library.
 """
 
 from importlib import import_module as _import_module
+from operator import attrgetter as _attrgetter
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,25 @@ class _Frozen:
     """Base of the immutable value classes: their __init__ fills the
     instance __dict__, and assigning or deleting an attribute later
     raises AttributeError.  Caches computed on first use are written
-    into the __dict__ as well."""
+    into the __dict__ as well.
+
+    Each subclass names its fields in _fields.  Equality and hashing
+    come from here: two instances are equal when their classes are the
+    same and their field values are equal in that order, another class
+    gets NotImplemented, and the hash is that of the field values (of
+    the one value for a single field).  A subclass that must not be
+    hashed sets __hash__ = None."""
+
+    def __init_subclass__(cls):
+        cls._key = _attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,7 +83,7 @@ _EXPORTS = {
     "quadfield": (
         "FieldMismatch", "HypothesisFailed", "Modulus", "ModulusTooLarge",
         "NotPrime", "NotSquarefree", "OIdeal", "QuadField", "make_field",
-        "search_torsex", "splitting_type",
+        "search_torsex",
     ),
     "rayclass": (
         "FrameUnavailable", "GaloisOverH", "NotCoprime", "NotDivisor",

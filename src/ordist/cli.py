@@ -15,8 +15,8 @@ Besides the package root, cli and quadfield, which every command loads:
 loads rayclass and zlinalg; `torsion` and `certify` load distribution,
 groupring, rayclass and zlinalg; `toralg-sweep` loads cohomology,
 groupring, rayclass and zlinalg.  The value classes of the package are
-plain classes, so no command loads inspect or ast; hashlib loads only
-to key a cache entry, so `--no-cache` never loads it.
+plain classes, so no command loads inspect or ast; hashlib and pathlib
+load only for a cache directory, so `--no-cache` never loads them.
 
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
@@ -38,7 +38,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from . import OrdistError, __version__
 from .quadfield import Modulus, QuadField, make_field
@@ -114,9 +113,10 @@ def _cache_key(command: str, d: int, spec: str) -> str:
 
 
 class Cache:
-    """Advisory-locked directory of manifests and text matrices."""
+    """Advisory-locked directory of manifests and text matrices; root is
+    a pathlib.Path, or None without a cache."""
 
-    def __init__(self, root: Path | None):
+    def __init__(self, root):
         self.root = root
 
     def _lock(self, exclusive: bool):
@@ -333,7 +333,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "text"),
                        default="json", dest="fmt")
         p.add_argument("-v", "--verbose", action="count", default=0)
-        p.add_argument("--cache-dir", type=Path, default=None)
+        p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("field", help="class number and unit count")
@@ -364,15 +364,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cache_dir(args) -> Path | None:
-    """--cache-dir, else $ORDIST_CACHE; None with --no-cache."""
-    if args.no_cache:
+def _cache_dir(args):
+    """The pathlib.Path of --cache-dir, else of $ORDIST_CACHE; None with
+    --no-cache.  pathlib loads only here, when there is a cache."""
+    root = args.cache_dir
+    if root is None:
+        root = os.environ.get("ORDIST_CACHE") or None
+    if args.no_cache or root is None:
         return None
-    if args.cache_dir is not None:
-        return args.cache_dir
-    if os.environ.get("ORDIST_CACHE"):
-        return Path(os.environ["ORDIST_CACHE"])
-    return None
+    import pathlib
+    return pathlib.Path(root)
 
 
 def _emit(payload: dict, fmt: str) -> None:

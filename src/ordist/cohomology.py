@@ -60,6 +60,8 @@ class CyclicModule(_Frozen):
     order when the action is not faithful).
     """
 
+    _fields = ("module", "t_action", "order")
+
     def __init__(self, module: AbGroup, t_action: AbHom, order: int):
         self.__dict__.update(module=module, t_action=t_action, order=order)
         if self.order < 1:
@@ -84,15 +86,6 @@ class CyclicModule(_Frozen):
                 base = _reduced_product(base, base, inv)
         if power != identity:
             raise ValueError("declared power of the action is not the identity")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.module, self.t_action, self.order) == \
-            (other.module, other.t_action, other.order)
-
-    def __hash__(self):
-        return hash((self.module, self.t_action, self.order))
 
 
 def _lattice_preimage(map_rows, rel_rows, ambient: int):
@@ -229,6 +222,8 @@ class SylowFrameSynthetic(_Frozen):
     their mixed-radix index, the last residue running fastest.
     """
 
+    _fields = ("ell", "g", "r")
+
     def __init__(self, ell: int, g: tuple[int, ...], r: int):
         # the checks below read the properties of the fields
         self.__dict__.update(ell=ell, g=tuple(int(x) for x in g), r=r)
@@ -248,14 +243,6 @@ class SylowFrameSynthetic(_Frozen):
             raise ValueError("ell**r must divide the last order")
         if self.m >= 2 and _porder(self.moduli, self.j) != self.g[-1]:
             raise ValueError("composite element does not recover the last order")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ell, self.g, self.r) == (other.ell, other.g, other.r)
-
-    def __hash__(self):
-        return hash((self.ell, self.g, self.r))
 
     @property
     def m(self) -> int:

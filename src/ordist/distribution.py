@@ -516,23 +516,13 @@ class TorsionCertificate(_Frozen):
     conclusion holds when all three parts do.
     """
 
+    _fields = ("R", "in_kernel", "nu_R", "nu_parity_of_U", "conclusion")
+
     def __init__(self, R: tuple[int, ...], in_kernel: bool, nu_R: int,
                  nu_parity_of_U: bool, conclusion: bool):
         self.__dict__.update(R=R, in_kernel=in_kernel, nu_R=nu_R,
                              nu_parity_of_U=nu_parity_of_U,
                              conclusion=conclusion)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.R, self.in_kernel, self.nu_R, self.nu_parity_of_U,
-                self.conclusion) == \
-            (other.R, other.in_kernel, other.nu_R, other.nu_parity_of_U,
-             other.conclusion)
-
-    def __hash__(self):
-        return hash((self.R, self.in_kernel, self.nu_R, self.nu_parity_of_U,
-                     self.conclusion))
 
 
 def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,

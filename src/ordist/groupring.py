@@ -48,6 +48,9 @@ class GroupRingElt(_Frozen):
     denominators.
     """
 
+    _fields = ("group", "den", "num")
+    __hash__ = None
+
     def __init__(self, group: AbGroup, num: tuple[int, ...], den: int = 1):
         try:
             num = tuple(map(index, num))
@@ -65,12 +68,6 @@ class GroupRingElt(_Frozen):
         if g > 1 and any(num):  # a zero num has g = den and stays
             num = tuple(x // g for x in num)
         self.__dict__.update(group=group, num=num, den=den // g)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupRingElt):
-            return NotImplemented
-        return (self.group, self.den, self.num) == \
-            (other.group, other.den, other.num)
 
 
 def trace(X, group: AbGroup | None = None) -> GroupRingElt:

@@ -278,10 +278,6 @@ def make_field(d: int) -> QuadField:
     return QuadField(d)
 
 
-def splitting_type(K: QuadField, p: int):
-    return K.splitting_type(p)
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -291,6 +287,8 @@ class OIdeal(_Frozen):
     b lies in [0, 2a) with b^2 = D mod 4a; the primitive part has norm a.
     """
 
+    _fields = ("field", "content", "a", "b")
+
     def __init__(self, field: QuadField, content: int, a: int, b: int):
         if content < 1 or a < 1:
             raise OrdistError("ideal must be nonzero and integral")
@@ -299,15 +297,6 @@ class OIdeal(_Frozen):
         if (b * b - field.disc) % (4 * a):
             raise OrdistError("b^2 must be D modulo 4a")
         self.__dict__.update(field=field, content=content, a=a, b=b)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.content, self.a, self.b) == \
-            (other.field, other.content, other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.field, self.content, self.a, self.b))
 
     def norm(self) -> int:
         return self.content * self.content * self.a
@@ -321,15 +310,6 @@ class OIdeal(_Frozen):
         c = self.content
         bx, by = self.beta()
         return [(c * self.a, 0), (c * bx, c * by)]
-
-    def contains(self, u) -> bool:
-        x, y = u
-        c = self.content
-        if y % c:
-            return False
-        n = y // c
-        bx, _ = self.beta()
-        return (x - n * c * bx) % (c * self.a) == 0
 
     def multiply(self, other: "OIdeal") -> "OIdeal":
         if other.field != self.field:
@@ -464,6 +444,8 @@ def _residue_reduce(n_ideal: OIdeal, u):
 class Modulus(_Frozen):
     """A formal product of distinct prime ideals with positive exponents."""
 
+    _fields = ("field", "primes")
+
     def __init__(self, field: QuadField,
                  primes: tuple[tuple[OIdeal, int], ...]):
         seen = set()
@@ -480,14 +462,6 @@ class Modulus(_Frozen):
             seen.add(key)
         canon = tuple(sorted(primes, key=lambda pe: (pe[0].norm(), pe[0].b)))
         self.__dict__.update(field=field, primes=canon)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.primes) == (other.field, other.primes)
-
-    def __hash__(self):
-        return hash((self.field, self.primes))
 
     @staticmethod
     def one(K: QuadField) -> "Modulus":

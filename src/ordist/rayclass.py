@@ -76,6 +76,9 @@ class Subgroup(_Frozen):
     takes any sequence of truth values, and checks the length and that
     the identity, index 0, is in."""
 
+    _fields = ("ambient", "mask")
+    __hash__ = None
+
     def __init__(self, ambient: AbGroup, mask: bytes):
         mask = bytes(map(bool, mask))
         if len(mask) != ambient.order or not mask[0]:
@@ -95,11 +98,6 @@ class Subgroup(_Frozen):
     @staticmethod
     def whole(ambient: AbGroup) -> "Subgroup":
         return Subgroup(ambient, b"\x01" * ambient.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.ambient == other.ambient and self.mask == other.mask
 
     def members(self) -> list[int]:
         """The indices of the members, ascending."""
@@ -177,9 +175,6 @@ class Subgroup(_Frozen):
                 group, tuple(members[i] for i in bfs),
                 tuple(coords[i] for i in bfs), reps))
         return self.__dict__["_structure"]
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.as_group()[0].invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +335,17 @@ class RayClassGroup:
              for i, m in enumerate(inv)]
         return orders, IntMatrix.from_rows(stack, len(inv))
 
+    def _class_product(self, exps) -> OIdeal:
+        """prod q_j^exps over the class primes (exps >= 0)."""
+        I = self.field.unit_ideal()
+        for q, e in zip(self.class_primes, exps):
+            I = I.multiply(q.pow(e))
+        return I
+
     def _principal_word(self, exps):
         """dlog of the residue of a generator of prod q_j^exps (exps >= 0,
         the product must be principal)."""
-        K = self.field
-        I = K.unit_ideal()
-        for q, e in zip(self.class_primes, exps):
-            I = I.multiply(q.pow(e))
-        g = I.is_principal_generator()
+        g = self._class_product(exps).is_principal_generator()
         if g is None:
             raise OrdistError("a class-prime kernel product is not principal")
         return self._residue_word(g)
@@ -435,20 +433,11 @@ class RayClassGroup:
             x = [sol[i] % orders[i] for i in range(s)]
             z = [(-xi) % o for xi, o in zip(x, orders)]
             # a*B and J*B are principal for J = prod q^x, B = prod q^z
-            B = K.unit_ideal()
-            for q, e in zip(self.class_primes, z):
-                B = B.multiply(q.pow(e))
-            g1 = a.multiply(B).is_principal_generator()
-            if g1 is None:
+            g = a.multiply(self._class_product(z)).is_principal_generator()
+            if g is None:
                 raise OrdistError("a * B is not principal")
-            w1 = self._residue_word(g1)
-            JB = K.unit_ideal()
-            for q, e1, e2 in zip(self.class_primes, x, z):
-                JB = JB.multiply(q.pow(e1 + e2))
-            g2 = JB.is_principal_generator()
-            if g2 is None:
-                raise OrdistError("J * B is not principal")
-            w2 = self._residue_word(g2)
+            w1 = self._residue_word(g)
+            w2 = self._principal_word([e1 + e2 for e1, e2 in zip(x, z)])
             word = [u - v for u, v in zip(w1, w2)] + x
         out = self.word_to_coords(word)
         self._artin_cache[key] = out
@@ -535,6 +524,9 @@ def ray_class_group(K: QuadField, n: Modulus) -> RayClassGroup:
 # the tau-frame over the Hilbert class field
 
 class GaloisOverH(_Frozen):
+    _fields = ("ray", "ell", "r", "primes", "gamma", "g_prime", "g_ell",
+               "inertia_ell", "g", "taus", "j")
+
     def __init__(self, ray: RayClassGroup, ell: int, r: int,
                  primes: tuple[OIdeal, ...], gamma: Subgroup,
                  g_prime: Subgroup, g_ell: Subgroup,
@@ -544,21 +536,6 @@ class GaloisOverH(_Frozen):
             ray=ray, ell=ell, r=r, primes=primes, gamma=gamma,
             g_prime=g_prime, g_ell=g_ell, inertia_ell=inertia_ell, g=g,
             taus=taus, j=j)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ray, self.ell, self.r, self.primes, self.gamma,
-                self.g_prime, self.g_ell, self.inertia_ell, self.g,
-                self.taus, self.j) == \
-            (other.ray, other.ell, other.r, other.primes, other.gamma,
-             other.g_prime, other.g_ell, other.inertia_ell, other.g,
-             other.taus, other.j)
-
-    def __hash__(self):
-        return hash((self.ray, self.ell, self.r, self.primes, self.gamma,
-                     self.g_prime, self.g_ell, self.inertia_ell, self.g,
-                     self.taus, self.j))
 
 
 def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:

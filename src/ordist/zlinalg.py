@@ -64,6 +64,8 @@ class IntMatrix(_Frozen):
     tuple of Python ints.  cols defaults to the length of the first row
     (0 without rows)."""
 
+    _fields = ("cols", "entries")
+
     def __init__(self, entries: tuple[tuple[int, ...], ...],
                  cols: int | None = None):
         rows = tuple(map(_ints, entries))
@@ -96,14 +98,6 @@ class IntMatrix(_Frozen):
         i, j = ij
         return self.entries[i][j]
 
-    def __eq__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return (self.cols, self.entries) == (other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.cols, self.entries))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)) or ((),) * self.cols,
                          self.rows)
@@ -128,6 +122,9 @@ class CSRMatrix(_Frozen):
     so equal matrices have equal tuples.  The constructor stores the
     three sequences as tuples of Python ints and checks them.
     """
+
+    _fields = ("cols", "indptr", "indices", "data")
+    __hash__ = None
 
     def __init__(self, indptr: tuple[int, ...], indices: tuple[int, ...],
                  data: tuple[int, ...], cols: int):
@@ -215,12 +212,6 @@ class CSRMatrix(_Frozen):
         lines = [f"{self.rows} {self.cols}"]
         lines += [" ".join(map(str, row)) for row in self._dense_rows()]
         return "\n".join(lines) + "\n"
-
-    def __eq__(self, other):
-        if not isinstance(other, CSRMatrix):
-            return NotImplemented
-        return (self.cols, self.indptr, self.indices, self.data) == \
-            (other.cols, other.indptr, other.indices, other.data)
 
 
 def _as_matrix(A, cols: int | None = None) -> IntMatrix:
@@ -408,18 +399,17 @@ def smith_coordinates(A, ambient: int
     return group, to, tuple(tuple(R_inv[i]) for i in keep)
 
 
-def snf_invariants(A, verify: bool | None = None) -> list[int]:
+def snf_invariants(A) -> list[int]:
     """Nonzero part of the Smith diagonal (no transforms kept).
 
-    For large matrices an independent pass recomputes the invariant
-    valuations at every prime dividing the result, by the sparse
-    elimination over Z/p^k, and raises LinalgError on disagreement.
+    For a matrix with a side over _VERIFY_DIM an independent pass
+    recomputes the invariant valuations at every prime dividing the
+    result, by the sparse elimination over Z/p^k, and raises LinalgError
+    on disagreement.
     """
     mat = _as_matrix(A)
     diag = _snf_core(list(map(list, mat.entries)))
-    if verify is None:
-        verify = max(mat.rows, mat.cols) > _VERIFY_DIM
-    if verify and diag:
+    if max(mat.rows, mat.cols) > _VERIFY_DIM and diag:
         for p in sorted(_prime_divisors(math.prod(d for d in diag if d))):
             want = [_val(d, p) for d in diag]
             got = _local_valuations(_as_sparse(mat), p, max(want) + 2)
@@ -541,6 +531,8 @@ class AbGroup(_Frozen):
     and 0 encoding an infinite cyclic factor (zeros come last).
     """
 
+    _fields = ("invariant_factors",)
+
     def __init__(self, invariant_factors: tuple[int, ...]):
         prev = None
         for d in invariant_factors:
@@ -553,14 +545,6 @@ class AbGroup(_Frozen):
                 raise LinalgError("free factors must come last")
             prev = d
         self.__dict__.update(invariant_factors=invariant_factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.invariant_factors,) == (other.invariant_factors,)
-
-    def __hash__(self):
-        return hash((self.invariant_factors,))
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -658,6 +642,8 @@ class AbHom(_Frozen):
     d_i * row_i must vanish in the codomain.
     """
 
+    _fields = ("domain", "codomain", "matrix")
+
     def __init__(self, domain: AbGroup, codomain: AbGroup,
                  matrix: tuple[tuple[int, ...], ...]):
         kd = len(domain.invariant_factors)
@@ -672,15 +658,6 @@ class AbHom(_Frozen):
                 elif d != 0 and (d * v) % dc:
                     raise LinalgError("map not well defined")
         self.__dict__.update(domain=domain, codomain=codomain, matrix=matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain, self.codomain, self.matrix) == \
-            (other.domain, other.codomain, other.matrix)
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.matrix))
 
     def apply(self, a) -> tuple[int, ...]:
         kc = len(self.codomain.invariant_factors)

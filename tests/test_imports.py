@@ -4,9 +4,9 @@ A field, its primes and ideals, `ordist field`, `ordist search` and every
 cache hit need only the standard library, the package root, cli and
 quadfield; the computing layers load when a command computes, and no
 command and no library call loads numpy.  No command loads dataclasses
-or inspect, and only a call with a cache directory loads hashlib.  Each
-footprint is read in a child interpreter, since this one has imported
-everything long ago.
+or inspect, and only a call with a cache directory loads hashlib or
+pathlib.  Each footprint is read in a child interpreter, since this one
+has imported everything long ago.
 """
 
 import json
@@ -27,7 +27,8 @@ HEAVY = ("numpy", "ordist.zlinalg", "ordist.distribution",
 
 # the public names of the package before its exports became lazy, by
 # defining module at that time; hnf, hnf_basis, and the group-ring
-# p_star, transfer and TraceIdeal were dropped since
+# p_star, transfer and TraceIdeal, and the quadfield splitting_type (the
+# method K.splitting_type stays) were dropped since
 OLD_EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
@@ -64,17 +65,18 @@ OLD_EXPORTS = {
         "torsion_bound",
     ),
 }
-DROPPED = {"hnf", "hnf_basis", "p_star", "transfer", "TraceIdeal"}
+DROPPED = {"hnf", "hnf_basis", "p_star", "transfer", "TraceIdeal",
+           "splitting_type"}
 MOVED = {"residue_units": "rayclass", "HypothesisFailed": "quadfield",
          "search_torsex": "quadfield"}
 
 
-def _child(code: str) -> tuple[set[str], str]:
-    """Run code in a child interpreter: the modules it left in
-    sys.modules, and its stderr."""
+def _child(code: str, *options: str) -> tuple[set[str], str]:
+    """Run code in a child interpreter started with options: the modules
+    it left in sys.modules, and its stderr."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": SRC}
-    r = subprocess.run([sys.executable, "-c", probe], env=env,
+    r = subprocess.run([sys.executable, *options, "-c", probe], env=env,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     return set(json.loads(r.stdout.splitlines()[-1])), r.stderr
@@ -206,3 +208,11 @@ def test_commands_load_no_dataclasses_and_hash_only_with_a_cache(
     assert "ordist.cli" in added
     assert not {"dataclasses", "inspect"} & added
     assert ("hashlib" in added) == ("--no-cache" not in argv)
+
+
+@pytest.mark.parametrize("name", ["field", "torsion"])
+def test_no_cache_calls_load_no_pathlib(name):
+    # python -S: the site hook of an installation may preload pathlib
+    loaded, _ = _child(_main(*START_UP_CALLS[name]), "-S")
+    assert "ordist.cli" in loaded
+    assert "pathlib" not in loaded

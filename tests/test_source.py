@@ -50,13 +50,39 @@ def test_mutant_patches_still_apply(monkeypatch):
         assert m.new != m.old and m.tests, m.name
 
 
+def _root(node: ast.expr) -> str | None:
+    """The name at the root of a dotted expression such as ordist.cli."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _reads(path: Path) -> set[str]:
-    """The names and attributes that the module at path reads; strings,
-    such as the export table of the package root, are not reads."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load)}
+    """The module-level names that the module at path reads: a name
+    load, a name it imports, or an attribute of a package or module
+    (ordist.make_field).  An attribute of anything else reads a method
+    or field, even where it shares the name of a module-level function
+    (K.splitting_type); strings, such as the export table of the
+    package root, are not reads."""
+    tree = ast.parse(path.read_text())
+    stems = {p.stem for p in SRC.glob("*.py")}
+    modules, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0]
+                           for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name in stems)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load) \
+                and _root(node.value) in modules:
+            read.add(node.attr)
+    return read
 
 
 def _readers() -> list[Path]:

@@ -32,7 +32,7 @@ from test_cohomology import _sweep_frames
 
 def _invariants(prereduce, mat):
     ones, rest = prereduce(mat)
-    return [1] * ones + snf_invariants(rest, verify=False)
+    return [1] * ones + snf_invariants(rest)
 
 
 def _same_as_dense(mat):

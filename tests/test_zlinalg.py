@@ -393,7 +393,10 @@ def matrices(max_dim=5):
 @settings(max_examples=60, deadline=None)
 @given(matrices(5))
 def test_snf_matches_minor_gcd_oracle(rows):
-    inv = snf_invariants(IntMatrix.from_rows(rows), verify=True)
+    import ordist.zlinalg as zl
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zl, "_VERIFY_DIM", 0)  # the self-check on every matrix
+        inv = snf_invariants(IntMatrix.from_rows(rows))
     assert inv == minor_gcd_invariants(rows, len(rows[0]))
 
 
@@ -451,7 +454,11 @@ def test_rational_kernel_saturation_and_exactness(rows):
     for v in ker:
         assert all(sum(r[j] * v[j] for j in range(amb)) == 0 for r in rows)
     if ker:
-        assert all(d == 1 for d in snf_invariants(IntMatrix.from_rows(ker), verify=True))
+        import ordist.zlinalg as zl
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zl, "_VERIFY_DIM", 0)
+            inv = snf_invariants(IntMatrix.from_rows(ker))
+        assert all(d == 1 for d in inv)
     nz = [r for r in rows if any(r)]
     rank = len(hnf_basis(nz)) if nz else 0
     assert len(ker) == amb - rank
@@ -507,9 +514,11 @@ def test_ab_discover_recovers_product_structure(moduli):
     assert len(dlog) == group.order
 
 
-def test_snf_modular_verification_pass_runs():
+def test_snf_modular_verification_pass_runs(monkeypatch):
+    import ordist.zlinalg as zl
     # force the verification path on a small matrix
-    inv = snf_invariants(IntMatrix.from_rows([[4, 0], [0, 90]]), verify=True)
+    monkeypatch.setattr(zl, "_VERIFY_DIM", 1)
+    inv = snf_invariants(IntMatrix.from_rows([[4, 0], [0, 90]]))
     assert inv == [2, 180]
 
 
@@ -537,8 +546,9 @@ def test_verification_detects_wrong_invariants(monkeypatch):
     orig = zl._local_valuations
     monkeypatch.setattr(zl, "_local_valuations",
                         lambda A, p, K: orig(A, p, K)[:-1])
+    monkeypatch.setattr(zl, "_VERIFY_DIM", 1)
     with pytest.raises(LinalgError):
-        snf_invariants(IntMatrix.from_rows([[4, 0], [0, 90]]), verify=True)
+        snf_invariants(IntMatrix.from_rows([[4, 0], [0, 90]]))
 
 
 def test_unit_prereduce_matches_plain_snf():
@@ -551,8 +561,8 @@ def test_unit_prereduce_matches_plain_snf():
         rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
         mat = IntMatrix.from_rows(rows, m)
         ones, rest = _unit_prereduce(mat)
-        fast = sorted([1] * ones + snf_invariants(rest, verify=False))
-        plain = sorted(snf_invariants(mat, verify=False))
+        fast = sorted([1] * ones + snf_invariants(rest))
+        plain = sorted(snf_invariants(mat))
         assert fast == plain, (trial, fast, plain)
 
 
@@ -613,7 +623,7 @@ def test_cokernel_fast_path_on_coset_style_matrix():
             row = [1 if i % step == start else 0 for i in range(n)]
             rows.append(row)
     mat = IntMatrix.from_rows(rows, n)
-    plain = snf_invariants(mat, verify=False)
+    plain = snf_invariants(mat)
     want = AbGroup(tuple(d for d in plain if d > 1)
                    + (0,) * (n - len(plain)))
     assert cokernel(mat, n) == want
@@ -633,7 +643,7 @@ def test_modular_rank_known_values():
 @settings(max_examples=60, deadline=None)
 def test_modular_rank_lower_bounds_rational_rank(rows):
     mat = IntMatrix.from_rows(rows, 3)
-    exact = len(snf_invariants(mat, verify=False))
+    exact = len(snf_invariants(mat))
     assert modular_rank(mat) <= exact
     # the default prime is far larger than any entry product here
     assert modular_rank(mat) == exact
@@ -679,7 +689,7 @@ def test_cokernel_matches_sympy(rows):
     assert got.torsion == tuple(d for d in factors if d > 1)
     assert got.rank == cols - len(factors)
     # the Smith elimination alone, without the unit pre-reduction
-    assert snf_invariants(mat, verify=False) == factors
+    assert snf_invariants(mat) == factors
 
 
 @given(_int_matrices(), st.sampled_from([2, 3, 5]))
@@ -760,8 +770,7 @@ def test_list_linalg_matches_numpy_reference(case):
     rows, cols = case
     mat = IntMatrix.from_rows(rows, cols)
     factors = _sympy_factors(rows) if rows else []
-    assert snf_invariants(mat, verify=False) == nl.snf_invariants(mat) \
-        == factors
+    assert snf_invariants(mat) == nl.snf_invariants(mat) == factors
     group, to, back = smith_coordinates(mat, cols)
     ref = nl.smith_coordinates(mat, cols)
     assert group == ref[0]
