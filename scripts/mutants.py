@@ -42,6 +42,7 @@ _RELATION_LEVELS = "tests/test_index_presentation.py::" \
     "test_relation_matrix_and_trace_rows_match_tuple_loops"
 _DIST = "tests/test_distribution.py::"
 _PREREDUCE = "tests/test_unit_prereduce.py::"
+_HUGE = "tests/test_cli.py::test_huge_modulus_exits_one_at_once"
 
 MUTANTS = (
     Mutant(
@@ -316,6 +317,64 @@ MUTANTS = (
         "            t = [(x * qa + k) % d for x in t for k in range(qa)]\n",
         (f"{_DIST}test_crt_character_count_matches_axis_dft[factors2]",
          f"{_DIST}test_rank_defect_is_caught"),
+    ),
+    # the cache's matrix text
+    Mutant(
+        "text-writer-drops-empty-rows",
+        "zlinalg.py",
+        "                  for cs, xs in self._row_items()]\n",
+        "                  for cs, xs in self._row_items() if cs]\n",
+        ("tests/test_zlinalg.py::test_text_round_trip",
+         "tests/test_zlinalg.py::test_text_format_is_column_value_pairs"),
+    ),
+    # moduli above the residue norm bound, and the cache directory
+    Mutant(
+        "presentation-walks-before-norm-check",
+        "distribution.py",
+        "        m.check_norm()  # before the walk: a huge exponent has many "
+        "divisors\n"
+        "        self.levels: tuple[Modulus, ...] = tuple(m.divisors())\n",
+        "        self.levels: tuple[Modulus, ...] = tuple(m.divisors())\n"
+        "        m.check_norm()\n",
+        (f"{_DIST}test_presentation_checks_the_norm_before_the_divisor_walk",),
+    ),
+    Mutant(
+        "norm-check-multiplies-out-huge-norms",
+        "quadfield.py",
+        "        if bits > _SHOWN_BITS:\n",
+        "        if bits < 0:\n",
+        ("tests/test_quadfield.py::"
+         "test_modulus_too_large_shows_only_a_short_norm",
+         f"{_HUGE}[exponent-rayclass]"),
+    ),
+    Mutant(
+        "parser-tests-primality-of-huge-prime",
+        "cli.py",
+        "    if q > RESIDUE_NORM_BOUND:\n",
+        "    if q > RESIDUE_NORM_BOUND and K.splitting_type(q):\n",
+        (f"{_HUGE}[prime-above-mr-bound]",),
+    ),
+    Mutant(
+        "parser-works-out-norm-of-any-prime",
+        "cli.py",
+        "        if q.bit_length() <= _SHOWN_BITS:\n",
+        "        if q:\n",
+        (f"{_HUGE}[prime-of-4300-digits]",),
+    ),
+    Mutant(
+        "parser-skips-modulus-norm-check",
+        "cli.py",
+        "    m.check_norm()  # before a cache lookup or a divisor walk\n",
+        "",
+        ("tests/test_cli.py::test_parser_refuses_a_large_norm_before_computing"
+         "[p:2:0:20-1048576]",),
+    ),
+    Mutant(
+        "empty-cache-dir-caches-here",
+        "cli.py",
+        "    if args.no_cache or not root:\n",
+        "    if args.no_cache or root is None:\n",
+        ("tests/test_cli.py::test_empty_cache_dir_means_no_cache",),
     ),
     # subgroup masks and the synthetic frame
     Mutant(

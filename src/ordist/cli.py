@@ -7,7 +7,8 @@ identical inputs and code versions apart from the timing field.  Exit
 codes: 0 success, 1 usage error, 2 a violated hypothesis, 3 an internal
 oracle mismatch, 4 an I/O error (an unusable cache directory, or
 standard output closed by its reader); each error class carries its
-code.
+code.  A prime spec above RESIDUE_NORM_BOUND, or a modulus of larger
+norm, is refused while parsing, before any primality test or walk.
 
 A command imports the layer it computes with only when it computes.
 Besides the package root, cli and quadfield, which every command loads:
@@ -21,12 +22,13 @@ load only for a cache directory, so `--no-cache` never loads them.
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
 so that reordered prime specs share an entry: a JSON manifest holding
-the ray class tables and the computed result, plus the big matrices in
-the plain text format of the linear algebra layer (for `torsion`, the
+the ray class tables and the computed result, plus the big matrices as
+their nonzeros in the text of CSRMatrix.to_text (for `torsion`, the
 relation matrix and the heads, the level elements that define the
 transform).  A manifest that does not parse or lacks a result counts
 as a miss and is overwritten.  Reads and writes take an advisory lock
-on a file beside the key directories.
+on a file beside the key directories.  An empty --cache-dir, like an
+empty $ORDIST_CACHE, means no cache.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import time
 from contextlib import contextmanager
 
 from . import OrdistError, __version__
-from .quadfield import Modulus, QuadField, make_field
+from .quadfield import (RESIDUE_NORM_BOUND, _SHOWN_BITS, Modulus,
+                        ModulusTooLarge, QuadField, make_field)
 
 SCHEMA = "ordist/1"
 
@@ -80,6 +83,13 @@ def _parse_prime(K: QuadField, item: str, allow_exponent: bool):
     exp = nums[2] if len(nums) > 2 else 1
     if q < 2 or idx < 0 or exp < 1:
         raise UsageError(f"bad prime spec {item!r}")
+    if q > RESIDUE_NORM_BOUND:
+        # refused before the primality test, which is slow for a huge q:
+        # a prime above q has norm q, or q^2 when D is no square mod q
+        norm = None
+        if q.bit_length() <= _SHOWN_BITS:
+            norm = q * q if pow(K.disc, (q - 1) // 2, q) == q - 1 else q
+        raise ModulusTooLarge(norm)
     kind, ids = K.splitting_type(q)
     if idx >= len(ids):
         raise UsageError(
@@ -94,9 +104,11 @@ def _parse_modulus(K: QuadField, spec: str | None) -> Modulus:
     pairs = [_parse_prime(K, item, allow_exponent=True)
              for item in spec.split(",")]
     try:
-        return Modulus(K, tuple(pairs))
+        m = Modulus(K, tuple(pairs))
     except OrdistError as exc:
         raise UsageError(str(exc))
+    m.check_norm()  # before a cache lookup or a divisor walk
+    return m
 
 
 def _field_block(K: QuadField) -> dict:
@@ -366,11 +378,12 @@ def _build_parser() -> _Parser:
 
 def _cache_dir(args):
     """The pathlib.Path of --cache-dir, else of $ORDIST_CACHE; None with
-    --no-cache.  pathlib loads only here, when there is a cache."""
+    --no-cache or an empty directory name.  pathlib loads only here,
+    when there is a cache."""
     root = args.cache_dir
     if root is None:
-        root = os.environ.get("ORDIST_CACHE") or None
-    if args.no_cache or root is None:
+        root = os.environ.get("ORDIST_CACHE")
+    if args.no_cache or not root:
         return None
     import pathlib
     return pathlib.Path(root)

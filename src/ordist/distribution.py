@@ -75,6 +75,7 @@ class DeltaPresentation:
             raise OrdistError("modulus belongs to a different field")
         self.field = K
         self.modulus = m
+        m.check_norm()  # before the walk: a huge exponent has many divisors
         self.levels: tuple[Modulus, ...] = tuple(m.divisors())
         self.rays = {u.primes: ray_class_group(K, u) for u in self.levels}
         self._offset = {}

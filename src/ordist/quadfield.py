@@ -48,8 +48,17 @@ class HypothesisFailed(OrdistError):
 
 
 class ModulusTooLarge(OrdistError):
-    pass
+    """A norm above RESIDUE_NORM_BOUND, shown unless it is None."""
 
+    def __init__(self, norm: int | None = None):
+        shown = "" if norm is None else f"{norm} "
+        super().__init__(f"norm {shown}exceeds {RESIDUE_NORM_BOUND}")
+
+
+# the largest norm of a modulus whose residue units are enumerated; a norm
+# is only worked out, and shown, below about 2^_SHOWN_BITS (Python prints
+# no int past 4,300 digits)
+RESIDUE_NORM_BOUND, _SHOWN_BITS = 10 ** 6, 1000
 
 # the least strong pseudoprime to all of the first twelve prime bases
 # (Sorenson and Webster, 2015): below it, Miller-Rabin to those bases
@@ -101,12 +110,7 @@ class QuadField:
         self.d = d
         self.disc = -d if d % 4 == 3 else -4 * d
         D = self.disc
-        if D == -3:
-            self.w_K = 6
-        elif D == -4:
-            self.w_K = 4
-        else:
-            self.w_K = 2
+        self.w_K = {-3: 6, -4: 4}.get(D, 2)
         # omega^2 = osq_c + osq_o * omega
         self.osq_o = 0 if D % 2 == 0 else 1
         self.osq_c = D // 4 if D % 2 == 0 else (D - 1) // 4
@@ -145,11 +149,8 @@ class QuadField:
 
     def zeta(self):
         """A generator of the roots of unity (order w_K)."""
-        if self.disc == -3:
-            return (0, 1)  # omega = (1+sqrt(-3))/2, a primitive 6th root
-        if self.disc == -4:
-            return (0, 1)  # omega = i
-        return (-1, 0)
+        # omega = (1+sqrt(-3))/2, a primitive 6th root, or omega = i
+        return (0, 1) if self.disc in (-3, -4) else (-1, 0)
 
     def to_half_coords(self, u) -> tuple[int, int]:
         """(x, y) with u = (x + y sqrt(D))/2."""
@@ -375,14 +376,11 @@ class OIdeal(_Frozen):
         raise NotPrime(f"ideal of norm {n} is not prime")
 
     def is_prime(self) -> bool:
-        n = self.norm()
-        if _is_prime(n):
-            return True
-        r = math.isqrt(n)
-        if r * r == n and _is_prime(r) and self.content == r:
-            kind, _ = self.field.splitting_type(r)
-            return kind == "inert"
-        return False
+        """A prime norm, or the square of an inert rational prime r with
+        content r."""
+        n, r = self.norm(), self.content
+        return _is_prime(n) or (r * r == n and _is_prime(r) and
+                                self.field.splitting_type(r)[0] == "inert")
 
     def __repr__(self):
         return f"OIdeal(d={self.field.d}, c={self.content}, a={self.a}, b={self.b})"
@@ -474,6 +472,16 @@ class Modulus(_Frozen):
     def norm(self) -> int:
         return math.prod(p.norm() ** e for p, e in self.primes)
 
+    def check_norm(self) -> None:
+        """Raise ModulusTooLarge when the norm exceeds RESIDUE_NORM_BOUND.
+        Past _SHOWN_BITS bits by the exponents, the norm is not multiplied
+        out: it is above 2^500, as every prime norm has two bits or more."""
+        bits = sum(e * p.norm().bit_length() for p, e in self.primes)
+        if bits > _SHOWN_BITS:
+            raise ModulusTooLarge()
+        if self.norm() > RESIDUE_NORM_BOUND:
+            raise ModulusTooLarge(self.norm())
+
     def is_one(self) -> bool:
         return not self.primes
 
@@ -487,10 +495,7 @@ class Modulus(_Frozen):
         return self.__dict__["_ideal"]
 
     def v_p(self, p: OIdeal) -> int:
-        for q, e in self.primes:
-            if q == p:
-                return e
-        return 0
+        return next((e for q, e in self.primes if q == p), 0)
 
     def without(self, p: OIdeal) -> "Modulus":
         """Remove the prime p entirely (n / p^{v_p(n)})."""
@@ -499,33 +504,24 @@ class Modulus(_Frozen):
 
     def with_exponent(self, p: OIdeal, e: int) -> "Modulus":
         rest = tuple((q, k) for q, k in self.primes if q != p)
-        if e:
-            rest = rest + ((p, e),)
-        return Modulus(self.field, rest)
+        return Modulus(self.field, rest + (((p, e),) if e else ()))
 
     def divides(self, other: "Modulus") -> bool:
         return all(other.v_p(p) >= e for p, e in self.primes)
 
-    def exponent_key(self, ambient: "Modulus") -> tuple:
-        """Total-order key (grade, exponent vector) inside ambient's
-        divisor lattice; refines divisibility."""
-        exps = tuple(self.v_p(p) for p, _ in ambient.primes)
-        return (self.n_primes, exps)
-
     def divisors(self) -> list["Modulus"]:
-        """All divisor moduli, sorted by the graded order above."""
+        """All divisor moduli in graded order, by the number of primes and
+        then the exponent vector, a total order that refines divisibility."""
         out = [Modulus.one(self.field)]
         for p, e in self.primes:
             out = [d.with_exponent(p, k) for d in out for k in range(e + 1)]
-        return sorted(out, key=lambda d: d.exponent_key(self))
+        return sorted(out, key=lambda d: (
+            d.n_primes, tuple(d.v_p(p) for p, _ in self.primes)))
 
     def phi(self) -> int:
         """Order of (O_K/n)^x."""
-        out = 1
-        for p, e in self.primes:
-            np = p.norm()
-            out *= np ** e - np ** (e - 1)
-        return out
+        return math.prod(p.norm() ** (e - 1) * (p.norm() - 1)
+                         for p, e in self.primes)
 
     def label(self) -> str:
         if not self.primes:
@@ -534,14 +530,8 @@ class Modulus(_Frozen):
         for p, e in self.primes:
             q = p.rational_prime()
             kind, ids = self.field.splitting_type(q)
-            if kind == "split":
-                idx = ids.index(p)
-                s = f"p:{q}:{idx}"
-            else:
-                s = f"q:{q}"
-            if e > 1:
-                s += f"^{e}"
-            parts.append(s)
+            s = f"p:{q}:{ids.index(p)}" if kind == "split" else f"q:{q}"
+            parts.append(s + (f"^{e}" if e > 1 else ""))
         return ",".join(parts)
 
 
@@ -566,8 +556,5 @@ def search_torsex(K: QuadField, norm_bound: int):
             if pid.norm() <= norm_bound and pid.norm() % 4 == 3 \
                     and pid.is_principal_generator() is not None:
                 found.append(pid)
-    triples = []
-    for trio in itertools.combinations(found, 3):
-        if len({p.rational_prime() for p in trio}) == 3:
-            triples.append(trio)
-    return triples
+    return [trio for trio in itertools.combinations(found, 3)
+            if len({p.rational_prime() for p in trio}) == 3]

@@ -30,7 +30,6 @@ from __future__ import annotations
 from . import OrdistError, _Frozen
 from .quadfield import (
     Modulus,
-    ModulusTooLarge,
     OIdeal,
     QuadField,
     _is_prime,
@@ -180,9 +179,6 @@ class Subgroup(_Frozen):
 # ---------------------------------------------------------------------------
 # residue unit groups
 
-RESIDUE_NORM_BOUND = 10 ** 6
-
-
 def residue_units(K: QuadField, n: Modulus):
     """Structure of (O_K/n)^x: (AbGroup, dlog, mu_images).
 
@@ -198,8 +194,7 @@ def residue_units(K: QuadField, n: Modulus):
     labels.  The greedy harvest and the structure then run on those
     permutations (zlinalg._harvest and zlinalg._discover).
     """
-    if n.norm() > RESIDUE_NORM_BOUND:
-        raise ModulusTooLarge(f"norm {n.norm()} exceeds {RESIDUE_NORM_BOUND}")
+    n.check_norm()
     if n.is_one():
         return AbGroup(()), {(0, 0): ()}, [()] * K.w_K
     nid = n.ideal()

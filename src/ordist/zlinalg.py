@@ -2,7 +2,8 @@
 
 No floating point enters any result, and every entry is a Python int.
 A dense matrix is a tuple of row tuples (IntMatrix), a sparse one three
-int tuples in compressed row form (CSRMatrix).  Lattices are row spaces
+int tuples in compressed row form (CSRMatrix); both write the text of
+CSRMatrix.to_text, the nonzeros of each row.  Lattices are row spaces
 of integer matrices.  Finitely generated abelian groups are cokernels
 Z^n / rowspace(R), described by invariant factors d_1 | d_2 | ... (0
 encodes an infinite cyclic factor, factors equal to 1 are dropped).  The
@@ -102,12 +103,9 @@ class IntMatrix(_Frozen):
         return IntMatrix(tuple(zip(*self.entries)) or ((),) * self.cols,
                          self.rows)
 
-    # plain text serialization: header "rows cols", then one row per line,
-    # base-10, space separated.  Round-trips bit exactly.
     def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        lines += [" ".join(map(str, r)) for r in self.entries]
-        return "\n".join(lines) + "\n"
+        """CSRMatrix.to_text of the nonzeros."""
+        return _as_sparse(self).to_text()
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -207,10 +205,13 @@ class CSRMatrix(_Frozen):
             yield row
 
     def to_text(self) -> str:
-        """IntMatrix.to_text of the dense matrix, one dense row at a
-        time."""
-        lines = [f"{self.rows} {self.cols}"]
-        lines += [" ".join(map(str, row)) for row in self._dense_rows()]
+        """The plain text of the matrix: a header "rows cols nnz", then
+        one line per row of its nonzeros as space-separated base-10
+        "column:value" pairs, columns ascending (an empty row is an
+        empty line).  Round-trips bit exactly."""
+        lines = [f"{self.rows} {self.cols} {len(self.data)}"]
+        lines += [" ".join(f"{j}:{x}" for j, x in zip(cs, xs))
+                  for cs, xs in self._row_items()]
         return "\n".join(lines) + "\n"
 
 

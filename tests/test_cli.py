@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ordist.cli as cli
 import ordist.distribution as distribution
 import ordist.rayclass as rayclass
@@ -39,6 +41,56 @@ def test_usage_errors(capsys):
     assert cli.main(["field", "-d", "0"]) == 1
     assert cli.main(["nonsense"]) == 1
     capsys.readouterr()
+
+
+# moduli far above the norm bound: refused at once, before a primality
+# test (slow past 3.2e23) or a walk of 10^6 + 1 divisors, and with no
+# norm printed past Python's 4,300-digit limit
+HUGE_MODULI = {
+    "prime-above-mr-bound": (
+        ("torsion", "-m", "p:10000000000000000000000000000057"),
+        "norm 10000000000000000000000000000057 exceeds 1000000"),
+    "prime-of-4300-digits": (("rayclass", "-m", "p:" + "9" * 4300),
+                             "norm exceeds 1000000"),
+    "exponent-torsion": (("torsion", "-m", "p:2:0:1000000"),
+                         "norm exceeds 1000000"),
+    "exponent-rayclass": (("rayclass", "-m", "p:2:0:1000000"),
+                          "norm exceeds 1000000"),
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_MODULI))
+def test_huge_modulus_exits_one_at_once(name):
+    argv, message = HUGE_MODULI[name]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordist.cli", argv[0], "-d", "7", *argv[1:],
+         "--no-cache"], capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"ordist: {message}\n"
+
+
+@pytest.mark.parametrize("spec, norm", [
+    ("p:1000003", 1000003),  # split
+    ("p:1000033", 1000033 ** 2),  # inert
+    ("p:2:0:20", 2 ** 20),
+    ("p:2:0:19,p:11", 2 ** 19 * 11),
+])
+def test_parser_refuses_a_large_norm_before_computing(
+        capsys, monkeypatch, tmp_path, spec, norm):
+    def boom(*a, **k):
+        raise AssertionError("a refused modulus must not reach the library")
+
+    monkeypatch.setattr(rayclass, "ray_class_group", boom)
+    monkeypatch.setattr(distribution, "build_presentation", boom)
+    for command in ("rayclass", "torsion"):
+        code = cli.main([command, "-d", "7", "-m", spec,
+                         "--cache-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"ordist: norm {norm} exceeds 1000000\n"
 
 
 def test_certify_negative_control_exits_two(capsys):
@@ -149,6 +201,19 @@ def test_cache_env_var_and_no_cache(capsys, tmp_path, monkeypatch):
     code, _ = run(capsys, "rayclass", "-d", "7", "-m", "p:11", "--no-cache")
     assert code == 0
     assert not (tmp_path / "nocache").exists()
+
+
+def test_empty_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch):
+    # like an empty ORDIST_CACHE, and not a cache in the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ORDIST_CACHE", str(tmp_path / "envcache"))
+    code, _ = run(capsys, "torsion", "-d", "7", "-m", "p:11",
+                  "--cache-dir", "")
+    assert code == 0
+    monkeypatch.setenv("ORDIST_CACHE", "")
+    code, _ = run(capsys, "rayclass", "-d", "7", "-m", "p:11")
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_matrices_are_readable(capsys, tmp_path):

@@ -22,7 +22,8 @@ import index_groupring as ig
 import tuple_presentation as tp
 from dense_transform import modular_rank
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
-from ordist.quadfield import Modulus, make_field, search_torsex
+from ordist.quadfield import Modulus, ModulusTooLarge, make_field, \
+    search_torsex
 from ordist.zlinalg import AbGroup, CSRMatrix, IntMatrix
 from ordist.distribution import (
     HypothesisFailed,
@@ -66,6 +67,20 @@ def test_trivial_modulus_class_number_three():
                                        for i in range(3))
     assert P.heads.entries == ((1, 0, 0),)
     assert level_torsion(P).is_trivial
+
+
+def test_presentation_checks_the_norm_before_the_divisor_walk(
+        field7, monkeypatch):
+    # p2^(10^6) has 10^6 + 1 divisors
+    two = field7.splitting_type(2)[1][0]
+    m = Modulus(field7, ((two, 10 ** 6),))
+
+    def walk(self):
+        raise AssertionError("divisors walked before the norm check")
+
+    monkeypatch.setattr(Modulus, "divisors", walk)
+    with pytest.raises(ModulusTooLarge, match="^norm exceeds 1000000$"):
+        build_presentation(field7, m)
 
 
 def test_pair_levels_are_torsion_free(field7):

@@ -434,6 +434,17 @@ def test_modulus_too_large():
         residue_units(K, big)
 
 
+def test_modulus_too_large_shows_only_a_short_norm():
+    # 2^(10^6) has 301,030 digits, past what Python prints
+    K = make_field(7)
+    two = K.splitting_type(2)[1][0]
+    with pytest.raises(ModulusTooLarge, match="^norm exceeds 1000000$"):
+        residue_units(K, Modulus(K, ((two, 10 ** 6),)))
+    with pytest.raises(ModulusTooLarge, match="^norm 1048576 exceeds 1000000$"):
+        residue_units(K, Modulus(K, ((two, 20),)))
+    Modulus(K, ((two, 19),)).check_norm()
+
+
 def test_dlog_is_homomorphism():
     K = make_field(7)
     m = _modulus(K, [(7, None, 1), (11, 0, 1)])

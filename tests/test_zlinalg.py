@@ -296,14 +296,59 @@ def test_subquotient_rejects_dependent_rows():
 
 # -- serialization -----------------------------------------------------------
 
+TEXT_CASES = (
+    ([[0, -17, 2 ** 80], [5, 0, -(2 ** 63) - 1]], 3),
+    ([[1, 0], [0, 0], [0, -2]], 2),  # an empty row inside
+    ([[0, 3], [0, 0], [0, 0]], 2),  # empty last rows
+    ([[0, 0, 0]], 3),
+    ([], 4),  # no rows
+    ([[], []], 0),  # no columns
+)
+
+BAD_TEXTS = (
+    "2 2 1\n0:1\n",  # a row line missing
+    "2 2 1\n0:1\n\n\n",  # a row line too many
+    "2 2\n1 2\n3 4\n",  # the old dense header
+    "2 2 1 0\n0:1\n\n",  # a header of four fields
+    "2 x 1\n0:1\n\n",  # a header field that is no int
+    "-1 2 0\n",  # a negative row count
+    "1 2 1\n0:1",  # no final newline
+    "",  # no header
+    "1 2 2\n0:1\n",  # nnz above the pairs
+    "2 2 1\n0:1\n1:1\n",  # nnz below the pairs
+    "1 2 1\n2:1\n",  # a column out of range
+    "1 2 1\n-1:1\n",  # a negative column
+    "1 3 2\n2:1 1:1\n",  # columns out of order
+    "1 3 2\n1:1 1:1\n",  # a repeated column
+    "1 2 1\n0:0\n",  # a stored 0
+    "1 2 1\n0 1\n",  # a dense row
+    "1 2 1\n0:+1\n",  # a value not as str writes it
+    "1 2 1\n0:1 \n",  # a trailing space
+)
+
+
 def test_text_round_trip():
-    A = IntMatrix.from_rows([[0, -17, 2 ** 80], [5, 0, -1]])
-    assert from_text(A.to_text()) == A
+    # both classes write the same text, with exactly one line per row
+    # after the header, and the reader gives the matrix back
+    for rows, cols in TEXT_CASES:
+        A = IntMatrix.from_rows(rows, cols)
+        S = CSRMatrix.from_dense(rows, cols)
+        text = S.to_text()
+        assert A.to_text() == text
+        assert text.count("\n") == len(rows) + 1
+        assert from_text(text) == S
+        assert from_text(text).entries == A.entries
+
+
+def test_text_format_is_column_value_pairs():
+    A = IntMatrix.from_rows([[0, -5, 0, 2 ** 64], [0, 0, 0, 0], [7, 0, 0, 0]])
+    assert A.to_text() == "3 4 3\n1:-5 3:18446744073709551616\n\n0:7\n"
 
 
 def test_text_rejects_bad_body():
-    with pytest.raises(LinalgError):
-        from_text("2 2\n1 2\n3")
+    for text in BAD_TEXTS:
+        with pytest.raises(LinalgError):
+            from_text(text)
 
 
 # -- AbGroup / AbHom ---------------------------------------------------------
