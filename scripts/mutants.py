@@ -2,8 +2,9 @@
 
 Each mutant is one exact `old -> new` replacement in one module of
 src/ordist/ that breaks a check or a result.  The script applies one
-mutant at a time to a temporary copy of src/ and tests/, runs there the
-tier-1 tests named with the mutant, and counts the mutant as caught
+mutant at a time to a temporary copy of src/, tests/ and perfbench/
+(whose survey levels some tests read), runs there the tier-1 tests
+named with the mutant, and counts the mutant as caught
 when every one of those tests fails.  A mutant whose tests run past
 MUTANT_TIMEOUT_S counts as missed, so every mutant must fail fast.
 
@@ -147,9 +148,11 @@ MUTANTS = (
     Mutant(
         "character-count-is-order",
         "distribution.py",
-        "    return sum(map(any, zip(*(X[i:i + n] for i in range(0, len(X), n)))))\n",
+        "    return _primitive_count([[row[g] for g in layout] for row in rows],\n"
+        "                            sylows)\n",
         "    return n\n",
-        (f"{_DIST}test_rank_defect_is_caught",),
+        (f"{_DIST}test_rank_defect_is_caught",
+         f"{_DIST}test_exact_rank_equals_sympy_rank_on_small_groups"),
     ),
     Mutant(
         "level-torsion-eliminates-transform",
@@ -305,18 +308,57 @@ MUTANTS = (
     Mutant(
         "character-count-trusts-the-mix",
         "distribution.py",
-        "        if _character_count([mix], factors, p) == n:\n"
+        "        if _primitive_count([[mix[g] for g in layout]], sylows) == n:\n"
         "            return n\n",
-        "        return _character_count([mix], factors, p)\n",
+        "        return _primitive_count([[mix[g] for g in layout]], sylows)\n",
         (f"{_DIST}test_crt_character_count_matches_axis_dft[factors0]",),
     ),
     Mutant(
         "character-count-mixed-radix-split",
         "distribution.py",
-        "            t = [(x + k * unit) % d for x in t for k in range(qa)]\n",
-        "            t = [(x * qa + k) % d for x in t for k in range(qa)]\n",
+        "        steps = [[g[i] * u for g in grid] for i, u in enumerate(unit)]\n"
+        "        cols = [[c + v for c in col for v in step]\n"
+        "                for col, step in zip(cols, steps)]\n",
+        "        steps = [[g[i] for g in grid] for i, u in enumerate(unit)]\n"
+        "        cols = [[c * x + v for c in col for v in step]\n"
+        "                for col, step, x in zip(cols, steps, qe)]\n",
         (f"{_DIST}test_crt_character_count_matches_axis_dft[factors2]",
-         f"{_DIST}test_rank_defect_is_caught"),
+         f"{_DIST}test_exact_rank_equals_sympy_rank_on_small_groups"),
+    ),
+    Mutant(
+        "primitive-filter-skips-q2",
+        "distribution.py",
+        "            if top > 1:\n",
+        "            if top > 1 and q > 2:\n",
+        (f"{_DIST}test_exact_rank_equals_sympy_rank_on_small_groups",
+         f"{_DIST}test_crt_character_count_matches_axis_dft[factors1]"),
+    ),
+    Mutant(
+        "quotient-counts-one",
+        "distribution.py",
+        "        total += _primitive_count(pushed, later, phi * f)\n",
+        "        total += _primitive_count(pushed, later, phi)\n",
+        (f"{_DIST}test_exact_rank_equals_sympy_rank_on_small_groups",
+         "tests/test_golden.py::test_headline_report_matches_golden"),
+    ),
+    Mutant(
+        "enumeration-drops-quotients-of-g2",
+        "distribution.py",
+        "        sylows.append((q, len(grid), quotients))\n",
+        "        sylows.append((q, len(grid), quotients[:1] if q == 2\n"
+        "                       else quotients))\n",
+        (f"{_DIST}test_cyclic_quotients_are_the_cyclic_subgroups_of_the_dual"
+         "[factors0]",
+         "tests/test_golden.py::test_headline_report_matches_golden"),
+    ),
+    Mutant(
+        "quotient-phi-sum-unchecked",
+        "distribution.py",
+        "    if got != n:\n",
+        "    if False:\n",
+        (f"{_DIST}test_quotients_whose_phi_miss_the_order_are_refused[drop]",
+         f"{_DIST}test_quotients_whose_phi_miss_the_order_are_refused"
+         "[repeat]"),
     ),
     # the cache's matrix text
     Mutant(
@@ -370,6 +412,13 @@ MUTANTS = (
          "[p:2:0:20-1048576]",),
     ),
     Mutant(
+        "w-check-after-oracles",
+        "cli.py",
+        "    _check_coprime_to_w(m)  # before any ray class group of the level\n",
+        "",
+        ("tests/test_cli.py::test_torsion_checks_w_before_building_the_level",),
+    ),
+    Mutant(
         "empty-cache-dir-caches-here",
         "cli.py",
         "    if args.no_cache or not root:\n",
@@ -419,7 +468,7 @@ def run_mutant(m: Mutant) -> list[str]:
                                     ".hypothesis")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", tmp)
         target = tmp / "src" / "ordist" / m.module

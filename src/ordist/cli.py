@@ -221,6 +221,8 @@ def cmd_torsion(args, K: QuadField, cache: Cache) -> dict:
         _note(args, "cache hit")
         return hit["result"]
     from .distribution import build_presentation, level_torsion, torsion_bound
+    from .groupring import _check_coprime_to_w
+    _check_coprime_to_w(m)  # before any ray class group of the level
     _note(args, "building presentation")
     P = build_presentation(K, m)
     _note(args, f"{P.n_gens} generators, {P.relations.rows} relations")

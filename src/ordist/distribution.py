@@ -15,16 +15,14 @@ triples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 
 from . import OrdistError, _Frozen
 from .groupring import _check_coprime_to_w, alpha, trace_ideal_quotient
-from .quadfield import HypothesisFailed, Modulus, OIdeal, QuadField, \
-    _is_prime
+from .quadfield import HypothesisFailed, Modulus, OIdeal, QuadField
 from .rayclass import (
     FrameUnavailable,
     RayClassGroup,
@@ -279,95 +277,101 @@ def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
                 f"{u.label()} -> {t.label()}")
 
 
-@functools.lru_cache(maxsize=None)
-def _character_primes(e: int) -> tuple[int, ...]:
-    """The three largest primes p = 1 mod e below 2^30.
-
-    F_p then holds the e-th roots of unity, and residues mod p stay
-    single-digit Python ints.
+def _cyclic_quotients(factors: tuple[int, ...]):
+    """The cyclic quotients of the finite abelian group G with these
+    invariant factors, as (layout, sylows).  layout[k] is the index in G
+    of position k of the CRT re-indexing: the q-parts of the factors,
+    the largest Sylow subgroup G_q first, each in mixed radix.  sylows
+    holds per q (q, #G_q, quotients), one (q^s, phi(q^s), map on the
+    indices of G_q) per cyclic quotient G_q ->> Z/q^s; a quotient of G
+    takes one of each G_q.  The character a of G_q of order q^s maps g
+    to the sum of coef_i g_i mod q^s, coef_i = a_i q^s / q^e_i.  Its
+    unit multiples give the same quotient, so only the a whose first
+    coordinate of largest order is a power of q, its coef_i 1, are kept.
     """
-    out = []
-    k = ((1 << 30) - 2) // e
-    while len(out) < 3 and k > 0:
-        if _is_prime(k * e + 1):
-            out.append(k * e + 1)
-        k -= 1
-    return tuple(out)
+    n, cols, sylows = math.prod(factors), [[0] for _ in factors], []
+    for q in sorted(set().union(*map(_prime_divisors, factors)),
+                    key=lambda q: -q ** _val(n, q)):  # fewer, longer slices
+        qe = [q ** _val(d, q) for d in factors]
+        unit = [d // x * pow(d // x, -1, x) for d, x in zip(factors, qe)]
+        grid = list(itertools.product(*map(range, qe)))
+        steps = [[g[i] * u for g in grid] for i, u in enumerate(unit)]
+        cols = [[c + v for c in col for v in step]
+                for col, step in zip(cols, steps)]
+        quotients = []
+        for a in grid:
+            top = max(x // math.gcd(x, y) for x, y in zip(qe, a))
+            coef = [y * top // x for x, y in zip(qe, a)]
+            if next((c for c in coef if c % q), 1) == 1:
+                quotients.append((top, top - top // q, [
+                    sum(map(mul, coef, g)) % top for g in grid]))
+        sylows.append((q, len(grid), quotients))
+    layout = [0] * n  # cols[i][k]: the residue of axis i at position k
+    for col, d, r in zip(cols, factors, AbGroup(factors).radix()):
+        layout = [x + c % d * r for x, c in zip(layout, col)]
+    return layout, sylows
 
 
-def _root_of_unity(d: int, p: int) -> int:
-    """A primitive d-th root of unity mod the prime p, for p = 1 mod d."""
-    qs = _prime_divisors(d)
-    for g in range(2, p):
-        root = pow(g, (p - 1) // d, p)
-        if all(pow(root, d // q, p) != 1 for q in qs):
-            return root
-    raise OrdistError(f"no primitive {d}-th root of unity mod {p}")
+def _primitive_count(rows, sylows, phi: int = 1) -> int:
+    """Sum of phi(d) over the cyclic quotients Z/d, one quotient of each
+    G_q in sylows, where some row has a nonzero primitive part.  Rows
+    are laid out [G_q][later G_q][done], done the cyclic group that the
+    earlier G_q are pushed to.  Per quotient onto Z/q^s, a row is pushed
+    along G_q, then times q - s(H_q), H_q of order q in Z/q^s, which
+    kills the characters trivial on H_q; Z/q^s then joins done.
+    """
+    rows = [x for x in rows if any(x)]  # a row that is 0 stays 0
+    if not rows or not sylows:
+        return phi if rows else 0
+    (q, n_q, quotients), *later = sylows
+    block, total = len(rows[0]) // n_q, 0
+    for top, f, values in quotients:
+        pushed = []
+        for x in rows:
+            z = [[0] * block for _ in range(top)]
+            for g, c in enumerate(values):
+                z[c] = list(map(add, z[c], x[g * block:(g + 1) * block]))
+            if top > 1:
+                m = top // q  # the cosets of H_q are c mod m
+                s = [list(map(sum, zip(*z[k::m]))) for k in range(m)]
+                z = [[q * v - w for v, w in zip(zc, s[c % m])]
+                     for c, zc in enumerate(z)]
+            pushed.append(list(itertools.chain.from_iterable(zip(*z))))
+        total += _primitive_count(pushed, later, phi * f)
+    return total
 
 
-def _character_count(heads, factors: tuple[int, ...], p: int) -> int:
-    """Number of characters of the group with these invariant factors
-    at which some row of heads, in mixed-radix order, is nonzero mod p.
-
-    Needs p = 1 mod the exponent.  Each invariant-factor axis of length
-    d is first split into its prime-power parts by the CRT re-indexing
-    t -> (t mod q^a)_q; the characters of the parts are those of the
-    axis.  The DFT then runs one part at a time: every line of the flat
-    rows along that part's axis, a strided slice, is multiplied with the
-    q^a x q^a table of powers of a primitive q^a-th root of unity mod p.
-
-    Several rows are first combined into one: where the combination is
-    nonzero some row is, so when it is nonzero at every character that
-    is the count, and otherwise the rows are counted one by one.
+def _rational_rank(rows, factors: tuple[int, ...]) -> int:
+    """Rank over Q of the translates of the rows, functions on the group
+    G with these invariant factors.  Q[G] is the product of the fields
+    Q(zeta_d), one per cyclic quotient G ->> Z/d (Serre, Linear
+    Representations of Finite Groups, 13.1), so the rank is the sum of
+    phi(d) over the quotients where some row is nonzero in Q(zeta_d).
+    Those phi(d) must sum to #G, or OracleMismatch is raised.  A weighted
+    sum of the rows is counted first: if it reaches #G, so do the rows.
     """
     n = math.prod(factors)
-    if len(heads) > 1:
-        weights = range(1, len(heads) + 1)
-        mix = [sum(map(mul, weights, col)) % p for col in zip(*heads)]
-        if _character_count([mix], factors, p) == n:
+    layout, sylows = _cyclic_quotients(factors)
+    got = math.prod(sum(f for _, f, _ in qs) for _, _, qs in sylows)
+    if got != n:
+        raise OracleMismatch(f"the phi(d) of the cyclic quotients of "
+                             f"{factors} sum to {got}, not {n}")
+    if len(rows) > 1:
+        weights = range(1, len(rows) + 1)
+        mix = [sum(map(mul, weights, col)) for col in zip(*rows)]
+        if _primitive_count([[mix[g] for g in layout]], sylows) == n:
             return n
-    parts, gather = [], [0]
-    for d, r in zip(factors, AbGroup(factors).radix()):
-        qas = [q ** _val(d, q) for q in sorted(_prime_divisors(d))]
-        # t, laid out on the grid of its residues mod the parts
-        t = [0]
-        for qa in qas:
-            unit = d // qa * pow(d // qa, -1, qa)  # 1 mod qa, 0 mod d / qa
-            t = [(x + k * unit) % d for x in t for k in range(qa)]
-        gather = [g + x * r for g in gather for x in t]
-        parts += qas
-    X = [row[g] % p for row in heads for g in gather]
-    stride = n
-    for d in parts:
-        stride //= d
-        root = _root_of_unity(d, p)
-        table = [[pow(root, j * k % d, p) for k in range(d)]
-                 for j in range(d)]
-        span = d * stride
-        for b in range(0, len(X), span):
-            for i in range(b, b + stride):
-                line = X[i:i + span:stride]
-                X[i:i + span:stride] = [sum(map(mul, w, line)) % p
-                                        for w in table]
-    return sum(map(any, zip(*(X[i:i + n] for i in range(0, len(X), n)))))
+    return _primitive_count([[row[g] for g in layout] for row in rows],
+                            sylows)
 
 
 def _character_rank(P: DeltaPresentation, heads: IntMatrix) -> int:
-    """Lower bound for the rank over Q of the transform F whose column
-    (u, sigma) is head u translated by lift(sigma); it certifies full
-    row rank when it reaches #G_m.
-
-    The structure of the heads is checked first: for every divisor u
-    the head h_u must be constant on the fibres of G_m -> G_u, and the
-    lifts must cover G_u.  Any failure raises OracleMismatch.  Then
-    block u of F spans the ideal generated by h_u in the group ring
-    over any field.  Over F_p with p = 1 mod the exponent of G_m (so p
-    does not divide #G_m), F_p[G_m] splits into the characters of G_m,
-    and the ideal of h_u is the sum of the characters chi with
-    chi(h_u) != 0.  So the rank of F mod p is the number of characters
-    at which some head is nonzero (Kubert 1979, Sinnott 1980), and rank
-    over Q is at least rank mod p.  The count runs at up to three
-    primes and the best is returned.
+    """The rank over Q of the transform F whose column (u, sigma) is
+    head u translated by lift(sigma); full row rank is #G_m.  For every
+    divisor u the lifts must cover G_u and the head h_u must be constant
+    on the fibres of G_m -> G_u, or OracleMismatch is raised.  Then
+    block u of F spans the ideal of h_u in Q[G_m], so F has the rank of
+    the translates of the heads (Kubert 1979, Sinnott 1980).
     """
     G = P.ray(P.modulus)
     amb = G.group
@@ -383,13 +387,7 @@ def _character_rank(P: DeltaPresentation, heads: IntMatrix) -> int:
             raise OracleMismatch(
                 f"head at {u.label()} is not constant on the fibres of "
                 f"G_m -> G_u")
-    best = 0
-    for p in _character_primes(amb.exponent):
-        best = max(best, _character_count(heads.entries,
-                                          amb.invariant_factors, p))
-        if best == amb.order:
-            break
-    return best
+    return _rational_rank(heads.entries, amb.invariant_factors)
 
 
 def level_torsion(P: DeltaPresentation) -> AbGroup:
@@ -400,14 +398,13 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
     whose column (u, sigma) is the level element a(u, m) translated by
     lift(sigma), annihilates every relation row and has full row rank
     #G_m; both are certified on the heads a(u, m) alone, and F is never
-    built.  _character_rank counts, mod a prime that splits F_p[G_m],
-    the characters at which some a(u, m) is nonzero, after checking
-    that each a(u, m) is constant on the fibres of G_m -> G_u.
-    _check_annihilation checks that the relation rows of each divisor
-    step are translates of its row at 0, and that F kills that row: one
-    coset-sum identity per step, with no transform and no product.  With the rank identity
-    this makes the kernel of F the saturation of the relation lattice,
-    so the torsion is that kernel modulo the relations.  Oracle (b)
+    built.  _character_rank checks that each a(u, m) is constant on the
+    fibres of G_m -> G_u, then counts the rank of F over Q exactly, one
+    cyclic quotient of G_m at a time.  _check_annihilation checks that
+    the relation rows of each divisor step are translates of its row at
+    0, and that F kills that row: one coset-sum identity per step.  With
+    the rank, this makes the kernel of F the saturation of the relation
+    lattice, so the torsion is that kernel modulo the relations.  Oracle (b)
     recomputes the torsion p-locally, by its own elimination over Z/p^k
     on the sparse relation rows, at every prime p dividing
     S = w * product_bound * |T| with T the torsion from (a).  Each pass
@@ -426,9 +423,9 @@ def level_torsion(P: DeltaPresentation) -> AbGroup:
         raise OracleMismatch(
             f"presentation rank {quot.rank} != #G_m = {n_top}")
     heads = P.heads
-    if _character_rank(P, heads) < n_top:
-        raise OracleMismatch(
-            f"no prime certifies full row rank {n_top} of the transform")
+    rank = _character_rank(P, heads)
+    if rank != n_top:
+        raise OracleMismatch(f"transform rank {rank} != #G_m = {n_top}")
     _check_annihilation(P, heads, P.relations)
     tor = AbGroup(quot.torsion)
     units = P.n_gens - n_top - len(tor.torsion)

@@ -93,6 +93,99 @@ def test_parser_refuses_a_large_norm_before_computing(
             f"ordist: norm {norm} exceeds 1000000\n"
 
 
+# the hypothesis gcd(N(m), w) = 1 comes before any computation: p2^k
+# over Q(sqrt(-7)) has norm 2^k, and w = 2
+
+
+def test_torsion_checks_w_before_building_the_level(capsys, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("a level of norm not prime to w was built")
+
+    monkeypatch.setattr(rayclass, "ray_class_group", boom)
+    monkeypatch.setattr(distribution, "build_presentation", boom)
+    code = cli.main(["torsion", "-d", "7", "-m", "p:2:0:12", "--no-cache"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "ordist: hypothesis failure: modulus norm 4096 shares a factor "
+        "with w = 2\n")
+
+
+_AS_LIMIT = 512 << 20  # bytes of address space for a child `ordist`
+
+
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _capped_child(argv, timeout):
+    """`ordist argv` in a child process whose address space is capped,
+    so that a regression fails the test instead of exhausting the host."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_AS_LIMIT, _AS_LIMIT))
+
+    return subprocess.run([sys.executable, "-m", "ordist.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=timeout, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("k", [15, 19])
+def test_norm_not_prime_to_w_exits_two_at_once(k):
+    # before the check came first, k = 15 ran 82 s and 2.6 GB, and k = 19
+    # was killed at 7.8 GB
+    proc = _capped_child(["torsion", "-d", "7", "-m", f"p:2:0:{k}",
+                          "--no-cache"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"ordist: hypothesis failure: modulus norm "
+                           f"{2 ** k} shares a factor with w = 2\n")
+
+
+# one-prime levels of large cyclic G_m: the rank over Q is counted one
+# cyclic quotient at a time, with no table of size the square of a part
+
+
+@pytest.mark.parametrize("spec, order", [("p:9587", 4793),
+                                         ("p:11:0:4", 6655)])
+def test_large_one_prime_levels_reach_full_rank(spec, order):
+    proc = _capped_child(["torsion", "-d", "7", "-m", spec, "--no-cache"],
+                         timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["rank"], result["torsion_invariants"]) == (order, [])
+
+
+# fork and execv from a small process, so that ru_maxrss is the child's
+_SPAWN = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "ordist.cli",
+                              *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss // 1024, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("ORDIST_SLOW"),
+                    reason="#G_m = 73205, ORDIST_SLOW=1")
+def test_level_of_order_73205_fits_in_300_mb():
+    # p11^5: G_m = Z/73205; the q^a x q^a table of the count mod p ended
+    # in a MemoryError here
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN, "torsion", "-d", "7", "-m",
+         "p:11:0:5", "--no-cache"],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert (result["rank"], result["torsion_invariants"]) == (73205, [])
+    assert int(proc.stderr.splitlines()[-1]) < 300, proc.stderr
+
+
 def test_certify_negative_control_exits_two(capsys):
     code = cli.main(["certify", "-d", "5", "-p", "3", "-p", "7", "-p", "11"])
     assert code == 2

@@ -1,12 +1,15 @@
 import functools
+import itertools
 import json
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import ordist.distribution as dist
 import ordist.zlinalg as zlinalg
 import dense_transform as dt
 import numpy_linalg as nl
+import character_mod_p as ref_chars
 import fraction_groupring as ref
 import index_groupring as ig
 import tuple_presentation as tp
@@ -24,6 +28,7 @@ from dense_transform import modular_rank
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, ModulusTooLarge, make_field, \
     search_torsex
+from ordist.rayclass import Subgroup
 from ordist.zlinalg import AbGroup, CSRMatrix, IntMatrix
 from ordist.distribution import (
     HypothesisFailed,
@@ -325,23 +330,26 @@ def test_rank_defect_is_caught(field7, monkeypatch):
     F, _ = dt.iwasawa_matrix(P, mutant)
     assert dt.annihilation_product(F, P.relations)
     assert _template_verdict(P, P.heads, P.relations)
-    # the count is the rank over F_p exactly, below full rank
+    # the count is the rank exactly, below full rank, and the count mod
+    # p agrees
     amb = G.group
-    p = dist._character_primes(amb.exponent)[0]
-    count = dist._character_count(P.heads.entries, amb.invariant_factors, p)
-    assert count == modular_rank(F, p) == modular_rank(F) < F.rows
-    with pytest.raises(OracleMismatch, match="no prime certifies"):
+    count = dist._character_rank(P, P.heads)
+    assert count == modular_rank(F) < F.rows
+    assert count == ref_chars.character_rank(P.heads.entries,
+                                             amb.invariant_factors)
+    with pytest.raises(OracleMismatch,
+                       match=rf"transform rank {count} != #G_m = {F.rows}"):
         level_torsion(P)
 
 
 def _axis_character_count(heads, factors, p):
-    """The character count with one d x d DFT table per invariant
-    factor d, no CRT split (the reference for _character_count).  The
+    """The character count mod p with one d x d DFT table per invariant
+    factor d, no CRT split (the reference for both counts).  The
     residues are Python ints in object arrays: a sum of d products of
     residues below 2^30 can pass int64."""
     X = (heads % p).astype(object).reshape(len(heads), *factors)
     for axis, d in enumerate(factors, start=1):
-        root = dist._root_of_unity(d, p)
+        root = ref_chars.root_of_unity(d, p)
         powers = np.array([pow(root, t, p) for t in range(d)], dtype=object)
         table = powers[np.multiply.outer(np.arange(d), np.arange(d)) % d]
         X = np.moveaxis(np.moveaxis(X, axis, -1) @ table % p, -1, axis)
@@ -351,24 +359,175 @@ def _axis_character_count(heads, factors, p):
 @pytest.mark.parametrize("factors", [(12,), (2, 30), (6, 36), (2, 2, 420)])
 def test_crt_character_count_matches_axis_dft(factors):
     # heads that are indicators of cyclic subgroups <g> vanish at every
-    # character nontrivial on g, so the counts fall below the order
+    # character nontrivial on g, so the counts fall below the order; the
+    # exact count over Q and the CRT count mod p both match the axis DFT
     G = AbGroup(factors)
     rng = random.Random(sum(factors))
-    p = dist._character_primes(G.exponent)[0]
+    p = ref_chars.character_primes(G.exponent)[0]
     gens = [tuple(rng.randrange(d) for d in factors) for _ in range(3)]
     heads = np.zeros((len(gens) + 1, G.order), dtype=np.int64)
     for row, g in zip(heads, gens):
         k = np.arange(G.element_order(g))[:, None]
         row[nl.indices(G, k * np.array(g, dtype=np.int64))] = 1
     heads[-1, rng.randrange(G.order)] = 5
-    # a point mass, nonzero at every character, beside -1/2 times itself:
-    # the combination of the two rows that the count tries first is 0
-    cancel = np.stack([heads[-1], heads[-1] * ((p - 1) // 2) % p])
+    # a point mass, nonzero at every character, doubled beside minus
+    # itself: the combination 1 * 2h + 2 * -h that the counts try first
+    # is 0
+    cancel = np.stack([2 * heads[-1], -heads[-1]])
     for rows in (heads[:1], heads[:-1], heads, cancel):
         want = _axis_character_count(rows, factors, p)
-        assert dist._character_count(rows.tolist(), factors, p) == want
+        assert dist._rational_rank(rows.tolist(), factors) == want
+        assert ref_chars.character_count(rows.tolist(), factors, p) == want
     assert _axis_character_count(heads[:1], factors, p) < G.order
     assert _axis_character_count(cancel, factors, p) == G.order
+
+
+# the exact count over Q against the count mod p, and against sympy
+
+_SURVEY = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                             / "perfbench" / "inputs.py"))
+# the torsion levels of tests/golden, every survey level, and the
+# survey's stalled level
+_RANK_LEVELS = sorted(
+    {(7, ((7, 0), (11, 0), (23, 0))), (15, ((19, 0), (31, 0))),
+     _SURVEY["SURVEY_STALLED"], *_SURVEY["SURVEY_LEVELS"]})
+
+
+def _level(d, primes):
+    K = make_field(d)
+    return build_presentation(K, Modulus(K, tuple(
+        (prime_above(K, q, i), 1) for q, i in primes)))
+
+
+def _assert_rank_matches_reference(P):
+    factors = P.ray(P.modulus).group.invariant_factors
+    heads = P.heads.entries
+    assert dist._character_rank(P, P.heads) \
+        == ref_chars.character_rank(heads, factors)
+    for head in heads:
+        assert dist._rational_rank([head], factors) \
+            == ref_chars.character_rank([head], factors)
+
+
+@pytest.mark.parametrize(
+    "d, primes", _RANK_LEVELS,
+    ids=[f"d{d}-" + ",".join(f"p:{q}:{i}" for q, i in primes)
+         for d, primes in _RANK_LEVELS])
+def test_exact_rank_matches_mod_p_reference(d, primes):
+    # all heads at once, and every head alone: most single heads have
+    # rank below #G_m
+    _assert_rank_matches_reference(_level(d, primes))
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("ORDIST_SLOW"),
+                    reason="four-prime level, ORDIST_SLOW=1")
+def test_exact_rank_matches_mod_p_reference_at_four_primes():
+    # G_m = (2, 2, 4620): 192 cyclic quotients, 16 heads
+    P = _level(7, ((7, 0), (11, 0), (23, 0), (29, 0)))
+    assert P.ray(P.modulus).group.invariant_factors == (2, 2, 4620)
+    _assert_rank_matches_reference(P)
+
+
+def _chains(bound, prev=1):
+    """Every invariant-factor tuple of a group of order at most bound
+    whose factors are multiples of prev."""
+    yield ()
+    for d in range(max(prev, 2), bound + 1, prev):
+        for rest in _chains(bound // d, d):
+            yield (d,) + rest
+
+
+def test_exact_rank_equals_sympy_rank_on_small_groups():
+    # every group of order at most 24, with random heads and with
+    # multiples of indicators of random subgroups, some with one entry
+    # moved, so that some ranks fall below #G; the rank over Q of all
+    # translates of the heads, by sympy, is the count
+    from sympy import QQ, ZZ
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(24)
+    below = full = 0
+    for factors in _chains(24):
+        G = AbGroup(factors)
+        elems = G.coordinates()
+        for _ in range(6):
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                row = [0] * G.order
+                if rng.random() < 0.85:
+                    gens = rng.sample(elems, rng.randint(0, min(2, G.order)))
+                    k = rng.choice([1, 2, -3])
+                    for g in Subgroup.generated(G, gens).members():
+                        row[g] = k
+                    if rng.random() < 0.3:
+                        row[rng.randrange(G.order)] += rng.choice([1, -1])
+                else:
+                    row = [rng.choice([0, 0, 0, 1, -1, 2])
+                           for _ in range(G.order)]
+                rows.append(row)
+            translates = [[row[t] for t in G.translation(G.neg(g))]
+                          for row in rows for g in elems]
+            want = DomainMatrix([[ZZ(x) for x in t] for t in translates],
+                                (len(translates), G.order),
+                                ZZ).convert_to(QQ).rank()
+            assert dist._rational_rank(rows, factors) == want, \
+                (factors, rows)
+            below += want < G.order
+            full += want == G.order
+    assert below > 40 and full > 100, (below, full)
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 4), (2, 4, 8), (3, 9), (2, 30),
+                                     (6, 36), (11, 11), (2, 2, 2, 6)])
+def test_cyclic_quotients_are_the_cyclic_subgroups_of_the_dual(factors):
+    # the kernel of each quotient, one of each Sylow subgroup, against
+    # the kernels of the characters g -> sum a_i g_i e / d_i mod e of G:
+    # one quotient per cyclic subgroup of the dual, none twice
+    G = AbGroup(factors)
+    e, elems = G.exponent, G.coordinates()
+    want = {frozenset(g for g, x in enumerate(elems)
+                      if not sum(y * z * (e // d) for y, z, d
+                                 in zip(a, x, factors)) % e)
+            for a in elems}
+    layout, sylows = dist._cyclic_quotients(factors)
+    assert sorted(layout) == list(range(G.order))
+    got = []
+    for combo in itertools.product(*(qs for _, _, qs in sylows)):
+        # position k of the layout is the mixed-radix digits of the G_q
+        kernel = set()
+        for k, g in enumerate(layout):
+            digits, zero = k, True
+            for (_, n_q, _), (top, _, values) in zip(sylows[::-1],
+                                                     combo[::-1]):
+                digits, x = divmod(digits, n_q)
+                zero = zero and values[x] == 0
+            if zero:
+                kernel.add(g)
+        assert G.order // len(kernel) == math.prod(t for t, _, _ in combo)
+        got.append(frozenset(kernel))
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_quotients_whose_phi_miss_the_order_are_refused(
+        field7, monkeypatch, change):
+    # the enumeration loses a quotient of G_2, or counts one twice: the
+    # sum of phi(d) is then not #G_m
+    quotients = dist._cyclic_quotients
+
+    def wrong(factors):
+        layout, sylows = quotients(factors)
+        return layout, [(q, n_q, qs if q != 2 else
+                         qs[:-1] if change == "drop" else qs + qs[-1:])
+                        for q, n_q, qs in sylows]
+
+    monkeypatch.setattr(dist, "_cyclic_quotients", wrong)
+    P = build_presentation(field7, modulus_of(field7, 7, 11))
+    with pytest.raises(OracleMismatch, match=r"phi\(d\) of the cyclic "
+                       r"quotients of \(30,\) sum to (15|45), not 30"):
+        dist._character_rank(P, P.heads)
+    with pytest.raises(OracleMismatch, match="cyclic quotients"):
+        level_torsion(P)
 
 
 def test_certificate_refuses_a_permuted_column(field7):
