@@ -360,16 +360,23 @@ MUTANTS = (
          f"{_DIST}test_quotients_whose_phi_miss_the_order_are_refused"
          "[repeat]"),
     ),
-    # the cache's matrix text
+    # moduli and fields above the residue norm bound, and the cache
+    # directory
     Mutant(
-        "text-writer-drops-empty-rows",
-        "zlinalg.py",
-        "                  for cs, xs in self._row_items()]\n",
-        "                  for cs, xs in self._row_items() if cs]\n",
-        ("tests/test_zlinalg.py::test_text_round_trip",
-         "tests/test_zlinalg.py::test_text_format_is_column_value_pairs"),
+        "field-bound-after-squarefree",
+        "quadfield.py",
+        "        if d > RESIDUE_NORM_BOUND:  # before the squarefree test\n"
+        "            raise OrdistError(f\"d = {d} exceeds {RESIDUE_NORM_BOUND}\")\n"
+        "        if d < 1 or not _is_squarefree(d):\n"
+        "            raise NotSquarefree(f\"d = {d} must be squarefree and "
+        "positive\")\n",
+        "        if d < 1 or not _is_squarefree(d):\n"
+        "            raise NotSquarefree(f\"d = {d} must be squarefree and "
+        "positive\")\n"
+        "        if d > RESIDUE_NORM_BOUND:\n"
+        "            raise OrdistError(f\"d = {d} exceeds {RESIDUE_NORM_BOUND}\")\n",
+        ("tests/test_cli.py::test_huge_d_exits_one_at_once[prime-near-1e18]",),
     ),
-    # moduli above the residue norm bound, and the cache directory
     Mutant(
         "presentation-walks-before-norm-check",
         "distribution.py",

@@ -21,14 +21,12 @@ load only for a cache directory, so `--no-cache` never loads them.
 
 The cache stores one directory per (command, field, modulus, code
 version) under a sha256 key, the modulus given by its canonical label
-so that reordered prime specs share an entry: a JSON manifest holding
-the ray class tables and the computed result, plus the big matrices as
-their nonzeros in the text of CSRMatrix.to_text (for `torsion`, the
-relation matrix and the heads, the level elements that define the
-transform).  A manifest that does not parse or lacks a result counts
-as a miss and is overwritten.  Reads and writes take an advisory lock
-on a file beside the key directories.  An empty --cache-dir, like an
-empty $ORDIST_CACHE, means no cache.
+so that reordered prime specs share an entry.  An entry is one JSON
+manifest: the header (schema, version, command, d, spec) and the
+result, which is all that a lookup reads.  A manifest that does not
+parse or lacks a result counts as a miss and is overwritten.  Reads
+and writes take an advisory lock on a file beside the key directories.
+An empty --cache-dir, like an empty $ORDIST_CACHE, means no cache.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ class CacheUnusable(OrdistError):
 
 
 def _note(args, msg: str) -> None:
+    """msg on stderr under -v; args is the parsed arguments or a Cache."""
     if args.verbose:
         print(msg, file=sys.stderr)
 
@@ -125,11 +124,12 @@ def _cache_key(command: str, d: int, spec: str) -> str:
 
 
 class Cache:
-    """Advisory-locked directory of manifests and text matrices; root is
-    a pathlib.Path, or None without a cache."""
+    """Advisory-locked directory of result manifests; root is a
+    pathlib.Path, or None without a cache.  A hit is noted under -v."""
 
-    def __init__(self, root):
+    def __init__(self, root, verbose: int):
         self.root = root
+        self.verbose = verbose
 
     def _lock(self, exclusive: bool):
         self.root.mkdir(parents=True, exist_ok=True)
@@ -146,6 +146,7 @@ class Cache:
             raise CacheUnusable(f"cache {self.root}: {exc}") from exc
 
     def load(self, command: str, d: int, spec: str) -> dict | None:
+        """The cached result, or None on a miss."""
         if self.root is None:
             return None
         key = _cache_key(command, d, spec)
@@ -163,21 +164,19 @@ class Cache:
                 or manifest.get("schema") != SCHEMA \
                 or "result" not in manifest:
             return None
-        return manifest
+        _note(self, "cache hit")
+        return manifest["result"]
 
-    def store(self, command: str, d: int, spec: str, manifest: dict,
-              matrices: dict = ()) -> None:
-        """Write the manifest, and each zlinalg matrix by its to_text."""
+    def store(self, command: str, d: int, spec: str, result: dict) -> None:
         if self.root is None:
             return
         key = _cache_key(command, d, spec)
         manifest = {"schema": SCHEMA, "version": __version__,
-                    "command": command, "d": d, "spec": spec, **manifest}
+                    "command": command, "d": d, "spec": spec,
+                    "result": result}
         with self._io(), self._lock(exclusive=True) as fh:
             folder = self.root / key
             folder.mkdir(parents=True, exist_ok=True)
-            for name, mat in dict(matrices or {}).items():
-                (folder / f"{name}.mat").write_text(mat.to_text())
             tmp = folder / "manifest.json.tmp"
             tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2))
             tmp.rename(folder / "manifest.json")
@@ -194,10 +193,8 @@ def cmd_field(args, K: QuadField, cache: Cache) -> dict:
 def cmd_rayclass(args, K: QuadField, cache: Cache) -> dict:
     m = _parse_modulus(K, args.modulus)
     spec = m.label()
-    hit = cache.load("rayclass", args.d, spec)
-    if hit is not None:
-        _note(args, "cache hit")
-        return hit["result"]
+    if (hit := cache.load("rayclass", args.d, spec)) is not None:
+        return hit
     from .rayclass import ray_class_group
     G = ray_class_group(K, m)
     result = {
@@ -208,18 +205,15 @@ def cmd_rayclass(args, K: QuadField, cache: Cache) -> dict:
         "inertia_orders": {Modulus(K, ((p, 1),)).label(): G.inertia(p).order
                            for p, _ in m.primes},
     }
-    cache.store("rayclass", args.d, spec, {
-        "field": _field_block(K), "result": result})
+    cache.store("rayclass", args.d, spec, result)
     return result
 
 
 def cmd_torsion(args, K: QuadField, cache: Cache) -> dict:
     m = _parse_modulus(K, args.modulus)
     spec = m.label()
-    hit = cache.load("torsion", args.d, spec)
-    if hit is not None:
-        _note(args, "cache hit")
-        return hit["result"]
+    if (hit := cache.load("torsion", args.d, spec)) is not None:
+        return hit
     from .distribution import build_presentation, level_torsion, torsion_bound
     from .groupring import _check_coprime_to_w
     _check_coprime_to_w(m)  # before any ray class group of the level
@@ -237,14 +231,7 @@ def cmd_torsion(args, K: QuadField, cache: Cache) -> dict:
         "product_bound": product_bound,
         "borne": borne,
     }
-    cache.store("torsion", args.d, spec, {
-        "field": _field_block(K),
-        "levels": [{"label": u.label(),
-                    "invariant_factors": list(P.ray(u).group.torsion)}
-                   for u in P.levels],
-        "transform_scale": P.transform_scale,
-        "result": result,
-    }, {"relations": P.relations, "heads": P.heads})
+    cache.store("torsion", args.d, spec, result)
     return result
 
 
@@ -252,13 +239,10 @@ def cmd_certify(args, K: QuadField, cache: Cache) -> dict:
     primes = [_parse_prime(K, s, allow_exponent=False)[0]
               for s in args.primes]
     spec = _certify_label(K, primes)
-    hit = cache.load("certify", args.d, spec) if spec else None
-    if hit is not None:
-        _note(args, "cache hit")
+    if spec and (hit := cache.load("certify", args.d, spec)) is not None:
         # the key ignores the order of -p; the echo follows it
-        return {**hit["result"], "primes": [p.norm() for p in primes]}
+        return {**hit, "primes": [p.norm() for p in primes]}
     from .distribution import OracleMismatch, torsex_certificate
-    from .zlinalg import IntMatrix
     _note(args, "building certificate")
     cert = torsex_certificate(K, *primes)
     result = {
@@ -274,9 +258,7 @@ def cmd_certify(args, K: QuadField, cache: Cache) -> dict:
         raise OracleMismatch(
             "hypotheses hold but the certificate failed to verify: "
             + json.dumps(result, sort_keys=True))
-    cache.store("certify", args.d, spec, {
-        "field": _field_block(K), "result": result},
-        {"R": IntMatrix.from_rows([list(cert.R)], len(cert.R))})
+    cache.store("certify", args.d, spec, result)
     return result
 
 
@@ -413,9 +395,9 @@ def main(argv=None) -> int:
     started = time.monotonic_ns()
     try:
         args = _build_parser().parse_args(argv)
-        cache = Cache(_cache_dir(args))
+        cache = Cache(_cache_dir(args), args.verbose)
         if getattr(args, "norm_bound", 0) < 0:
-            raise UsageError("norm bound must be positive")
+            raise UsageError("norm bound must not be negative")
         if args.command == "certify" and len(args.primes) != 3:
             raise UsageError("certify needs exactly three -p primes")
         K = make_field(args.d) if args.command != "toralg-sweep" else None

@@ -65,7 +65,7 @@ class DeltaPresentation:
     The transform F that kills the relations is never stored either: its
     column (u, sigma) is the level element a(u, m) translated by a lift
     of sigma to G_m, so the rows of heads, the a(u, m) over one common
-    denominator transform_scale, determine it.
+    denominator, determine it.
     """
 
     def __init__(self, K: QuadField, m: Modulus):
@@ -93,23 +93,15 @@ class DeltaPresentation:
                          for u in self.levels)
 
     @cached_property
-    def _scaled_heads(self) -> tuple[int, IntMatrix]:
+    def heads(self) -> IntMatrix:
+        """One row per divisor u in level order: a(u, m) times the least
+        common denominator of all a(u, m), over the mixed-radix indices
+        of G_m."""
         G = self.ray(self.modulus)
         alphas = [alpha(u, self.modulus, G) for u in self.levels]
         scale = math.lcm(*(au.den for au in alphas))
-        return scale, IntMatrix([[x * (scale // au.den) for x in au.num]
-                                 for au in alphas], G.group.order)
-
-    @property
-    def heads(self) -> IntMatrix:
-        """One row per divisor u in level order: a(u, m) times
-        transform_scale, over the mixed-radix indices of G_m."""
-        return self._scaled_heads[1]
-
-    @property
-    def transform_scale(self) -> int:
-        """The least common denominator of the a(u, m)."""
-        return self._scaled_heads[0]
+        return IntMatrix([[x * (scale // au.den) for x in au.num]
+                          for au in alphas], G.group.order)
 
     def ray(self, u: Modulus) -> RayClassGroup:
         return self.rays[u.primes]

@@ -55,9 +55,11 @@ class ModulusTooLarge(OrdistError):
         super().__init__(f"norm {shown}exceeds {RESIDUE_NORM_BOUND}")
 
 
-# the largest norm of a modulus whose residue units are enumerated; a norm
-# is only worked out, and shown, below about 2^_SHOWN_BITS (Python prints
-# no int past 4,300 digits)
+# the largest norm of a modulus whose residue units are enumerated, and
+# the largest d of a field (the squarefree test and the reduced forms
+# take time of order sqrt(d) and d); a norm is only worked out, and
+# shown, below about 2^_SHOWN_BITS (Python prints no int past 4,300
+# digits)
 RESIDUE_NORM_BOUND, _SHOWN_BITS = 10 ** 6, 1000
 
 # the least strong pseudoprime to all of the first twelve prime bases
@@ -105,6 +107,8 @@ class QuadField:
     """The imaginary quadratic field Q(sqrt(-d)), d squarefree positive."""
 
     def __init__(self, d: int):
+        if d > RESIDUE_NORM_BOUND:  # before the squarefree test
+            raise OrdistError(f"d = {d} exceeds {RESIDUE_NORM_BOUND}")
         if d < 1 or not _is_squarefree(d):
             raise NotSquarefree(f"d = {d} must be squarefree and positive")
         self.d = d

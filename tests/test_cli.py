@@ -72,6 +72,32 @@ def test_huge_modulus_exits_one_at_once(name):
     assert proc.stderr == f"ordist: {message}\n"
 
 
+# d above the same bound: refused before the squarefree test, which
+# trial-divides up to sqrt(d), and the reduced forms, O(d)
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "-d", "999999999999999989"),
+    ("field", "-d", "1000000007"),
+    ("rayclass", "-d", "10000019", "-m", "p:3"),
+], ids=["prime-near-1e18", "prime-near-1e9", "rayclass"])
+def test_huge_d_exits_one_at_once(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordist.cli", *argv, "--no-cache"],
+        capture_output=True, text=True, env=_child_env(), timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"ordist: d = {argv[2]} exceeds 1000000\n"
+
+
+def test_search_norm_bound_may_be_zero_but_not_negative(capsys):
+    code, doc = run(capsys, "search", "-d", "7", "-B", "0")
+    assert code == 0
+    assert (doc["result"]["count"], doc["result"]["triples"]) == (0, [])
+    assert cli.main(["search", "-d", "7", "-B", "-1"]) == 1
+    assert capsys.readouterr().err == \
+        "ordist: norm bound must not be negative\n"
+
+
 @pytest.mark.parametrize("spec, norm", [
     ("p:1000003", 1000003),  # split
     ("p:1000033", 1000033 ** 2),  # inert
@@ -212,8 +238,6 @@ def test_cache_hit_is_bytes_stable_and_skips_compute(
     assert code == 0
     key = cli._cache_key("torsion", 7, first["result"]["modulus"])
     assert (tmp_path / key / "manifest.json").exists()
-    assert (tmp_path / key / "relations.mat").exists()
-    assert (tmp_path / key / "heads.mat").exists()
 
     def boom(*a, **k):
         raise AssertionError("cache hit must not rebuild")
@@ -309,20 +333,67 @@ def test_empty_cache_dir_means_no_cache(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cached_matrices_are_readable(capsys, tmp_path):
-    from matrix_text import from_text
+# a cache entry is one manifest: the header and the result, nothing else
 
-    argv = ["torsion", "-d", "7", "-m", "p:11", "--cache-dir",
-            str(tmp_path)]
-    code, doc = run(capsys, *argv)
+ENTRY_KEYS = {"schema", "version", "command", "d", "spec", "result"}
+ENTRY_CALLS = {
+    "torsion": (["torsion", "-d", "7", "-m", "p:7,p:11"],
+                distribution, "build_presentation"),
+    "rayclass": (["rayclass", "-d", "7", "-m", "p:11,p:23"],
+                 rayclass, "ray_class_group"),
+    "certify": (["certify", "-d", "7", "-p", "7", "-p", "11", "-p", "23"],
+                distribution, "torsex_certificate"),
+}
+
+
+def _boom(*a, **k):
+    raise AssertionError("cache hit must not recompute")
+
+
+@pytest.mark.parametrize("command", list(ENTRY_CALLS))
+def test_cache_entry_is_one_manifest_and_a_hit_returns_it(
+        capsys, tmp_path, monkeypatch, command):
+    argv, module, compute = ENTRY_CALLS[command]
+    code, cold = run(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 0
-    key = cli._cache_key("torsion", 7, doc["result"]["modulus"])
-    rel = from_text((tmp_path / key / "relations.mat").read_text())
-    assert rel.rows == doc["result"]["relations"]
-    assert rel.cols == doc["result"]["generators"]
-    # one head per divisor of p11, over G_m
-    heads = from_text((tmp_path / key / "heads.mat").read_text())
-    assert (heads.rows, heads.cols) == (2, doc["result"]["rank"])
+    (entry,) = [e for e in tmp_path.iterdir() if e.is_dir()]
+    assert [f.name for f in entry.iterdir()] == ["manifest.json"]
+    manifest = json.loads((entry / "manifest.json").read_text())
+    assert set(manifest) == ENTRY_KEYS
+    assert (manifest["schema"], manifest["command"], manifest["d"]) == \
+        ("ordist/1", command, 7)
+    assert manifest["result"] == cold["result"]
+    monkeypatch.setattr(module, compute, _boom)
+    code, hit = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert hit["result"] == cold["result"]
+
+
+def test_entry_in_the_older_layout_still_hits(
+        capsys, tmp_path, monkeypatch):
+    # entries once also held the field, the ray class tables and the
+    # transform's scale, beside the relation matrix and the heads as
+    # .mat files (here as they were written); a lookup reads only the
+    # result
+    argv = ["torsion", "-d", "7", "-m", "p:11", "--cache-dir", str(tmp_path)]
+    code, cold = run(capsys, *argv)
+    assert code == 0
+    entry = tmp_path / cli._cache_key("torsion", 7, cold["result"]["modulus"])
+    manifest = json.loads((entry / "manifest.json").read_text())
+    manifest.update(field={"disc": -7, "h": 1, "w": 2},
+                    levels=[{"label": "(1)", "invariant_factors": []},
+                            {"label": "p:11:0", "invariant_factors": [5]}],
+                    transform_scale=5)
+    (entry / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2))
+    (entry / "relations.mat").write_text(
+        "1 6 5\n1:-1 2:-1 3:-1 4:-1 5:-1\n")
+    (entry / "heads.mat").write_text(
+        "2 5 10\n0:5 1:5 2:5 3:5 4:5\n0:4 1:-1 2:-1 3:-1 4:-1\n")
+    monkeypatch.setattr(distribution, "build_presentation", _boom)
+    code, hit = run(capsys, *argv)
+    assert code == 0
+    assert hit["result"] == cold["result"]
 
 
 def test_search_report(capsys):

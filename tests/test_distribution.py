@@ -56,7 +56,7 @@ def test_trivial_modulus_is_class_group_copy(field7):
     assert P.relations.rows == 0
     F, scale = dt.iwasawa_matrix(P)
     assert F.entries == P.heads.entries == ((1,),)
-    assert P.transform_scale == scale == 1
+    assert scale == 1
     assert level_torsion(P).is_trivial
     assert torsion_bound(P) == (1, 1)
 
@@ -142,7 +142,7 @@ def test_transform_annihilates_relations(field7):
 def test_transform_columns_independent_of_lift(field7):
     # rebuild one block with randomized section and compare
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    F, _ = dt.iwasawa_matrix(P)
+    F, scale = dt.iwasawa_matrix(P)
     G = P.ray(P.modulus)
     amb = G.group
     rng = random.Random(11)
@@ -156,7 +156,7 @@ def test_transform_columns_independent_of_lift(field7):
             s = rng.choice(fibers[sigma])
             col = [0] * amb.order
             for el, cf in au.coeffs:
-                col[amb.index_of(amb.add(el, s))] = cf * P.transform_scale
+                col[amb.index_of(amb.add(el, s))] = cf * scale
             j = P.offset(u) + P.ray(u).group.index_of(sigma)
             assert [F.entries[i][j] for i in range(F.rows)] == col
 
@@ -255,8 +255,8 @@ def test_gather_transform_matches_fraction_reference(request, d, qs):
     P = _transform_level(request, d, qs)
     F, scale = dt.iwasawa_matrix(P)
     ref, ref_scale = _fraction_transform(P)
-    assert F.to_text() == ref.to_text()
-    assert P.transform_scale == scale == ref_scale
+    assert F == ref
+    assert scale == ref_scale
     dt.check_structure(P, F)
     Fd = nl.dense(F)
     for head, u in zip(nl.dense(P.heads), P.levels):
@@ -277,7 +277,7 @@ def test_gather_transform_falls_back_to_object_entries(
     big = ((1 << 61) - 1) ** 2
     m = modulus_of(field7, 7, 11)
     Q = build_presentation(field7, m)
-    small, _ = dt.iwasawa_matrix(Q)
+    small, small_scale = dt.iwasawa_matrix(Q)
     want = tuple(tuple(x * big for x in r) for r in Q.heads.entries)
 
     def scaled(u, n2, G):
@@ -286,11 +286,10 @@ def test_gather_transform_falls_back_to_object_entries(
 
     monkeypatch.setattr(dist, "alpha", scaled)
     P = build_presentation(field7, m)
-    assert P.transform_scale == Q.transform_scale
     assert max(abs(x) for r in P.heads.entries for x in r) > 1 << 63
     assert P.heads.entries == want
     F, scale = dt.iwasawa_matrix(P, scaled)
-    assert scale == P.transform_scale
+    assert scale == small_scale
     assert F.entries == tuple(tuple(x * big for x in r)
                               for r in small.entries)
     dt.check_structure(P, F)

@@ -1,9 +1,10 @@
-"""Golden CLI reports and cache files.
+"""Golden CLI reports and the headline presentation.
 
 Each golden report is the exact JSON text that `ordist` prints, minus
-its `timing_ms` line.  The headline `torsion` run also fills a cache
-entry, whose `relations.mat` and `heads.mat` are pinned by sha256
-(in `sha256sum` format), and counts the trace-ideal quotients it builds.
+its `timing_ms` line.  The headline `torsion` run also pins the
+presentation it builds by sha256 (in `sha256sum` format): of the repr of
+the relation matrix's (cols, indptr, indices, data) and of the repr of
+the rows of its heads.  It counts the trace-ideal quotients it builds.
 
 After an intended change of a report, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -16,7 +17,6 @@ import hashlib
 import io
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -36,25 +36,20 @@ REPORTS = {
 }
 HEADLINE = ["torsion", "-d", "7", "-m", "p:7,p:11:0,p:23:0"]
 HEADLINE_REPORT = "torsion_headline"
-CACHE_SUMS = "torsion_headline_cache.sha256"
-MATRICES = ("relations.mat", "heads.mat")
+PRESENTATION_SUMS = "torsion_headline_presentation.sha256"
 
 _TIMING = re.compile(r',\n  "timing_ms": \d+\n')
 
 
-def run_cli(argv, cache_dir: Path | None = None) -> bytes:
-    """Standard output of one in-process `ordist` call, without its
-    timing line.  The cache goes to cache_dir through ORDIST_CACHE, so
-    the command echo stays free of paths; with None nothing is cached."""
+def run_cli(argv) -> bytes:
+    """Standard output of one in-process `ordist` call with no cache,
+    without its timing line."""
     saved = os.environ.pop("ORDIST_CACHE", None)
-    if cache_dir is not None:
-        os.environ["ORDIST_CACHE"] = str(cache_dir)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
             code = cli.main(list(argv))
     finally:
-        os.environ.pop("ORDIST_CACHE", None)
         if saved is not None:
             os.environ["ORDIST_CACHE"] = saved
     if code != 0:
@@ -65,35 +60,45 @@ def run_cli(argv, cache_dir: Path | None = None) -> bytes:
     return text.encode()
 
 
-def cache_sums(cache_dir: Path) -> bytes:
-    """sha256sum lines of the cached matrices of the one entry."""
-    (entry,) = [p for p in cache_dir.iterdir() if p.is_dir()]
+def presentation_sums(P) -> bytes:
+    """sha256sum lines of the relation matrix and the heads of P."""
+    R = P.relations
+    parts = (("relations", (R.cols, R.indptr, R.indices, R.data)),
+             ("heads", P.heads.entries))
     return "".join(
-        f"{hashlib.sha256((entry / name).read_bytes()).hexdigest()}  {name}\n"
-        for name in MATRICES).encode()
+        f"{hashlib.sha256(repr(obj).encode()).hexdigest()}  {name}\n"
+        for name, obj in parts).encode()
 
 
-def headline_run(cache_dir: Path) -> tuple[bytes, bytes, list[str]]:
-    """(report, cache sums, labels of the trace-ideal quotients built)
-    of one cold headline `torsion` call."""
-    calls = []
-    orig = dist.trace_ideal_quotient
+def headline_run() -> tuple[bytes, bytes, list[str]]:
+    """(report, presentation sums, labels of the trace-ideal quotients
+    built) of one cold headline `torsion` call."""
+    calls, built = [], []
+    orig_quotient = dist.trace_ideal_quotient
+    orig_build = dist.build_presentation
 
     def counting(G):
         calls.append(G.modulus.label())
-        return orig(G)
+        return orig_quotient(G)
+
+    def keeping(K, m):
+        built.append(orig_build(K, m))
+        return built[-1]
 
     dist.trace_ideal_quotient = counting
+    dist.build_presentation = keeping
     try:
-        report = run_cli(HEADLINE, cache_dir)
+        report = run_cli(HEADLINE)
     finally:
-        dist.trace_ideal_quotient = orig
-    return report, cache_sums(cache_dir), calls
+        dist.trace_ideal_quotient = orig_quotient
+        dist.build_presentation = orig_build
+    (P,) = built
+    return report, presentation_sums(P), calls
 
 
 @pytest.fixture(scope="module")
-def headline(tmp_path_factory):
-    return headline_run(tmp_path_factory.mktemp("golden_cache"))
+def headline():
+    return headline_run()
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
@@ -106,9 +111,9 @@ def test_headline_report_matches_golden(headline):
     assert report == (GOLDEN / f"{HEADLINE_REPORT}.json").read_bytes()
 
 
-def test_headline_cache_matrices_match_golden(headline):
+def test_headline_presentation_matches_golden(headline):
     _, sums, _ = headline
-    assert sums == (GOLDEN / CACHE_SUMS).read_bytes()
+    assert sums == (GOLDEN / PRESENTATION_SUMS).read_bytes()
 
 
 def test_headline_torsion_builds_each_trace_quotient_once(headline):
@@ -123,7 +128,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in REPORTS.items():
         (GOLDEN / f"{name}.json").write_bytes(run_cli(argv))
-    with tempfile.TemporaryDirectory() as tmp:
-        report, sums, _ = headline_run(Path(tmp))
+    report, sums, _ = headline_run()
     (GOLDEN / f"{HEADLINE_REPORT}.json").write_bytes(report)
-    (GOLDEN / CACHE_SUMS).write_bytes(sums)
+    (GOLDEN / PRESENTATION_SUMS).write_bytes(sums)

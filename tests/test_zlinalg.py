@@ -31,7 +31,6 @@ from ordist.zlinalg import (
 import numpy_linalg as nl
 from dense_transform import _layered_elimination, modular_rank
 from hnf_reference import hnf, hnf_basis
-from matrix_text import from_text
 
 
 # -- brute-force oracle: invariant factors from gcds of k x k minors --------
@@ -292,63 +291,6 @@ def test_solve_left_refuses_a_wrong_combination(monkeypatch):
 def test_subquotient_rejects_dependent_rows():
     with pytest.raises(LinalgError, match="dependent"):
         subquotient_torsion([(1, 0), (2, 0)], [(2, 0)])
-
-
-# -- serialization -----------------------------------------------------------
-
-TEXT_CASES = (
-    ([[0, -17, 2 ** 80], [5, 0, -(2 ** 63) - 1]], 3),
-    ([[1, 0], [0, 0], [0, -2]], 2),  # an empty row inside
-    ([[0, 3], [0, 0], [0, 0]], 2),  # empty last rows
-    ([[0, 0, 0]], 3),
-    ([], 4),  # no rows
-    ([[], []], 0),  # no columns
-)
-
-BAD_TEXTS = (
-    "2 2 1\n0:1\n",  # a row line missing
-    "2 2 1\n0:1\n\n\n",  # a row line too many
-    "2 2\n1 2\n3 4\n",  # the old dense header
-    "2 2 1 0\n0:1\n\n",  # a header of four fields
-    "2 x 1\n0:1\n\n",  # a header field that is no int
-    "-1 2 0\n",  # a negative row count
-    "1 2 1\n0:1",  # no final newline
-    "",  # no header
-    "1 2 2\n0:1\n",  # nnz above the pairs
-    "2 2 1\n0:1\n1:1\n",  # nnz below the pairs
-    "1 2 1\n2:1\n",  # a column out of range
-    "1 2 1\n-1:1\n",  # a negative column
-    "1 3 2\n2:1 1:1\n",  # columns out of order
-    "1 3 2\n1:1 1:1\n",  # a repeated column
-    "1 2 1\n0:0\n",  # a stored 0
-    "1 2 1\n0 1\n",  # a dense row
-    "1 2 1\n0:+1\n",  # a value not as str writes it
-    "1 2 1\n0:1 \n",  # a trailing space
-)
-
-
-def test_text_round_trip():
-    # both classes write the same text, with exactly one line per row
-    # after the header, and the reader gives the matrix back
-    for rows, cols in TEXT_CASES:
-        A = IntMatrix.from_rows(rows, cols)
-        S = CSRMatrix.from_dense(rows, cols)
-        text = S.to_text()
-        assert A.to_text() == text
-        assert text.count("\n") == len(rows) + 1
-        assert from_text(text) == S
-        assert from_text(text).entries == A.entries
-
-
-def test_text_format_is_column_value_pairs():
-    A = IntMatrix.from_rows([[0, -5, 0, 2 ** 64], [0, 0, 0, 0], [7, 0, 0, 0]])
-    assert A.to_text() == "3 4 3\n1:-5 3:18446744073709551616\n\n0:7\n"
-
-
-def test_text_rejects_bad_body():
-    for text in BAD_TEXTS:
-        with pytest.raises(LinalgError):
-            from_text(text)
 
 
 # -- AbGroup / AbHom ---------------------------------------------------------
@@ -640,8 +582,8 @@ def test_csr_matrix_round_trips_and_rejects_bad_rows():
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 5), st.integers(0, 5), st.data())
 def test_csr_matrix_from_triplets_text_and_dot(rows, cols, data):
-    # repeated positions add up, zero sums vanish, and the text and the
-    # product are those of the dense matrix; entries may pass 2^63
+    # repeated positions add up, zero sums vanish, and the entries and
+    # the product are those of the dense matrix; entries may pass 2^63
     n = data.draw(st.integers(0, 12)) if rows and cols else 0
     big = (1 << 63) + 1
     r = [data.draw(st.integers(0, rows - 1)) for _ in range(n)]
@@ -654,7 +596,7 @@ def test_csr_matrix_from_triplets_text_and_dot(rows, cols, data):
     vals = np.array(v, dtype=object if big in v else np.int64)
     got = CSRMatrix.from_triplets(rows, cols, r, c, vals)
     assert got == CSRMatrix.from_dense(want.entries, want.cols)
-    assert got.to_text() == want.to_text()
+    assert got.entries == want.entries
     x = [data.draw(st.sampled_from([0, 1, -3, big])) for _ in range(cols)]
     assert got.dot(np.array(x, dtype=object)) == \
         [sum(a * b for a, b in zip(row, x)) for row in dense]
