@@ -44,6 +44,7 @@ _RELATION_LEVELS = "tests/test_index_presentation.py::" \
 _DIST = "tests/test_distribution.py::"
 _PREREDUCE = "tests/test_unit_prereduce.py::"
 _HUGE = "tests/test_cli.py::test_huge_modulus_exits_one_at_once"
+_NO_OBJECT = "tests/test_cli.py::test_entry_whose_result_is_no_object_is_a_miss"
 
 MUTANTS = (
     Mutant(
@@ -87,9 +88,19 @@ MUTANTS = (
     Mutant(
         "frobenius-lift-takes-index-0",
         "rayclass.py",
-        "        lift = self.group.coordinates()[image.index(over)]\n",
-        "        lift = self.group.coordinates()[0]\n",
-        ("tests/test_rayclass.py::test_frobenius_lift_consistent",),
+        "        lift = self.group.coordinates[g]\n",
+        "        lift = self.group.coordinates[0]\n",
+        ("tests/test_rayclass.py::test_frobenius_lift_consistent",
+         "tests/test_rayclass.py::"
+         "test_section_and_frobenius_take_the_first_preimage"),
+    ),
+    Mutant(
+        "section-takes-last-preimage",
+        "rayclass.py",
+        "            first.setdefault(s, g)\n",
+        "            first[s] = g\n",
+        ("tests/test_rayclass.py::"
+         "test_section_and_frobenius_take_the_first_preimage",),
     ),
     Mutant(
         "scatter-drops-frobenius-twist",
@@ -424,6 +435,14 @@ MUTANTS = (
         "    _check_coprime_to_w(m)  # before any ray class group of the level\n",
         "",
         ("tests/test_cli.py::test_torsion_checks_w_before_building_the_level",),
+    ),
+    Mutant(
+        "cache-hit-accepts-any-result",
+        "cli.py",
+        "                or not isinstance(manifest.get(\"result\"), dict):\n",
+        "                or \"result\" not in manifest:\n",
+        (f"{_NO_OBJECT}[torsion]", f"{_NO_OBJECT}[rayclass]",
+         f"{_NO_OBJECT}[certify]"),
     ),
     Mutant(
         "empty-cache-dir-caches-here",

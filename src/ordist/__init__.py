@@ -45,8 +45,8 @@ class OrdistError(Exception):
 class _Frozen:
     """Base of the immutable value classes: their __init__ fills the
     instance __dict__, and assigning or deleting an attribute later
-    raises AttributeError.  Caches computed on first use are written
-    into the __dict__ as well.
+    raises AttributeError.  A result computed on first use is a
+    functools.cached_property, which writes the __dict__ as well.
 
     Each subclass names its fields in _fields.  Equality and hashing
     come from here: two instances are equal when their classes are the
@@ -76,9 +76,9 @@ class _Frozen:
 _EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
-        "LinalgError", "NotSubLattice", "ab_discover", "cokernel",
-        "rational_kernel", "smith_coordinates", "snf_invariants",
-        "solve_left", "subquotient_torsion",
+        "LinalgError", "NotSubLattice", "cokernel", "rational_kernel",
+        "smith_coordinates", "snf_invariants", "solve_left",
+        "subquotient_torsion",
     ),
     "quadfield": (
         "FieldMismatch", "HypothesisFailed", "Modulus", "ModulusTooLarge",

@@ -24,7 +24,8 @@ version) under a sha256 key, the modulus given by its canonical label
 so that reordered prime specs share an entry.  An entry is one JSON
 manifest: the header (schema, version, command, d, spec) and the
 result, which is all that a lookup reads.  A manifest that does not
-parse or lacks a result counts as a miss and is overwritten.  Reads
+parse, or whose result is not a JSON object, counts as a miss and is
+overwritten.  Reads
 and writes take an advisory lock on a file beside the key directories.
 An empty --cache-dir, like an empty $ORDIST_CACHE, means no cache.
 """
@@ -162,7 +163,7 @@ class Cache:
                 fcntl.flock(fh, fcntl.LOCK_UN)
         if not isinstance(manifest, dict) \
                 or manifest.get("schema") != SCHEMA \
-                or "result" not in manifest:
+                or not isinstance(manifest.get("result"), dict):
             return None
         _note(self, "cache hit")
         return manifest["result"]

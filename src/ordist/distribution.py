@@ -75,12 +75,11 @@ class DeltaPresentation:
         self.modulus = m
         m.check_norm()  # before the walk: a huge exponent has many divisors
         self.levels: tuple[Modulus, ...] = tuple(m.divisors())
-        self.rays = {u.primes: ray_class_group(K, u) for u in self.levels}
         self._offset = {}
         total = 0
         for u in self.levels:
             self._offset[u.primes] = total
-            total += self.rays[u.primes].group.order
+            total += self.ray(u).group.order
         self.n_gens = total
         self.relations = self._relation_matrix()
         self._torsion = None
@@ -104,7 +103,7 @@ class DeltaPresentation:
                           for au in alphas], G.group.order)
 
     def ray(self, u: Modulus) -> RayClassGroup:
-        return self.rays[u.primes]
+        return ray_class_group(self.field, u)
 
     def offset(self, u: Modulus) -> int:
         """First generator index of the block for the divisor u."""
@@ -133,7 +132,7 @@ class DeltaPresentation:
             Gu = self.ray(u)
             n_u = Gu.group.order
             ou, ot = self.offset(u), self.offset(t)
-            image = self.ray(t).transition(u).index_image()
+            image = self.ray(t).transition(u).index_image
             rows += [first + s for s in range(n_u)]
             cols += range(ou, ou + n_u)
             vals += [1] * n_u
@@ -156,35 +155,22 @@ def build_presentation(K: QuadField, m: Modulus) -> DeltaPresentation:
     return DeltaPresentation(K, m)
 
 
-def _lifts(G: RayClassGroup, u: Modulus) -> tuple[tuple[int, ...], list[int]]:
-    """The transition G_m -> G_u on indices, and the section lift.
-
-    image[g] is the index in G_u of the image of the element of index g
-    of G_m; lift[sigma] is the first g over sigma, -1 when none is.
-    """
-    down = G.transition(u)
-    image = down.index_image()
-    lift = [-1] * down.codomain.order
-    for g in range(len(image) - 1, -1, -1):  # the first g writes last
-        lift[image[g]] = g
-    return image, lift
-
-
 def _transform_times(P: DeltaPresentation, heads: IntMatrix, cols,
                      vals) -> list[int]:
     """F v in Z[G_m], exactly, for the vector v with entries vals at the
     generator indices cols; column (u, sigma) of the transform F is
-    head u translated by lift(sigma), so F v sums translated heads."""
+    head u translated by lift(sigma), the first element of G_m over
+    sigma (G.section(u)), so F v sums translated heads."""
     G = P.ray(P.modulus)
     amb = G.group
-    coords = amb.coordinates()
+    coords = amb.coordinates
     out = [0] * amb.order
     for head, u in zip(heads.entries, P.levels):
-        off = P.offset(u)
+        off, n_u = P.offset(u), P.ray(u).group.order
         here = [(c - off, v) for c, v in zip(cols, vals)
-                if off <= c < off + P.ray(u).group.order]
+                if off <= c < off + n_u]
         if here:
-            _, lift = _lifts(G, u)
+            lift = G.section(u)
             for sigma, v in here:
                 # F[g, (u, sigma)] = h_u[g - lift(sigma)]
                 at = amb.translation(amb.neg(coords[lift[sigma]]))
@@ -221,15 +207,15 @@ def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
             f"{(n_rows, P.n_gens)}")
     level = {}  # per divisor: G_m -> G_u on indices, h_u on G_u
     for u, head in zip(P.levels, heads.entries):
-        image, lift = _lifts(G, u)
-        level[u.primes] = image, [head[g] for g in lift]
+        level[u.primes] = (G.transition(u).index_image,
+                           [head[g] for g in G.section(u)])
     ptr, idx, val = rel.indptr, rel.indices, rel.data
     for u, _, t, first in steps:
         Gu = P.ray(u).group
         ou, ot = P.offset(u), P.offset(t)
         image_u, hu = level[u.primes]
         image_t, ht = level[t.primes]
-        down = P.ray(t).transition(u).index_image()  # G_t -> G_u
+        down = P.ray(t).transition(u).index_image  # G_t -> G_u
         if any(down[s] != g for s, g in zip(image_t, image_u)):
             raise OracleMismatch(
                 f"the transitions to {t.label()} and on to {u.label()} "
@@ -244,7 +230,7 @@ def _check_annihilation(P: DeltaPresentation, heads: IntMatrix,
                                             val[s0:starts[1]])
                 if ou <= c < ou + Gu.order]
         # shifts[j][sigma]: the index of c_j + sigma
-        shifts = [Gu.translation(Gu.coordinates()[c]) for c, _ in in_u]
+        shifts = [Gu.translation(Gu.coordinates[c]) for c, _ in in_u]
         fibres = [[] for _ in range(Gu.order)]
         for k, s in enumerate(down):
             fibres[s].append((ot + k, -1))
@@ -372,7 +358,7 @@ def _character_rank(P: DeltaPresentation, heads: IntMatrix) -> int:
             f"heads shape {(heads.rows, heads.cols)} != "
             f"(divisors, #G_m) = {(len(P.levels), amb.order)}")
     for u, head in zip(P.levels, heads.entries):
-        image, lift = _lifts(G, u)
+        image, lift = G.transition(u).index_image, G.section(u)
         if -1 in lift:
             raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
         if any(h != head[lift[s]] for h, s in zip(head, image)):
@@ -586,7 +572,7 @@ def torsex_certificate(K: QuadField, p1: OIdeal, p2: OIdeal,
         u = m.without(q)
         Gu = P.ray(u)
         push = G.transition(u)
-        image = push.index_image()
+        image = push.index_image
         phi = sorted({image[g] for g in odd.members()})  # the image of G'
         n_phi = len(phi)
         lam = Gu.artin(q)

@@ -18,7 +18,7 @@ cosets are the fibres of the transition.  The main constructions:
     absorbs inertia translations);
   * trace_ideal_quotient(G) = structure of Z[G_n]/S(n) where S(n) is
     the ideal generated by all inertia traces, with the exponent z_n of
-    its torsion subgroup, computed once per group and kept with it;
+    its torsion subgroup, computed once per group (functools.cache);
   * gal_h_quotient_torsion(G_m, n) = the torsion of the analogous
     quotient taken over Gamma_n = ker(G_n -> G_(1)) only.
 """
@@ -26,6 +26,7 @@ cosets are the fibres of the transition.  The main constructions:
 from __future__ import annotations
 
 import math
+from functools import cache
 from operator import index
 
 from . import OrdistError, _Frozen
@@ -150,7 +151,7 @@ def _coset_rows(order: int, labels) -> CSRMatrix:
 def _fibres(G: RayClassGroup, p: OIdeal) -> tuple[int, ...]:
     """Coset labels of the inertia group at p: its cosets are the
     fibres of the transition G_n -> G_{n/p^v}."""
-    return G.transition(G.modulus.without(p)).index_image()
+    return G.transition(G.modulus.without(p)).index_image
 
 
 def trace_ideal(G: RayClassGroup) -> CSRMatrix:
@@ -160,13 +161,12 @@ def trace_ideal(G: RayClassGroup) -> CSRMatrix:
                        [_fibres(G, p) for p, _ in G.modulus.primes])
 
 
+@cache
 def trace_ideal_quotient(G: RayClassGroup) -> tuple[AbGroup, int]:
     """(structure of Z[G_n]/S(n), exponent z_n of its torsion part),
-    computed once per group and kept with it."""
-    if G._trace_quotient is None:
-        quot = cokernel(trace_ideal(G), G.group.order)
-        G._trace_quotient = (quot, quot.exponent)
-    return G._trace_quotient
+    computed once per group."""
+    quot = cokernel(trace_ideal(G), G.group.order)
+    return quot, quot.exponent
 
 
 def _check_coprime_to_w(n: Modulus) -> None:
@@ -179,7 +179,7 @@ def _gamma_labels(G: RayClassGroup) -> tuple[int, list[list[int]]]:
     """The order of Gamma_n = ker(G_n -> G_(1)) and, per prime of n,
     the coset labels of its inertia group inside Gamma_n, over the
     indices of Gamma_n's own group."""
-    gab, inside, coords, _ = G.gamma().as_group()
+    gab, inside, coords, _ = G.gamma().as_group
     own = gab.indices(coords)  # the indices in gab of the members
     labels = []
     for p, _ in G.modulus.primes:

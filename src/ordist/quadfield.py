@@ -13,10 +13,11 @@ reduced form is the principal form.
 
 This module does not import the linear algebra layer, so a field, its
 primes and its ideals cost no more than the interpreter.
-The one exception is the class group, built on first use by
-enumerating reduced binary quadratic forms and closing them under
-composition-through-ideal-multiplication with zlinalg.ab_discover,
-which labels the classes once.  search_torsex lists the prime triples
+The one exception is the class group, built on first use: the reduced
+binary quadratic forms are labelled by their position in form_reps,
+composition through ideal multiplication permutes those labels, and
+zlinalg._discover reads the structure off the permutations, as for the
+other groups of the package.  search_torsex lists the prime triples
 that the certificate of the distribution module admits.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 from . import OrdistError, _Frozen
 
@@ -120,7 +121,6 @@ class QuadField:
         self.osq_c = D // 4 if D % 2 == 0 else (D - 1) // 4
         self.form_reps = tuple(self._reduced_forms())
         self.h = len(self.form_reps)
-        self._prime_cache: dict[int, tuple[str, tuple["OIdeal", ...]]] = {}
 
     def __eq__(self, other):
         return isinstance(other, QuadField) and other.d == self.d
@@ -205,14 +205,16 @@ class QuadField:
         deferred so that a field, its primes and its ideals do not load
         it.
         """
-        from .zlinalg import ab_discover
+        from .zlinalg import _discover
 
-        def compose(f, g):
-            return self.form_of_ideal(
-                self.ideal_of_form(f).multiply(self.ideal_of_form(g)))
-
-        return ab_discover(self.h, compose, list(self.form_reps),
-                           identity=self.principal_form())
+        forms = self.form_reps
+        label = {f: i for i, f in enumerate(forms)}
+        # multiplication by each form, on the labels
+        perms = [[label[self.form_of_ideal(self.ideal_of_form(f).multiply(
+            self.ideal_of_form(g)))] for f in forms] for g in forms]
+        group, bfs, coords = _discover(self.h, perms,
+                                       label[self.principal_form()])
+        return group, {forms[i]: coords[i] for i in bfs}
 
     @property
     def class_group(self):
@@ -248,9 +250,8 @@ class QuadField:
 
     # -- prime splitting --
 
+    @cache
     def splitting_type(self, p: int) -> tuple[str, tuple["OIdeal", ...]]:
-        if p in self._prime_cache:
-            return self._prime_cache[p]
         if not _is_prime(p):
             raise NotPrime(f"{p} is not a rational prime")
         D = self.disc
@@ -259,26 +260,22 @@ class QuadField:
                      if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0]
             if len(roots) != 1:
                 raise OrdistError(f"ramified {p} has {len(roots)} roots")
-            res = ("ramified", (OIdeal(self, 1, p, roots[0]),))
+            return ("ramified", (OIdeal(self, 1, p, roots[0]),))
+        if p == 2:
+            sym = 1 if D % 8 == 1 else -1
         else:
-            if p == 2:
-                sym = 1 if D % 8 == 1 else -1
-            else:
-                ls = pow(D % p, (p - 1) // 2, p)
-                sym = 1 if ls == 1 else -1
-            if sym == 1:
-                roots = sorted(b for b in range(2 * p)
-                               if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0)
-                if len(roots) != 2:
-                    raise OrdistError(f"split {p} has {len(roots)} roots")
-                res = ("split", tuple(OIdeal(self, 1, p, b) for b in roots))
-            else:
-                res = ("inert", (OIdeal(self, p, 1, D & 1),))
-        self._prime_cache[p] = res
-        return res
+            ls = pow(D % p, (p - 1) // 2, p)
+            sym = 1 if ls == 1 else -1
+        if sym == 1:
+            roots = sorted(b for b in range(2 * p)
+                           if (b - D) % 2 == 0 and (b * b - D) % (4 * p) == 0)
+            if len(roots) != 2:
+                raise OrdistError(f"split {p} has {len(roots)} roots")
+            return ("split", tuple(OIdeal(self, 1, p, b) for b in roots))
+        return ("inert", (OIdeal(self, p, 1, D & 1),))
 
 
-@lru_cache(maxsize=None)
+@cache
 def make_field(d: int) -> QuadField:
     return QuadField(d)
 
@@ -489,14 +486,13 @@ class Modulus(_Frozen):
     def is_one(self) -> bool:
         return not self.primes
 
+    @cached_property
     def ideal(self) -> OIdeal:
-        """The product of the prime powers, multiplied out once."""
-        if "_ideal" not in self.__dict__:
-            out = self.field.unit_ideal()
-            for p, e in self.primes:
-                out = out.multiply(p.pow(e))
-            object.__setattr__(self, "_ideal", out)
-        return self.__dict__["_ideal"]
+        """The product of the prime powers."""
+        out = self.field.unit_ideal()
+        for p, e in self.primes:
+            out = out.multiply(p.pow(e))
+        return out
 
     def v_p(self, p: OIdeal) -> int:
         return next((e for q, e in self.primes if q == p), 0)

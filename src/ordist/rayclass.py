@@ -12,7 +12,10 @@ from real principal generators and is never assumed split.
 
 Artin images of coprime ideals are computed by the same mechanism:
 divide the ideal by a product of class primes to reach a principal
-ideal, recover the generator, and read off its residue.
+ideal, recover the generator, and read off its residue.  Ray class
+groups live for the whole process (ray_class_group), and each keeps its
+Artin images, transitions, level kernels, sections and Frobenius lifts
+in functools.cache memos of its methods.
 
 The unit groups (O_K/n)^x are found on indices: the residues are
 numbered, multiplication by a unit permutes the unit labels, and the
@@ -26,6 +29,8 @@ frame element whose order drops by the l-part of w_K.
 """
 
 from __future__ import annotations
+
+from functools import cache, cached_property
 
 from . import OrdistError, _Frozen
 from .quadfield import (
@@ -105,7 +110,7 @@ class Subgroup(_Frozen):
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """The members as element tuples, in index (= sorted) order."""
-        coords = self.ambient.coordinates()
+        coords = self.ambient.coordinates
         return tuple(coords[g] for g in self.members())
 
     @property
@@ -135,7 +140,7 @@ class Subgroup(_Frozen):
         other that is not in yet."""
         amb = self.ambient
         span = bytearray(self.mask)
-        coords = amb.coordinates()
+        coords = amb.coordinates
         while True:
             x = next((g for g, (a, b) in enumerate(zip(other.mask, span))
                       if a and not b), None)
@@ -147,33 +152,31 @@ class Subgroup(_Frozen):
         return Subgroup(self.ambient,
                         [a and b for a, b in zip(self.mask, other.mask)])
 
+    @cached_property
     def as_group(self):
-        """(AbGroup, members, coords, reps), computed once: the abstract
-        structure; the ambient indices of the members in the order the
-        structure search found them, and their coordinates; element
-        tuples representing the abstract invariant basis.  The labels
-        are positions among the members; adding an element maps them to
-        labels, and zlinalg._harvest and _discover run on those."""
-        if "_structure" not in self.__dict__:
-            amb = self.ambient
-            members = self.members()
-            els = self.elements
-            label = dict(zip(members, range(len(members))))
+        """(AbGroup, members, coords, reps): the abstract structure; the
+        ambient indices of the members in the order the structure search
+        found them, and their coordinates; element tuples representing
+        the abstract invariant basis.  The labels are positions among
+        the members; adding an element maps them to labels, and
+        zlinalg._harvest and _discover run on those."""
+        amb = self.ambient
+        members = self.members()
+        els = self.elements
+        label = dict(zip(members, range(len(members))))
 
-            def perm_of(x: int) -> list[int]:
-                return [label[amb.index_of(amb.add(e, els[x]))] for e in els]
+        def perm_of(x: int) -> list[int]:
+            return [label[amb.index_of(amb.add(e, els[x]))] for e in els]
 
-            gens = _harvest(len(members), perm_of, 0)  # label 0 is zero
-            group, bfs, coords = _discover(
-                len(members), [perm_of(g) for g in gens], 0)
-            # each basis coordinate vector has one member
-            k = len(group.invariant_factors)
-            reps = [els[coords.index(tuple(int(i == j) for j in range(k)))]
-                    for i in range(k)]
-            object.__setattr__(self, "_structure", (
-                group, tuple(members[i] for i in bfs),
-                tuple(coords[i] for i in bfs), reps))
-        return self.__dict__["_structure"]
+        gens = _harvest(len(members), perm_of, 0)  # label 0 is zero
+        group, bfs, coords = _discover(
+            len(members), [perm_of(g) for g in gens], 0)
+        # each basis coordinate vector has one member
+        k = len(group.invariant_factors)
+        reps = [els[coords.index(tuple(int(i == j) for j in range(k)))]
+                for i in range(k)]
+        return (group, tuple(members[i] for i in bfs),
+                tuple(coords[i] for i in bfs), reps)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def residue_units(K: QuadField, n: Modulus):
     n.check_norm()
     if n.is_one():
         return AbGroup(()), {(0, 0): ()}, [()] * K.w_K
-    nid = n.ideal()
+    nid = n.ideal
     c, ca = nid.content, nid.content * nid.a
     bx = nid.beta()[0]
     # non-unit residues at a prime P over p: x - y*beta_P = 0 mod p for
@@ -263,7 +266,6 @@ class RayClassGroup:
         self.field = K
         self.modulus = n
         self.unit_group, self.unit_dlog, self.mu_images = residue_units(K, n)
-        self._n_ideal = n.ideal()
         self.class_primes = self._pick_class_primes()
         t = len(self.unit_group.invariant_factors)
         s = len(self.class_primes)
@@ -279,13 +281,6 @@ class RayClassGroup:
             raise OrdistError(
                 f"order {self.group.order} != exact-sequence value {expected}")
         self._unit_reps = self._unit_basis_reps()
-        self._artin_cache: dict = {}
-        self._transition_cache: dict = {}
-        self._inertia_cache: dict = {}
-        self._frobenius_cache: dict = {}
-        # (Z[G_n]/S(n), its exponent), kept by
-        # groupring.trace_ideal_quotient
-        self._trace_quotient = None
 
     # -- presentation plumbing --
 
@@ -305,7 +300,7 @@ class RayClassGroup:
             if kind == "inert":
                 continue
             for P in ids:
-                if not P.is_coprime(self._n_ideal):
+                if not P.is_coprime(self.modulus.ideal):
                     continue
                 c = K.ideal_class(P)
                 if not sub.contains(c):
@@ -356,7 +351,7 @@ class RayClassGroup:
         return self._unit_dlog_of(u)
 
     def _unit_dlog_of(self, u):
-        r = _residue_reduce(self._n_ideal, u)
+        r = _residue_reduce(self.modulus.ideal, u)
         if r not in self.unit_dlog:
             raise NotCoprime("element is not a unit modulo n")
         return self.unit_dlog[r]
@@ -405,14 +400,12 @@ class RayClassGroup:
 
     # -- the Artin map --
 
+    @cache
     def artin(self, a: OIdeal) -> tuple[int, ...]:
-        key = (a.content, a.a, a.b)
-        if key in self._artin_cache:
-            return self._artin_cache[key]
         K = self.field
         if a.field != K:
             raise OrdistError("ideal from a different field")
-        if not a.is_coprime(self._n_ideal):
+        if not a.is_coprime(self.modulus.ideal):
             raise NotCoprime(f"{a} is not coprime to the modulus")
         s = self._s
         if s == 0:
@@ -434,16 +427,12 @@ class RayClassGroup:
             w1 = self._residue_word(g)
             w2 = self._principal_word([e1 + e2 for e1, e2 in zip(x, z)])
             word = [u - v for u, v in zip(w1, w2)] + x
-        out = self.word_to_coords(word)
-        self._artin_cache[key] = out
-        return out
+        return self.word_to_coords(word)
 
     # -- transitions, inertia, Frobenius --
 
+    @cache
     def transition(self, n2: Modulus) -> AbHom:
-        key = n2.primes
-        if key in self._transition_cache:
-            return self._transition_cache[key]
         if not n2.divides(self.modulus):
             raise NotDivisor("target modulus does not divide the source")
         target = ray_class_group(self.field, n2)
@@ -455,49 +444,51 @@ class RayClassGroup:
             imgs.append(target.artin(q))
         hom = AbHom(self.group, target.group, _reduced_product(
             self._back, imgs, target.group.invariant_factors))
-        if len(set(hom.index_image())) != target.group.order:
+        if len(set(hom.index_image)) != target.group.order:
             raise OrdistError("transition must be onto")
-        self._transition_cache[key] = hom
         return hom
 
+    @cache
     def level_kernel(self, u: Modulus) -> Subgroup:
         """ker(G_n -> G_u) for a divisor modulus u."""
-        key = u.primes
-        if key in self._inertia_cache:
-            return self._inertia_cache[key]
         hom = self.transition(u)
-        sub = Subgroup(self.group, [g == 0 for g in hom.index_image()])
+        sub = Subgroup(self.group, [g == 0 for g in hom.index_image])
         if sub.order * hom.codomain.order != self.group.order:
             raise OrdistError("level kernel order does not match the index")
-        self._inertia_cache[key] = sub
         return sub
+
+    @cache
+    def section(self, u: Modulus) -> tuple[int, ...]:
+        """The first element over each element of G_u: entry sigma is the
+        least index of G_n that the transition to u sends to sigma, or -1
+        when none is."""
+        hom = self.transition(u)
+        first = {}
+        for g, s in enumerate(hom.index_image):
+            first.setdefault(s, g)
+        return tuple(first.get(s, -1) for s in range(hom.codomain.order))
 
     def inertia(self, p: OIdeal) -> Subgroup:
         if self.modulus.v_p(p) == 0:
             raise PrimeNotInModulus(f"{p} does not divide the modulus")
         return self.level_kernel(self.modulus.without(p))
 
+    @cache
     def frobenius(self, p: OIdeal) -> tuple[tuple[int, ...], bool]:
         """(representative, exact): exact Artin image for p coprime to n,
-        else a lift of the Frobenius of G_{n/p^v}, well defined mod T_p."""
+        else a lift of the Frobenius of G_{n/p^v}, well defined mod T_p:
+        the first element over it."""
         if self.modulus.v_p(p) == 0:
             return self.artin(p), True
-        key = (p.content, p.a, p.b)
-        if key in self._frobenius_cache:
-            return self._frobenius_cache[key], False
         n2 = self.modulus.without(p)
-        target = ray_class_group(self.field, n2)
         hom = self.transition(n2)
-        lam = target.artin(p)
-        # the first element of G_n over lam, as in distribution._lifts
-        image = hom.index_image()
-        over = target.group.index_of(lam)
-        if over not in image:
+        lam = ray_class_group(self.field, n2).artin(p)
+        g = self.section(n2)[hom.codomain.index_of(lam)]
+        if g < 0:
             raise OrdistError("the Frobenius has no preimage under transition")
-        lift = self.group.coordinates()[image.index(over)]
+        lift = self.group.coordinates[g]
         if hom.apply(lift) != lam:
             raise OrdistError("the Frobenius lift maps to the wrong class")
-        self._frobenius_cache[key] = lift
         return lift, False
 
     def gamma(self) -> Subgroup:
@@ -505,14 +496,9 @@ class RayClassGroup:
         return self.level_kernel(Modulus.one(self.field))
 
 
-_RAY_CACHE: dict = {}
-
-
+@cache
 def ray_class_group(K: QuadField, n: Modulus) -> RayClassGroup:
-    key = (K.d, tuple((p.content, p.a, p.b, e) for p, e in n.primes))
-    if key not in _RAY_CACHE:
-        _RAY_CACHE[key] = RayClassGroup(K, n)
-    return _RAY_CACHE[key]
+    return RayClassGroup(K, n)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +545,7 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
     amb = G_m.group
     span = Subgroup.generated(amb, [])
     for p in order[:-1] if m else []:
-        grp, _, _, reps = syls[p].as_group()
+        grp, _, _, reps = syls[p].as_group
         if len(grp.invariant_factors) > 1:
             raise FrameUnavailable(f"inertia l-Sylow at {p} is not cyclic")
         tau = reps[0] if reps else amb.zero()

@@ -594,12 +594,11 @@ class AbGroup(_Frozen):
         return idx
 
     # the enumeration as index lists, for index maps
+    @cached_property
     def coordinates(self) -> tuple[tuple[int, ...], ...]:
         """The elements as one tuple, in elements() order: the element
-        of index g is entry g.  Computed once per group."""
-        if "_coordinates" not in self.__dict__:
-            object.__setattr__(self, "_coordinates", tuple(self.elements()))
-        return self.__dict__["_coordinates"]
+        of index g is entry g."""
+        return tuple(self.elements())
 
     def radix(self) -> tuple[int, ...]:
         """Mixed-radix place values: index_of(a) == reduce(a) . radix()."""
@@ -654,25 +653,21 @@ class AbHom(_Frozen):
                     acc[j] += x * row[j]
         return self.codomain.reduce(tuple(acc))
 
+    @cached_property
     def index_image(self) -> tuple[int, ...]:
         """The map on mixed-radix indices: entry g is the codomain index
-        of the image of the domain element of index g.  Computed once
-        per homomorphism, one codomain coordinate at a time: over the
-        domain factors in turn, each nested product adds the multiples
-        of one matrix row."""
-        if "_index_image" not in self.__dict__:
-            cod = self.codomain
-            out = [0] * self.domain.order
-            for j, (d, r) in enumerate(zip(cod.invariant_factors,
-                                           cod.radix())):
-                coord = [0]
-                for f, row in zip(self.domain.invariant_factors,
-                                  self.matrix):
-                    step = [t * row[j] % d for t in range(f)]
-                    coord = [(x + s) % d for x in coord for s in step]
-                out = [o + x * r for o, x in zip(out, coord)]
-            object.__setattr__(self, "_index_image", tuple(out))
-        return self.__dict__["_index_image"]
+        of the image of the domain element of index g.  One codomain
+        coordinate at a time: over the domain factors in turn, each
+        nested product adds the multiples of one matrix row."""
+        cod = self.codomain
+        out = [0] * self.domain.order
+        for j, (d, r) in enumerate(zip(cod.invariant_factors, cod.radix())):
+            coord = [0]
+            for f, row in zip(self.domain.invariant_factors, self.matrix):
+                step = [t * row[j] % d for t in range(f)]
+                coord = [(x + s) % d for x in coord for s in step]
+            out = [o + x * r for o, x in zip(out, coord)]
+        return tuple(out)
 
 
 def _unit_prereduce(mat) -> tuple[int, IntMatrix]:
@@ -937,46 +932,3 @@ def _discover(order: int, perms: Sequence[Sequence[int]], identity: int):
         coords[f] = group.add(coords[e], to[i])
     return group, bfs, coords
 
-
-def ab_discover(order: int, mul: Callable, gens: Sequence, identity=None):
-    """Structure and discrete logarithm of a finite abelian black box.
-
-    order is the known group order, mul the product map, gens a
-    generating list of hashable elements.  Returns (AbGroup, dlog) where
-    dlog maps every element to its tuple of coordinates in the invariant
-    factor decomposition, in breadth-first order from the identity.
-    Raises GeneratorsInsufficient when the closure of gens has fewer
-    than order elements.  The identity is located by cycling the first
-    generator when not supplied.
-
-    The elements are labelled once, in breadth-first order, calling mul
-    once per element and generator; _discover does the rest on the
-    labels.
-    """
-    if identity is None:
-        if not gens:
-            raise LinalgError("cannot locate identity without generators")
-        g = gens[0]
-        seen = {g}
-        prev, cur = g, mul(g, g)
-        while cur != g:
-            if cur in seen:
-                raise LinalgError("generator powers do not cycle back; "
-                                  "element labels are not canonical")
-            seen.add(cur)
-            prev, cur = cur, mul(cur, g)
-        identity = prev
-    label = {identity: 0}
-    elements = [identity]
-    perms = [[] for _ in gens]
-    for e in elements:  # grows while it is walked: a breadth-first queue
-        for perm, g in zip(perms, gens):
-            f = mul(e, g)
-            if f not in label:
-                if len(elements) == order:
-                    raise LinalgError("closure exceeds declared order")
-                label[f] = len(elements)
-                elements.append(f)
-            perm.append(label[f])
-    group, bfs, coords = _discover(order, perms, 0)
-    return group, {elements[i]: coords[i] for i in bfs}

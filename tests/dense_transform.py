@@ -25,7 +25,7 @@ import numpy as np
 
 from index_groupring import level_element
 from numpy_linalg import _abs_max, _promote, coordinates, dense, indices
-from ordist.distribution import OracleMismatch, _lifts
+from ordist.distribution import OracleMismatch
 from ordist.zlinalg import IntMatrix, _as_matrix
 
 
@@ -105,7 +105,7 @@ def iwasawa_matrix(P, element=level_element) -> tuple[IntMatrix, int]:
     out = np.zeros((amb.order, P.n_gens),
                    dtype=_promote(np.concatenate(nums)).dtype)
     for u, num in zip(P.levels, nums):
-        lift = np.asarray(_lifts(G, u)[1], dtype=np.int64)
+        lift = np.asarray(G.section(u), dtype=np.int64)
         # F[g, (u, sigma)] = a_u[g - lift(sigma)]
         out[:, P.offset(u) + np.arange(len(lift))] = \
             num[indices(amb, coords[:, None, :], -coords[lift][None, :, :])]
@@ -151,7 +151,8 @@ def check_structure(P, F: IntMatrix) -> None:
             f"(#G_m, generators) = {(amb.order, P.n_gens)}")
     coords = coordinates(amb)
     for u in P.levels:
-        image, lift = map(np.asarray, _lifts(G, u))
+        image = np.asarray(G.transition(u).index_image)
+        lift = np.asarray(G.section(u))
         if (lift < 0).any():
             raise OracleMismatch(f"lifts do not cover G_u at {u.label()}")
         off = P.offset(u)

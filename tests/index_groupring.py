@@ -57,7 +57,7 @@ def mul(x: GroupRingElt, y: GroupRingElt) -> GroupRingElt:
     _same_group(x.group, y.group)
     g = x.group
     a, b = sorted((x, y), key=lambda e: sum(map(bool, e.num)))
-    coords = g.coordinates()
+    coords = g.coordinates
     out = [0] * g.order
     for s, w in enumerate(a.num):
         if w:
@@ -87,7 +87,7 @@ def transfer(x: GroupRingElt, hom) -> GroupRingElt:
     """Sum-over-preimages lift of x along a surjection hom; the linear
     map sending each group element to the sum of its hom-fibre."""
     _same_group(x.group, hom.codomain)
-    return GroupRingElt(hom.domain, [x.num[t] for t in hom.index_image()],
+    return GroupRingElt(hom.domain, [x.num[t] for t in hom.index_image],
                         x.den)
 
 

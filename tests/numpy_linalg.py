@@ -389,7 +389,7 @@ def smith_coordinates(A, ambient: int
 
 def coordinates(group: AbGroup) -> np.ndarray:
     """(order, k) int64 array of the elements, in elements() order."""
-    return np.array(group.coordinates(), dtype=np.int64).reshape(
+    return np.array(group.coordinates, dtype=np.int64).reshape(
         group.order, len(group.invariant_factors))
 
 

@@ -369,6 +369,28 @@ def test_cache_entry_is_one_manifest_and_a_hit_returns_it(
     assert hit["result"] == cold["result"]
 
 
+@pytest.mark.parametrize("command", list(ENTRY_CALLS))
+def test_entry_whose_result_is_no_object_is_a_miss(capsys, tmp_path,
+                                                   command):
+    # the edited entry is recomputed and overwritten by a child `ordist`:
+    # exit 0, the cold report, no traceback
+    argv = [*ENTRY_CALLS[command][0], "--cache-dir", str(tmp_path)]
+    code, cold = run(capsys, *argv)
+    assert code == 0
+    (manifest,) = tmp_path.glob("*/manifest.json")
+    entry = json.loads(manifest.read_text())
+    entry["result"] = [1]
+    manifest.write_text(json.dumps(entry))
+    r = subprocess.run([sys.executable, "-m", "ordist.cli", *argv],
+                       capture_output=True, text=True, env=_child_env(),
+                       timeout=120)
+    assert r.returncode == 0 and "Traceback" not in r.stderr, r.stderr
+    again = json.loads(r.stdout)
+    cold.pop("timing_ms"), again.pop("timing_ms")
+    assert again == cold
+    assert json.loads(manifest.read_text())["result"] == cold["result"]
+
+
 def test_entry_in_the_older_layout_still_hits(
         capsys, tmp_path, monkeypatch):
     # entries once also held the field, the ray class tables and the

@@ -28,8 +28,8 @@ from dense_transform import modular_rank
 from ordist.groupring import GroupRingElt, NotCoprimeToW, alpha
 from ordist.quadfield import Modulus, ModulusTooLarge, make_field, \
     search_torsex
-from ordist.rayclass import Subgroup
-from ordist.zlinalg import AbGroup, CSRMatrix, IntMatrix
+from ordist.rayclass import RayClassGroup, Subgroup
+from ordist.zlinalg import AbGroup, AbHom, CSRMatrix, IntMatrix
 from ordist.distribution import (
     HypothesisFailed,
     OracleMismatch,
@@ -448,7 +448,7 @@ def test_exact_rank_equals_sympy_rank_on_small_groups():
     below = full = 0
     for factors in _chains(24):
         G = AbGroup(factors)
-        elems = G.coordinates()
+        elems = G.coordinates
         for _ in range(6):
             rows = []
             for _ in range(rng.randint(1, 3)):
@@ -483,7 +483,7 @@ def test_cyclic_quotients_are_the_cyclic_subgroups_of_the_dual(factors):
     # the kernels of the characters g -> sum a_i g_i e / d_i mod e of G:
     # one quotient per cyclic subgroup of the dual, none twice
     G = AbGroup(factors)
-    e, elems = G.exponent, G.coordinates()
+    e, elems = G.exponent, G.coordinates
     want = {frozenset(g for g, x in enumerate(elems)
                       if not sum(y * z * (e // d) for y, z, d
                                  in zip(a, x, factors)) % e)
@@ -561,17 +561,15 @@ def test_certificate_refuses_a_head_off_the_fibres(field7):
 
 def test_certificate_refuses_lifts_that_miss_a_level(field7, monkeypatch):
     P = build_presentation(field7, modulus_of(field7, 7, 11))
-    lifts = dist._lifts
+    heads = P.heads  # the Frobenius lifts read the true sections
+    section = RayClassGroup.section
 
     def short(G, u):
-        image, lift = lifts(G, u)
-        lift = lift.copy()
-        lift[-1] = -1
-        return image, lift
+        return section(G, u)[:-1] + (-1,)
 
-    monkeypatch.setattr(dist, "_lifts", short)
+    monkeypatch.setattr(RayClassGroup, "section", short)
     with pytest.raises(OracleMismatch, match="do not cover"):
-        dist._character_rank(P, P.heads)
+        dist._character_rank(P, heads)
 
 
 def test_template_row_off_the_fibre_is_refused(field7):
@@ -589,22 +587,33 @@ def test_template_row_off_the_fibre_is_refused(field7):
 
 
 def test_transitions_that_do_not_compose_are_refused(field7, monkeypatch):
-    # G_m -> G_u read through the negation of G_u: the fibres stay the
-    # same sets, but G_m -> G_t -> G_u no longer agrees with it
+    # the identity G_m -> G_m read through the negation of G_m, whose
+    # exponent exceeds 2: the fibres stay the same sets, but G_m -> G_m
+    # -> G_u no longer agrees with G_m -> G_u (the map of each step
+    # G_t -> G_u below the top level is not touched)
     P = build_presentation(field7, modulus_of(field7, 7, 11))
     heads = P.heads
-    u = next(u for u in P.levels if P.ray(u).group.exponent > 2)
-    lifts = dist._lifts
+    u = P.modulus
+    G = P.ray(u)
+    g = G.group
+    assert g.exponent > 2
+    neg = g.indices(g.neg(c) for c in g.coordinates)
+    G.section(u)  # kept from the true transition, not the negated one
+    transition, section = RayClassGroup.transition, RayClassGroup.section
 
-    def negated(G, v):
-        image, lift = lifts(G, v)
-        if v != u:
-            return image, lift
-        g = P.ray(u).group
-        neg = g.indices(g.neg(c) for c in g.coordinates())
-        return [neg[s] for s in image], [lift[s] for s in neg]
+    def negated(H, v):
+        hom = transition(H, v)
+        if (H, v) != (G, u):
+            return hom
+        return AbHom(hom.domain, hom.codomain,
+                     tuple(tuple(-x for x in row) for row in hom.matrix))
 
-    monkeypatch.setattr(dist, "_lifts", negated)
+    def negated_section(H, v):
+        lift = section(H, v)
+        return lift if (H, v) != (G, u) else tuple(lift[s] for s in neg)
+
+    monkeypatch.setattr(RayClassGroup, "transition", negated)
+    monkeypatch.setattr(RayClassGroup, "section", negated_section)
     with pytest.raises(OracleMismatch, match="do not compose"):
         dist._check_annihilation(P, heads, P.relations)
 
@@ -618,8 +627,8 @@ def test_template_identity_sees_a_twisted_head(field7):
     H = nl.dense(P.heads)
     i, u = next((i, u) for i, u in enumerate(P.levels)
                 if P.ray(u).group.order > 1)
-    _, lift = dist._lifts(G, u)
-    H[i] = H[i][amb.translation(amb.neg(amb.coordinates()[lift[1]]))]
+    lift = G.section(u)
+    H[i] = H[i][amb.translation(amb.neg(amb.coordinates[lift[1]]))]
     dist._character_rank(P, IntMatrix(H))  # the structure still holds
     with pytest.raises(OracleMismatch, match="fails to annihilate"):
         dist._check_annihilation(P, IntMatrix(H), P.relations)

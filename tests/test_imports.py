@@ -26,9 +26,10 @@ HEAVY = ("numpy", "ordist.zlinalg", "ordist.distribution",
          "ordist.cohomology")
 
 # the public names of the package before its exports became lazy, by
-# defining module at that time; hnf, hnf_basis, and the group-ring
-# p_star, transfer and TraceIdeal, and the quadfield splitting_type (the
-# method K.splitting_type stays) were dropped since
+# defining module at that time; hnf, hnf_basis, ab_discover (the class
+# group labels its forms as the other groups label their elements), and
+# the group-ring p_star, transfer and TraceIdeal, and the quadfield
+# splitting_type (the method K.splitting_type stays) were dropped since
 OLD_EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
@@ -65,8 +66,8 @@ OLD_EXPORTS = {
         "torsion_bound",
     ),
 }
-DROPPED = {"hnf", "hnf_basis", "p_star", "transfer", "TraceIdeal",
-           "splitting_type"}
+DROPPED = {"hnf", "hnf_basis", "ab_discover", "p_star", "transfer",
+           "TraceIdeal", "splitting_type"}
 MOVED = {"residue_units": "rayclass", "HypothesisFailed": "quadfield",
          "search_torsex": "quadfield"}
 

@@ -449,7 +449,7 @@ def test_dlog_is_homomorphism():
     K = make_field(7)
     m = _modulus(K, [(7, None, 1), (11, 0, 1)])
     g, dlog, _ = residue_units(K, m)
-    nid = m.ideal()
+    nid = m.ideal
     from ordist.quadfield import _residue_reduce
     residues = list(dlog)
     for u in residues[:8]:

@@ -38,6 +38,26 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_memoises_one_way():
+    # a result kept on an object is a functools.cached_property or a
+    # functools.cache, never a slot written past _Frozen and read back
+    # through the instance __dict__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr == "__setattr__" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "object":
+                found.append(f"{path.name}:{node.lineno} object.__setattr__")
+            elif isinstance(node, ast.Subscript) \
+                    and isinstance(node.ctx, ast.Load) \
+                    and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "__dict__":
+                found.append(f"{path.name}:{node.lineno} __dict__[...]")
+    assert found == []
+
+
 def test_mutant_patches_still_apply(monkeypatch):
     # scripts/mutants.py patches each old text once; a source edit that
     # moves one must update the mutant list with it

@@ -19,7 +19,7 @@ from ordist.zlinalg import (
     IntMatrix,
     LinalgError,
     NotSubLattice,
-    ab_discover,
+    _discover,
     cokernel,
     rational_kernel,
     smith_coordinates,
@@ -238,37 +238,52 @@ def test_subquotient_rejects_outside_vector():
         subquotient_torsion([(2, 0), (0, 1)], [(1, 0)])
 
 
+# _discover, the structure core of every group of the package, on the
+# label permutations of a small black box (the test names are those of
+# the ab_discover tests these replaced, when the class group had its own
+# labelling path)
+
+def _perms(elements, mul, gens) -> list[list[int]]:
+    """Multiplication by each generator, on the positions in elements."""
+    label = {e: i for i, e in enumerate(elements)}
+    return [[label[mul(e, g)] for e in elements] for g in gens]
+
+
+def _add6(a, b):
+    return (a + b) % 6
+
+
 def test_ab_discover_trivial():
-    g, dlog = ab_discover(1, lambda a, b: 0, [], identity=0)
+    g, bfs, coords = _discover(1, [], 0)
     assert g.is_trivial
-    assert dlog[0] == ()
+    assert bfs == [0] and coords[0] == ()
 
 
 def test_ab_discover_z6():
-    g, dlog = ab_discover(6, lambda a, b: (a + b) % 6, [1])
+    g, _, coords = _discover(6, _perms(range(6), _add6, [1]), 0)
     assert g.invariant_factors == (6,)
-    orders = {g.element_order(dlog[x]) for x in range(6)}
+    orders = {g.element_order(coords[x]) for x in range(6)}
     assert orders == {1, 2, 3, 6}
 
 
 def test_ab_discover_klein():
     def mul(a, b):
         return (a[0] ^ b[0], a[1] ^ b[1])
-    g, dlog = ab_discover(4, mul, [(1, 0), (0, 1)])
+    els = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    g, bfs, coords = _discover(4, _perms(els, mul, [(1, 0), (0, 1)]), 0)
     assert g.invariant_factors == (2, 2)
-    assert dlog[(0, 0)] == (0, 0)
-    imgs = {dlog[e] for e in [(0, 0), (1, 0), (0, 1), (1, 1)]}
-    assert len(imgs) == 4
+    assert coords[0] == (0, 0)
+    assert sorted(bfs) == [0, 1, 2, 3] and len(set(coords)) == 4
 
 
 def test_ab_discover_insufficient():
     with pytest.raises(GeneratorsInsufficient):
-        ab_discover(6, lambda a, b: (a + b) % 6, [2])
+        _discover(6, _perms(range(6), _add6, [2]), 0)
 
 
 def test_ab_discover_closure_exceeds_order():
     with pytest.raises(LinalgError, match="closure exceeds declared order"):
-        ab_discover(3, lambda a, b: (a + b) % 6, [1], identity=0)
+        _discover(3, _perms(range(6), _add6, [1]), 0)
 
 
 def test_solve_left():
@@ -318,7 +333,7 @@ def test_abgroup_elements():
 @pytest.mark.parametrize("inv", [(), (5,), (2, 4), (2, 6, 12)])
 def test_abgroup_index_arrays_match_tuples(inv):
     g = AbGroup(inv)
-    coords = g.coordinates()
+    coords = g.coordinates
     assert len(coords) == g.order and {len(r) for r in coords} <= {len(inv)}
     assert [tuple(r) for r in coords] == g.elements()
     assert g.indices(coords) == list(range(g.order))
@@ -336,7 +351,7 @@ def test_abgroup_index_arrays_match_tuples(inv):
 
 def test_abgroup_index_arrays_reject_infinite():
     with pytest.raises(LinalgError):
-        AbGroup((2, 0)).coordinates()
+        AbGroup((2, 0)).coordinates
     with pytest.raises(LinalgError):
         AbGroup((0,)).radix()
     with pytest.raises(LinalgError):
@@ -358,7 +373,7 @@ def test_abhom_apply_compose():
     incl = AbHom(mid, dom, ((2,),))
     assert proj.apply((3,)) == (1,)
     # proj after incl, on indices: the index images compose
-    comp = [proj.index_image()[g] for g in incl.index_image()]
+    comp = [proj.index_image[g] for g in incl.index_image]
     assert comp == [mid.index_of(proj.apply(incl.apply(x)))
                     for x in mid.elements()]
     assert comp[mid.index_of((1,))] == mid.index_of((0,))
@@ -496,9 +511,11 @@ def test_ab_discover_recovers_product_structure(moduli):
 
     gens = [tuple((1 if i == j else 0) % m for j, m in enumerate(moduli))
             for i in range(len(moduli))]
-    found, dlog = ab_discover(group.order, mul, gens)
+    els = list(itertools.product(*map(range, moduli)))
+    found, bfs, coords = _discover(group.order, _perms(els, mul, gens), 0)
     assert found == group
-    assert len(dlog) == group.order
+    assert sorted(bfs) == list(range(group.order))
+    assert len(set(coords)) == group.order
 
 
 def test_snf_modular_verification_pass_runs(monkeypatch):

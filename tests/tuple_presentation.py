@@ -115,7 +115,7 @@ def ab_discover(order, mul, gens, identity):
 
 def residue_gens(K, n):
     """(units, mul, identity, order, harvested generators) of (O/n)^x."""
-    nid = n.ideal()
+    nid = n.ideal
     c, a = nid.content, nid.a
     tests = []
     for p, _ in n.primes:
@@ -157,7 +157,7 @@ def residue_units(K, n):
         return AbGroup(()), {(0, 0): ()}, [()] * K.w_K
     _, mul, ident, order, gens = residue_gens(K, n)
     group, dlog = ab_discover(order, mul, gens, ident)
-    z = _residue_reduce(n.ideal(), K.zeta())
+    z = _residue_reduce(n.ideal, K.zeta())
     mu = []
     cur = ident
     for _ in range(K.w_K):
