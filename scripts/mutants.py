@@ -78,12 +78,31 @@ MUTANTS = (
     Mutant(
         "unit-bfs-drops-last-generator",
         "rayclass.py",
-        "_discover(order, [perm_of(g) for g in gens], ident)",
-        "_discover(order, [perm_of(g) for g in gens[:-1]], ident)",
+        "_discover(order, perms, ident)",
+        "_discover(order, perms[:-1], ident)",
         ("tests/test_quadfield.py::test_units_mod_split_11",
          "tests/test_index_presentation.py::"
          "test_residue_units_match_tuple_loop_on_prime_powers[d1-2^3]",
          "tests/test_rayclass.py::test_triple_order_and_structure"),
+    ),
+    Mutant(
+        "class-bfs-drops-last-generator",
+        "quadfield.py",
+        "_discover(self.h, perms, ident)",
+        "_discover(self.h, perms[:-1], ident)",
+        ("tests/test_index_presentation.py::"
+         "test_class_group_matches_tuple_bfs[14]",
+         "tests/test_index_presentation.py::"
+         "test_class_group_structure_matches_all_forms"),
+    ),
+    Mutant(
+        "frame-tau-takes-first-member",
+        "rayclass.py",
+        "                    if amb.element_order(x) == gs[p]), None)\n",
+        "                    if True), None)\n",
+        ("tests/test_rayclass.py::test_frame_ell_two",
+         "tests/test_rayclass.py::test_frame_ell_three",
+         "tests/test_golden.py::test_report_matches_golden[certify]"),
     ),
     Mutant(
         "frobenius-lift-takes-index-0",
@@ -459,9 +478,7 @@ MUTANTS = (
         "    if not span[coset[0]]:\n",
         ("tests/test_rayclass.py::test_generator_harvests_match_old_loop",
          "tests/test_rayclass.py::"
-         "test_subgroup_masks_match_tuple_sets[d15_level]",
-         "tests/test_index_presentation.py::"
-         "test_subgroup_structure_matches_tuple_bfs"),
+         "test_subgroup_masks_match_tuple_sets[d15_level]"),
     ),
     Mutant(
         "frame-rows-ignore-composite-last",

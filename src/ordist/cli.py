@@ -350,7 +350,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-p", dest="primes", action="append", default=[],
                    metavar="Q[:INDEX]",
                    help="rational prime with optional ideal index, 3 times")
-    p = sub.add_parser("search", help="enumerate admissible prime triples")
+    p = sub.add_parser("search", help="enumerate admissible prime triples "
+                       "over three distinct rational primes")
     common(p)
     p.add_argument("-B", "--norm-bound", type=int, default=50)
     p = sub.add_parser("toralg-sweep",

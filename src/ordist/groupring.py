@@ -178,17 +178,15 @@ def _check_coprime_to_w(n: Modulus) -> None:
 def _gamma_labels(G: RayClassGroup) -> tuple[int, list[list[int]]]:
     """The order of Gamma_n = ker(G_n -> G_(1)) and, per prime of n,
     the coset labels of its inertia group inside Gamma_n, over the
-    indices of Gamma_n's own group."""
-    gab, inside, coords, _ = G.gamma().as_group
-    own = gab.indices(coords)  # the indices in gab of the members
+    positions of Gamma_n's members in index order, so that the identity
+    comes first.  Another numbering of the members only permutes the
+    columns of the coset rows, which leaves their cokernel as it is."""
+    members = G.gamma().members()
     labels = []
     for p, _ in G.modulus.primes:
         fibre = _fibres(G, p)
-        lab = [0] * gab.order
-        for o, g in zip(own, inside):
-            lab[o] = fibre[g]
-        labels.append(lab)
-    return gab.order, labels
+        labels.append([fibre[g] for g in members])
+    return len(members), labels
 
 
 def gal_h_quotient(G_m: RayClassGroup, n: Modulus) -> AbGroup:

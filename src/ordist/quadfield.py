@@ -13,11 +13,12 @@ reduced form is the principal form.
 
 This module does not import the linear algebra layer, so a field, its
 primes and its ideals cost no more than the interpreter.
-The one exception is the class group, built on first use: the reduced
-binary quadratic forms are labelled by their position in form_reps,
-composition through ideal multiplication permutes those labels, and
-zlinalg._discover reads the structure off the permutations, as for the
-other groups of the package.  search_torsex lists the prime triples
+The one exception is the class group, built on first use: composition
+through ideal multiplication permutes the reduced forms, labelled by
+their position in form_reps; as for the residue unit groups,
+zlinalg._harvest picks greedy generators, whose permutations alone are
+built, and zlinalg._discover reads the structure off them.
+search_torsex lists the prime triples over distinct rational primes
 that the certificate of the distribution module admits.
 """
 
@@ -205,15 +206,20 @@ class QuadField:
         deferred so that a field, its primes and its ideals do not load
         it.
         """
-        from .zlinalg import _discover
+        from .zlinalg import _discover, _harvest
 
         forms = self.form_reps
         label = {f: i for i, f in enumerate(forms)}
-        # multiplication by each form, on the labels
-        perms = [[label[self.form_of_ideal(self.ideal_of_form(f).multiply(
-            self.ideal_of_form(g)))] for f in forms] for g in forms]
-        group, bfs, coords = _discover(self.h, perms,
-                                       label[self.principal_form()])
+        ideals = [self.ideal_of_form(f) for f in forms]
+
+        def perm_of(x: int) -> list[int]:
+            """Multiplication by the form of label x, on the labels."""
+            return [label[self.form_of_ideal(I.multiply(ideals[x]))]
+                    for I in ideals]
+
+        ident = label[self.principal_form()]
+        perms = _harvest(self.h, perm_of, ident)
+        group, bfs, coords = _discover(self.h, perms, ident)
         return group, {forms[i]: coords[i] for i in bfs}
 
     @property
@@ -336,9 +342,15 @@ class OIdeal(_Frozen):
         return self.gcd(other).norm() == 1
 
     def pow(self, e: int) -> "OIdeal":
-        out = self.field.unit_ideal()
-        for _ in range(e):
-            out = out.multiply(self)
+        """self^e by square and multiply: the canonical form of a product
+        does not depend on the order of its factors."""
+        out, sq = self.field.unit_ideal(), self
+        while e:
+            if e & 1:
+                out = out.multiply(sq)
+            e >>= 1
+            if e:
+                sq = sq.multiply(sq)
         return out
 
     def is_principal_generator(self) -> tuple[int, int] | None:
@@ -536,12 +548,14 @@ class Modulus(_Frozen):
 
 
 def search_torsex(K: QuadField, norm_bound: int):
-    """All certificate-admissible prime triples with norms up to a bound.
+    """The certificate-admissible prime triples over three distinct
+    rational primes, with norms up to a bound.
 
     Keeps the prime ideals that are principal with norm congruent to
     3 mod 4 (inert primes never qualify: square norms are 0 or 1 mod 4)
     and returns every 3-subset with pairwise distinct residue
-    characteristics, in enumeration order.
+    characteristics, in enumeration order.  The certificate also admits
+    both primes over a split rational prime, which this search skips.
     """
     if K.w_K != 2:
         raise HypothesisFailed(f"w = {K.w_K} is not 2")

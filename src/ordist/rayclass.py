@@ -18,9 +18,9 @@ Artin images, transitions, level kernels, sections and Frobenius lifts
 in functools.cache memos of its methods.
 
 The unit groups (O_K/n)^x are found on indices: the residues are
-numbered, multiplication by a unit permutes the unit labels, and the
-generator harvest and the abelian structure run on those permutations,
-in the structure core zlinalg._discover that subgroups share.
+numbered, multiplication by a unit permutes the unit labels, and, as
+for the class group, zlinalg._harvest and _discover run on those
+permutations.  Subgroups are masks and carry no structure of their own.
 
 The tau-frame decomposes Gamma = ker(G_m -> G_(1)) into the prime-to-l
 part and the l-Sylow G_l, writes G_l as an internal direct product of
@@ -30,7 +30,7 @@ frame element whose order drops by the l-part of w_K.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 
 from . import OrdistError, _Frozen
 from .quadfield import (
@@ -152,32 +152,6 @@ class Subgroup(_Frozen):
         return Subgroup(self.ambient,
                         [a and b for a, b in zip(self.mask, other.mask)])
 
-    @cached_property
-    def as_group(self):
-        """(AbGroup, members, coords, reps): the abstract structure; the
-        ambient indices of the members in the order the structure search
-        found them, and their coordinates; element tuples representing
-        the abstract invariant basis.  The labels are positions among
-        the members; adding an element maps them to labels, and
-        zlinalg._harvest and _discover run on those."""
-        amb = self.ambient
-        members = self.members()
-        els = self.elements
-        label = dict(zip(members, range(len(members))))
-
-        def perm_of(x: int) -> list[int]:
-            return [label[amb.index_of(amb.add(e, els[x]))] for e in els]
-
-        gens = _harvest(len(members), perm_of, 0)  # label 0 is zero
-        group, bfs, coords = _discover(
-            len(members), [perm_of(g) for g in gens], 0)
-        # each basis coordinate vector has one member
-        k = len(group.invariant_factors)
-        reps = [els[coords.index(tuple(int(i == j) for j in range(k)))]
-                for i in range(k)]
-        return (group, tuple(members[i] for i in bfs),
-                tuple(coords[i] for i in bfs), reps)
-
 
 # ---------------------------------------------------------------------------
 # residue unit groups
@@ -225,32 +199,27 @@ def residue_units(K: QuadField, n: Modulus):
         rx, ry = _residue_reduce(nid, u)
         return label[ry * ca + rx]
 
-    perms = {}
-
     def perm_of(g: int) -> list[int]:
         """Multiplication by the unit of label g, on unit labels."""
-        if g not in perms:
-            u = (ux[g], uy[g])
-            # x u + y (omega u), reduced
-            (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
-                                  for v in (u, K.elt_mul((0, 1), u)))
-            Y = [x * gy + y * hy for x, y in zip(ux, uy)]
-            out = [label[v % c * ca + (x * gx + y * hx - (v - v % c) * bx) % ca]
-                   for x, y, v in zip(ux, uy, Y)]
-            if -1 in out:
-                raise OrdistError("a product of residue units is not a unit")
-            perms[g] = out
-        return perms[g]
+        u = (ux[g], uy[g])
+        # x u + y (omega u), reduced
+        (gx, gy), (hx, hy) = (_residue_reduce(nid, v)
+                              for v in (u, K.elt_mul((0, 1), u)))
+        Y = [x * gy + y * hy for x, y in zip(ux, uy)]
+        out = [label[v % c * ca + (x * gx + y * hx - (v - v % c) * bx) % ca]
+               for x, y, v in zip(ux, uy, Y)]
+        if -1 in out:
+            raise OrdistError("a product of residue units is not a unit")
+        return out
 
     ident = label_of((1, 0))
-    gens = _harvest(order, perm_of, ident)
-    group, bfs, coords = _discover(order, [perm_of(g) for g in gens], ident)
+    perms = _harvest(order, perm_of, ident)
+    group, bfs, coords = _discover(order, perms, ident)
     dlog = {(ux[i], uy[i]): coords[i] for i in bfs}
-    z = perm_of(label_of(K.zeta()))
-    mu, cur = [], ident
+    mu, z = [], (1, 0)
     for _ in range(K.w_K):
-        mu.append(coords[cur])
-        cur = z[cur]
+        mu.append(coords[label_of(z)])
+        z = K.elt_mul(z, K.zeta())
     return group, dlog, mu
 
 
@@ -280,7 +249,10 @@ class RayClassGroup:
         if self.group.order != expected:
             raise OrdistError(
                 f"order {self.group.order} != exact-sequence value {expected}")
-        self._unit_reps = self._unit_basis_reps()
+        # the dlog is a bijection: one residue at each unit vector
+        res_of = {co: res for res, co in self.unit_dlog.items()}
+        self._unit_reps = [res_of[tuple(int(i == j) for j in range(t))]
+                           for i in range(t)]
 
     # -- presentation plumbing --
 
@@ -381,16 +353,6 @@ class RayClassGroup:
                 w = self._principal_word(use)
                 rows.append([-x for x in w] + use)
         return rows
-
-    def _unit_basis_reps(self):
-        t = self._t
-        want = {tuple(1 if i == j else 0 for j in range(t)): None
-                for i in range(t)}
-        for res, co in self.unit_dlog.items():
-            if co in want and want[co] is None:
-                want[co] = res
-        return [want[tuple(1 if i == j else 0 for j in range(t))]
-                for i in range(t)]
 
     # -- coordinates --
 
@@ -545,10 +507,11 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
     amb = G_m.group
     span = Subgroup.generated(amb, [])
     for p in order[:-1] if m else []:
-        grp, _, _, reps = syls[p].as_group
-        if len(grp.invariant_factors) > 1:
+        # an l-group is cyclic exactly when a member has its order
+        tau = next((x for x in syls[p].elements
+                    if amb.element_order(x) == gs[p]), None)
+        if tau is None:
             raise FrameUnavailable(f"inertia l-Sylow at {p} is not cyclic")
-        tau = reps[0] if reps else amb.zero()
         taus.append(tau)
         new = span.product(Subgroup.generated(amb, [tau]))
         if new.order != span.order * gs[p]:

@@ -841,24 +841,25 @@ def _grow(span: bytearray, perm: Sequence[int]) -> None:
 
 
 def _harvest(order: int, perm_of: Callable[[int], Sequence[int]],
-             identity: int) -> list[int]:
-    """Greedy generators of a group on the labels 0 .. order - 1.
+             identity: int) -> list[Sequence[int]]:
+    """The permutations of greedy generators of a group on the labels
+    0 .. order - 1, each built once, to hand to _discover.
 
     perm_of(x) is multiplication by the element of label x, as a list
-    of labels.  A label joins, in increasing order, when it is outside
-    the subgroup the earlier ones generate, until that subgroup is the
-    whole group.  The subgroup is a bytearray mask that _grow extends by
-    whole cosets.
+    of labels, so a generator's label is its permutation at identity.
+    A label joins, in increasing order, when it is outside the subgroup
+    the earlier ones generate, until that subgroup is the whole group.
+    The subgroup is a bytearray mask that _grow extends by whole cosets.
     """
     span = bytearray(order)
     span[identity] = 1
-    gens = []
+    perms = []
     x = span.find(0)  # the least label outside the span
     while x >= 0:
-        gens.append(x)
-        _grow(span, perm_of(x))
+        perms.append(perm_of(x))
+        _grow(span, perms[-1])
         x = span.find(0, x)
-    return gens
+    return perms
 
 
 def _discover(order: int, perms: Sequence[Sequence[int]], identity: int):

@@ -183,6 +183,21 @@ def test_large_one_prime_levels_reach_full_rank(spec, order):
     assert (result["rank"], result["torsion_invariants"]) == (order, [])
 
 
+# fields of large class number: the class group is read off greedy
+# generators, h ideal products each, where the product table of all
+# forms took 41 s and 350 MB at h = 340 and ran out of memory at h = 1852
+
+
+@pytest.mark.parametrize("d, h", [(40361, 340), (999374, 1852)])
+def test_large_class_number_levels_finish(d, h):
+    proc = _capped_child(["rayclass", "-d", str(d), "-m", "p:3",
+                          "--no-cache"], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["field"]["h"], doc["result"]["order"]) == (h, h)
+
+
 # fork and execv from a small process, so that ru_maxrss is the child's
 _SPAWN = """
 import os, sys
@@ -423,6 +438,20 @@ def test_search_report(capsys):
     assert code == 0
     assert doc["result"]["count"] == 4
     assert ["q:7", "p:11:0", "p:23:0"] in doc["result"]["triples"]
+
+
+def test_certify_admits_a_conjugate_pair_that_search_leaves_out(capsys):
+    # both primes over 11 and one over 23 pass the certificate, but the
+    # search lists triples over three distinct rational primes only
+    code, doc = run(capsys, "certify", "-d", "7", "-p", "11:0", "-p",
+                    "11:1", "-p", "23", "--no-cache")
+    assert (code, doc["result"]["conclusion"]) == (0, True)
+    code, doc = run(capsys, "search", "-d", "7", "-B", "23", "--no-cache")
+    assert code == 0
+    triples = doc["result"]["triples"]
+    assert ["p:11:0", "p:11:1", "p:23:0"] not in triples
+    assert len(triples) == 4
+    assert all(len({s.split(":")[1] for s in t}) == 3 for t in triples)
 
 
 def test_search_negative_control_empty(capsys):

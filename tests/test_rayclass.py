@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordist.rayclass as rc
+import tuple_presentation as tp
 from ordist.quadfield import Modulus, OIdeal, make_field
 from ordist.rayclass import (
     FrameUnavailable,
@@ -37,6 +38,19 @@ def _modulus(K, spec):
         _, ids = K.splitting_type(p)
         parts.append((ids[idx or 0], e))
     return Modulus(K, tuple(parts))
+
+
+def _greedy(sub):
+    """Greedy generators of a subgroup, by the tuple reference."""
+    amb = sub.ambient
+    return tp.greedy_generators(sub.elements, amb.add, amb.zero(),
+                                sub.order)
+
+
+def _structure(sub):
+    """The structure of a subgroup, by the tuple reference."""
+    amb = sub.ambient
+    return tp.ab_discover(sub.order, amb.add, _greedy(sub), amb.zero())[0]
 
 
 def _prime(K, p, idx=None):
@@ -278,7 +292,7 @@ def test_inertia_requires_modulus_prime(triple, K7):
 def test_inertia_orders_in_triple(triple, K7):
     t7 = triple.inertia(_prime(K7, 7))
     assert t7.order == 6
-    assert t7.as_group[0].invariant_factors == (6,)
+    assert _structure(t7).invariant_factors == (6,)
     assert triple.inertia(_prime(K7, 11, 0)).order == 10
     assert triple.inertia(_prime(K7, 23, 0)).order == 22
 
@@ -314,9 +328,9 @@ def test_inertia_matches_local_units():
     K = make_field(15)
     G = ray_class_group(K, _modulus(K, [(17, 0, 2), (19, 0, 1)]))
     t = G.inertia(_prime(K, 17, 0))
-    assert t.as_group[0].invariant_factors == (16 * 17,)
+    assert _structure(t).invariant_factors == (16 * 17,)
     t19 = G.inertia(_prime(K, 19, 0))
-    assert t19.as_group[0].invariant_factors == (18,)
+    assert _structure(t19).invariant_factors == (18,)
 
 
 # -- the shared closure -------------------------------------------------------
@@ -358,34 +372,25 @@ def _old_harvest(elements, mul, identity, order):
 def test_generator_harvests_match_old_loop(triple, monkeypatch):
     # the harvested lists fix every dlog, so they must not move
     import ordist.zlinalg as zl
-    import tuple_presentation as tp
 
     calls = []
 
-    def recording(*args):
-        gens = zl._harvest(*args)
-        calls.append(gens)
-        return gens
+    def recording(order, perm_of, identity):
+        perms = zl._harvest(order, perm_of, identity)
+        # a generator's label is its permutation at the identity
+        calls.append([perm[identity] for perm in perms])
+        return perms
 
-    # built first: inertia groups build the ray class groups below m,
-    # whose unit harvests must not be recorded
-    subs = [Subgroup.whole(triple.group), triple.gamma()] + \
-        [triple.inertia(p) for p, _ in triple.modulus.primes]
     monkeypatch.setattr(rc, "_harvest", recording)
-    for sub in subs:  # a fresh copy: the structure is kept per instance
-        Subgroup(sub.ambient, sub.mask).as_group
     rc.residue_units(triple.field, triple.modulus)
-    assert len(calls) == len(subs) + 1
-    # labels are positions among the subgroup's sorted elements, and
-    # among the units in the old enumeration order
+    assert len(calls) == 1
+    # labels are positions among the units in the old enumeration order
     units, mul, ident, order, _ = tp.residue_gens(triple.field,
                                                   triple.modulus)
-    harvests = [(sub.elements, triple.group.add, triple.group.zero(),
-                 sub.order) for sub in subs] + [(units, mul, ident, order)]
-    for args, gens in zip(harvests, calls):
-        assert gens and [args[0][g] for g in gens] == _old_harvest(*args)
+    assert calls[0] and [units[g] for g in calls[0]] == \
+        _old_harvest(units, mul, ident, order)
     amb = triple.group
-    whole = [subs[0].elements[g] for g in calls[0]]
+    whole = _old_harvest(amb.elements(), amb.add, amb.zero(), amb.order)
     for gens in ([], [(1,) * len(amb.invariant_factors)], whole,
                  [amb.neg(g) for g in whole[1:]]):
         want = _old_bfs(amb.add, amb.zero(), gens)
@@ -434,7 +439,7 @@ def test_subgroup_masks_match_tuple_sets(request, level):
                 {amb.scale(x, n) for x in els}
             assert set(sub.prime_to(ell).elements) == \
                 {amb.scale(x, la) for x in els}
-        gens = list(sub.as_group[3])
+        gens = _greedy(sub)
         assert Subgroup.generated(amb, gens) == sub
         assert set(sub.elements) == _old_bfs(amb.add, zero, gens)
     small = [s for s in subs if s.order <= 40] + \
@@ -553,8 +558,7 @@ def test_frame_ell_two(triple):
 
 def test_frame_ell_two_sylow_is_klein(triple):
     fr = galois_over_h(triple, 2)
-    grp, _, _, _ = fr.g_ell.as_group
-    assert grp.invariant_factors == (2, 2)
+    assert _structure(fr.g_ell).invariant_factors == (2, 2)
 
 
 def test_frame_ell_three(triple):

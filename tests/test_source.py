@@ -58,6 +58,30 @@ def test_package_memoises_one_way():
     assert found == []
 
 
+def test_package_has_no_unused_imports():
+    # every name a module of the package imports, at any depth, is read
+    # somewhere in that module: a name load, or the root of an attribute
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0],
+                                 node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno)
+                                for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in sorted(imported.items())
+                  if name not in read]
+    assert found == []
+
+
 def test_mutant_patches_still_apply(monkeypatch):
     # scripts/mutants.py patches each old text once; a source edit that
     # moves one must update the mutant list with it
