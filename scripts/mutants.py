@@ -105,6 +105,25 @@ MUTANTS = (
          "tests/test_golden.py::test_report_matches_golden[certify]"),
     ),
     Mutant(
+        "class-kernel-row-drops-order",
+        "rayclass.py",
+        "                kernel.append(words[cl.neg(ec)] + (e,))\n",
+        "                kernel.append(words[cl.neg(ec)] + (0,))\n",
+        ("tests/test_rayclass.py::test_class_kernel_rows_span_the_kernel",
+         "tests/test_rayclass.py::"
+         "test_class_part_matches_class_stack_route"),
+    ),
+    Mutant(
+        "frame-search-ignores-j",
+        "rayclass.py",
+        "            if m >= 2 and (amb.element_order(j) != g_last or\n",
+        "            if False and (amb.element_order(j) != g_last or\n",
+        ("tests/test_rayclass.py::"
+         "test_frame_takes_a_complement_whose_j_generates_the_last_inertia",
+         "tests/test_rayclass.py::"
+         "test_frame_unavailable_when_no_complement_gives_j"),
+    ),
+    Mutant(
         "frobenius-lift-takes-index-0",
         "rayclass.py",
         "        lift = self.group.coordinates[g]\n",
@@ -260,7 +279,7 @@ MUTANTS = (
         "    return all(acc.get(i) == 1\n",
         ("tests/test_zlinalg.py::test_smith_check_refuses_a_pair_off_the_inverse",),
     ),
-    # kernels, left solves and subquotients on the Smith pass
+    # kernels, kernel coordinates and subquotients on the Smith pass
     Mutant(
         "kernel-takes-torsion-columns",
         "zlinalg.py",
@@ -271,12 +290,13 @@ MUTANTS = (
          "test_rational_kernel_saturation_and_exactness"),
     ),
     Mutant(
-        "solve-left-skips-check",
-        "zlinalg.py",
-        "    if _reduced_product([x], stacked.entries[:n], (0,) * stacked.cols) \\\n"
-        "            != stacked.entries[n:]:\n",
-        "    if False:\n",
-        ("tests/test_zlinalg.py::test_solve_left_refuses_a_wrong_combination",),
+        "preimage-coords-skip-check",
+        "cohomology.py",
+        "        if _reduced_product([c], kernel, (0,) * len(vec))[0] "
+        "!= tuple(vec):\n",
+        "        if False:\n",
+        ("tests/test_cohomology.py::"
+         "test_preimage_coords_refuse_a_wrong_combination",),
     ),
     Mutant(
         "subquotient-skips-dependence-check",
@@ -288,8 +308,8 @@ MUTANTS = (
     Mutant(
         "subquotient-skips-outside-row",
         "zlinalg.py",
-        "            raise NotSubLattice(\"row outside the big lattice\")\n",
-        "            continue\n",
+        "    if len(basis) != m or not cokernel(Y, m).is_trivial:\n",
+        "    if len(basis) != m:\n",
         ("tests/test_zlinalg.py::test_subquotient_rejects_outside_vector",),
     ),
     # the sparse rows

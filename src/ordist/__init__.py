@@ -77,8 +77,7 @@ _EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
         "LinalgError", "NotSubLattice", "cokernel", "rational_kernel",
-        "smith_coordinates", "snf_invariants", "solve_left",
-        "subquotient_torsion",
+        "smith_coordinates", "snf_invariants", "subquotient_torsion",
     ),
     "quadfield": (
         "FieldMismatch", "HypothesisFailed", "Modulus", "ModulusTooLarge",

@@ -3,7 +3,9 @@
 Two layers live here.  The first computes the even and odd Tate groups of a
 finite cyclic group acting on a finitely generated abelian group, presented
 in invariant coordinates: kernels are preimage lattices, images are row
-spaces, and the quotients come out of exact Smith reductions.  The second
+spaces, and the quotients come out of exact Smith reductions.  A
+preimage lattice and the coordinates of its vectors come from one Smith
+pass, so no call makes a pass per vector.  The second
 models the multiplicative frame extracted from ramified primes: a product of
 cyclic generators whose last member is only determined up to roots of unity,
 together with the composite element that restores the full order.  Its
@@ -27,13 +29,12 @@ from .zlinalg import (
     AbHom,
     CSRMatrix,
     IntMatrix,
+    LinalgError,
     _as_matrix,
     _reduced_product,
     _shifted_indices,
     cokernel,
-    rational_kernel,
     smith_coordinates,
-    solve_left,
     subquotient_torsion,
 )
 
@@ -89,16 +90,33 @@ class CyclicModule(_Frozen):
 
 
 def _lattice_preimage(map_rows, rel_rows, ambient: int):
-    """Basis of {x in Z^ambient : x @ map_rows lies in rowspace(rel_rows)}.
+    """(basis, coords) for {x in Z^ambient : x @ map_rows lies in
+    rowspace(rel_rows)}.
 
     rel_rows must be independent; then each solution x lifts to a unique
-    stacked kernel vector, so projecting a saturated kernel basis to the
-    leading block yields an independent basis of the preimage lattice.
+    stacked kernel vector (x, z) with x @ map_rows + z @ rel_rows = 0, so
+    projecting a saturated kernel basis to the leading block yields an
+    independent basis of the preimage lattice.  One Smith pass gives
+    both: the basis is the columns of its transform R at the free
+    factors, and coords((x, z)) reads the coordinates of a stacked kernel
+    vector in that basis as its products with the rows of R^-1 there.
+    coords raises LinalgError when they do not reproduce the vector.
     """
     stacked = [list(r) for r in map_rows] + [list(r) for r in rel_rows]
     width = len(stacked[0])
     transposed = [[row[c] for row in stacked] for c in range(width)]
-    return [tuple(int(x) for x in v[:ambient]) for v in rational_kernel(transposed)]
+    group, to, back = smith_coordinates(transposed, len(stacked))
+    free = len(group.torsion)
+    kernel = list(zip(*to))[free:]
+    back = back[free:]
+
+    def coords(vec) -> tuple[int, ...]:
+        c = tuple(sum(a * b for a, b in zip(row, vec)) for row in back)
+        if _reduced_product([c], kernel, (0,) * len(vec))[0] != tuple(vec):
+            raise LinalgError("kernel coordinates do not reproduce the vector")
+        return c
+
+    return [v[:ambient] for v in kernel], coords
 
 
 def tate_cyclic(mod: CyclicModule, parity: str) -> AbGroup:
@@ -125,7 +143,7 @@ def tate_cyclic(mod: CyclicModule, parity: str) -> AbGroup:
     rel = [[inv[i] if j == i else 0 for j in range(n)]
            for i in range(n) if inv[i] > 0]
     kernel_of, image_of = (diff, norm) if parity == "even" else (norm, diff)
-    kernel_rows = _lattice_preimage(kernel_of, rel, n)
+    kernel_rows, _ = _lattice_preimage(kernel_of, rel, n)
     sub = [list(r) for r in list(image_of) + rel if any(r)]
     if not kernel_rows:
         if sub:
@@ -176,14 +194,14 @@ def dimension_shift(mod: CyclicModule) -> CyclicModule:
     rel = [[inv[i] if j == i else 0 for j in range(n)]
            for i in range(n) if inv[i] > 0]
     ambient = n * k
-    kernel_rows = _lattice_preimage(phi, rel, ambient)
-    basis = IntMatrix.from_rows(kernel_rows, ambient)
+    kernel_rows, coords = _lattice_preimage(phi, rel, ambient)
 
     def in_kernel_coords(vec):
-        sol = solve_left(basis, vec)
-        if sol is None:
+        # z solves vec @ phi + z @ rel = 0
+        image = _reduced_product([vec], phi, (0,) * n)[0]
+        if any(_reduce_mixed(inv, image)):
             raise OrdistError("vector lies outside the evaluation kernel")
-        return tuple(sol)
+        return coords(list(vec) + [-y // d for y, d in zip(image, inv) if d])
 
     sub_rel = []
     for a in range(k):

@@ -2,17 +2,20 @@
 
 G_n is presented on the invariant-factor generators of (O_K/n)^x
 together with a greedy set of small prime ideals generating the class
-group.  Relations come from three sources: the unit-group invariant
-orders, the image of the roots of unity (the map (O/n)^x -> G_n kills
-exactly mu_K), and one row per generator of the kernel of
-Z^{class primes} -> Cl, where the corresponding principal product ideal
-has its actual generator recovered and its residue discrete-logged.
-The extension 1 -> (O/n)^x / mu -> G_n -> Cl -> 1 is therefore glued
-from real principal generators and is never assumed split.
+group.  The greedy pick writes every class through the class primes
+and gives triangular rows that generate the kernel of
+Z^{class primes} -> Cl.  Relations come from three sources: the
+unit-group invariant orders, the image of the roots of unity (the map
+(O/n)^x -> G_n kills exactly mu_K), and one row per kernel row, where
+the corresponding principal product ideal has its actual generator
+recovered and its residue discrete-logged.  The extension
+1 -> (O/n)^x / mu -> G_n -> Cl -> 1 is therefore glued from real
+principal generators and is never assumed split.
 
 Artin images of coprime ideals are computed by the same mechanism:
-divide the ideal by a product of class primes to reach a principal
-ideal, recover the generator, and read off its residue.  Ray class
+divide the ideal by the product of class primes that the pick wrote
+for the inverse class, recover the generator of the principal ideal,
+and read off its residue; no call makes a Smith pass.  Ray class
 groups live for the whole process (ray_class_group), and each keeps its
 Artin images, transitions, level kernels, sections and Frobenius lifts
 in functools.cache memos of its methods.
@@ -24,8 +27,9 @@ permutations.  Subgroups are masks and carry no structure of their own.
 
 The tau-frame decomposes Gamma = ker(G_m -> G_(1)) into the prime-to-l
 part and the l-Sylow G_l, writes G_l as an internal direct product of
-the inertia l-Sylows for all primes but the last, and solves for a last
-frame element whose order drops by the l-part of w_K.
+the inertia l-Sylows for all primes but the last, and takes as the last
+frame element the first complement whose order drops by the l-part of
+w_K and whose composite j generates the last inertia l-Sylow.
 """
 
 from __future__ import annotations
@@ -43,15 +47,12 @@ from .quadfield import (
 from .zlinalg import (
     AbGroup,
     AbHom,
-    IntMatrix,
     _discover,
     _grow,
     _harvest,
     _reduced_product,
     _val,
-    rational_kernel,
     smith_coordinates,
-    solve_left,
 )
 
 
@@ -116,9 +117,6 @@ class Subgroup(_Frozen):
     @property
     def order(self) -> int:
         return self.mask.count(1)
-
-    def contains(self, x) -> bool:
-        return bool(self.mask[self.ambient.index_of(x)])
 
     def scaled(self, k: int) -> "Subgroup":
         """The image of multiplication by k."""
@@ -235,13 +233,12 @@ class RayClassGroup:
         self.field = K
         self.modulus = n
         self.unit_group, self.unit_dlog, self.mu_images = residue_units(K, n)
-        self.class_primes = self._pick_class_primes()
+        self.class_primes, self._words, kernel = self._pick_class_primes()
         t = len(self.unit_group.invariant_factors)
         s = len(self.class_primes)
         self._t, self._s = t, s
-        self._class_orders, self._class_stack = self._class_setup()
         self.group, self._to, self._back = smith_coordinates(
-            self._relation_rows(), t + s)
+            self._relation_rows(kernel), t + s)
         if not self.group.is_finite:
             raise OrdistError("ray class presentation is not finite")
         expected = (K.h if n.is_one()
@@ -257,14 +254,24 @@ class RayClassGroup:
     # -- presentation plumbing --
 
     def _pick_class_primes(self):
+        """(primes, words, kernel) for the class part of G_n.
+
+        The primes are taken in increasing order, split or ramified and
+        coprime to n, and one is kept when its class c lies outside the
+        span H of the classes kept before it.  The span grows by whole
+        cosets, H, c + H, 2c + H, ..., until e c lies in H, and words
+        maps each class of the span to one exponent vector x >= 0 over
+        the kept primes, with x_j < e_j, that writes it.  Kernel row j is
+        e_j at q_j plus the word of -e_j c: the rows are triangular with
+        diagonal e_j, whose product is h, so they generate the kernel of
+        Z^{class primes} -> Cl.
+        """
         K = self.field
         cl = K.class_group
-        if cl.is_trivial:
-            return ()
-        chosen = []
-        sub = Subgroup.generated(cl, [])
+        words = {cl.zero(): ()}
+        primes, kernel = [], []
         p = 1
-        while sub.order != cl.order:
+        while len(words) < cl.order:
             p += 1
             while not _is_prime(p):
                 p += 1
@@ -275,27 +282,22 @@ class RayClassGroup:
                 if not P.is_coprime(self.modulus.ideal):
                     continue
                 c = K.ideal_class(P)
-                if not sub.contains(c):
-                    chosen.append(P)
-                    sub = Subgroup.generated(cl, [K.ideal_class(q)
-                                                  for q in chosen])
-                if sub.order == cl.order:
+                if c in words:
+                    continue
+                grown = {h: x + (0,) for h, x in words.items()}
+                e, ec = 1, c
+                while ec not in words:
+                    grown.update((cl.add(h, ec), x + (e,))
+                                 for h, x in words.items())
+                    e, ec = e + 1, cl.add(ec, c)
+                kernel.append(words[cl.neg(ec)] + (e,))
+                primes.append(P)
+                words = grown
+                if len(words) == cl.order:
                     break
-        return tuple(chosen)
-
-    def _class_setup(self):
-        """(orders, stack): the orders of the class-prime classes, and
-        the matrix of those classes stacked over the order rows of the
-        class group, so that x . stack = c writes a class c through the
-        class primes."""
-        K = self.field
-        inv = K.class_group.invariant_factors
-        C = [K.ideal_class(q) for q in self.class_primes]
-        orders = [K.class_group.element_order(c) for c in C]
-        stack = [list(c) for c in C] + \
-            [[m if j == i else 0 for j in range(len(inv))]
-             for i, m in enumerate(inv)]
-        return orders, IntMatrix.from_rows(stack, len(inv))
+        s = len(primes)
+        return (tuple(primes), words,
+                [row + (0,) * (s - len(row)) for row in kernel])
 
     def _class_product(self, exps) -> OIdeal:
         """prod q_j^exps over the class primes (exps >= 0)."""
@@ -328,7 +330,7 @@ class RayClassGroup:
             raise NotCoprime("element is not a unit modulo n")
         return self.unit_dlog[r]
 
-    def _relation_rows(self):
+    def _relation_rows(self, kernel):
         t, s = self._t, self._s
         rows = []
         for i, d in enumerate(self.unit_group.invariant_factors):
@@ -337,21 +339,11 @@ class RayClassGroup:
             z = self.mu_images[1]
             if any(z):
                 rows.append(list(z) + [0] * s)
-        if s:
-            orders = self._class_orders
-            # kernel of Z^s -> Cl: basis rows shifted into the nonnegative
-            # fundamental box, plus the per-generator order rows; together
-            # these generate the full kernel lattice
-            ker = rational_kernel(self._class_stack.transpose())
-            vrows = {tuple(x % o for x, o in zip(v[:s], orders)) for v in ker}
-            vrows.discard(tuple([0] * s))
-            for v in sorted(vrows):
-                w = self._principal_word(v)
-                rows.append([-x for x in w] + list(v))
-            for i, o in enumerate(orders):
-                use = [o if j == i else 0 for j in range(s)]
-                w = self._principal_word(use)
-                rows.append([-x for x in w] + use)
+        # one row per kernel row of Z^s -> Cl, through its principal
+        # product
+        for v in kernel:
+            w = self._principal_word(v)
+            rows.append([-x for x in w] + list(v))
         return rows
 
     # -- coordinates --
@@ -369,26 +361,15 @@ class RayClassGroup:
             raise OrdistError("ideal from a different field")
         if not a.is_coprime(self.modulus.ideal):
             raise NotCoprime(f"{a} is not coprime to the modulus")
-        s = self._s
-        if s == 0:
-            g = a.is_principal_generator()
-            if g is None:
-                raise OrdistError(f"{a} is not principal in class number 1")
-            word = list(self._residue_word(g))
-        else:
-            orders = self._class_orders
-            sol = solve_left(self._class_stack, list(K.ideal_class(a)))
-            if sol is None:
-                raise OrdistError("the class primes do not generate Cl")
-            x = [sol[i] % orders[i] for i in range(s)]
-            z = [(-xi) % o for xi, o in zip(x, orders)]
-            # a*B and J*B are principal for J = prod q^x, B = prod q^z
-            g = a.multiply(self._class_product(z)).is_principal_generator()
-            if g is None:
-                raise OrdistError("a * B is not principal")
-            w1 = self._residue_word(g)
-            w2 = self._principal_word([e1 + e2 for e1, e2 in zip(x, z)])
-            word = [u - v for u, v in zip(w1, w2)] + x
+        c = K.ideal_class(a)
+        x, z = self._words[c], self._words[K.class_group.neg(c)]
+        # a*B and J*B are principal for J = prod q^x, B = prod q^z
+        g = a.multiply(self._class_product(z)).is_principal_generator()
+        if g is None:
+            raise OrdistError("a * B is not principal")
+        w1 = self._residue_word(g)
+        w2 = self._principal_word([e1 + e2 for e1, e2 in zip(x, z)])
+        word = [u - v for u, v in zip(w1, w2)] + list(x)
         return self.word_to_coords(word)
 
     # -- transitions, inertia, Frobenius --
@@ -525,29 +506,27 @@ def galois_over_h(G_m: RayClassGroup, ell: int) -> GaloisOverH:
             raise FrameUnavailable(
                 f"l^r = {ell ** r} does not divide g_m = {g_last}")
         q = g_last // ell ** r
-        tau_m = None
+        # j = the sum of tau_i^(g_i / g_m); the last term is tau_m itself
+        head = amb.zero()
+        for tau, p in zip(taus, order):
+            head = amb.add(head, amb.scale(tau, gs[p] // g_last))
         for x in g_ell.elements:
             if amb.element_order(x) != q:
                 continue
             cyc = Subgroup.generated(amb, [x])
-            if cyc.intersection(span).order == 1 and \
-                    span.product(cyc).order == g_ell.order:
-                tau_m = x
-                break
-        if tau_m is None:
-            raise FrameUnavailable("no complement generator for the last prime")
-        taus.append(tau_m)
-        jj = amb.zero()
-        for tau, p in zip(taus, order):
-            jj = amb.add(jj, amb.scale(tau, gs[p] // g_last))
-        j = jj
-        if m >= 2:
+            if cyc.intersection(span).order != 1 or \
+                    span.product(cyc).order != g_ell.order:
+                continue
+            j = amb.add(head, x)
             # with at least two primes the ramification-compensating
             # element recovers the full inertia l-Sylow at the last prime
-            if amb.element_order(j) != g_last or \
-                    Subgroup.generated(amb, [j]) != syls[p_last]:
-                raise OrdistError("j does not generate the last inertia "
-                                  "l-Sylow")
+            if m >= 2 and (amb.element_order(j) != g_last or
+                           Subgroup.generated(amb, [j]) != syls[p_last]):
+                continue
+            taus.append(x)
+            break
+        else:
+            raise FrameUnavailable("no complement generator for the last prime")
     else:
         j = amb.zero()
     return GaloisOverH(

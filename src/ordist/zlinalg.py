@@ -19,8 +19,9 @@ coordinates: the same pass applies each column operation to the
 transform R and its inverse row operation to R^-1, and the columns of R
 and rows of R^-1 at the factors other than 1 map into the coordinates
 and back.  The columns of R at the free factors are a saturated kernel
-basis, and left solves and subquotients read their coordinates off such
-kernels.  A separate sparse elimination over Z/p^K gives the p-adic
+basis, and the rows of R^-1 there read off the coordinates of a kernel
+vector in it.  A subquotient takes one such kernel, of its big and
+small rows stacked, and no solve per row.  A separate sparse elimination over Z/p^K gives the p-adic
 valuations of the invariant factors; for large inputs it independently
 re-verifies the Smith form.
 """
@@ -33,7 +34,6 @@ from functools import cached_property
 from operator import index
 
 from . import OrdistError, _Frozen
-from .quadfield import _xgcd
 
 
 class LinalgError(OrdistError):
@@ -79,10 +79,6 @@ class IntMatrix(_Frozen):
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        return IntMatrix(rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -775,40 +771,16 @@ def rational_kernel(A) -> list[tuple[int, ...]]:
     return list(zip(*to))[len(group.torsion):]
 
 
-def solve_left(A, b: Sequence[int]):
-    """One integer solution x of x A = b, or None.
-
-    A may be an IntMatrix or a row sequence.  The kernel of [A; b]^T
-    holds the (x, t) with x A + t b = 0, and it is saturated, so b lies
-    in the row lattice exactly when the t of its basis have gcd 1.  The
-    extended gcd combines the basis into one vector with t = 1, whose
-    negated x is returned once x A = b is checked: LinalgError
-    otherwise.
-    """
-    stacked = IntMatrix(_as_matrix(A).entries + (_ints(b),))
-    n = stacked.rows - 1
-    g, acc = 0, [0] * (n + 1)
-    for v in rational_kernel(stacked.transpose()):
-        g, u, w = _xgcd(g, v[n])
-        acc = [u * a + w * y for a, y in zip(acc, v)]
-    if g != 1:
-        return None
-    x = [-a for a in acc[:n]]
-    if _reduced_product([x], stacked.entries[:n], (0,) * stacked.cols) \
-            != stacked.entries[n:]:
-        raise LinalgError("left solve does not reproduce the target")
-    return x
-
-
 def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
     """Structure of rowspace(kernel_basis) / rowspace(sub_rows).
 
-    The kernel basis rows must be independent (LinalgError otherwise).
-    Each sub row enters through its coordinates in that basis, by
-    solve_left, and the cokernel of the coordinates is the result.
-    Raises NotSubLattice when some sub row is outside the span of the
-    kernel basis.  Free rank, if any, is reported through zero invariant
-    factors.
+    The kernel basis rows K must be independent (LinalgError otherwise).
+    One saturated basis [X | Y] of the integer kernel of [K; S]^T holds
+    the X K + Y S = 0.  The sub rows S lie in rowspace(K) exactly when
+    that basis has one vector per sub row and Y is unimodular; then
+    X = -Y C for the coordinates C of the sub rows in K, and the
+    cokernel of X is the result.  Raises NotSubLattice otherwise.  Free
+    rank, if any, is reported through zero invariant factors.
     """
     kmat = _as_matrix(kernel_basis)
     if rational_kernel(kmat.transpose()):
@@ -816,13 +788,13 @@ def subquotient_torsion(kernel_basis, sub_rows) -> AbGroup:
     smat = _as_matrix(sub_rows)
     if smat.rows and smat.cols != kmat.cols:
         raise NotSubLattice("ambient dimensions differ")
-    coords = []
-    for r in smat.entries:
-        c = solve_left(kmat, r)
-        if c is None:
-            raise NotSubLattice("row outside the big lattice")
-        coords.append(c)
-    return cokernel(IntMatrix(coords, kmat.rows), kmat.rows)
+    k, m = kmat.rows, smat.rows
+    basis = rational_kernel(
+        IntMatrix(kmat.entries + smat.entries, kmat.cols).transpose())
+    Y = [v[k:] for v in basis]
+    if len(basis) != m or not cokernel(Y, m).is_trivial:
+        raise NotSubLattice("row outside the big lattice")
+    return cokernel(IntMatrix([v[:k] for v in basis], k), k)
 
 
 # ---------------------------------------------------------------------------

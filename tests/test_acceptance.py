@@ -143,7 +143,7 @@ def test_criterion_4_rank_identities(field7, triple7):
     for n in P.levels:
         cols = [j for j, (u, _) in enumerate(tp.gen_index(P))
                 if u.divides(n)]
-        block = IntMatrix.from_rows(
+        block = IntMatrix(
             [[row[j] for j in cols] for row in F.entries], len(cols))
         assert modular_rank(block) == P.ray(n).group.order
     print("criterion 4 rank identities: PASS")

@@ -10,6 +10,7 @@ from ordist.cohomology import (
     CyclicModule,
     NotCyclic,
     SylowFrameSynthetic,
+    _lattice_preimage,
     _module_from_presentation,
     _porder,
     _trace_rows,
@@ -22,7 +23,7 @@ from ordist.cohomology import (
     twisted_trace_torsion,
     verify_tor_h2,
 )
-from ordist.zlinalg import AbGroup, AbHom
+from ordist.zlinalg import AbGroup, AbHom, LinalgError
 
 import tuple_presentation as tp
 
@@ -154,6 +155,36 @@ def test_dimension_shift_swaps_parities(mod):
     shifted = dimension_shift(mod)
     assert tate_cyclic(shifted, "even") == tate_cyclic(mod, "odd")
     assert tate_cyclic(shifted, "odd") == tate_cyclic(mod, "even")
+
+
+def _preimage_case():
+    """x @ [[2], [3]] in 6 Z: the preimage lattice of index 6 in Z^2."""
+    return [[2], [3]], [[6]], 2
+
+
+def test_preimage_coords_read_the_kernel_basis():
+    basis, coords = _lattice_preimage(*_preimage_case())
+    assert len(basis) == 2
+    for k, x in enumerate(basis):
+        z = -(2 * x[0] + 3 * x[1]) // 6
+        assert coords(list(x) + [z]) == tuple(int(i == k) for i in range(2))
+
+
+def test_preimage_coords_refuse_a_wrong_combination(monkeypatch):
+    # rows that are not those of R^-1 read coordinates whose combination
+    # misses the vector
+    import ordist.cohomology as co
+    real = co.smith_coordinates
+
+    def doubled(A, ambient):
+        group, to, back = real(A, ambient)
+        return group, to, tuple(tuple(2 * x for x in r) for r in back)
+
+    monkeypatch.setattr(co, "smith_coordinates", doubled)
+    basis, coords = _lattice_preimage(*_preimage_case())
+    x = basis[0]
+    with pytest.raises(LinalgError, match="reproduce"):
+        coords(list(x) + [-(2 * x[0] + 3 * x[1]) // 6])
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ def _fraction_transform(P):
             scale = math.lcm(scale, x.denominator)
     rows = [[int(cols[j][i] * scale) for j in range(P.n_gens)]
             for i in range(amb.order)]
-    return IntMatrix.from_rows(rows, P.n_gens), scale
+    return IntMatrix(rows, P.n_gens), scale
 
 
 # every level whose transform the suite builds; a prime is q or (q, e)
@@ -733,8 +733,8 @@ def _annihilation_case(draw):
             rel[(i + 1) % n][j] -= t
     for _ in range(draw(st.integers(0, 2))):
         rel.insert(draw(st.integers(0, len(rel))), [0] * (cols + n))
-    return (IntMatrix.from_rows(F, cols + n),
-            IntMatrix.from_rows(rel, cols + n))
+    return (IntMatrix(F, cols + n),
+            IntMatrix(rel, cols + n))
 
 
 @settings(deadline=None, max_examples=150)
@@ -779,7 +779,7 @@ def test_divisor_block_ranks(field7):
     for n in P.levels:
         cols = [j for j, (u, _) in enumerate(tp.gen_index(P))
                 if u.divides(n)]
-        block = IntMatrix.from_rows(
+        block = IntMatrix(
             [[row[j] for j in cols] for row in F.entries], len(cols))
         assert modular_rank(block) == P.ray(n).group.order
 

@@ -27,9 +27,11 @@ HEAVY = ("numpy", "ordist.zlinalg", "ordist.distribution",
 
 # the public names of the package before its exports became lazy, by
 # defining module at that time; hnf, hnf_basis, ab_discover (the class
-# group labels its forms as the other groups label their elements), and
-# the group-ring p_star, transfer and TraceIdeal, and the quadfield
-# splitting_type (the method K.splitting_type stays) were dropped since
+# group labels its forms as the other groups label their elements),
+# solve_left (each coordinate comes from the elimination that found its
+# lattice), the group-ring p_star, transfer and TraceIdeal, and the
+# quadfield splitting_type (the method K.splitting_type stays) were
+# dropped since
 OLD_EXPORTS = {
     "zlinalg": (
         "AbGroup", "AbHom", "GeneratorsInsufficient", "IntMatrix",
@@ -66,8 +68,8 @@ OLD_EXPORTS = {
         "torsion_bound",
     ),
 }
-DROPPED = {"hnf", "hnf_basis", "ab_discover", "p_star", "transfer",
-           "TraceIdeal", "splitting_type"}
+DROPPED = {"hnf", "hnf_basis", "ab_discover", "solve_left", "p_star",
+           "transfer", "TraceIdeal", "splitting_type"}
 MOVED = {"residue_units": "rayclass", "HypothesisFailed": "quadfield",
          "search_torsex": "quadfield"}
 

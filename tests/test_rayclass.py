@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import class_stack as cs
 import ordist.rayclass as rc
 import tuple_presentation as tp
 from ordist.quadfield import Modulus, OIdeal, make_field
@@ -28,7 +29,7 @@ from ordist.rayclass import (
     galois_over_h,
     ray_class_group,
 )
-from ordist.zlinalg import OrdistError
+from ordist.zlinalg import OrdistError, cokernel
 
 
 def _modulus(K, spec):
@@ -175,24 +176,72 @@ def test_noncyclic_class_group_level(K161):
     assert G.group.order == 320
 
 
-def test_noncyclic_level_ignores_the_kernel_basis(K161, monkeypatch):
-    # any basis of the class-stack kernel gives the same group
-    kernel = rc.rational_kernel
+def _class_fields():
+    """The fields of squarefree d < 300 with h > 1."""
+    fields = []
+    for d in range(1, 300):
+        if all(d % (q * q) for q in range(2, 18)):
+            K = make_field(d)
+            if K.h > 1:
+                fields.append(K)
+    return fields
 
-    def mixed(A):
-        # negate the first vector and add each vector to the next: a
-        # unimodular change of basis
-        basis = kernel(A)
-        out = [tuple(-x for x in basis[0])]
-        for prev, v in zip(basis, basis[1:]):
-            out.append(tuple(a + b for a, b in zip(prev, v)))
-        return out
 
-    G = ray_class_group(K161, _level161(K161))
-    assert len(kernel(G._class_stack.transpose())) == 3
-    monkeypatch.setattr(rc, "rational_kernel", mixed)
-    G = rc.RayClassGroup(K161, _level161(K161))
-    assert G.group.invariant_factors == (2, 160)
+def _small_primes(K, bound):
+    """The prime ideals of norm at most bound, split or ramified."""
+    return [P for q in range(2, bound + 1) if rc._is_prime(q)
+            for P in K.splitting_type(q)[1] if P.norm() == q]
+
+
+def _two_moduli(K):
+    """The prime over the least split or ramified odd prime, and its
+    product with the prime over the next one."""
+    P, Q = [ids[0] for q in range(3, 200) if rc._is_prime(q)
+            for kind, ids in [K.splitting_type(q)] if kind != "inert"][:2]
+    return Modulus(K, ((P, 1),)), Modulus(K, ((P, 1), (Q, 1)))
+
+
+def test_class_kernel_rows_span_the_kernel(K161):
+    # the rows of the greedy pick are nonnegative and triangular, each
+    # row's classes sum to 0, and Z^s modulo the rows has order h: they
+    # span the whole kernel of Z^s -> Cl
+    levels = [(K161, _level161(K161))] + \
+        [(K, Modulus.one(K)) for K in _class_fields()]
+    assert len(levels) > 100
+    for K, n in levels:
+        cl = K.class_group
+        primes, words, kernel = ray_class_group(K, n)._pick_class_primes()
+        s = len(primes)
+        classes = [K.ideal_class(q) for q in primes]
+        assert len(kernel) == s and len(words) == K.h, K
+        for j, row in enumerate(kernel):
+            assert min(row) >= 0 and row[j] > 0 and not any(row[j + 1:])
+            total = cl.zero()
+            for q, e in zip(classes, row):
+                total = cl.add(total, cl.scale(q, e))
+            assert total == cl.zero(), (K, row)
+        assert cokernel(kernel, s).order == K.h, K
+        for c, x in words.items():
+            total = cl.zero()
+            for j, (q, e) in enumerate(zip(classes, x)):
+                assert 0 <= e < kernel[j][j]
+                total = cl.add(total, cl.scale(q, e))
+            assert total == c, (K, x)
+
+
+def test_class_part_matches_class_stack_route(K161):
+    # the greedy pick against the class-stack route it replaced: the
+    # same class primes, invariant factors and Artin element orders
+    levels = [(K161, _level161(K161))] + \
+        [(K, n) for K in _class_fields() for n in _two_moduli(K)]
+    for K, n in levels:
+        G, ref = rc.RayClassGroup(K, n), cs.StackRayClassGroup(K, n)
+        assert G.class_primes == ref.class_primes, (K, n.label())
+        assert G.group == ref.group, (K, n.label())
+        for P in _small_primes(K, 40) + list(G.class_primes):
+            if P.is_coprime(n.ideal):
+                assert G.group.element_order(G.artin(P)) == \
+                    ref.group.element_order(ref.artin(P)), (K, n.label(), P)
 
 
 def test_artin_multiplicative_on_noncyclic_class_group(K161):
@@ -222,7 +271,9 @@ def test_words_and_coordinates_round_trip(triple):
     K = make_field(23)
     for G in (triple, ray_class_group(K, _modulus(K, [(13, 0, 1)]))):
         zero = G.group.zero()
-        assert all(G.word_to_coords(r) == zero for r in G._relation_rows())
+        kernel = G._pick_class_primes()[2]
+        assert all(G.word_to_coords(r) == zero
+                   for r in G._relation_rows(kernel))
         for c in G.group.elements():
             word = (np.array(c, dtype=object)
                     @ nl.dense(G._back, G._t + G._s)).tolist()
@@ -422,10 +473,10 @@ def test_subgroup_masks_match_tuple_sets(request, level):
         els = set(sub.elements)
         assert sub.order == len(els)
         for x in every:
-            assert sub.contains(x) == (x in els)
+            assert bool(sub.mask[amb.index_of(x)]) == (x in els)
             # an unreduced representative of the same element
-            assert sub.contains(tuple(c + d for c, d in
-                                      zip(x, amb.invariant_factors))) \
+            assert bool(sub.mask[amb.index_of(tuple(
+                c + d for c, d in zip(x, amb.invariant_factors)))]) \
                 == (x in els)
         for k in (0, 1, 2, 3, 5, 6, 11, sub.order):
             want = {amb.scale(x, k) for x in els}
@@ -590,6 +641,25 @@ def test_frame_every_ell_consistent(triple):
 
 def test_frame_unavailable_single_prime(K7):
     G = ray_class_group(K7, _modulus(K7, [(11, 0, 1)]))
+    with pytest.raises(FrameUnavailable):
+        galois_over_h(G, 2)
+
+
+def test_frame_takes_a_complement_whose_j_generates_the_last_inertia():
+    # the inertia 3-orders are (9, 3) and #G_3 = 27; the first complement
+    # in index order gives a j outside the last inertia 3-Sylow, a later
+    # one gives a j that generates it
+    K = make_field(19)
+    G = ray_class_group(K, _modulus(K, [(7, None, 1), (19, None, 1)]))
+    fr = galois_over_h(G, 3)
+    assert fr.g == (9, 3) and fr.g_ell.order == 27
+    assert Subgroup.generated(G.group, [fr.j]) == fr.inertia_ell[-1]
+
+
+def test_frame_unavailable_when_no_complement_gives_j():
+    K = make_field(1)
+    G = ray_class_group(K, _modulus(K, [(5, None, 1), (13, None, 1),
+                                       (17, None, 1)]))
     with pytest.raises(FrameUnavailable):
         galois_over_h(G, 2)
 

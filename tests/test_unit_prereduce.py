@@ -60,7 +60,7 @@ def test_sparse_pass_matches_dense_reference(case):
     rows, order = case
     cols = len(rows[0])
     for shuffled in (rows, [rows[i] for i in order]):
-        assert _same_as_dense(IntMatrix.from_rows(shuffled, cols))
+        assert _same_as_dense(IntMatrix(shuffled, cols))
 
 
 def test_sparse_pass_matches_dense_reference_on_sweep_frames():

@@ -97,7 +97,7 @@ def ab_discover(order, mul, gens, identity):
             if any(row):
                 rel.add(row)
     rel = sorted(rel)
-    group, to, _ = smith_coordinates(IntMatrix.from_rows(rel, k) if rel
+    group, to, _ = smith_coordinates(IntMatrix(rel, k) if rel
                                      else IntMatrix.zeros(0, k), k)
     if not group.is_finite:
         raise LinalgError("black-box group is not finite as presented")
@@ -205,7 +205,7 @@ def relation_matrix(P) -> IntMatrix:
                     for tau in pre[sigma]:
                         row[column_of(t, tau)] -= 1
                     rows.append(row)
-    return IntMatrix.from_rows(rows, P.n_gens)
+    return IntMatrix(rows, P.n_gens)
 
 
 def coset_rows(group, subgroup_elements) -> np.ndarray:
