@@ -21,9 +21,9 @@ and rows of R^-1 at the factors other than 1 map into the coordinates
 and back.  The columns of R at the free factors are a saturated kernel
 basis, and the rows of R^-1 there read off the coordinates of a kernel
 vector in it.  A subquotient takes one such kernel, of its big and
-small rows stacked, and no solve per row.  A separate sparse elimination over Z/p^K gives the p-adic
-valuations of the invariant factors; for large inputs it independently
-re-verifies the Smith form.
+small rows stacked, and no solve per row.  A separate sparse
+elimination over Z/p^K gives the p-adic valuations of the invariant
+factors; for large inputs it independently re-verifies the Smith form.
 """
 
 from __future__ import annotations
