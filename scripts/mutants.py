@@ -45,6 +45,8 @@ _DIST = "tests/test_distribution.py::"
 _PREREDUCE = "tests/test_unit_prereduce.py::"
 _HUGE = "tests/test_cli.py::test_huge_modulus_exits_one_at_once"
 _NO_OBJECT = "tests/test_cli.py::test_entry_whose_result_is_no_object_is_a_miss"
+_WHOLE = "tests/test_index_presentation.py::" \
+    "test_ray_class_groups_match_whole_modulus_"
 
 MUTANTS = (
     Mutant(
@@ -84,6 +86,29 @@ MUTANTS = (
          "tests/test_index_presentation.py::"
          "test_residue_units_match_tuple_loop_on_prime_powers[d1-2^3]",
          "tests/test_rayclass.py::test_triple_order_and_structure"),
+    ),
+    Mutant(
+        "unit-lift-skips-idempotent",
+        "rayclass.py",
+        "reps.append(_residue_reduce(n.ideal, (1 + ex, ey)))",
+        "reps.append(_residue_reduce(n.ideal, (x, y)))",
+        ("tests/test_rayclass.py::test_triple_order_and_structure",
+         f"{_WHOLE}on_transform_divisors"),
+    ),
+    Mutant(
+        "unit-dlog-joins-reversed",
+        "rayclass.py",
+        "        for P, _, dlog, _, _ in self._units:\n",
+        "        for P, _, dlog, _, _ in self._units[::-1]:\n",
+        ("tests/test_rayclass.py::test_triple_order_and_structure",
+         f"{_WHOLE}on_transform_divisors"),
+    ),
+    Mutant(
+        "unit-lift-check-skipped",
+        "rayclass.py",
+        "        if [self._unit_dlog_of(r) for r in reps] != \\\n",
+        "        if False and [self._unit_dlog_of(r) for r in reps] != \\\n",
+        ("tests/test_rayclass.py::test_lifted_unit_generators_are_checked",),
     ),
     Mutant(
         "class-bfs-drops-last-generator",
@@ -482,6 +507,15 @@ MUTANTS = (
         "                or \"result\" not in manifest:\n",
         (f"{_NO_OBJECT}[torsion]", f"{_NO_OBJECT}[rayclass]",
          f"{_NO_OBJECT}[certify]"),
+    ),
+    Mutant(
+        "memory-error-gets-through",
+        "cli.py",
+        "    except MemoryError as exc:\n",
+        "    except () as exc:\n",
+        ("tests/test_cli.py::test_memory_error_in_any_command_exits_five"
+         "[torsion]",
+         "tests/test_cli.py::test_memory_error_of_a_capped_child_exits_five"),
     ),
     Mutant(
         "empty-cache-dir-caches-here",

@@ -6,8 +6,9 @@ the field, the result and the timing.  The report is byte-stable for
 identical inputs and code versions apart from the timing field.  Exit
 codes: 0 success, 1 usage error, 2 a violated hypothesis, 3 an internal
 oracle mismatch, 4 an I/O error (an unusable cache directory, or
-standard output closed by its reader); each error class carries its
-code.  A prime spec above RESIDUE_NORM_BOUND, or a modulus of larger
+standard output closed by its reader), 5 out of memory; each error
+class carries its code, and a MemoryError ends with one line that names
+the command.  A prime spec above RESIDUE_NORM_BOUND, or a modulus of larger
 norm, is refused while parsing, before any primality test or walk.
 
 A command imports the layer it computes with only when it computes.
@@ -395,6 +396,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.monotonic_ns()
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         cache = Cache(_cache_dir(args), args.verbose)
@@ -407,6 +409,13 @@ def main(argv=None) -> int:
     except OrdistError as exc:
         print(f"ordist: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # the traceback keeps the command's frames, and all they hold,
+        # alive; drop it before anything is printed
+        exc.__traceback__ = None
+        command = args.command if args else "argument parsing"
+        print(f"ordist: {command} ran out of memory", file=sys.stderr)
+        return 5
     timing = (time.monotonic_ns() - started) // 1_000_000
     payload = {
         "schema": SCHEMA,

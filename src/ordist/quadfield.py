@@ -57,11 +57,11 @@ class ModulusTooLarge(OrdistError):
         super().__init__(f"norm {shown}exceeds {RESIDUE_NORM_BOUND}")
 
 
-# the largest norm of a modulus whose residue units are enumerated, and
-# the largest d of a field (the squarefree test and the reduced forms
-# take time of order sqrt(d) and d); a norm is only worked out, and
-# shown, below about 2^_SHOWN_BITS (Python prints no int past 4,300
-# digits)
+# the largest norm of a modulus, whose prime powers have their residue
+# units enumerated, and the largest d of a field (the squarefree test
+# and the reduced forms take time of order sqrt(d) and d); a norm is
+# only worked out, and shown, below about 2^_SHOWN_BITS (Python prints
+# no int past 4,300 digits)
 RESIDUE_NORM_BOUND, _SHOWN_BITS = 10 ** 6, 1000
 
 # the least strong pseudoprime to all of the first twelve prime bases
@@ -437,6 +437,23 @@ def _ideal_from_lattice(K: QuadField, gens: Iterable[tuple[int, int]]) -> OIdeal
     return OIdeal(K, c, a, b)
 
 
+def _prime_power(p: OIdeal, e: int) -> OIdeal:
+    """p^e for a prime ideal p, read off its canonical form: an inert
+    p = (q) gives (q^e), a ramified p gives q^(e // 2) p^(e % 2), as
+    p^2 = (q), and a split p = q Z + ((b_p + sqrt D)/2) Z gives
+    q^e Z + ((b + sqrt D)/2) Z, whose b is the one root of
+    b^2 = D mod 4 q^e in [0, 2 q^e) with b = b_p mod 2q."""
+    K, D = p.field, p.field.disc
+    q = p.rational_prime()
+    if p.content > 1:
+        return OIdeal(K, q ** e, 1, D & 1)
+    if D % q == 0:
+        return OIdeal(K, q ** (e // 2), *((q, p.b) if e % 2 else (1, D & 1)))
+    a = q ** e
+    return OIdeal(K, 1, a, next(b for b in range(p.b, 2 * a, 2 * q)
+                                if (b * b - D) % (4 * a) == 0))
+
+
 def _residue_reduce(n_ideal: OIdeal, u):
     """Canonical representative of u modulo the ideal lattice."""
     c = n_ideal.content
@@ -500,11 +517,13 @@ class Modulus(_Frozen):
 
     @cached_property
     def ideal(self) -> OIdeal:
-        """The product of the prime powers."""
-        out = self.field.unit_ideal()
+        """The product of the prime powers: a prime power itself takes
+        no ideal product."""
+        out = None
         for p, e in self.primes:
-            out = out.multiply(p.pow(e))
-        return out
+            pe = _prime_power(p, e)
+            out = pe if out is None else out.multiply(pe)
+        return self.field.unit_ideal() if out is None else out
 
     def v_p(self, p: OIdeal) -> int:
         return next((e for q, e in self.primes if q == p), 0)

@@ -1,16 +1,16 @@
 """Ray class groups with Artin maps, inertia and Frobenius data.
 
-G_n is presented on the invariant-factor generators of (O_K/n)^x
-together with a greedy set of small prime ideals generating the class
-group.  The greedy pick writes every class through the class primes
-and gives triangular rows that generate the kernel of
-Z^{class primes} -> Cl.  Relations come from three sources: the
-unit-group invariant orders, the image of the roots of unity (the map
-(O/n)^x -> G_n kills exactly mu_K), and one row per kernel row, where
-the corresponding principal product ideal has its actual generator
-recovered and its residue discrete-logged.  The extension
-1 -> (O/n)^x / mu -> G_n -> Cl -> 1 is therefore glued from real
-principal generators and is never assumed split.
+G_n is presented on the invariant-factor generators of the unit groups
+(O_K/p^e)^x of the prime powers of n, together with a greedy set of
+small prime ideals generating the class group.  The greedy pick writes
+every class through the class primes and gives triangular rows that
+generate the kernel of Z^{class primes} -> Cl.  Relations come from
+three sources: the unit-group invariant orders, the image of the roots
+of unity (the map (O/n)^x -> G_n kills exactly mu_K), and one row per
+kernel row, where the corresponding principal product ideal has its
+actual generator recovered and its residue discrete-logged.  The
+extension 1 -> (O/n)^x / mu -> G_n -> Cl -> 1 is therefore glued from
+real principal generators and is never assumed split.
 
 Artin images of coprime ideals are computed by the same mechanism:
 divide the ideal by the product of class primes that the pick wrote
@@ -20,10 +20,17 @@ groups live for the whole process (ray_class_group), and each keeps its
 Artin images, transitions, level kernels, sections and Frobenius lifts
 in functools.cache memos of its methods.
 
-The unit groups (O_K/n)^x are found on indices: the residues are
-numbered, multiplication by a unit permutes the unit labels, and, as
-for the class group, zlinalg._harvest and _discover run on those
-permutations.  Subgroups are masks and carry no structure of their own.
+The unit part of G_n is assembled by the Chinese remainder theorem,
+(O_K/n)^x = prod (O_K/p^e)^x over the prime powers of n, and (O_K/n)^x
+is never enumerated for a composite n.  Each (O_K/p^e)^x is found once
+for the process (_prime_power_units): its residues are numbered,
+multiplication by a unit permutes the unit labels, and, as for the
+class group, zlinalg._harvest and _discover run on those permutations.
+The unit invariant orders of G_n are the local invariant factors,
+concatenated, and the dlog of a residue joins its local dlogs.  Each
+local generator r is lifted to 1 + E (r - 1), where E lies in n / p^e
+and E = 1 mod p^e, and each lift is checked to log to its unit vector.
+Subgroups are masks and carry no structure of their own.
 
 The tau-frame decomposes Gamma = ker(G_m -> G_(1)) into the prime-to-l
 part and the l-Sylow G_l, writes G_l as an internal direct product of
@@ -34,6 +41,7 @@ w_K and whose composite j generates the last inertia l-Sylow.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 from . import OrdistError, _Frozen
@@ -43,6 +51,7 @@ from .quadfield import (
     QuadField,
     _is_prime,
     _residue_reduce,
+    _xgcd,
 )
 from .zlinalg import (
     AbGroup,
@@ -221,6 +230,51 @@ def residue_units(K: QuadField, n: Modulus):
     return group, dlog, mu
 
 
+@cache
+def _prime_power_units(K: QuadField, p: OIdeal, e: int):
+    """(p^e, invariant factors, dlog, mu_images, generators) of
+    (O_K/p^e)^x, kept for the whole process: residue_units of the prime
+    power, and its generators, the residues at the unit vectors."""
+    n = Modulus(K, ((p, e),))
+    group, dlog, mu = residue_units(K, n)
+    t = len(group.invariant_factors)
+    slot = {tuple(int(i == j) for j in range(t)): i for i in range(t)}
+    gens = [None] * t
+    for r, co in dlog.items():
+        if co in slot:
+            gens[slot[co]] = r
+    return n.ideal, group.invariant_factors, dlog, mu, gens
+
+
+def _crt_idempotents(n: Modulus, powers) -> list:
+    """E_j in n / P_j with E_j = 1 mod P_j, as omega coordinates, for
+    each prime power P_j = p_j^e_j of n (powers, in the order of n.primes).
+
+    An ideal contains its norm.  With M the norm of the prime powers of
+    n over the rational prime q under p_j, and N that of the others, the
+    extended gcd gives u M + v N = 1, and v N lies in every prime power
+    over another prime and is 1 mod P_j.  When q splits and both of its
+    primes divide n, E_j also takes the factor y beta_Q, for the other
+    prime power Q = q^f Z + beta_Q Z over q: it lies in Q, and it is
+    1 mod P_j = q^e_j Z + beta_j Z when y (beta_Q - beta_j) = 1 mod
+    q^e_j, which a second extended gcd solves.
+    """
+    qs = [p.rational_prime() for p, _ in n.primes]
+    norms = [P.norm() for P in powers]
+    out = []
+    for j, (q, P) in enumerate(zip(qs, powers)):
+        far = math.prod(N for r, N in zip(qs, norms) if r != q)
+        near = math.prod(N for r, N in zip(qs, norms) if r == q)
+        E = (_xgcd(near, far)[2] * far, 0)
+        for k, Q in enumerate(powers):
+            if k != j and qs[k] == q:
+                bq = Q.beta()[0]
+                y = _xgcd(bq - P.beta()[0], norms[j])[1]
+                E = n.field.elt_mul(E, (y * bq, y))
+        out.append(E)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the ray class group
 
@@ -230,11 +284,16 @@ class RayClassGroup:
     def __init__(self, K: QuadField, n: Modulus):
         if n.field != K:
             raise OrdistError("modulus belongs to a different field")
+        n.check_norm()
         self.field = K
         self.modulus = n
-        self.unit_group, self.unit_dlog, self.mu_images = residue_units(K, n)
+        self._units = [_prime_power_units(K, p, e) for p, e in n.primes]
+        self._unit_orders = tuple(d for _, orders, _, _, _ in self._units
+                                  for d in orders)
+        self.mu_images = [sum((mu[k] for _, _, _, mu, _ in self._units), ())
+                          for k in range(K.w_K)]
         self.class_primes, self._words, kernel = self._pick_class_primes()
-        t = len(self.unit_group.invariant_factors)
+        t = len(self._unit_orders)
         s = len(self.class_primes)
         self._t, self._s = t, s
         self.group, self._to, self._back = smith_coordinates(
@@ -246,10 +305,7 @@ class RayClassGroup:
         if self.group.order != expected:
             raise OrdistError(
                 f"order {self.group.order} != exact-sequence value {expected}")
-        # the dlog is a bijection: one residue at each unit vector
-        res_of = {co: res for res, co in self.unit_dlog.items()}
-        self._unit_reps = [res_of[tuple(int(i == j) for j in range(t))]
-                           for i in range(t)]
+        self._unit_reps = self._lift_unit_generators()
 
     # -- presentation plumbing --
 
@@ -325,15 +381,38 @@ class RayClassGroup:
         return self._unit_dlog_of(u)
 
     def _unit_dlog_of(self, u):
-        r = _residue_reduce(self.modulus.ideal, u)
-        if r not in self.unit_dlog:
-            raise NotCoprime("element is not a unit modulo n")
-        return self.unit_dlog[r]
+        """The local dlogs of u mod each prime power of n, joined."""
+        word = ()
+        for P, _, dlog, _, _ in self._units:
+            w = dlog.get(_residue_reduce(P, u))
+            if w is None:
+                raise NotCoprime("element is not a unit modulo n")
+            word += w
+        return word
+
+    def _lift_unit_generators(self):
+        """The residues mod n of 1 + E (r - 1), for each local generator
+        r of each prime power, with E its CRT idempotent: each must log
+        to its unit vector."""
+        K, n = self.field, self.modulus
+        powers = [P for P, _, _, _, _ in self._units]
+        reps = []
+        for E, (_, _, _, _, gens) in zip(_crt_idempotents(n, powers),
+                                         self._units):
+            for x, y in gens:
+                ex, ey = K.elt_mul(E, (x - 1, y))
+                reps.append(_residue_reduce(n.ideal, (1 + ex, ey)))
+        t = self._t
+        if [self._unit_dlog_of(r) for r in reps] != \
+                [tuple(int(i == j) for j in range(t)) for i in range(t)]:
+            raise OrdistError(
+                "a lifted unit generator does not log to its unit vector")
+        return reps
 
     def _relation_rows(self, kernel):
         t, s = self._t, self._s
         rows = []
-        for i, d in enumerate(self.unit_group.invariant_factors):
+        for i, d in enumerate(self._unit_orders):
             rows.append([d if j == i else 0 for j in range(t + s)])
         if self.field.w_K > 1 and len(self.mu_images) > 1:
             z = self.mu_images[1]

@@ -158,6 +158,42 @@ def _capped_child(argv, timeout):
                           timeout=timeout, preexec_fn=cap)
 
 
+# a MemoryError ends with one line that names the command, and exit 5
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_memory_error_in_any_command_exits_five(command, monkeypatch,
+                                                capsys):
+    def exhausted(args, K, cache):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, command, exhausted)
+    argv = {"toralg-sweep": [],
+            "certify": ["-d", "7", "-p", "7", "-p", "11", "-p", "23"]
+            }.get(command, ["-d", "7"])
+    assert cli.main([command, *argv, "--no-cache"]) == 5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", f"ordist: {command} ran out of memory\n")
+
+
+def test_memory_error_of_a_capped_child_exits_five():
+    # the p:991,p:1009 presentation takes about 190 MB; the cap is set
+    # on the child alone, which runs out while building it
+    import resource
+
+    def cap():
+        limit = 96 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordist.cli", "torsion", "-d", "7", "-m",
+         "p:991,p:1009", "--no-cache"], capture_output=True, text=True,
+        env=_child_env(), timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == "ordist: torsion ran out of memory\n"
+
+
 @pytest.mark.parametrize("k", [15, 19])
 def test_norm_not_prime_to_w_exits_two_at_once(k):
     # before the check came first, k = 15 ran 82 s and 2.6 GB, and k = 19

@@ -707,6 +707,43 @@ def test_four_prime_level_without_the_transform():
     assert int(r.stderr.splitlines()[-1]) < 1536, r.stderr
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("ORDIST_SLOW"),
+                    reason="two-prime ceiling level, ORDIST_SLOW=1")
+def test_ceiling_presentation_builds_from_prime_power_units():
+    # d = 7, m = p991 p1009, norm 999,919: the unit part of G_m is built
+    # from the two prime powers, not from the 998,920 units mod m.  With
+    # h = 1 and mu = {1, -1}, #G_u = phi(u) / 2 for u != 1, so there are
+    # 1 + 495 + 504 + 498,960 generators and 2 + 495 + 504 relations.  A
+    # child process, so that its time and peak RSS are its own
+    code = textwrap.dedent("""
+        import json, resource, sys, time
+        from ordist.distribution import build_presentation
+        from ordist.quadfield import Modulus, make_field
+        start = time.process_time()
+        K = make_field(7)
+        m = Modulus(K, tuple((K.splitting_type(q)[1][0], 1)
+                             for q in (991, 1009)))
+        P = build_presentation(K, m)
+        print(json.dumps([P.n_gens, P.relations.rows,
+                          P.ray(m).group.order]))
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        print(f"{time.process_time() - start:.2f} s, {peak} MB",
+              file=sys.stderr)
+        """)
+    src = os.path.dirname(os.path.dirname(dist.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [x for x in [env.get("PYTHONPATH")] if x])
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    K = make_field(7)
+    order = K.h * (991 - 1) * (1009 - 1) // K.w_K
+    assert json.loads(r.stdout) == [499_960, 1_001, order]
+    print(r.stderr.strip())
+
+
 @st.composite
 def _annihilation_case(draw):
     """(F, rel) with rel = [R | I] against F = [A | -A R^T], so every

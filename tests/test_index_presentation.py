@@ -3,9 +3,13 @@ it replaced (tests/tuple_presentation.py), and the per-group memos.
 
 Residue unit groups, ray class relation data, the relation matrix and
 the trace-ideal rows must come out exactly as before: the same dlog
-items in the same order, the same arrays, the same row order.
+items in the same order, the same arrays, the same row order.  Ray
+class groups, whose unit part is assembled from prime powers, must have
+the structure, inertia and transition kernels of the groups built on
+(O/n)^x enumerated whole (tests/whole_modulus.py).
 """
 
+import math
 import os
 
 import numpy as np
@@ -14,10 +18,17 @@ import pytest
 
 import ordist.groupring as gr
 import tuple_presentation as tp
+import whole_modulus as wm
 from conftest import prime_above
 from ordist.distribution import build_presentation
 from ordist.groupring import alpha, trace_ideal, trace_ideal_quotient
-from ordist.quadfield import Modulus, NotSquarefree, QuadField, make_field
+from ordist.quadfield import (
+    Modulus,
+    NotSquarefree,
+    QuadField,
+    _residue_reduce,
+    make_field,
+)
 from ordist.rayclass import residue_units
 from ordist.rayclass import ray_class_group
 from ordist.zlinalg import AbHom, OrdistError, cokernel
@@ -78,6 +89,65 @@ def test_residue_units_match_tuple_loop_on_prime_powers(d, qs):
     K = make_field(d)
     for n in _mod(K, *qs).divisors():
         _same_units(K, n)
+
+
+def _same_ray(K, n):
+    """G_n from prime powers against G_n from (O/n)^x enumerated whole:
+    the structure, the inertia orders and the kernel orders of the
+    transitions to every divisor; and the joined dlog, a bijection from
+    the unit residues onto the product of the unit invariant orders
+    that respects multiplication."""
+    G, ref = ray_class_group(K, n), wm.whole_modulus_ray(K, n)
+    assert G.group == ref.group
+    for p, _ in n.primes:
+        assert G.inertia(p).order == ref.inertia(p).order
+    for u in n.divisors():
+        assert G.transition(u).index_image.count(0) == \
+            ref.transition(u).index_image.count(0)
+    orders = G._unit_orders
+    residues = list(residue_units(K, n)[1])
+    logs = {r: G._unit_dlog_of(r) for r in residues}
+    assert len(set(logs.values())) == len(logs) == math.prod(orders) \
+        == n.phi()
+    assert all(0 <= x < d for w in logs.values()
+               for x, d in zip(w, orders))
+    nid = n.ideal
+    for v in residues[:3] + G._unit_reps:
+        lv = G._unit_dlog_of(v)
+        for u in residues:
+            w = logs[_residue_reduce(nid, K.elt_mul(u, v))]
+            assert w == tuple((a + b) % d
+                              for a, b, d in zip(logs[u], lv, orders))
+
+
+def test_ray_class_groups_match_whole_modulus_on_transform_divisors():
+    for K, n in _transform_divisors():
+        _same_ray(K, n)
+
+
+# both primes over a split rational prime, where the CRT idempotent
+# takes the lattice factor: over 11 and 2 for d = 7, over 2 for d = 15
+# and over 5 for d = 1, some with powers
+_SPLIT_PAIRS = [(7, (11, (11, 1, 1))), (7, ((11, 0, 2), (11, 1, 1))),
+                (7, ((2, 0, 3), (2, 1, 2), 11)), (15, ((2, 0, 2), (2, 1, 1))),
+                (1, (5, (5, 1, 2)))]
+
+
+@pytest.mark.parametrize("d, qs", _EXTRA + _SPLIT_PAIRS,
+                         ids=map(_level_id, _EXTRA + _SPLIT_PAIRS))
+def test_ray_class_groups_match_whole_modulus_on_prime_powers(d, qs):
+    K = make_field(d)
+    for n in _mod(K, *qs).divisors():
+        _same_ray(K, n)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.environ.get("ORDIST_SLOW"),
+                    reason="four-prime level, ORDIST_SLOW=1")
+def test_ray_class_groups_match_whole_modulus_on_four_primes():
+    K = make_field(7)
+    for n in _mod(K, 7, 11, 23, 29).divisors():
+        _same_ray(K, n)
 
 
 @pytest.mark.parametrize("d, qs", _TRANSFORM_LEVELS + _EXTRA,

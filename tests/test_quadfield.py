@@ -20,7 +20,7 @@ from ordist.quadfield import (
     OIdeal,
     make_field,
 )
-from ordist.quadfield import _ideal_from_lattice, _is_prime
+from ordist.quadfield import _ideal_from_lattice, _is_prime, _prime_power
 from ordist.rayclass import residue_units
 from ordist.zlinalg import OrdistError
 
@@ -253,6 +253,26 @@ def test_ideal_lattice_matches_hnf_reference_on_prime_ideals(d):
                 got = _lattice_outcome(_ideal_from_lattice, K, gens)
                 assert isinstance(got, tuple)
                 assert got == _lattice_outcome(ideal_from_lattice, K, gens)
+
+
+@pytest.mark.parametrize("d", SURVEY_FIELDS + (2, 5, 14, 161))
+def test_prime_powers_read_off_match_square_and_multiply(d):
+    # inert, ramified and split primes, over 2 as well, up to norm 10^5
+    K = make_field(d)
+    for q in (2, 3, 5, 7, 11, 13):
+        for P in K.splitting_type(q)[1]:
+            e = 1
+            while P.norm() ** e <= 10 ** 5:
+                assert _prime_power(P, e) == P.pow(e), (q, e)
+                e += 1
+
+
+def test_modulus_ideal_of_a_prime_power_takes_no_product(monkeypatch):
+    K = make_field(7)
+    monkeypatch.setattr(OIdeal, "multiply", None)
+    for q, e in ((2, 5), (3, 2), (7, 3), (11, 2)):
+        P = K.splitting_type(q)[1][0]
+        assert Modulus(K, ((P, e),)).ideal.norm() == P.norm() ** e
 
 
 # -- principality -------------------------------------------------------------

@@ -539,6 +539,42 @@ def test_modulus_ideal_is_built_once_per_group(K7, monkeypatch):
     assert once and len(calls) == once
 
 
+def test_lifted_unit_generators_are_checked(K7, monkeypatch):
+    # each local generator lifts through its CRT idempotent to a residue
+    # mod n that logs to its unit vector; without the idempotents the
+    # lift of a generator mod p7 is not 1 mod p11, and the check raises
+    n = _modulus(K7, [(7, None, 1), (11, 0, 1)])
+    G = rc.RayClassGroup(K7, n)
+    t = G._t
+    assert [G._unit_dlog_of(r) for r in G._unit_reps] == \
+        [tuple(int(i == j) for j in range(t)) for i in range(t)]
+    monkeypatch.setattr(rc, "_crt_idempotents",
+                        lambda n, powers: [(1, 0)] * len(powers))
+    with pytest.raises(OrdistError, match="does not log to its unit vector"):
+        rc.RayClassGroup(K7, n)
+
+
+def test_unit_part_takes_residue_units_of_prime_powers_only(K7,
+                                                            monkeypatch):
+    # (O/n)^x of a composite n is never enumerated: residue_units runs
+    # once per prime power, for the whole process
+    rc._prime_power_units.cache_clear()
+    seen = []
+    orig = rc.residue_units
+
+    def recording(K, n):
+        seen.append(n)
+        return orig(K, n)
+
+    monkeypatch.setattr(rc, "residue_units", recording)
+    m = _modulus(K7, [(7, None, 1), (11, 0, 2), (23, 0, 1)])
+    for u in m.divisors():
+        rc.RayClassGroup(K7, u)
+    assert all(n.n_primes == 1 for n in seen)
+    assert sorted(n.label() for n in seen) == \
+        ["p:11:0", "p:11:0^2", "p:23:0", "q:7"]
+
+
 # -- Frobenius ----------------------------------------------------------------
 
 def test_frobenius_exact_when_coprime(K7):
@@ -646,14 +682,17 @@ def test_frame_unavailable_single_prime(K7):
 
 
 def test_frame_takes_a_complement_whose_j_generates_the_last_inertia():
-    # the inertia 3-orders are (9, 3) and #G_3 = 27; the first complement
-    # in index order gives a j outside the last inertia 3-Sylow, a later
-    # one gives a j that generates it
-    K = make_field(19)
-    G = ray_class_group(K, _modulus(K, [(7, None, 1), (19, None, 1)]))
-    fr = galois_over_h(G, 3)
-    assert fr.g == (9, 3) and fr.g_ell.order == 27
-    assert Subgroup.generated(G.group, [fr.j]) == fr.inertia_ell[-1]
+    # the inertia 3-orders are (9, 3) and #G_3 = 27 on both levels; at
+    # d = 31 the first complement in index order gives a j outside the
+    # last inertia 3-Sylow, a later one gives a j that generates it (at
+    # d = 19 the first did so in the coordinates of G_n before its unit
+    # part was assembled from prime powers)
+    for d, q in ((19, 19), (31, 19)):
+        K = make_field(d)
+        G = ray_class_group(K, _modulus(K, [(7, None, 1), (q, None, 1)]))
+        fr = galois_over_h(G, 3)
+        assert fr.g == (9, 3) and fr.g_ell.order == 27
+        assert Subgroup.generated(G.group, [fr.j]) == fr.inertia_ell[-1]
 
 
 def test_frame_unavailable_when_no_complement_gives_j():
